@@ -6,18 +6,30 @@
 // discarding committed block mappings whose DMA never finished).
 
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "src/crashmonkey/crash_test.h"
+#include "src/harness/scenario_runner.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace easyio;
+  const int jobs = harness::ScenarioRunner::JobsFromArgs(argc, argv);
   bench::PrintHeader("Table 2: crash consistency with CrashMonkey");
   std::printf("%-15s %-38s %12s %8s\n", "workload", "description",
               "crash points", "passed");
+  // Each workload's sweep is independent; print from the ordered results so
+  // stdout is the same at any job count.
+  const std::vector<crashmonkey::CrashWorkload> workloads =
+      crashmonkey::StandardWorkloads(42);
+  const std::vector<crashmonkey::CrashTestResult> results =
+      harness::RunIndexed(jobs, workloads.size(), [&](size_t i) {
+        return crashmonkey::RunCrashTest(workloads[i], /*max_points=*/1000);
+      });
   bool all_ok = true;
-  for (const auto& w : crashmonkey::StandardWorkloads(42)) {
-    const auto result = crashmonkey::RunCrashTest(w, /*max_points=*/1000);
+  for (size_t i = 0; i < workloads.size(); ++i) {
+    const auto& w = workloads[i];
+    const auto& result = results[i];
     std::printf("%-15s %-38s %12d %8d\n", w.name.c_str(),
                 w.description.c_str(), result.total_points, result.passed);
     for (const auto& f : result.failures) {

@@ -62,12 +62,14 @@ int main() {
   std::printf("t=%7.1fus  CRASH! overwrite returned: %s (metadata committed, "
               "DMA in flight)\n",
               sim.now() / 1e3, overwrite_returned ? "yes" : "no");
-  const auto image = mem.CrashImage();
 
   // ---- life after the crash ----
+  // The crashed machine is done, so hand its device over instead of copying
+  // a snapshot: the in-flight DMA is rolled back to its durable prefix in
+  // place and the recovery device takes the mapping.
   sim::Simulation sim2({.num_cores = 2});
   pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(), kDevice);
-  mem2.LoadImage(image);
+  mem2.AdoptCrashImage(mem);
   core::EasyIoFs fs2(&mem2, {}, {});
   EASYIO_CHECK_OK(fs2.Mount());
   std::printf("remount: recovery discarded %llu committed-but-incomplete "

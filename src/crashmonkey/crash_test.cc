@@ -5,12 +5,6 @@
 #include <set>
 
 #include "src/common/rng.h"
-#include "src/common/units.h"
-#include "src/dma/dma_engine.h"
-#include "src/easyio/channel_manager.h"
-#include "src/easyio/easy_io_fs.h"
-#include "src/pmem/slow_memory.h"
-#include "src/sim/simulation.h"
 
 namespace easyio::crashmonkey {
 
@@ -200,35 +194,6 @@ std::vector<CrashWorkload> StandardWorkloads(uint64_t seed) {
 
 namespace {
 
-struct Env {
-  sim::Simulation sim{{.num_cores = 2}};
-  pmem::SlowMemory mem;
-  // Declared before the engine: channels hold a raw pointer to it.
-  std::unique_ptr<dma::FaultInjector> injector;
-  std::unique_ptr<core::EasyIoFs> fs;
-  std::unique_ptr<dma::DmaEngine> engine;
-  std::unique_ptr<core::ChannelManager> cm;
-
-  explicit Env(const nova::NovaFs::Options& opts,
-               const dma::FaultPlan* faults = nullptr)
-      : mem(&sim, pmem::MediaParams::TwoNode(), 24_MB) {
-    fs = std::make_unique<core::EasyIoFs>(&mem, opts,
-                                          core::EasyIoFs::EasyOptions{});
-    EASYIO_CHECK_OK(fs->Format());
-    engine = std::make_unique<dma::DmaEngine>(
-        &mem, fs->layout().comp_region_off, 16);
-    if (faults != nullptr && !faults->empty()) {
-      // Fresh injector per Env: Take* consumes plan entries, and every run
-      // must replay the same faults.
-      injector = std::make_unique<dma::FaultInjector>(*faults);
-      engine->AttachFaultInjector(injector.get());
-    }
-    cm = std::make_unique<core::ChannelManager>(
-        &sim, engine.get(), core::ChannelManager::Options{});
-    fs->AttachChannelManager(cm.get());
-  }
-};
-
 // Collects the union of paths any op may touch (model side).
 std::set<std::string> PathUniverse(const CrashWorkload& workload) {
   ExpectedState st;
@@ -298,15 +263,32 @@ nova::NovaFs::Options DefaultCrashFsOptions() {
   return opts;
 }
 
-CrashTestResult RunCrashTest(const CrashWorkload& workload, int max_points,
-                             const nova::NovaFs::Options& fs_options,
-                             const dma::FaultPlan* faults) {
-  // Pass 1: count the workload's persist barriers. Runs under the same
-  // fault plan as the replays: retries and error-record updates persist, so
-  // faults shift the barrier numbering.
+CrashEnv::CrashEnv(const nova::NovaFs::Options& fs_options,
+                   const dma::FaultPlan* faults)
+    : mem(&sim, pmem::MediaParams::TwoNode(), kDeviceBytes) {
+  fs = std::make_unique<core::EasyIoFs>(&mem, fs_options,
+                                        core::EasyIoFs::EasyOptions{});
+  EASYIO_CHECK_OK(fs->Format());
+  engine = std::make_unique<dma::DmaEngine>(
+      &mem, fs->layout().comp_region_off, 16);
+  if (faults != nullptr && !faults->empty()) {
+    injector = std::make_unique<dma::FaultInjector>(*faults);
+    engine->AttachFaultInjector(injector.get());
+  }
+  cm = std::make_unique<core::ChannelManager>(
+      &sim, engine.get(), core::ChannelManager::Options{});
+  fs->AttachChannelManager(cm.get());
+}
+
+std::vector<uint64_t> SampleCrashPoints(const CrashWorkload& workload,
+                                        int max_points,
+                                        const nova::NovaFs::Options& fs_options,
+                                        const dma::FaultPlan* faults) {
+  // Runs under the same fault plan as the replays: retries and error-record
+  // updates persist, so faults shift the barrier numbering.
   uint64_t total_barriers = 0;
   {
-    Env env(fs_options, faults);
+    CrashEnv env(fs_options, faults);
     const uint64_t base = env.mem.barrier_count();
     env.sim.Spawn(0, [&] {
       for (const auto& op : workload.ops) {
@@ -316,42 +298,54 @@ CrashTestResult RunCrashTest(const CrashWorkload& workload, int max_points,
     env.sim.Run();
     total_barriers = env.mem.barrier_count() - base;
   }
+  const uint64_t points = std::min<uint64_t>(
+      total_barriers, static_cast<uint64_t>(max_points));
+  std::vector<uint64_t> out;
+  out.reserve(points);
+  for (uint64_t p = 1; p <= points; ++p) {
+    out.push_back(total_barriers * p / points);
+  }
+  return out;
+}
 
+int RunToCrash(CrashEnv& env, const CrashWorkload& workload, uint64_t k) {
+  env.mem.EnableCrashTracking();
+  const uint64_t base = env.mem.barrier_count();
+  env.mem.set_barrier_hook([&env, base, k](uint64_t count) {
+    if (count == base + k) {
+      env.sim.RequestStop();
+    }
+  });
+  int completed = -1;
+  env.sim.Spawn(0, [&] {
+    for (size_t i = 0; i < workload.ops.size(); ++i) {
+      workload.ops[i].apply(*env.fs);
+      completed = static_cast<int>(i);
+    }
+  });
+  env.sim.Run();
+  return completed;
+}
+
+CrashTestResult RunCrashTest(const CrashWorkload& workload, int max_points,
+                             const nova::NovaFs::Options& fs_options,
+                             const dma::FaultPlan* faults) {
+  const std::vector<uint64_t> points =
+      SampleCrashPoints(workload, max_points, fs_options, faults);
   const std::set<std::string> universe = PathUniverse(workload);
-  const int points =
-      static_cast<int>(std::min<uint64_t>(total_barriers,
-                                          static_cast<uint64_t>(max_points)));
   CrashTestResult result;
-  result.total_points = points;
+  result.total_points = static_cast<int>(points.size());
 
-  for (int p = 1; p <= points; ++p) {
-    const uint64_t k =
-        total_barriers * static_cast<uint64_t>(p) /
-        static_cast<uint64_t>(points);
+  for (const uint64_t k : points) {
+    CrashEnv env(fs_options, faults);
+    const int completed = RunToCrash(env, workload, k);
 
-    Env env(fs_options, faults);
-    env.mem.EnableCrashTracking();
-    const uint64_t base = env.mem.barrier_count();
-    env.mem.set_barrier_hook([&env, base, k](uint64_t count) {
-      if (count == base + k) {
-        env.sim.RequestStop();
-      }
-    });
-    int completed = -1;
-    env.sim.Spawn(0, [&] {
-      for (size_t i = 0; i < workload.ops.size(); ++i) {
-        workload.ops[i].apply(*env.fs);
-        completed = static_cast<int>(i);
-      }
-    });
-    env.sim.Run();
-
-    const auto image = env.mem.CrashImage();
-
-    // Mount a fresh instance on the crash image and recover.
+    // Hand the crash image to a fresh instance (no copy: the crashed
+    // device's mapping moves over), then mount it and recover.
     sim::Simulation sim2({.num_cores = 2});
-    pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(), 24_MB);
-    mem2.LoadImage(image);
+    pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(),
+                          CrashEnv::kDeviceBytes);
+    mem2.AdoptCrashImage(env.mem);
     core::EasyIoFs fs2(&mem2, fs_options, core::EasyIoFs::EasyOptions{});
     const Status mount = fs2.Mount();
     if (!mount.ok()) {

@@ -9,10 +9,12 @@
 //      points — every fence boundary, including DMA completion-record
 //      updates);
 //   2. for each sampled crash point k, re-runs the workload from scratch
-//      deterministically, stops the simulation exactly at barrier k,
-//      produces the crash image (in-flight DMA transfers rolled back to
-//      their durable prefix), mounts a fresh EasyIO instance on it, and
-//      runs recovery;
+//      deterministically, stops the simulation exactly at barrier k, hands
+//      the crashed device to a fresh EasyIO instance
+//      (SlowMemory::AdoptCrashImage: in-flight DMA transfers are rolled
+//      back to their durable prefix in place and the mapping moves over, so
+//      no image is copied), mounts it, and runs recovery. Per point this
+//      costs a replay, a mount and the state check;
 //   3. checks that the recovered state equals the model state after the
 //      last *completed* operation, or after the one possibly-in-flight
 //      operation — anything else is an atomicity or durability bug.
@@ -31,9 +33,15 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/units.h"
+#include "src/dma/dma_engine.h"
 #include "src/dma/fault_plan.h"
+#include "src/easyio/channel_manager.h"
+#include "src/easyio/easy_io_fs.h"
 #include "src/fs/file_system.h"
 #include "src/nova/nova_fs.h"
+#include "src/pmem/slow_memory.h"
+#include "src/sim/simulation.h"
 
 namespace easyio::crashmonkey {
 
@@ -85,10 +93,46 @@ struct CrashTestResult {
 // Default filesystem geometry used by the crash runs.
 nova::NovaFs::Options DefaultCrashFsOptions();
 
+// The machine every crash run executes on: a 2-core simulation and a 24 MiB
+// two-node device with EasyIO formatted on it, 16 DMA channels and a
+// ChannelManager. With a non-empty `faults` plan the engine gets a fresh
+// FaultInjector built from it (the injector's consume-once state must not
+// leak between runs).
+struct CrashEnv {
+  static constexpr size_t kDeviceBytes = 24_MB;
+
+  sim::Simulation sim{{.num_cores = 2}};
+  pmem::SlowMemory mem;
+  // Declared before the engine: channels hold a raw pointer to it.
+  std::unique_ptr<dma::FaultInjector> injector;
+  std::unique_ptr<core::EasyIoFs> fs;
+  std::unique_ptr<dma::DmaEngine> engine;
+  std::unique_ptr<core::ChannelManager> cm;
+
+  explicit CrashEnv(const nova::NovaFs::Options& fs_options,
+                    const dma::FaultPlan* faults = nullptr);
+};
+
+// The crash points a sweep of at most `max_points` visits: persist barrier
+// indices (1-based, counted from the end of CrashEnv set-up) spread evenly
+// over one full run of the workload, the last one being its final barrier.
+// Runs the workload once to count them.
+std::vector<uint64_t> SampleCrashPoints(const CrashWorkload& workload,
+                                        int max_points,
+                                        const nova::NovaFs::Options& fs_options,
+                                        const dma::FaultPlan* faults);
+
+// Runs `workload` on a fresh `env` with crash tracking on and stops the
+// simulation exactly at its `k`-th persist barrier. Returns the index of the
+// last operation that completed (-1 if none). `env.mem` then holds the
+// crashed device: snapshot it with CrashImage() or hand it to a recovery
+// device with AdoptCrashImage().
+int RunToCrash(CrashEnv& env, const CrashWorkload& workload, uint64_t k);
+
 // Runs up to `max_points` crash points (evenly sampled over all persist
 // barriers) for the workload on EasyIO.
 //
-// `faults` optionally injects DMA faults into every run: each Env gets a
+// `faults` optionally injects DMA faults into every run: each CrashEnv gets a
 // fresh FaultInjector built from the same plan (the injector's consume-once
 // state must not leak between runs), so the barrier-count pass and every
 // replay see identical fault timing — retries and error-record updates add

@@ -195,8 +195,7 @@ void SlowMemory::CompleteInflightWrite(uint64_t token) {
   inflight_.erase(token);
 }
 
-std::vector<std::byte> SlowMemory::CrashImage() const {
-  std::vector<std::byte> image(data_.data(), data_.data() + data_.size());
+void SlowMemory::RollBackInflight(std::byte* image) const {
   for (const auto& [token, entry] : inflight_) {
     double progress = 0.0;
     if (entry.res != nullptr) {
@@ -207,16 +206,32 @@ std::vector<std::byte> SlowMemory::CrashImage() const {
         (static_cast<size_t>(progress * static_cast<double>(entry.n)) / 64) *
         64;
     if (durable < entry.n) {
-      std::memcpy(image.data() + entry.dst_off + durable,
+      std::memcpy(image + entry.dst_off + durable,
                   entry.undo.data() + durable, entry.n - durable);
     }
   }
+}
+
+std::vector<std::byte> SlowMemory::CrashImage() const {
+  std::vector<std::byte> image(data_.data(), data_.data() + data_.size());
+  RollBackInflight(image.data());
   return image;
 }
 
 void SlowMemory::LoadImage(const std::vector<std::byte>& image) {
   assert(image.size() == data_.size());
   std::memcpy(data_.data(), image.data(), image.size());
+}
+
+void SlowMemory::AdoptCrashImage(SlowMemory& crashed) {
+  assert(&crashed != this);
+  assert(crashed.data_.size() == data_.size());
+  assert(inflight_.empty());
+  crashed.RollBackInflight(crashed.data_.data());
+  // The undo bytes describe the mapping that is about to leave; late
+  // completions of the dead flows just find no entry to erase.
+  crashed.inflight_.clear();
+  data_.swap(crashed.data_);
 }
 
 }  // namespace easyio::pmem

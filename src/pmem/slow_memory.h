@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/pmem/media_params.h"
@@ -46,6 +47,12 @@ class ZeroMappedBytes {
   std::byte* data() { return data_; }
   const std::byte* data() const { return data_; }
   size_t size() const { return size_; }
+
+  // Exchanges the two mappings; each destructor then unmaps what it holds.
+  void swap(ZeroMappedBytes& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+  }
 
  private:
   std::byte* data_ = nullptr;
@@ -117,18 +124,43 @@ class SlowMemory {
                        sim::FlowResource::FlowId flow);
   void CompleteInflightWrite(uint64_t token);
 
-  // Produces the post-crash device image: current contents with every
-  // in-flight write rolled back to its completed prefix (64B granularity).
+  // A crash image is the device contents with every in-flight write rolled
+  // back to its completed prefix (64B granularity). There are two ways to
+  // get one onto a recovery device:
+  //
+  //  * Snapshot — CrashImage() + LoadImage(). Copies the whole device twice
+  //    and leaves this device untouched, so it can keep running (e.g. to take
+  //    a second image later, or to compare before/after completion).
+  //  * Hand-off — recovery.AdoptCrashImage(crashed). Copies nothing: the
+  //    rollback happens in place and the mapping moves to the recovery
+  //    device. Use it when the crashed device is done, as after every crash
+  //    point of a CrashMonkey sweep.
+  //
+  // Both produce byte-identical images (tests/crashmonkey_test.cc).
+
+  // Snapshot: a copy of the post-crash image.
   std::vector<std::byte> CrashImage() const;
 
-  // Overwrites the device contents (used to mount a recovered image).
+  // Overwrites the device contents (used to mount a snapshot).
   void LoadImage(const std::vector<std::byte>& image);
+
+  // Hand-off: makes `crashed`'s post-crash image this device's contents.
+  // Rolls `crashed`'s in-flight writes back in place, then swaps the two
+  // backing stores, so `crashed` ends up holding this device's fresh
+  // all-zero mapping and no in-flight writes. Its simulation, flows and
+  // suspended tasks may still be torn down afterwards; anything they touch
+  // lands in that spare mapping. Requires equal sizes and no in-flight
+  // writes on this device.
+  void AdoptCrashImage(SlowMemory& crashed);
 
  private:
   double ReadDerate() const;
   double WriteDerate() const;
   void CrossPoke(sim::FlowResource* target, double* last_util,
                  sim::FlowResource* source, double source_total);
+  // Overwrites each in-flight write's non-durable suffix in `image` (a
+  // device-sized buffer holding this device's contents) with its undo bytes.
+  void RollBackInflight(std::byte* image) const;
 
   struct Inflight {
     uint64_t dst_off;

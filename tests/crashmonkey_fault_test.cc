@@ -9,22 +9,10 @@
 
 #include "src/common/rng.h"
 #include "src/crashmonkey/crash_test.h"
+#include "tests/standard_faults.h"
 
 namespace easyio::crashmonkey {
 namespace {
-
-// Sequential crashmonkey workloads submit one descriptor at a time and the
-// channel picks are deterministic (least-loaded, channel 0 when idle), so
-// low channel-0 ordinals are guaranteed to be consumed. One of each fault
-// class, early in the run.
-dma::FaultPlan StandardFaults() {
-  dma::FaultPlan plan;
-  plan.errors.push_back({/*channel=*/0, /*ordinal=*/0, /*count=*/1});
-  plan.stalls.push_back({/*channel=*/0, /*ordinal=*/1, /*stall_ns=*/40'000});
-  plan.torn.push_back({/*channel=*/0, /*ordinal=*/2});
-  plan.errors.push_back({/*channel=*/0, /*ordinal=*/5, /*count=*/2});
-  return plan;
-}
 
 class FaultyCrashSweep : public ::testing::TestWithParam<int> {};
 

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
+#include <memory>
+#include <set>
+#include <tuple>
 
 #include "src/common/rng.h"
 #include "src/crashmonkey/crash_test.h"
+#include "tests/standard_faults.h"
 
 namespace easyio::crashmonkey {
 namespace {
@@ -105,6 +110,131 @@ TEST(CrashDuringGcTest, CompactionSwitchIsCrashAtomic) {
   EXPECT_EQ(result.passed, result.total_points);
   for (const auto& f : result.failures) {
     ADD_FAILURE() << f;
+  }
+}
+
+// The hand-off path (AdoptCrashImage) must leave the recovery device holding
+// exactly the snapshot path's image (CrashImage) at every crash point a
+// sweep visits, with and without injected DMA faults.
+class AdoptEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(AdoptEquivalence, AdoptedBytesEqualSnapshot) {
+  const auto [index, faulty] = GetParam();
+  const auto workloads = StandardWorkloads(42);
+  const auto& w = workloads[static_cast<size_t>(index)];
+  const dma::FaultPlan plan = StandardFaults();
+  const dma::FaultPlan* faults = faulty ? &plan : nullptr;
+  const auto opts = DefaultCrashFsOptions();
+  const std::vector<uint64_t> points =
+      SampleCrashPoints(w, /*max_points=*/30, opts, faults);
+  ASSERT_EQ(points.size(), 30u) << w.name;
+
+  int rolled_back = 0;  // points where the image differs from live memory
+  for (const uint64_t k : points) {
+    CrashEnv env(opts, faults);
+    RunToCrash(env, w, k);
+    const std::vector<std::byte> snapshot = env.mem.CrashImage();
+    rolled_back +=
+        std::memcmp(env.mem.raw(), snapshot.data(), snapshot.size()) != 0;
+
+    sim::Simulation sim2({.num_cores = 2});
+    pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(),
+                          CrashEnv::kDeviceBytes);
+    mem2.AdoptCrashImage(env.mem);
+    ASSERT_EQ(mem2.size(), snapshot.size());
+    ASSERT_EQ(std::memcmp(mem2.raw(), snapshot.data(), snapshot.size()), 0)
+        << w.name << " @barrier " << k;
+  }
+  // Some points must catch a transfer mid-flight, or the rollback went
+  // untested.
+  EXPECT_GT(rolled_back, 0) << w.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Table2, AdoptEquivalence,
+    ::testing::Combine(::testing::Values(0, 1, 2, 3), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+      return StandardWorkloads(42)[static_cast<size_t>(
+                                       std::get<0>(info.param))]
+                 .name +
+             (std::get<1>(info.param) ? "_faults" : "");
+    });
+
+// Contents of every path in `paths` that exists on the mounted `fs`.
+std::map<std::string, std::vector<std::byte>> ReadFiles(
+    fs::FileSystem& fs, sim::Simulation& sim,
+    const std::set<std::string>& paths) {
+  std::map<std::string, std::vector<std::byte>> out;
+  sim.Spawn(0, [&] {
+    for (const std::string& path : paths) {
+      auto fd = fs.Open(path);
+      if (!fd.ok()) {
+        continue;
+      }
+      auto st = fs.StatFd(*fd);
+      EASYIO_CHECK_OK(st.status());
+      std::vector<std::byte> data(st->size);
+      if (!data.empty()) {
+        EASYIO_CHECK_OK(fs.Read(*fd, 0, data).status());
+      }
+      EASYIO_CHECK_OK(fs.Close(*fd));
+      out[path] = std::move(data);
+    }
+  });
+  sim.Run();
+  return out;
+}
+
+// The model's files after ops [0, last_op].
+std::map<std::string, std::vector<std::byte>> ModelAfter(
+    const CrashWorkload& w, int last_op) {
+  ExpectedState st;
+  for (int i = 0; i <= last_op && i < static_cast<int>(w.ops.size()); ++i) {
+    w.ops[static_cast<size_t>(i)].model(st);
+  }
+  std::map<std::string, std::vector<std::byte>> out;
+  for (const auto& [path, content] : st) {
+    out[path] = *content;
+  }
+  return out;
+}
+
+TEST(AdoptCrashImageTest, RecoversAfterCrashedEnvIsDestroyed) {
+  // The recovery device outlives the crashed machine: its simulation,
+  // suspended tasks, flows and DMA engine are torn down after the hand-off
+  // and must leave the adopted image intact.
+  const CrashWorkload w = StandardWorkloads(42)[3];
+  const auto opts = DefaultCrashFsOptions();
+  const std::vector<uint64_t> points =
+      SampleCrashPoints(w, /*max_points=*/7, opts, nullptr);
+  ASSERT_EQ(points.size(), 7u);
+  std::set<std::string> universe;
+  for (int i = 0; i < static_cast<int>(w.ops.size()); ++i) {
+    for (const auto& [path, content] : ModelAfter(w, i)) {
+      universe.insert(path);
+    }
+  }
+
+  for (const uint64_t k : {points[2], points[5]}) {
+    sim::Simulation sim2({.num_cores = 2});
+    pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(),
+                          CrashEnv::kDeviceBytes);
+    int completed = -1;
+    {
+      auto env = std::make_unique<CrashEnv>(opts);
+      completed = RunToCrash(*env, w, k);
+      ASSERT_LT(completed + 1, static_cast<int>(w.ops.size()))
+          << "crash point " << k << " must stop the run mid-workload";
+      mem2.AdoptCrashImage(env->mem);
+    }
+    core::EasyIoFs fs2(&mem2, opts, core::EasyIoFs::EasyOptions{});
+    ASSERT_TRUE(fs2.Mount().ok()) << "@barrier " << k;
+    const auto got = ReadFiles(fs2, sim2, universe);
+    EXPECT_FALSE(got.empty());
+    EXPECT_TRUE(got == ModelAfter(w, completed) ||
+                got == ModelAfter(w, completed + 1))
+        << "@barrier " << k << " after op " << completed;
   }
 }
 

@@ -183,6 +183,45 @@ TEST(SlowMemoryTest, CrashImageRollsBackInflightWrite) {
   EXPECT_EQ(final_image[64_KB - 1], std::byte{0x22});
 }
 
+TEST(SlowMemoryTest, AdoptCrashImageRollsBackInflightWrite) {
+  // CrashImageRollsBackInflightWrite, through the hand-off path.
+  Simulation sim({.num_cores = 1});
+  SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
+  mem.EnableCrashTracking();
+  std::memset(mem.raw(), 0x11, 64_KB);
+  std::vector<char> src(64_KB, 0x22);
+  sim.Spawn(0, [&] { mem.CpuWrite(0, src.data(), src.size()); });
+  sim.RunUntil(8_us);
+  const std::vector<std::byte> snapshot = mem.CrashImage();
+
+  Simulation sim2({.num_cores = 1});
+  SlowMemory recovered(&sim2, MediaParams::OneNode(), 1_MB);
+  recovered.AdoptCrashImage(mem);
+  const std::byte* image = recovered.raw();
+  size_t new_bytes = 0;
+  for (size_t i = 0; i < 64_KB; ++i) {
+    if (image[i] == std::byte{0x22}) {
+      new_bytes++;
+    } else {
+      EXPECT_EQ(image[i], std::byte{0x11});
+    }
+  }
+  EXPECT_GT(new_bytes, 16_KB);
+  EXPECT_LT(new_bytes, 48_KB);
+  EXPECT_EQ(new_bytes % 64, 0u);
+  EXPECT_EQ(std::memcmp(image, snapshot.data(), snapshot.size()), 0);
+
+  // The crashed device got the fresh all-zero mapping and no in-flight
+  // writes; finishing its transfer lands there, not in the adopted image.
+  EXPECT_EQ(*mem.As<unsigned char>(0), 0u);
+  EXPECT_EQ(*mem.As<unsigned char>(64_KB - 1), 0u);
+  sim.Run();
+  const std::vector<std::byte> after = mem.CrashImage();
+  EXPECT_EQ(after[0], std::byte{0});
+  EXPECT_EQ(after[64_KB - 1], std::byte{0});
+  EXPECT_EQ(std::memcmp(image, snapshot.data(), snapshot.size()), 0);
+}
+
 TEST(SlowMemoryTest, LoadImageReplacesContents) {
   Simulation sim({.num_cores = 1});
   SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
