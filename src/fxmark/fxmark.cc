@@ -133,6 +133,7 @@ RunResult Run(const RunConfig& config) {
                             static_cast<double>(result.ops);
   result.avg_latency_ns = result.latency.Mean();
   result.p99_ns = result.latency.P99();
+  result.stats = tb.CollectStats();
   return result;
 }
 

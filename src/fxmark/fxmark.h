@@ -67,6 +67,9 @@ struct RunResult {
   double avg_cpu_ns = 0;       // mean CPU time per op
   double avg_latency_ns = 0;
   uint64_t p99_ns = 0;
+  // Testbed counters at the end of the run (set-up, warm-up and window):
+  // deterministic work counts such as context switches and barriers.
+  obs::StatsSnapshot stats;
 };
 
 // Runs one configuration to completion (builds its own Testbed).

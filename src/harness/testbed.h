@@ -158,6 +158,8 @@ class Testbed {
     obs::StatsSnapshot s;
     s.now_ns = sim_.now();
     s.context_switches = sim_.context_switches();
+    s.tasks_spawned = sim_.tasks_spawned();
+    s.pmem_barriers = mem_.barrier_count();
     for (int c = 0; c < sim_.num_cores(); ++c) {
       obs::CoreStats cs;
       cs.core = c;

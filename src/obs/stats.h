@@ -73,6 +73,8 @@ LatencySummary Summarize(const Histogram& h);
 struct StatsSnapshot {
   uint64_t now_ns = 0;
   uint64_t context_switches = 0;
+  uint64_t tasks_spawned = 0;   // tasks ever spawned (sim ids handed out)
+  uint64_t pmem_barriers = 0;   // persistence barriers on the device
   std::vector<CoreStats> cores;
   std::vector<ChannelStats> channels;
   std::vector<FsStats> fs;

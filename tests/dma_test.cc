@@ -248,6 +248,27 @@ TEST(ChannelTest, SuspendLateLetsTransferComplete) {
   f.sim.Run();
 }
 
+// CHANCMD (paper §2.2, §4.4): a suspend or resume issued by a task costs
+// that task chancmd_ns (74 ns) of CPU time each. From an event callback, as
+// in the two tests above, it is free.
+TEST(ChannelTest, SuspendAndResumeFromTaskChargeChancmd) {
+  Fixture f;
+  const uint64_t chancmd = f.mem.params().chancmd_ns;
+  EXPECT_EQ(chancmd, 74u);
+  f.sim.Spawn(0, [&] {
+    Channel& ch = f.engine.channel(0);
+    const sim::SimTime t0 = f.sim.now();
+    ch.Suspend();
+    EXPECT_EQ(f.sim.now(), t0 + chancmd);
+    EXPECT_TRUE(ch.suspended());
+    const sim::SimTime t1 = f.sim.now();
+    ch.Resume();
+    EXPECT_EQ(f.sim.now(), t1 + chancmd);
+    EXPECT_FALSE(ch.suspended());
+  });
+  f.sim.Run();
+}
+
 TEST(ChannelTest, EpochByteAccounting) {
   Fixture f;
   std::vector<char> src(64_KB, 'e');

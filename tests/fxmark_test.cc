@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/fxmark/fxmark.h"
 
 namespace easyio::fxmark {
@@ -76,6 +78,82 @@ TEST(FxmarkTest, DeterministicAcrossRuns) {
   const auto b = fxmark::Run(Quick(harness::FsKind::kEasy, Workload::kDWAL, 2));
   EXPECT_EQ(a.ops, b.ops);
   EXPECT_EQ(a.p99_ns, b.p99_ns);
+}
+
+// Deterministic work done by a run: a change that adds context switches,
+// tasks, barriers or DMA descriptors per op moves these counts exactly, on
+// any host and at any optimization level.
+struct WorkCounts {
+  uint64_t ops = 0;
+  uint64_t switches = 0;
+  uint64_t tasks = 0;
+  uint64_t barriers = 0;
+  uint64_t descs = 0;
+};
+
+std::string Format(const WorkCounts& w) {
+  return "{" + std::to_string(w.ops) + ", " + std::to_string(w.switches) +
+         ", " + std::to_string(w.tasks) + ", " + std::to_string(w.barriers) +
+         ", " + std::to_string(w.descs) + "}";
+}
+
+struct PinnedCase {
+  const char* name;
+  harness::FsKind fs;
+  Workload workload;
+  uint64_t io_size;
+  WorkCounts expected;
+};
+
+WorkCounts CountWork(const PinnedCase& c) {
+  RunConfig cfg;
+  cfg.fs = c.fs;
+  cfg.workload = c.workload;
+  cfg.cores = 4;
+  cfg.uthreads_per_core = 2;  // EasyIO only; Run() uses 1 for the others
+  cfg.io_size = c.io_size;
+  cfg.file_bytes = 4_MB;
+  cfg.warmup_ns = 500_us;
+  cfg.measure_ns = 2_ms;
+  cfg.device_bytes = 512_MB;
+  cfg.machine_cores = 8;
+  const RunResult r = fxmark::Run(cfg);
+  WorkCounts w{r.ops, r.stats.context_switches, r.stats.tasks_spawned,
+               r.stats.pmem_barriers, 0};
+  for (const obs::ChannelStats& ch : r.stats.channels) {
+    w.descs += ch.descriptors_completed;
+  }
+  return w;
+}
+
+// Pins {ops, context switches, tasks spawned, barriers, DMA descriptors} of
+// small EasyIO and NOVA runs. After a deliberate model change, paste the
+// printed counts into the table and say why in CHANGES.md.
+TEST(FxmarkTest, WorkCountsMatchPinnedTable) {
+  using harness::FsKind;
+  const PinnedCase kCases[] = {
+      {"easyio_dwal_4k", FsKind::kEasy, Workload::kDWAL, 4_KB,
+       {1684, 15248, 10, 6576, 32}},
+      {"easyio_dwal_64k", FsKind::kEasy, Workload::kDWAL, 64_KB,
+       {417, 5145, 10, 1779, 557}},
+      {"easyio_drbl_4k", FsKind::kEasy, Workload::kDRBL, 4_KB,
+       {2660, 13708, 10, 188, 32}},
+      {"easyio_drbl_64k", FsKind::kEasy, Workload::kDRBL, 64_KB,
+       {196, 1908, 10, 440, 284}},
+      {"nova_dwal_4k", FsKind::kNova, Workload::kDWAL, 4_KB,
+       {1684, 15020, 6, 6476, 0}},
+      {"nova_drbl_64k", FsKind::kNova, Workload::kDRBL, 64_KB,
+       {520, 2776, 6, 88, 0}},
+  };
+  std::string table;
+  for (const PinnedCase& c : kCases) {
+    const std::string got = Format(CountWork(c));
+    EXPECT_EQ(got, Format(c.expected)) << c.name;
+    table += std::string("  ") + c.name + " " + got + "\n";
+  }
+  if (HasFailure()) {
+    ADD_FAILURE() << "actual work counts:\n" << table;
+  }
 }
 
 TEST(FxmarkTest, CoresAtPeakPicksMinimum) {
