@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <set>
 
 #include "src/common/rng.h"
@@ -221,6 +222,7 @@ bool MatchesState(fs::FileSystem& fs, sim::Simulation& sim,
                   const ExpectedState& expected,
                   const std::set<std::string>& universe) {
   bool ok = true;
+  std::vector<std::byte> got;  // one read buffer, reused across files
   sim.Spawn(0, [&] {
     for (const std::string& path : universe) {
       auto it = expected.find(path);
@@ -241,9 +243,12 @@ bool MatchesState(fs::FileSystem& fs, sim::Simulation& sim,
       if (!st.ok() || st->size != want.size()) {
         ok = false;
       } else if (!want.empty()) {
-        std::vector<std::byte> got(want.size());
+        // memcmp, not vector ==: std::byte is an enum, so the library's
+        // equality falls back to a byte-at-a-time loop.
+        got.resize(want.size());
         auto r = fs.Read(*fd, 0, got);
-        if (!r.ok() || *r != want.size() || got != want) {
+        if (!r.ok() || *r != want.size() ||
+            std::memcmp(got.data(), want.data(), want.size()) != 0) {
           ok = false;
         }
       }

@@ -95,6 +95,7 @@ void Simulation::Cancel(EventId id) {
 void Simulation::RunUntil(SimTime limit) {
   assert(!in_task() && "RunUntil called from inside a task");
   running_loop_ = true;
+  run_limit_ = limit;
   TimerWheel::Entry ev;
   while (!stop_requested_ && events_.PopNext(limit, &ev)) {
     EventSlot& s = event_slots_[ev.slot];
@@ -236,7 +237,7 @@ void Simulation::KickCore(int core) {
       }
     }
     if (next != nullptr) {
-      DispatchTask(next);
+      DispatchTask(next, /*event_tail=*/false);
       // Work is still queued behind a now-busy core: let the scheduling
       // layer prod idle siblings to steal it.
       if (!c.run_queue.empty()) {
@@ -256,7 +257,7 @@ Task* Simulation::TryStealFrom(int victim) {
   return t;
 }
 
-void Simulation::DispatchTask(Task* t) {
+void Simulation::DispatchTask(Task* t, bool event_tail) {
   assert(t->state_ == Task::State::kRunnable ||
          t->state_ == Task::State::kRunning);
   Core& core = cores_[t->core_];
@@ -265,6 +266,7 @@ void Simulation::DispatchTask(Task* t) {
   t->holds_core_ = false;
   MarkCoreBusy(core, t);
   current_ = t;
+  slice_is_event_tail_ = event_tail;
   context_switches_++;
   SwapContext(&host_ctx_, &t->ctx_);
   current_ = nullptr;
@@ -280,7 +282,7 @@ void Simulation::HandleDirective(Task* t) {
       // Core stays busy; resume the same task after the delay.
       ScheduleAfter(advance_ns_, [this, t] {
         assert(t->state_ == Task::State::kRunning);
-        DispatchTask(t);
+        DispatchTask(t, /*event_tail=*/true);
       });
       break;
     }
@@ -343,6 +345,20 @@ void Simulation::Advance(uint64_t ns) {
   if (ns == 0) {
     return;
   }
+  // Elision: switching out would schedule the resume event at `until` and
+  // return to RunUntil, which would pop that event next and switch straight
+  // back, provided (1) the event that dispatched this slice does nothing
+  // after DispatchTask returns, (2) no stop is pending, (3) `until` is
+  // within the loop's limit and (4) nothing else is due at or before
+  // `until` (a same-time entry has a smaller seq, so it would fire first).
+  // Then moving the clock inline is indistinguishable, save the one unused
+  // event sequence number: an order-preserving renumbering.
+  const SimTime until = now_ + ns;
+  if (slice_is_event_tail_ && !stop_requested_ && until <= run_limit_ &&
+      events_.PeekTime() > until) {
+    now_ = until;
+    return;
+  }
   advance_ns_ = ns;
   SwitchOut(Directive::kAdvance);
 }
@@ -366,7 +382,7 @@ void Simulation::WakeOn(Task* t, int core) {
     ScheduleAt(now_, [this, t] {
       assert(t->holds_core_ && cores_[t->core_].running == t);
       t->state_ = Task::State::kRunnable;
-      DispatchTask(t);
+      DispatchTask(t, /*event_tail=*/true);
     });
     return;
   }

@@ -7,7 +7,9 @@
 //   Advance(ns)  - the core is busy for `ns` of virtual time (CPU work,
 //                  memcpy to slow memory, syscall overhead, ...). Other
 //                  actors' events (DMA completions, timers) interleave at
-//                  their exact virtual times.
+//                  their exact virtual times. When nothing else is due
+//                  before the delay ends, the clock moves inline, without a
+//                  context switch.
 //   Yield()      - cooperative reschedule: go to the back of the core's run
 //                  queue (EasyIO's thread_yield on async-I/O return).
 //   Block()      - park until another actor calls Wake(). Used by locks,
@@ -214,7 +216,10 @@ class Simulation {
 
   void KickCore(int core);
   void NotifyEnqueue(int core);
-  void DispatchTask(Task* t);      // switch into t, then act on its directive
+  // Switches into t, then acts on its directive. `event_tail` says the
+  // calling event does nothing after this returns, which lets the slice
+  // elide an uncontended Advance (see Advance()).
+  void DispatchTask(Task* t, bool event_tail);
   void HandleDirective(Task* t);
   void FinishCurrent();            // task side; never returns
   void MarkCoreBusy(Core& core, Task* t);
@@ -228,6 +233,8 @@ class Simulation {
   uint64_t context_switches_ = 0;
   bool stop_requested_ = false;
   bool running_loop_ = false;
+  SimTime run_limit_ = 0;             // the active RunUntil bound
+  bool slice_is_event_tail_ = false;  // the running slice's DispatchTask arg
 
   TimerWheel events_;
   std::vector<EventSlot> event_slots_;

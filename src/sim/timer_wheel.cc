@@ -140,6 +140,14 @@ void TimerWheel::Stage(SimTime t) {
   staged_ = true;
 }
 
+SimTime TimerWheel::PeekTime() {
+  if (count_ == 0) {
+    return kSimTimeMax;
+  }
+  const SimTime wheel_next = WheelNextTime();
+  return far_.empty() ? wheel_next : std::min(wheel_next, far_.top().time);
+}
+
 bool TimerWheel::PopNext(SimTime limit, Entry* out) {
   if (count_ == 0) {
     return false;

@@ -68,6 +68,11 @@ class TimerWheel {
   // Returns false (leaving the store untouched) otherwise.
   bool PopNext(SimTime limit, Entry* out);
 
+  // Time of the earliest entry, wheel or far heap, or kSimTimeMax when
+  // empty. Stale (cancelled) entries count: the caller drops them only on
+  // pop, so this is a lower bound on the next live event's time.
+  SimTime PeekTime();
+
   bool empty() const { return count_ == 0; }
   size_t size() const { return count_; }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/common/crc32.h"
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -218,6 +221,44 @@ TEST(HistogramTest, SaturatingBucketPercentiles) {
   EXPECT_LE(p99, p999);
   EXPECT_EQ(h.Percentile(0.0), 10u);   // the outlier's (exact) low bucket
   EXPECT_EQ(h.Percentile(1.0), kHot);  // exact max
+}
+
+// Bytewise CRC32C, kept here as the reference the sliced version must match.
+uint32_t Crc32cBytewise(const void* data, size_t n, uint32_t seed) {
+  uint32_t crc = ~seed;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82f63b78u : 0);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32cTest, KnownAnswer) {
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c("", 0), 0u);
+}
+
+TEST(Crc32cTest, MatchesBytewiseAtEveryLengthAndAlignment) {
+  // Lengths 0-300 cover the all-tail, all-sliced and mixed cases; the eight
+  // start offsets put the 8-byte loads at every alignment.
+  constexpr size_t kMaxLen = 300;
+  Rng rng(42);
+  std::vector<unsigned char> buf(kMaxLen + 8);
+  for (auto& b : buf) {
+    b = static_cast<unsigned char>(rng.Next());
+  }
+  for (const uint32_t seed : {0u, 1u, 0xdeadbeefu, 0xffffffffu}) {
+    for (size_t align = 0; align < 8; ++align) {
+      for (size_t len = 0; len <= kMaxLen; ++len) {
+        const unsigned char* p = buf.data() + align;
+        ASSERT_EQ(Crc32c(p, len, seed), Crc32cBytewise(p, len, seed))
+            << "seed " << seed << " align " << align << " len " << len;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -133,17 +133,17 @@ TEST(FxmarkTest, WorkCountsMatchPinnedTable) {
   using harness::FsKind;
   const PinnedCase kCases[] = {
       {"easyio_dwal_4k", FsKind::kEasy, Workload::kDWAL, 4_KB,
-       {1684, 15248, 10, 6576, 32}},
+       {1684, 14957, 10, 6576, 32}},
       {"easyio_dwal_64k", FsKind::kEasy, Workload::kDWAL, 64_KB,
-       {417, 5145, 10, 1779, 557}},
+       {417, 2904, 10, 1779, 557}},
       {"easyio_drbl_4k", FsKind::kEasy, Workload::kDRBL, 4_KB,
-       {2660, 13708, 10, 188, 32}},
+       {2660, 13417, 10, 188, 32}},
       {"easyio_drbl_64k", FsKind::kEasy, Workload::kDRBL, 64_KB,
-       {196, 1908, 10, 440, 284}},
+       {196, 1617, 10, 440, 284}},
       {"nova_dwal_4k", FsKind::kNova, Workload::kDWAL, 4_KB,
-       {1684, 15020, 6, 6476, 0}},
+       {1684, 14874, 6, 6476, 0}},
       {"nova_drbl_64k", FsKind::kNova, Workload::kDRBL, 64_KB,
-       {520, 2776, 6, 88, 0}},
+       {520, 2630, 6, 88, 0}},
   };
   std::string table;
   for (const PinnedCase& c : kCases) {

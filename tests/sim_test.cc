@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/common/units.h"
@@ -306,6 +307,88 @@ TEST(SimulationTest, RequestStopHaltsLoop) {
   sim.Run();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(sim.stop_requested());
+}
+
+// ---- Advance elision: an uncontended Advance moves the clock inline ----
+
+TEST(SimulationTest, LoneTaskAdvancesWithoutSwitching) {
+  Simulation sim(Opts(1));
+  sim.Spawn(0, [&] {
+    for (int i = 0; i < 1000; ++i) {
+      sim.Advance(10);
+    }
+  });
+  sim.Run();
+  EXPECT_EQ(sim.now(), 10000u);
+  // The kick-dispatched first slice switches out on its first Advance; the
+  // resumed slice then runs the other 999 inline.
+  EXPECT_LE(sim.context_switches(), 2u);
+}
+
+// Runs a task that advances 5 ns (a real switch: its first slice came from
+// the core kick), then 100 ns, with an event at `event_at` scheduled before
+// the run. Returns the order in which the event and the continuation ran.
+std::vector<std::string> RaceEventAgainstAdvance(SimTime event_at,
+                                                 uint64_t* switches) {
+  Simulation sim(Opts(1));
+  std::vector<std::string> order;
+  sim.ScheduleAt(event_at, [&] {
+    EXPECT_EQ(sim.now(), event_at);
+    order.push_back("event");
+  });
+  sim.Spawn(0, [&] {
+    sim.Advance(5);
+    sim.Advance(100);
+    EXPECT_EQ(sim.now(), 105u);
+    order.push_back("task");
+  });
+  sim.Run();
+  *switches = sim.context_switches();
+  return order;
+}
+
+TEST(SimulationTest, EventDueAtAdvanceEndFiresFirst) {
+  uint64_t switches = 0;
+  EXPECT_EQ(RaceEventAgainstAdvance(105, &switches),
+            (std::vector<std::string>{"event", "task"}));
+  EXPECT_EQ(switches, 3u);  // the second Advance switched out
+}
+
+TEST(SimulationTest, EventDueAfterAdvanceEndFiresAfter) {
+  uint64_t switches = 0;
+  EXPECT_EQ(RaceEventAgainstAdvance(106, &switches),
+            (std::vector<std::string>{"task", "event"}));
+  EXPECT_EQ(switches, 2u);  // the second Advance ran inline
+}
+
+TEST(SimulationTest, AdvancePastRunUntilLimitSuspends) {
+  Simulation sim(Opts(1));
+  SimTime resumed_at = 0;
+  sim.Spawn(0, [&] {
+    sim.Advance(5);
+    sim.Advance(100);  // nothing else pending, but 105 > the limit
+    resumed_at = sim.now();
+  });
+  sim.RunUntil(50);
+  EXPECT_EQ(sim.now(), 50u);
+  EXPECT_EQ(resumed_at, 0u);
+  sim.RunUntil(200);
+  EXPECT_EQ(resumed_at, 105u);
+}
+
+TEST(SimulationTest, AdvanceAfterRequestStopSuspends) {
+  Simulation sim(Opts(1));
+  bool continued = false;
+  Task* t = sim.Spawn(0, [&] {
+    sim.Advance(5);
+    sim.RequestStop();
+    sim.Advance(10);
+    continued = true;
+  });
+  sim.Run();
+  EXPECT_EQ(sim.now(), 5u);
+  EXPECT_FALSE(continued);
+  EXPECT_FALSE(t->finished());
 }
 
 }  // namespace

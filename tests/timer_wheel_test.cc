@@ -2,8 +2,9 @@
 // pop entries in exactly ascending (time, seq) order — bit-for-bit the order
 // the pure std::priority_queue it replaced produced. The randomized tests
 // drive identical schedule/pop sequences into the wheel and a reference heap
-// and require identical output; the Simulation-level tests cover the piece
-// the wheel delegates to its caller: Cancel() via slab generation tags.
+// and require identical output, with PeekTime() equal to the heap's minimum
+// after every step; the Simulation-level tests cover the piece the wheel
+// delegates to its caller: Cancel() via slab generation tags.
 
 #include "src/sim/timer_wheel.h"
 
@@ -63,12 +64,14 @@ TEST(TimerWheelTest, RandomizedMatchesReferenceHeap) {
           return;
         }
       }
+      ASSERT_EQ(wheel.PeekTime(), ref.empty() ? kSimTimeMax : ref.top().time);
     }
     while (!ref.empty()) {
       PopBothAndCompare(&wheel, &ref, &now);
       if (HasFatalFailure()) {
         return;
       }
+      ASSERT_EQ(wheel.PeekTime(), ref.empty() ? kSimTimeMax : ref.top().time);
     }
     EXPECT_TRUE(wheel.empty());
     EXPECT_EQ(wheel.size(), 0u);
