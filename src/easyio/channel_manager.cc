@@ -123,7 +123,7 @@ void ChannelManager::StartThrottling() {
   throttle_generation_++;
   epoch_start_bytes_ = b_channel()->bytes_completed();
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "throttle_start",
-            {"b_chan", options_.b_channel});
+            {"b_chan", static_cast<uint64_t>(options_.b_channel)});
   const uint64_t gen = throttle_generation_;
   sim_->ScheduleAfter(options_.check_interval_ns, [this, gen] {
     if (gen == throttle_generation_) {

@@ -1,19 +1,117 @@
 #include "src/pmem/slow_memory.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 
 #include "src/common/units.h"
 
 namespace easyio::pmem {
 
+namespace {
+
+// Released device mappings, each all-zero, waiting for a device of the same
+// size. Leaked so that devices destroyed during static destruction can still
+// park theirs. The mutex is the only lock on the process's one shared
+// mutable state; a mapping has one owner at a time.
+class MappingPool {
+ public:
+  static MappingPool& Get() {
+    static MappingPool* const pool = new MappingPool;
+    return *pool;
+  }
+
+  // The parked mapping of exactly `size` bytes that kept the most pages
+  // mapped, or nullptr. Preferring the warmest matters when devices are
+  // released in pairs: a crash point's recovery device holds the dirtied
+  // mapping and the replay device an untouched one, and the next replay
+  // should get the one whose pages are already there.
+  std::byte* Take(size_t size) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto best = free_.end();
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->size == size && (best == free_.end() || it->kept > best->kept)) {
+        best = it;
+      }
+    }
+    if (best == free_.end()) {
+      return nullptr;
+    }
+    std::byte* data = best->data;
+    *best = free_.back();
+    free_.pop_back();
+    return data;
+  }
+
+  void Park(std::byte* data, size_t size, size_t kept) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back({data, size, kept});
+  }
+
+ private:
+  struct Parked {
+    std::byte* data;
+    size_t size;
+    size_t kept;  // pages left mapped by the scrub
+  };
+  std::mutex mu_;
+  std::vector<Parked> free_;
+};
+
+bool AllZero(const std::byte* p, size_t n) {
+  return p[0] == std::byte{0} && std::memcmp(p, p + 1, n - 1) == 0;
+}
+
+// Makes a mapping read as all-zero again. A resident page that holds data is
+// memset in place, so the next owner finds it mapped instead of paying a
+// fresh fault plus its share of an munmap (per 4 KiB page on a 4-vCPU x86-64
+// VM: memset ~0.4 us, fault ~2.2 us, munmap ~0.2 us). Every other page is
+// discarded: resident zero pages were only read, and a non-resident page may
+// be swapped out with stale bytes, so mincore's answer alone does not prove
+// it zero. Returns the number of pages kept.
+size_t Scrub(std::byte* data, size_t size) {
+  static const size_t kPage = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> resident((size + kPage - 1) / kPage);
+  if (mincore(data, size, resident.data()) != 0) {
+    std::fill(resident.begin(), resident.end(), 0);
+  }
+  size_t kept = 0;
+  size_t discard_from = 0;  // start of the pending run of pages to discard
+  auto discard_until = [&](size_t end) {
+    if (end > discard_from &&
+        madvise(data + discard_from, end - discard_from, MADV_DONTNEED) != 0) {
+      std::perror("easyio: madvise of device backing store failed");
+      std::abort();
+    }
+  };
+  for (size_t i = 0; i < resident.size(); ++i) {
+    const size_t off = i * kPage;
+    const size_t n = std::min(kPage, size - off);
+    if ((resident[i] & 1) != 0 && !AllZero(data + off, n)) {
+      discard_until(off);
+      std::memset(data + off, 0, n);
+      discard_from = off + n;
+      kept++;
+    }
+  }
+  discard_until(size);
+  return kept;
+}
+
+}  // namespace
+
 ZeroMappedBytes::ZeroMappedBytes(size_t size) : size_(size) {
   if (size == 0) {
+    return;
+  }
+  data_ = MappingPool::Get().Take(size);
+  if (data_ != nullptr) {
     return;
   }
   void* p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
@@ -27,7 +125,8 @@ ZeroMappedBytes::ZeroMappedBytes(size_t size) : size_(size) {
 
 ZeroMappedBytes::~ZeroMappedBytes() {
   if (data_ != nullptr) {
-    munmap(data_, size_);
+    const size_t kept = Scrub(data_, size_);
+    MappingPool::Get().Park(data_, size_, kept);
   }
 }
 

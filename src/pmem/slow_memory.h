@@ -33,9 +33,17 @@ namespace easyio::pmem {
 // Demand-zero backing store for the modeled device. Semantically identical
 // to a value-initialized std::vector<std::byte> (every byte reads as zero
 // until written) but backed by an anonymous mmap, so constructing a 512 MiB
-// device costs a page-table entry, not a half-gigabyte memset — and teardown
-// is one munmap. Benchmarks pay for the pages the workload actually touches,
-// nothing more.
+// device costs a page-table entry, not a half-gigabyte memset. Benchmarks pay
+// for the pages the workload actually touches, nothing more.
+//
+// Mappings are recycled, never unmapped. The destructor scrubs its mapping
+// back to all-zero and parks it in a process-wide pool; the constructor takes
+// the parked mapping of exactly `size` bytes with the most pages still
+// mapped, else mmaps a new one. The scrub memsets the pages that are resident
+// and hold data, so they stay mapped for the next owner, and discards every
+// other page. A device therefore always starts all-zero, whichever mapping it
+// gets, and what a parked mapping keeps resident is exactly what its last
+// owner dirtied.
 class ZeroMappedBytes {
  public:
   explicit ZeroMappedBytes(size_t size);
@@ -48,7 +56,7 @@ class ZeroMappedBytes {
   const std::byte* data() const { return data_; }
   size_t size() const { return size_; }
 
-  // Exchanges the two mappings; each destructor then unmaps what it holds.
+  // Exchanges the two mappings; each destructor then parks what it holds.
   void swap(ZeroMappedBytes& other) noexcept {
     std::swap(data_, other.data_);
     std::swap(size_, other.size_);

@@ -238,6 +238,43 @@ TEST(AdoptCrashImageTest, RecoversAfterCrashedEnvIsDestroyed) {
   }
 }
 
+TEST(AdoptCrashImageTest, ParkedMappingsStayZeroAfterCrashedTeardown) {
+  // Both devices of a crash point are released with DMA in flight and tasks
+  // suspended; CrashEnv destroys its device before its simulation. Whatever
+  // that teardown does, the mappings it parks must come back all-zero.
+  const CrashWorkload w = StandardWorkloads(42)[3];
+  const auto opts = DefaultCrashFsOptions();
+  const dma::FaultPlan plan = StandardFaults();
+  const dma::FaultPlan* const fault_cases[] = {nullptr, &plan};
+  for (const dma::FaultPlan* faults : fault_cases) {
+    const std::vector<uint64_t> points =
+        SampleCrashPoints(w, /*max_points=*/7, opts, faults);
+    ASSERT_EQ(points.size(), 7u);
+    {
+      sim::Simulation sim2({.num_cores = 2});
+      pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(),
+                            CrashEnv::kDeviceBytes);
+      auto env = std::make_unique<CrashEnv>(opts, faults);
+      const int completed = RunToCrash(*env, w, points[3]);
+      ASSERT_LT(completed + 1, static_cast<int>(w.ops.size()))
+          << "crash point " << points[3] << " must stop the run mid-workload";
+      mem2.AdoptCrashImage(env->mem);
+      core::EasyIoFs fs2(&mem2, opts, core::EasyIoFs::EasyOptions{});
+      ASSERT_TRUE(fs2.Mount().ok()) << "@barrier " << points[3];
+      env.reset();
+    }
+    const pmem::ZeroMappedBytes parked[] = {
+        pmem::ZeroMappedBytes(CrashEnv::kDeviceBytes),
+        pmem::ZeroMappedBytes(CrashEnv::kDeviceBytes)};
+    for (const pmem::ZeroMappedBytes& bytes : parked) {
+      const std::byte* p = bytes.data();
+      EXPECT_TRUE(p[0] == std::byte{0} &&
+                  std::memcmp(p, p + 1, bytes.size() - 1) == 0)
+          << (faults != nullptr ? "with" : "without") << " faults";
+    }
+  }
+}
+
 // Property-style crash testing: randomized workloads (beyond the paper's
 // four fixed ones) must also recover consistently at every sampled point.
 class RandomCrashSweep : public ::testing::TestWithParam<uint64_t> {};

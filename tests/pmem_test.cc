@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "src/common/units.h"
@@ -228,6 +229,60 @@ TEST(SlowMemoryTest, LoadImageReplacesContents) {
   std::vector<std::byte> image(1_MB, std::byte{0x7f});
   mem.LoadImage(image);
   EXPECT_EQ(*mem.As<unsigned char>(12345), 0x7fu);
+}
+
+bool AllZero(const ZeroMappedBytes& bytes) {
+  const std::byte* p = bytes.data();
+  return p[0] == std::byte{0} &&
+         std::memcmp(p, p + 1, bytes.size() - 1) == 0;
+}
+
+TEST(ZeroMappedBytesTest, RecycledMappingReadsZero) {
+  {
+    ZeroMappedBytes bytes(4_MB);
+    ASSERT_TRUE(AllZero(bytes));
+    // Dirty scattered pages, some only partly, and read-touch others.
+    unsigned sum = 0;
+    for (size_t off = 0; off < bytes.size(); off += 96_KB) {
+      std::memset(bytes.data() + off, 0xa5, (off / 96_KB) % 3 == 0 ? 4_KB : 1);
+      sum += static_cast<unsigned>(bytes.data()[off + 20_KB]);
+    }
+    EXPECT_EQ(sum, 0u);
+    bytes.data()[bytes.size() - 1] = std::byte{1};
+  }
+  // The pool hands back a released 4 MiB mapping, scrubbed: the one above
+  // unless another parked one kept more pages mapped.
+  ZeroMappedBytes again(4_MB);
+  EXPECT_TRUE(AllZero(again));
+
+  ZeroMappedBytes other(6_MB);
+  EXPECT_TRUE(AllZero(other));
+}
+
+TEST(ZeroMappedBytesTest, ConcurrentReleaseAndReuse) {
+  // Mappings move between threads through the pool; each must reach exactly
+  // one owner at a time, all-zero.
+  std::vector<std::thread> threads;
+  std::vector<int> failures(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([t, &failures] {
+      const auto mark = static_cast<std::byte>(t + 1);
+      for (int cycle = 0; cycle < 200; ++cycle) {
+        ZeroMappedBytes bytes(cycle % 2 == 0 ? 256_KB : 384_KB);
+        failures[t] += !AllZero(bytes);
+        for (size_t off = 0; off < bytes.size(); off += 20_KB) {
+          bytes.data()[off] = mark;
+        }
+        for (size_t off = 0; off < bytes.size(); off += 20_KB) {
+          failures[t] += bytes.data()[off] != mark;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(failures, std::vector<int>(4, 0));
 }
 
 }  // namespace
