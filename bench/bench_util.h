@@ -3,14 +3,16 @@
 #ifndef EASYIO_BENCH_BENCH_UTIL_H_
 #define EASYIO_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
+#include <string_view>
+#include <system_error>
 
 #include "src/dma/fault_plan.h"
+#include "src/harness/scenario_runner.h"
 
 namespace easyio::bench {
 
@@ -20,50 +22,75 @@ inline void PrintHeader(const std::string& title) {
   std::printf("================================================================\n");
 }
 
-// --trace=<path> / --trace-sample=<N> command-line handling, shared by the
-// figure benches that can emit a Perfetto trace (see docs/OBSERVABILITY.md).
-// `sample_every` starts from the bench's default and is overridden by the
-// flag; unknown arguments are ignored so benches keep their own flags.
-struct TraceFlags {
-  std::string path;          // empty = tracing stays off
-  uint32_t sample_every = 1;
-  bool enabled() const { return !path.empty(); }
+// The command-line flags the benches share. Each bench names the flags it
+// honors and parses argv once with ParseFlags; any other argument (a typo,
+// or a flag this bench does not take) prints a usage line to stderr and
+// exits 2, so a run never silently drops an option.
+//   --jobs=<N>          worker threads for independent cells, N >= 1
+//                       (default: ScenarioRunner::DefaultJobs(), which
+//                       honors EASYIO_JOBS)
+//   --faults=<seed>     a nonzero seed injects a seeded random FaultPlan
+//                       (see MakeBenchFaultPlan); 0, the default, is
+//                       byte-identical to omitting the flag
+//   --trace=<path>      Perfetto trace of the bench's designated run (see
+//                       docs/OBSERVABILITY.md)
+//   --trace-sample=<N>  keep one in N sampled trace events, N >= 1
+//                       (default: the bench's own)
+struct Flags {
+  enum Accepts : unsigned { kJobs = 1, kFaults = 2, kTrace = 4 };
+
+  int jobs = 1;
+  uint64_t faults = 0;
+  std::string trace;  // empty = tracing stays off
+  uint32_t trace_sample = 1;
+  bool tracing() const { return !trace.empty(); }
 };
 
-inline TraceFlags ParseTraceFlags(int argc, char** argv,
-                                  uint32_t default_sample = 1) {
-  TraceFlags f;
-  f.sample_every = default_sample;
+// `accepts` is a mask of Flags::Accepts.
+inline Flags ParseFlags(int argc, char** argv, unsigned accepts,
+                        uint32_t default_trace_sample = 1) {
+  Flags f;
+  f.jobs = harness::ScenarioRunner::DefaultJobs();
+  f.trace_sample = default_trace_sample;
+  // Parses all of `text` as a decimal integer.
+  const auto number = [](std::string_view text, auto* out) {
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+  };
   for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--trace=", 8) == 0) {
-      f.path = a + 8;
-    } else if (std::strncmp(a, "--trace-sample=", 15) == 0) {
-      f.sample_every = static_cast<uint32_t>(std::strtoul(a + 15, nullptr, 10));
-      if (f.sample_every == 0) {
-        f.sample_every = 1;
+    const std::string_view a = argv[i];
+    // True when this bench accepts `flag` and `a` is `name` followed by a
+    // value, which is stored in *out.
+    const auto value = [&](std::string_view name, unsigned flag,
+                           std::string_view* out) {
+      if ((accepts & flag) == 0 || !a.starts_with(name)) {
+        return false;
       }
+      *out = a.substr(name.size());
+      return true;
+    };
+    std::string_view v;
+    bool ok = false;
+    if (value("--jobs=", Flags::kJobs, &v)) {
+      ok = number(v, &f.jobs) && f.jobs >= 1;
+    } else if (value("--faults=", Flags::kFaults, &v)) {
+      ok = number(v, &f.faults);
+    } else if (value("--trace=", Flags::kTrace, &v)) {
+      f.trace = v;
+      ok = true;
+    } else if (value("--trace-sample=", Flags::kTrace, &v)) {
+      ok = number(v, &f.trace_sample) && f.trace_sample >= 1;
     }
-  }
-  return f;
-}
-
-// --faults=<seed> command-line handling: a nonzero seed turns on DMA fault
-// injection with a seeded random FaultPlan (see MakeBenchFaultPlan). Seed 0
-// (or no flag) leaves injection off; a bench run without the flag and one
-// with --faults=0 print byte-identical output. Unknown arguments are
-// ignored, matching ParseTraceFlags.
-struct FaultFlags {
-  uint64_t seed = 0;
-  bool enabled() const { return seed != 0; }
-};
-
-inline FaultFlags ParseFaultFlags(int argc, char** argv) {
-  FaultFlags f;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--faults=", 9) == 0) {
-      f.seed = std::strtoull(a + 9, nullptr, 10);
+    if (!ok) {
+      std::fprintf(stderr, "%s: unrecognized argument '%s'\nusage: %s%s%s%s\n",
+                   argv[0], argv[i], argv[0],
+                   (accepts & Flags::kJobs) != 0 ? " [--jobs=<N>]" : "",
+                   (accepts & Flags::kFaults) != 0 ? " [--faults=<seed>]" : "",
+                   (accepts & Flags::kTrace) != 0
+                       ? " [--trace=<path>] [--trace-sample=<N>]"
+                       : "");
+      std::exit(2);
     }
   }
   return f;

@@ -143,7 +143,8 @@ void LChannelAblation(int jobs) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const int jobs = harness::ScenarioRunner::JobsFromArgs(argc, argv);
+  const int jobs =
+      bench::ParseFlags(argc, argv, bench::Flags::kJobs).jobs;
   bench::PrintHeader(
       "Extensions: DSA preview + design-choice ablations (beyond the paper)");
   DsaPreview(jobs);

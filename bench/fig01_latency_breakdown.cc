@@ -26,16 +26,16 @@ struct Breakdown {
 };
 
 Breakdown Measure(bool is_write, uint64_t io_size,
-                  const bench::TraceFlags* trace) {
+                  const bench::Flags* flags) {
   harness::TestbedConfig cfg;
   cfg.fs = harness::FsKind::kNova;
   cfg.machine_cores = 2;
   cfg.device_bytes = 256_MB;
   harness::Testbed tb(cfg);
   std::unique_ptr<sim::TraceSession> session;
-  if (trace != nullptr && trace->enabled()) {
-    session = std::make_unique<sim::TraceSession>(trace->path,
-                                                  trace->sample_every);
+  if (flags != nullptr) {
+    session = std::make_unique<sim::TraceSession>(flags->trace,
+                                                  flags->trace_sample);
   }
 
   Breakdown out;
@@ -84,16 +84,16 @@ int main(int argc, char** argv) {
   using namespace easyio;
   // --trace=<path> records the 64K-write run (the paper's headline
   // breakdown); small op count, so every op is sampled by default.
-  const bench::TraceFlags trace =
-      bench::ParseTraceFlags(argc, argv, /*default_sample=*/1);
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv, bench::Flags::kTrace, /*default_trace_sample=*/1);
   bench::PrintHeader(
       "Figure 1: Latency breakdown of NOVA (single thread, us per op)");
   std::printf("%-6s %-5s %9s %9s %9s %9s %9s %8s\n", "op", "io", "total",
               "metadata", "memcpy", "indexing", "syscall", "memcpy%");
   for (bool is_write : {true, false}) {
     for (uint64_t io : {4_KB, 8_KB, 16_KB, 32_KB, 64_KB}) {
-      const bool traced = is_write && io == 64_KB && trace.enabled();
-      const auto b = Measure(is_write, io, traced ? &trace : nullptr);
+      const bool traced = is_write && io == 64_KB && flags.tracing();
+      const auto b = Measure(is_write, io, traced ? &flags : nullptr);
       std::printf("%-6s %-5s %9.2f %9.2f %9.2f %9.2f %9.2f %7.1f%%\n",
                   is_write ? "write" : "read", bench::SizeName(io).c_str(), b.total_us,
                   b.meta_us, b.memcpy_us, b.index_us, b.syscall_us,

@@ -125,8 +125,9 @@ void RunDirection(bool is_write) {
 }  // namespace
 }  // namespace easyio
 
-int main() {
+int main(int argc, char** argv) {
   using namespace easyio;
+  bench::ParseFlags(argc, argv, /*accepts=*/0);  // takes no flags
   bench::PrintHeader(
       "Figure 2: memcpy vs on-chip DMA bandwidth (1 DMA channel)");
   RunDirection(/*is_write=*/true);

@@ -96,13 +96,13 @@ void RunDirection(bool is_write, int jobs, uint64_t fault_seed) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const int jobs = harness::ScenarioRunner::JobsFromArgs(argc, argv);
   // --faults=<seed> injects a seeded random DMA fault plan into every grid
   // point; seed 0 (the default) is byte-identical to a run without the flag.
-  const bench::FaultFlags faults = bench::ParseFaultFlags(argc, argv);
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
   bench::PrintHeader("Figure 3: DMA bandwidth vs number of channels");
-  RunDirection(/*is_write=*/true, jobs, faults.seed);
-  RunDirection(/*is_write=*/false, jobs, faults.seed);
+  RunDirection(/*is_write=*/true, flags.jobs, flags.faults);
+  RunDirection(/*is_write=*/false, flags.jobs, flags.faults);
   std::printf(
       "\nExpected shape (paper): writes peak at 4 channels for 4K and fall\n"
       "monotonically with channels for 64K; reads never decline, peak 2-4.\n");

@@ -29,12 +29,12 @@ enum class BgMode { kMemcpy, kDmaExclusive, kDmaShared };
 constexpr uint64_t kRun = 10_s;
 constexpr uint64_t kBucket = 500_ms;
 
-std::vector<double> RunTimeline(BgMode mode, const bench::TraceFlags* trace) {
+std::vector<double> RunTimeline(BgMode mode, const bench::Flags* flags) {
   sim::Simulation sim({.num_cores = 2});
   std::unique_ptr<sim::TraceSession> session;
-  if (trace != nullptr && trace->enabled()) {
-    session = std::make_unique<sim::TraceSession>(trace->path,
-                                                  trace->sample_every);
+  if (flags != nullptr) {
+    session = std::make_unique<sim::TraceSession>(flags->trace,
+                                                  flags->trace_sample);
   }
   pmem::SlowMemory mem(&sim, pmem::MediaParams::OneNode(), 256_MB);
   dma::DmaEngine engine(&mem, 0, 2);
@@ -116,15 +116,15 @@ int main(int argc, char** argv) {
   using namespace easyio;
   // --trace=<path> records the DMA-SH run (the interesting one: shared-
   // channel head-of-line blocking); default sampling keeps the file small.
-  const bench::TraceFlags trace =
-      bench::ParseTraceFlags(argc, argv, /*default_sample=*/16);
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv, bench::Flags::kTrace, /*default_trace_sample=*/16);
   bench::PrintHeader(
       "Figure 4: foreground 64K DMA-read latency vs background bulk mover\n"
       "(GC active during [2s,4s) and [6s,8s); avg latency per 0.5s, us)");
   const auto memcpy_tl = RunTimeline(BgMode::kMemcpy, nullptr);
   const auto ex_tl = RunTimeline(BgMode::kDmaExclusive, nullptr);
   const auto sh_tl =
-      RunTimeline(BgMode::kDmaShared, trace.enabled() ? &trace : nullptr);
+      RunTimeline(BgMode::kDmaShared, flags.tracing() ? &flags : nullptr);
   std::printf("%6s %12s %12s %12s\n", "t(s)", "BG-Memcpy", "BG-DMA-EX",
               "BG-DMA-SH");
   for (size_t i = 0; i < memcpy_tl.size(); ++i) {

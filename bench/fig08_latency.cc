@@ -95,10 +95,12 @@ void RunDirection(bool is_write, int jobs) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const int jobs = harness::ScenarioRunner::JobsFromArgs(argc, argv);
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
+  const int jobs = flags.jobs;
   // --faults=<seed> injects a seeded DMA fault plan into every point's
   // testbed; seed 0 (the default) is byte-identical to no flag.
-  g_fault_seed = bench::ParseFaultFlags(argc, argv).seed;
+  g_fault_seed = flags.faults;
   bench::PrintHeader("Figure 8: operation latency by filesystem (1 thread)");
   RunDirection(/*is_write=*/true, jobs);
   RunDirection(/*is_write=*/false, jobs);

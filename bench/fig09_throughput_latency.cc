@@ -113,10 +113,12 @@ void RunPanel(Workload workload, uint64_t io_size, int jobs) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const int jobs = harness::ScenarioRunner::JobsFromArgs(argc, argv);
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
+  const int jobs = flags.jobs;
   // --faults=<seed> injects a seeded DMA fault plan into every sweep
   // point's testbed; seed 0 (the default) is byte-identical to no flag.
-  g_fault_seed = bench::ParseFaultFlags(argc, argv).seed;
+  g_fault_seed = flags.faults;
   bench::PrintHeader(
       "Figure 9: throughput vs latency, core sweep (FxMark DWAL/DRBL)");
   RunPanel(fxmark::Workload::kDWAL, 16_KB, jobs);

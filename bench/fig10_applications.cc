@@ -88,10 +88,12 @@ void RunApp(AppKind app, int jobs) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const int jobs = harness::ScenarioRunner::JobsFromArgs(argc, argv);
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
+  const int jobs = flags.jobs;
   // --faults=<seed> injects a seeded DMA fault plan into every cell's
   // testbed; seed 0 (the default) is byte-identical to no flag.
-  g_fault_seed = bench::ParseFaultFlags(argc, argv).seed;
+  g_fault_seed = flags.faults;
   bench::PrintHeader(
       "Figure 10: real-world application throughput vs worker cores");
   std::printf(

@@ -36,7 +36,7 @@ void MaybeInjectFaults(harness::TestbedConfig* cfg) {
 }
 
 double WriteLatencyUs(harness::FsKind kind, uint64_t io_size,
-                      const bench::TraceFlags* trace = nullptr) {
+                      const bench::Flags* flags = nullptr) {
   harness::TestbedConfig cfg;
   cfg.fs = kind;
   cfg.machine_cores = 4;
@@ -44,9 +44,9 @@ double WriteLatencyUs(harness::FsKind kind, uint64_t io_size,
   MaybeInjectFaults(&cfg);
   harness::Testbed tb(cfg);
   std::unique_ptr<sim::TraceSession> session;
-  if (trace != nullptr && trace->enabled()) {
-    session = std::make_unique<sim::TraceSession>(trace->path,
-                                                  trace->sample_every);
+  if (flags != nullptr) {
+    session = std::make_unique<sim::TraceSession>(flags->trace,
+                                                  flags->trace_sample);
   }
   double total = 0;
   constexpr int kOps = 200;
@@ -139,12 +139,14 @@ int main(int argc, char** argv) {
   // write's commit / l1_hold / sn_wait phases, unsampled. The session is
   // created inside the scenario job, so it traces exactly that simulation on
   // whichever worker thread runs it (see src/sim/obs_session.h).
-  const bench::TraceFlags trace =
-      bench::ParseTraceFlags(argc, argv, /*default_sample=*/1);
   // --faults=<seed> injects a seeded DMA fault plan into every run's
   // testbed; seed 0 (the default) is byte-identical to no flag.
-  g_fault_seed = bench::ParseFaultFlags(argc, argv).seed;
-  const int jobs = harness::ScenarioRunner::JobsFromArgs(argc, argv);
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv,
+      bench::Flags::kJobs | bench::Flags::kFaults | bench::Flags::kTrace,
+      /*default_trace_sample=*/1);
+  g_fault_seed = flags.faults;
+  const int jobs = flags.jobs;
   bench::PrintHeader("Figure 11 (left): orderless file operation — "
                      "single-thread write latency (us)");
   std::printf("%-8s %10s %10s %8s\n", "io", "EasyIO", "Naive", "gain");
@@ -154,10 +156,10 @@ int main(int argc, char** argv) {
       harness::RunIndexed(jobs, ios.size() * 2, [&](size_t i) {
         const bool naive = i >= ios.size();
         const uint64_t io = ios[i % ios.size()];
-        const bool traced = !naive && io == 64_KB && trace.enabled();
+        const bool traced = !naive && io == 64_KB && flags.tracing();
         return WriteLatencyUs(
             naive ? harness::FsKind::kEasyNaive : harness::FsKind::kEasy, io,
-            traced ? &trace : nullptr);
+            traced ? &flags : nullptr);
       });
   double gain_sum = 0;
   int gain_n = 0;

@@ -41,7 +41,7 @@ bool GcActive(sim::SimTime t) {
 }
 
 std::vector<double> RunPolicy(Policy policy,
-                              const bench::TraceFlags* trace = nullptr) {
+                              const bench::Flags* flags = nullptr) {
   harness::TestbedConfig cfg;
   cfg.fs = harness::FsKind::kEasy;
   cfg.machine_cores = 8;
@@ -51,9 +51,9 @@ std::vector<double> RunPolicy(Policy policy,
   harness::Testbed tb(cfg);
   auto& sim = tb.sim();
   std::unique_ptr<sim::TraceSession> session;
-  if (trace != nullptr && trace->enabled()) {
-    session = std::make_unique<sim::TraceSession>(trace->path,
-                                                  trace->sample_every);
+  if (flags != nullptr) {
+    session = std::make_unique<sim::TraceSession>(flags->trace,
+                                                  flags->trace_sample);
   }
 
   // Web content.
@@ -135,14 +135,15 @@ int main(int argc, char** argv) {
   using namespace easyio;
   // --trace=<path> records the DMA-Throttling run: epoch ticks,
   // budget_suspend decisions and the B channel's CHANCMD suspension windows.
-  const bench::TraceFlags trace =
-      bench::ParseTraceFlags(argc, argv, /*default_sample=*/32);
+  const bench::Flags flags = bench::ParseFlags(
+      argc, argv, bench::Flags::kTrace, /*default_trace_sample=*/32);
   bench::PrintHeader(
       "Figure 12: web-server max latency per 0.5s (us) with a colocated GC\n"
       "(GC active during [2s,4s) and [6s,8s); B-app limit 2 GiB/s)");
   const auto none = RunPolicy(Policy::kNone);
   const auto cpu = RunPolicy(Policy::kCpu);
-  const auto dma = RunPolicy(Policy::kDma, trace.enabled() ? &trace : nullptr);
+  const auto dma =
+      RunPolicy(Policy::kDma, flags.tracing() ? &flags : nullptr);
   std::printf("%6s %15s %15s %15s\n", "t(s)", "No-Throttling",
               "CPU-Throttling", "DMA-Throttling");
   for (size_t i = 0; i < none.size(); ++i) {

@@ -14,7 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const int jobs = harness::ScenarioRunner::JobsFromArgs(argc, argv);
+  const int jobs =
+      bench::ParseFlags(argc, argv, bench::Flags::kJobs).jobs;
   bench::PrintHeader("Table 2: crash consistency with CrashMonkey");
   std::printf("%-15s %-38s %12s %8s\n", "workload", "description",
               "crash points", "passed");

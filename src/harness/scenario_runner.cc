@@ -1,7 +1,6 @@
 #include "src/harness/scenario_runner.h"
 
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 namespace easyio::harness {
@@ -15,19 +14,6 @@ int ScenarioRunner::DefaultJobs() {
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw >= 1 ? static_cast<int>(hw) : 1;
-}
-
-int ScenarioRunner::JobsFromArgs(int argc, char** argv) {
-  int jobs = DefaultJobs();
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      const int n = std::atoi(argv[i] + 7);
-      if (n >= 1) {
-        jobs = n;
-      }
-    }
-  }
-  return jobs;
 }
 
 ScenarioRunner::ScenarioRunner(int jobs) : jobs_(jobs < 1 ? 1 : jobs) {

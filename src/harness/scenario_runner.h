@@ -50,9 +50,6 @@ class ScenarioRunner {
  public:
   // EASYIO_JOBS env var if set and >= 1, else hardware_concurrency (>= 1).
   static int DefaultJobs();
-  // Scans argv for --jobs=N (N >= 1); unknown arguments are ignored so
-  // benches keep their own flags. Falls back to DefaultJobs().
-  static int JobsFromArgs(int argc, char** argv);
 
   explicit ScenarioRunner(int jobs = DefaultJobs());
   // Drains outstanding jobs and joins the workers. Errors are swallowed

@@ -70,7 +70,7 @@ EventId Simulation::ScheduleAt(SimTime t, EventFn fn) {
   EventSlot& s = event_slots_[slot];
   s.fn = std::move(fn);
   s.armed = true;
-  events_.Insert(TimerWheel::Entry{t, next_event_seq_++, slot, s.gen});
+  events_.push(Event{t, next_event_seq_++, slot, s.gen});
   return MakeEventId(slot, s.gen);
 }
 
@@ -89,15 +89,16 @@ void Simulation::Cancel(EventId id) {
   if (s.gen != gen || !s.armed) {
     return;  // already fired, cancelled, or recycled
   }
-  ReleaseEventSlot(slot);  // the stale wheel entry is skipped on pop
+  ReleaseEventSlot(slot);  // the stale heap entry is skipped on pop
 }
 
 void Simulation::RunUntil(SimTime limit) {
   assert(!in_task() && "RunUntil called from inside a task");
   running_loop_ = true;
   run_limit_ = limit;
-  TimerWheel::Entry ev;
-  while (!stop_requested_ && events_.PopNext(limit, &ev)) {
+  while (!stop_requested_ && !events_.empty() && events_.top().time <= limit) {
+    const Event ev = events_.top();
+    events_.pop();
     EventSlot& s = event_slots_[ev.slot];
     if (s.gen != ev.gen || !s.armed) {
       continue;  // cancelled (slot already recycled)
@@ -350,12 +351,14 @@ void Simulation::Advance(uint64_t ns) {
   // back, provided (1) the event that dispatched this slice does nothing
   // after DispatchTask returns, (2) no stop is pending, (3) `until` is
   // within the loop's limit and (4) nothing else is due at or before
-  // `until` (a same-time entry has a smaller seq, so it would fire first).
+  // `until` (a same-time entry has a smaller seq, so it would fire first;
+  // a cancelled entry still counts until it is popped, which only costs
+  // an elision, never order).
   // Then moving the clock inline is indistinguishable, save the one unused
   // event sequence number: an order-preserving renumbering.
   const SimTime until = now_ + ns;
   if (slice_is_event_tail_ && !stop_requested_ && until <= run_limit_ &&
-      events_.PeekTime() > until) {
+      (events_.empty() || events_.top().time > until)) {
     now_ = until;
     return;
   }

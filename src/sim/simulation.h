@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <queue>
 #include <vector>
 
 #include "src/sim/context.h"
@@ -49,7 +50,6 @@
 #include "src/sim/stack_allocator.h"
 #include "src/sim/task.h"
 #include "src/sim/time.h"
-#include "src/sim/timer_wheel.h"
 
 namespace easyio::sim {
 
@@ -181,10 +181,10 @@ class Simulation {
   size_t stacks_created() const { return stacks_.stacks_created(); }
 
  private:
-  // Events live in a slab of recycled slots: the timing wheel stores only
-  // plain {time, seq, slot, gen} records and the callback sits in the slot,
-  // so a ScheduleAt/fire cycle performs no per-event heap allocation once
-  // the slab and the wheel's slot vectors have warmed up (SmallFn keeps the
+  // Events live in a slab of recycled slots: the pending-event heap stores
+  // only plain {time, seq, slot, gen} records and the callback sits in the
+  // slot, so a ScheduleAt/fire cycle performs no per-event heap allocation
+  // once the slab and the heap's vector have warmed up (SmallFn keeps the
   // hot capture shapes — two or three words — inline). The generation tag
   // makes Cancel() safe against stale ids: a slot is recycled the moment its
   // event fires or is cancelled, and any other EventId naming it is detected
@@ -193,6 +193,19 @@ class Simulation {
     EventFn fn;
     uint32_t gen = 1;
     bool armed = false;
+  };
+
+  // A pending event: pops in (time, seq) order, seq counting ScheduleAt calls,
+  // so same-time events fire in schedule order. A binary heap suffices: the
+  // store holds about a dozen entries on the figure benches (DESIGN.md §6).
+  struct Event {
+    SimTime time;
+    uint64_t seq;
+    uint32_t slot;  // index into event_slots_
+    uint32_t gen;   // the slot's generation when scheduled
+    bool operator>(const Event& other) const {
+      return time != other.time ? time > other.time : seq > other.seq;
+    }
   };
 
   static EventId MakeEventId(uint32_t slot, uint32_t gen) {
@@ -236,7 +249,7 @@ class Simulation {
   SimTime run_limit_ = 0;             // the active RunUntil bound
   bool slice_is_event_tail_ = false;  // the running slice's DispatchTask arg
 
-  TimerWheel events_;
+  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
   std::vector<EventSlot> event_slots_;
   std::vector<uint32_t> free_event_slots_;
 

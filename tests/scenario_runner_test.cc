@@ -133,16 +133,6 @@ TEST(ScenarioRunnerTest, DefaultJobsHonorsEnvironment) {
   }
 }
 
-TEST(ScenarioRunnerTest, JobsFromArgsParsesFlag) {
-  const char* argv_with[] = {"bench", "--trace=/tmp/t", "--jobs=5"};
-  EXPECT_EQ(
-      ScenarioRunner::JobsFromArgs(3, const_cast<char**>(argv_with)), 5);
-  const char* argv_without[] = {"bench", "--smoke"};
-  EXPECT_EQ(
-      ScenarioRunner::JobsFromArgs(2, const_cast<char**>(argv_without)),
-      ScenarioRunner::DefaultJobs());
-}
-
 // fig11-style determinism regression: a formatted (io x kind) results table
 // built from ordered runner results must be byte-identical at any job count.
 std::string FormatFig11LikeGrid(int jobs) {

@@ -139,7 +139,7 @@ TEST(SimStackTest, DetachedSpawnChurnIsAllocationFree) {
       });
     }
   };
-  // Warm up every pool: Task objects, stacks, event slab, wheel slots, run
+  // Warm up every pool: Task objects, stacks, event slab, event heap, run
   // queues. Two waves so the free lists see a full recycle cycle.
   for (int w = 0; w < 2; ++w) {
     spawn_wave();

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,22 @@ TEST(SimulationTest, TiesFireInScheduleOrder) {
   }
   sim.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SimulationTest, ZeroDelayFollowUpFiresAfterQueuedTies) {
+  // A handler scheduling a 0-delay follow-up while other events are queued
+  // at its own instant: the follow-up runs this instant, after every entry
+  // already queued there, and before anything later.
+  Simulation sim(Opts(1));
+  std::vector<int> order;
+  sim.ScheduleAt(10, [&] {
+    order.push_back(1);
+    sim.ScheduleAfter(0, [&] { order.push_back(4); });
+  });
+  sim.ScheduleAt(10, [&] { order.push_back(2); });
+  sim.ScheduleAt(12, [&] { order.push_back(3); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
 }
 
 TEST(SimulationTest, CancelPreventsFiring) {
@@ -389,6 +406,84 @@ TEST(SimulationTest, AdvanceAfterRequestStopSuspends) {
   EXPECT_EQ(sim.now(), 5u);
   EXPECT_FALSE(continued);
   EXPECT_FALSE(t->finished());
+}
+
+// ---- Cancellation (slab generation tags) ----
+
+TEST(SimCancelTest, StaleIdDoesNotCancelRecycledSlot) {
+  Simulation sim({.num_cores = 1});
+  int fired = 0;
+  const EventId a = sim.ScheduleAfter(10, [&fired] { fired |= 1; });
+  sim.Cancel(a);  // frees a's slot for immediate reuse
+  const EventId b = sim.ScheduleAfter(10, [&fired] { fired |= 2; });
+  EXPECT_NE(a, b);  // same slot or not, the generation differs
+  sim.Cancel(a);    // stale id: must not touch b
+  sim.Cancel(a);    // double stale cancel: still a no-op
+  sim.RunFor(100);
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(SimCancelTest, CancelAfterFireIsANoOp) {
+  Simulation sim({.num_cores = 1});
+  int fired = 0;
+  const EventId a = sim.ScheduleAfter(10, [&fired] { fired |= 1; });
+  sim.RunFor(20);
+  EXPECT_EQ(fired, 1);
+  const EventId b = sim.ScheduleAfter(10, [&fired] { fired |= 2; });
+  sim.Cancel(a);  // a's slot may now back b; the stale id must not cancel it
+  sim.RunFor(20);
+  EXPECT_EQ(fired, 3);
+  (void)b;
+}
+
+TEST(SimCancelTest, RandomizedScheduleCancelFire) {
+  // Mixed-horizon schedule/cancel churn against the live kernel: exactly the
+  // non-cancelled events fire, in (time, issue-order) sequence.
+  Simulation sim({.num_cores = 1});
+  std::mt19937_64 rng(2024);
+  struct Rec {
+    SimTime time;
+    uint64_t issue;
+  };
+  std::vector<Rec> fired_log;
+  uint64_t issue = 0;
+  size_t expected = 0;
+  for (int round = 0; round < 100; ++round) {
+    std::vector<EventId> cancelable;
+    for (int i = 0; i < 25; ++i) {
+      uint64_t dt = 0;
+      switch (rng() % 5) {
+        case 0: dt = rng() % 64; break;
+        case 1: dt = rng() % 4096; break;
+        case 2: dt = rng() % 300'000; break;
+        case 3: dt = rng() % 20'000'000; break;
+        default: dt = 20'000'000 + rng() % 100'000'000; break;
+      }
+      const Rec r{sim.now() + dt, issue++};
+      const EventId id =
+          sim.ScheduleAfter(dt, [&fired_log, r] { fired_log.push_back(r); });
+      if (rng() % 4 == 0) {
+        cancelable.push_back(id);
+      } else {
+        expected++;
+      }
+    }
+    // Cancel before anything from this round can have fired.
+    for (const EventId id : cancelable) {
+      sim.Cancel(id);
+    }
+    sim.RunFor(rng() % 2'000'000);
+  }
+  sim.Run();  // drain
+  ASSERT_EQ(fired_log.size(), expected);
+  for (size_t i = 1; i < fired_log.size(); ++i) {
+    const Rec& prev = fired_log[i - 1];
+    const Rec& cur = fired_log[i];
+    ASSERT_TRUE(prev.time < cur.time ||
+                (prev.time == cur.time && prev.issue < cur.issue))
+        << "out of order at " << i << ": (" << prev.time << "," << prev.issue
+        << ") then (" << cur.time << "," << cur.issue << ")";
+  }
 }
 
 }  // namespace
