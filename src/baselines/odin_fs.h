@@ -24,26 +24,24 @@ class OdinFs : public nova::NovaFs {
  protected:
   void MoveToPmem(uint64_t pmem_off, const std::byte* src, size_t bytes,
                   fs::OpStats* stats) override {
-    Timed(stats, &fs::OpStats::data_ns, [&] {
-      if (bytes < 8192) {
-        // Below ~2 chunks delegation doesn't pay; copy inline.
-        memory()->CpuWrite(pmem_off, src, bytes);
-      } else {
-        pool_->Move(/*to_pmem=*/true, pmem_off, const_cast<std::byte*>(src),
-                    bytes);
-      }
-    });
+    Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
+    if (bytes < 8192) {
+      // Below ~2 chunks delegation doesn't pay; copy inline.
+      memory()->CpuWrite(pmem_off, src, bytes);
+    } else {
+      pool_->Move(/*to_pmem=*/true, pmem_off, const_cast<std::byte*>(src),
+                  bytes);
+    }
   }
 
   void MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
                     fs::OpStats* stats) override {
-    Timed(stats, &fs::OpStats::data_ns, [&] {
-      if (bytes < 8192) {
-        memory()->CpuRead(dst, pmem_off, bytes);
-      } else {
-        pool_->Move(/*to_pmem=*/false, pmem_off, dst, bytes);
-      }
-    });
+    Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
+    if (bytes < 8192) {
+      memory()->CpuRead(dst, pmem_off, bytes);
+    } else {
+      pool_->Move(/*to_pmem=*/false, pmem_off, dst, bytes);
+    }
   }
 
  private:

@@ -4,49 +4,7 @@
 #include <cassert>
 #include <vector>
 
-#include "src/obs/trace.h"
-
 namespace easyio::core {
-
-namespace {
-
-// Attaches a phase span to a traced op's async timeline; no-op when the op
-// is untraced (OpStats::trace_op_id == 0) or tracing is off.
-inline void TracePhase(const fs::OpStats* stats, const char* name,
-                       sim::SimTime t0, sim::SimTime t1,
-                       std::initializer_list<obs::Arg> args = {}) {
-  if (stats == nullptr || stats->trace_op_id == 0) {
-    return;
-  }
-  if (auto* t = obs::Get()) {
-    t->AsyncSpan(stats->trace_op_id, name, t0, t1, args);
-  }
-}
-
-}  // namespace
-
-void EasyIoFs::ChunkifyInto(const std::vector<nova::Extent>& extents,
-                            uint64_t off, size_t n,
-                            std::vector<ByteRange>* out) {
-  const uint64_t head = off % nova::kBlockSize;
-  size_t copied = 0;
-  for (const nova::Extent& e : extents) {
-    const uint64_t ext_bytes = e.pages * nova::kBlockSize;
-    const uint64_t skip = copied == 0 ? head : 0;
-    const size_t bytes = std::min<uint64_t>(n - copied, ext_bytes - skip);
-    ByteRange r;
-    r.buf_off = copied;
-    r.pmem_off = e.block_off + skip;
-    r.bytes = bytes;
-    r.hole = false;
-    out->push_back(r);
-    copied += bytes;
-    if (copied == n) {
-      break;
-    }
-  }
-  assert(copied == n);
-}
 
 StatusOr<size_t> EasyIoFs::WriteInternal(Inode& in, uint64_t off,
                                          std::span<const std::byte> buf,
@@ -58,86 +16,93 @@ StatusOr<size_t> EasyIoFs::WriteInternal(Inode& in, uint64_t off,
   }
   // Level-2: a write-write conflict must wait for the outstanding orderless
   // write to actually finish (§4.3, Fig 7b).
-  const uint64_t l2_wait = WaitPendingWrite(in);
-  if (stats != nullptr) {
-    stats->blocked_ns += l2_wait;
-  }
-  if (l2_wait > 0) {
-    TracePhase(stats, "l2_wait", sim()->now() - l2_wait, sim()->now());
-  }
+  WaitPendingWrite(in, stats);
   MaybeCompactLog(in, stats);
-  StatusOr<size_t> r =
-      (buf.size() <= easy_.dma_min_bytes || cm_ == nullptr)
-          ? WriteMemcpy(in, off, buf, stats, l1_start)
-          : (easy_.ordered_naive
-                 ? WriteNaive(in, off, buf, stats, l1_start)
-                 : WriteOrderless(in, off, buf, stats, l1_start));
-  return r;
-}
-
-// Small I/O: the DMA engine is less efficient than memcpy below 4KB and the
-// transfer completes before the core even returns to userspace (§4.4), so
-// EasyIO keeps the synchronous CPU path. Enters with the write lock held.
-StatusOr<size_t> EasyIoFs::WriteMemcpy(Inode& in, uint64_t off,
-                                       std::span<const std::byte> buf,
-                                       fs::OpStats* stats,
-                                       sim::SimTime l1_start) {
-  const size_t n = buf.size();
-  const uint64_t first_pg = off / nova::kBlockSize;
-  const uint64_t pages = (off + n - 1) / nova::kBlockSize - first_pg + 1;
-  Charge(stats, &fs::OpStats::index_ns,
-         params().index_base_ns + params().index_per_page_ns * pages);
+  if (buf.size() > easy_.dma_min_bytes && cm_ != nullptr) {
+    return easy_.ordered_naive ? WriteNaive(in, off, buf, stats, l1_start)
+                               : WriteOrderless(in, off, buf, stats, l1_start);
+  }
+  // Small I/O: the DMA engine is less efficient than memcpy below 4KB and
+  // the transfer completes before the core even returns to userspace
+  // (§4.4), so EasyIO keeps the synchronous CPU path.
   ScratchLease scratch(this);
-  const Status alloc_st = AllocBlocks(pages, stats, &scratch->extents);
-  if (!alloc_st.ok()) {
-    in.lock.WriteUnlock();
-    Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-    return alloc_st;
-  }
-  FillWriteEdges(in, off, n, scratch->extents, stats);
-  ChunkifyInto(scratch->extents, off, n, &scratch->ranges);
-  for (const ByteRange& c : scratch->ranges) {
-    Timed(stats, &fs::OpStats::data_ns, [&] {
-      memory()->CpuWrite(c.pmem_off, buf.data() + c.buf_off, c.bytes);
-    });
-  }
-  AddCpuBytes(n);
-  scratch->sns.assign(scratch->extents.size(), dma::Sn::None());
-  const Status st =
-      CommitWrite(in, off, n, scratch->extents, scratch->sns, stats);
-  TracePhase(stats, "l1_hold", l1_start, sim()->now());
-  in.lock.WriteUnlock();
-  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-  writes_memcpy_++;
-  if (!st.ok()) {
-    return st;
-  }
-  return n;
+  EASYIO_RETURN_IF_ERROR(PrepareWrite(in, off, buf.size(), *scratch, stats));
+  ChunkifyInto(scratch->extents, off, buf.size(), &scratch->ranges);
+  return CpuWriteTail(in, off, buf, stats, l1_start, *scratch);
 }
 
-StatusOr<size_t> EasyIoFs::DegradedCpuWriteTail(Inode& in, uint64_t off,
-                                                std::span<const std::byte> buf,
-                                                fs::OpStats* stats,
-                                                sim::SimTime l1_start,
-                                                OpScratch& scratch) {
-  const size_t n = buf.size();
-  for (const ByteRange& c : scratch.ranges) {
-    Timed(stats, &fs::OpStats::data_ns, [&] {
+StatusOr<size_t> EasyIoFs::CpuWriteTail(Inode& in, uint64_t off,
+                                        std::span<const std::byte> buf,
+                                        fs::OpStats* stats,
+                                        sim::SimTime l1_start,
+                                        OpScratch& scratch) {
+  {
+    Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
+    for (const ByteRange& c : scratch.ranges) {
       memory()->CpuWrite(c.pmem_off, buf.data() + c.buf_off, c.bytes);
-    });
+    }
   }
-  AddCpuBytes(n);
-  scratch.sns.assign(scratch.extents.size(), dma::Sn::None());
-  const Status st = CommitWrite(in, off, n, scratch.extents, scratch.sns,
-                                stats);
-  TracePhase(stats, "l1_hold", l1_start, sim()->now());
-  in.lock.WriteUnlock();
-  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
+  AddCpuBytes(buf.size());  // once copied, unlike MoveToPmem
+  const Status st =
+      CommitWrite(in, off, buf.size(), scratch.extents, {}, stats);
+  ExitWriteLocked(in, l1_start, stats);
   writes_memcpy_++;
   if (!st.ok()) {
     return st;
   }
-  return n;
+  return buf.size();
+}
+
+dma::Channel* EasyIoFs::SubmitWrite(uint64_t off,
+                                    std::span<const std::byte> buf,
+                                    OpScratch& scratch, fs::OpStats* stats) {
+  dma::Channel* ch = cm_->PickWriteChannel();
+  ChunkifyInto(scratch.extents, off, buf.size(), &scratch.ranges);
+  if (ch == nullptr) {
+    return nullptr;
+  }
+  for (const ByteRange& c : scratch.ranges) {
+    dma::Descriptor d;
+    d.dir = dma::Descriptor::Dir::kWrite;
+    d.pmem_off = c.pmem_off;
+    d.dram = const_cast<std::byte*>(buf.data() + c.buf_off);
+    d.size = static_cast<uint32_t>(c.bytes);
+    scratch.batch.push_back(std::move(d));
+  }
+  SubmitBatch(ch, scratch, stats);
+  AddDmaBytes(buf.size());
+  return ch;
+}
+
+void EasyIoFs::SubmitBatch(dma::Channel* ch, OpScratch& scratch,
+                           fs::OpStats* stats) {
+  Phase submit(this, stats, "dma_submit", {&fs::OpStats::data_ns},
+               {{"descs", scratch.batch.size()}, {"chan", ch->id()}});
+  ch->SubmitBatch(std::span<dma::Descriptor>(scratch.batch), &scratch.sns);
+}
+
+void EasyIoFs::WaitSns(std::span<const ChanSn> waits, fs::OpStats* stats) {
+  Charge(stats, &fs::OpStats::data_ns, params().uthread_switch_ns);
+  const obs::Arg where = waits.size() == 1
+                             ? obs::Arg{"chan", waits[0].first->id()}
+                             : obs::Arg{"stripes", waits.size()};
+  Phase wait(this, stats, "sn_wait",
+             {&fs::OpStats::blocked_ns, &fs::OpStats::data_ns}, {where});
+  for (const auto& [ch, sn] : waits) {
+    if (sn.none()) {
+      continue;
+    }
+    const uint64_t errs0 = ch->transfer_errors();
+    ch->WaitSnRecover(sn, RecoverPolicyFor(*ch));
+    NoteChannelFaults(*ch, errs0);
+  }
+}
+
+void EasyIoFs::ExitWriteLocked(Inode& in, sim::SimTime l1_start,
+                               fs::OpStats* stats) {
+  Phase(this, stats, "l1_hold", {}, {}, l1_start);
+  in.lock.WriteUnlock();
+  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
 }
 
 // The paper's write path (§4.2): DMA submission and metadata commit proceed
@@ -160,70 +125,28 @@ StatusOr<size_t> EasyIoFs::WriteOrderless(Inode& in, uint64_t off,
                                    std::move(chans));
     }
   }
-  const uint64_t first_pg = off / nova::kBlockSize;
-  const uint64_t pages = (off + n - 1) / nova::kBlockSize - first_pg + 1;
-  Charge(stats, &fs::OpStats::index_ns,
-         params().index_base_ns + params().index_per_page_ns * pages);
   ScratchLease scratch(this);
-  const Status alloc_st = AllocBlocks(pages, stats, &scratch->extents);
-  if (!alloc_st.ok()) {
-    in.lock.WriteUnlock();
-    Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-    return alloc_st;
-  }
-  FillWriteEdges(in, off, n, scratch->extents, stats);
-
-  dma::Channel* ch = cm_->PickWriteChannel();
-  ChunkifyInto(scratch->extents, off, n, &scratch->ranges);
+  EASYIO_RETURN_IF_ERROR(PrepareWrite(in, off, n, *scratch, stats));
+  dma::Channel* ch = SubmitWrite(off, buf, *scratch, stats);
   if (ch == nullptr) {
     // Every L channel quarantined: degrade to the synchronous CPU path,
     // reusing the index/alloc/edge work already done above.
-    return DegradedCpuWriteTail(in, off, buf, stats, l1_start, *scratch);
+    return CpuWriteTail(in, off, buf, stats, l1_start, *scratch);
   }
-  for (const ByteRange& c : scratch->ranges) {
-    dma::Descriptor d;
-    d.dir = dma::Descriptor::Dir::kWrite;
-    d.pmem_off = c.pmem_off;
-    d.dram = const_cast<std::byte*>(buf.data() + c.buf_off);
-    d.size = static_cast<uint32_t>(c.bytes);
-    scratch->batch.push_back(std::move(d));
-  }
-  const sim::SimTime submit_t0 = sim()->now();
-  Timed(stats, &fs::OpStats::data_ns, [&] {
-    ch->SubmitBatch(std::span<dma::Descriptor>(scratch->batch),
-                    &scratch->sns);
-  });
-  TracePhase(stats, "dma_submit", submit_t0, sim()->now(),
-             {{"descs", scratch->batch.size()}, {"chan", ch->id()}});
-  AddDmaBytes(n);
 
   // Metadata commits while the DMA engine is still copying: the log entries
   // embed the SNs, so durability of the data is described indirectly.
   const Status st =
       CommitWrite(in, off, n, scratch->extents, scratch->sns, stats);
-  const dma::Sn last_sn = scratch->sns.back();
+  const ChanSn last{ch, scratch->sns.back()};
   in.pending_channel = ch;
-  in.pending_sn = last_sn;
-  TracePhase(stats, "l1_hold", l1_start, sim()->now());
-  in.lock.WriteUnlock();  // level-1 released before the data lands
-  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
+  in.pending_sn = last.second;
+  ExitWriteLocked(in, l1_start, stats);  // before the data lands
   writes_offloaded_++;
   if (!st.ok()) {
     return st;
   }
-
-  // Back in the runtime: yield and resume when the I/O finishes (§4.1).
-  Charge(stats, &fs::OpStats::data_ns, params().uthread_switch_ns);
-  const sim::SimTime t0 = sim()->now();
-  const uint64_t errs0 = ch->transfer_errors();
-  ch->WaitSnRecover(last_sn, RecoverPolicyFor(*ch));
-  NoteChannelFaults(*ch, errs0);
-  TracePhase(stats, "sn_wait", t0, sim()->now(), {{"chan", ch->id()}});
-  if (stats != nullptr) {
-    const uint64_t waited = sim()->now() - t0;
-    stats->blocked_ns += waited;
-    stats->data_ns += waited;
-  }
+  WaitSns({&last, 1}, stats);
   return n;
 }
 
@@ -240,24 +163,15 @@ StatusOr<size_t> EasyIoFs::WriteOrderlessStriped(
     std::vector<dma::Channel*>&& chans) {
   const size_t n = buf.size();
   assert(off % nova::kBlockSize == 0 && n % nova::kBlockSize == 0);
-  const uint64_t pages = n / nova::kBlockSize;
-  Charge(stats, &fs::OpStats::index_ns,
-         params().index_base_ns + params().index_per_page_ns * pages);
   ScratchLease scratch(this);
-  const Status alloc_st = AllocBlocks(pages, stats, &scratch->extents);
-  if (!alloc_st.ok()) {
-    in.lock.WriteUnlock();
-    Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-    return alloc_st;
-  }
-  FillWriteEdges(in, off, n, scratch->extents, stats);
+  EASYIO_RETURN_IF_ERROR(PrepareWrite(in, off, n, *scratch, stats));
 
   // Split the allocated extents into stripe chunks (block-granular by the
   // alignment precondition).
   const uint64_t chunk_pages =
       std::max<uint64_t>(1, easy_.stripe_chunk_bytes / nova::kBlockSize);
   std::vector<nova::Extent> subs;
-  subs.reserve(pages / chunk_pages + scratch->extents.size());
+  subs.reserve(n / nova::kBlockSize / chunk_pages + scratch->extents.size());
   for (const nova::Extent& e : scratch->extents) {
     for (uint64_t p = 0; p < e.pages; p += chunk_pages) {
       subs.push_back({e.block_off + p * nova::kBlockSize,
@@ -283,11 +197,13 @@ StatusOr<size_t> EasyIoFs::WriteOrderlessStriped(
     cum += subs[i].pages * nova::kBlockSize;
   }
   scratch->sns.assign(subs.size(), dma::Sn::None());
-  std::vector<dma::Sn> last(chans.size(), dma::Sn::None());
-  const sim::SimTime submit_t0 = sim()->now();
-  Timed(stats, &fs::OpStats::data_ns, [&] {
+  std::vector<ChanSn> last;  // each channel's last SN
+  {
+    Phase submit(this, stats, "dma_submit", {&fs::OpStats::data_ns},
+                 {{"descs", subs.size()}, {"stripes", chans.size()}});
     std::vector<dma::Sn> sns_c;
     for (size_t c = 0; c < chans.size(); ++c) {
+      last.push_back({chans[c], dma::Sn::None()});
       if (per_chan[c].empty()) {
         continue;
       }
@@ -296,46 +212,25 @@ StatusOr<size_t> EasyIoFs::WriteOrderlessStriped(
       for (size_t j = 0; j < sns_c.size(); ++j) {
         scratch->sns[per_idx[c][j]] = sns_c[j];
       }
-      last[c] = sns_c.back();
+      last[c].second = sns_c.back();
     }
-  });
-  TracePhase(stats, "dma_submit", submit_t0, sim()->now(),
-             {{"descs", subs.size()}, {"stripes", chans.size()}});
+  }
   AddDmaBytes(n);
 
   const Status st = CommitWrite(in, off, n, subs, scratch->sns, stats);
-  in.pending_channel = chans[0];
-  in.pending_sn = last[0];
-  for (size_t c = 1; c < chans.size(); ++c) {
-    if (!last[c].none()) {
-      in.pending_stripes.push_back({chans[c], last[c]});
+  in.pending_channel = last[0].first;
+  in.pending_sn = last[0].second;
+  for (size_t c = 1; c < last.size(); ++c) {
+    if (!last[c].second.none()) {
+      in.pending_stripes.push_back(last[c]);
     }
   }
-  TracePhase(stats, "l1_hold", l1_start, sim()->now());
-  in.lock.WriteUnlock();
-  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
+  ExitWriteLocked(in, l1_start, stats);
   writes_offloaded_++;
   if (!st.ok()) {
     return st;
   }
-
-  Charge(stats, &fs::OpStats::data_ns, params().uthread_switch_ns);
-  const sim::SimTime t0 = sim()->now();
-  for (size_t c = 0; c < chans.size(); ++c) {
-    if (last[c].none()) {
-      continue;
-    }
-    const uint64_t errs0 = chans[c]->transfer_errors();
-    chans[c]->WaitSnRecover(last[c], RecoverPolicyFor(*chans[c]));
-    NoteChannelFaults(*chans[c], errs0);
-  }
-  TracePhase(stats, "sn_wait", t0, sim()->now(),
-             {{"stripes", chans.size()}});
-  if (stats != nullptr) {
-    const uint64_t waited = sim()->now() - t0;
-    stats->blocked_ns += waited;
-    stats->data_ns += waited;
-  }
+  WaitSns(last, stats);
   return n;
 }
 
@@ -346,68 +241,25 @@ StatusOr<size_t> EasyIoFs::WriteNaive(Inode& in, uint64_t off,
                                       fs::OpStats* stats,
                                       sim::SimTime l1_start) {
   const size_t n = buf.size();
-  const uint64_t first_pg = off / nova::kBlockSize;
-  const uint64_t pages = (off + n - 1) / nova::kBlockSize - first_pg + 1;
-  Charge(stats, &fs::OpStats::index_ns,
-         params().index_base_ns + params().index_per_page_ns * pages);
   ScratchLease scratch(this);
-  const Status alloc_st = AllocBlocks(pages, stats, &scratch->extents);
-  if (!alloc_st.ok()) {
-    in.lock.WriteUnlock();
-    Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-    return alloc_st;
-  }
-  FillWriteEdges(in, off, n, scratch->extents, stats);
-
-  dma::Channel* ch = cm_->PickWriteChannel();
-  ChunkifyInto(scratch->extents, off, n, &scratch->ranges);
+  EASYIO_RETURN_IF_ERROR(PrepareWrite(in, off, n, *scratch, stats));
+  dma::Channel* ch = SubmitWrite(off, buf, *scratch, stats);
   if (ch == nullptr) {
     // Every L channel quarantined: degrade to the synchronous CPU path,
     // reusing the index/alloc/edge work already done above.
-    return DegradedCpuWriteTail(in, off, buf, stats, l1_start, *scratch);
+    return CpuWriteTail(in, off, buf, stats, l1_start, *scratch);
   }
-  for (const ByteRange& c : scratch->ranges) {
-    dma::Descriptor d;
-    d.dir = dma::Descriptor::Dir::kWrite;
-    d.pmem_off = c.pmem_off;
-    d.dram = const_cast<std::byte*>(buf.data() + c.buf_off);
-    d.size = static_cast<uint32_t>(c.bytes);
-    scratch->batch.push_back(std::move(d));
-  }
-  const sim::SimTime submit_t0 = sim()->now();
-  Timed(stats, &fs::OpStats::data_ns, [&] {
-    ch->SubmitBatch(std::span<dma::Descriptor>(scratch->batch),
-                    &scratch->sns);
-  });
-  TracePhase(stats, "dma_submit", submit_t0, sim()->now(),
-             {{"descs", scratch->batch.size()}, {"chan", ch->id()}});
-  AddDmaBytes(n);
-  const dma::Sn last_sn = scratch->sns.back();
 
   // First interaction returns (lock still held!); the uthread parks.
   Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-  Charge(stats, &fs::OpStats::data_ns, params().uthread_switch_ns);
-  const sim::SimTime t0 = sim()->now();
-  const uint64_t errs0 = ch->transfer_errors();
-  ch->WaitSnRecover(last_sn, RecoverPolicyFor(*ch));
-  NoteChannelFaults(*ch, errs0);
-  TracePhase(stats, "sn_wait", t0, sim()->now(), {{"chan", ch->id()}});
-  if (stats != nullptr) {
-    const uint64_t waited = sim()->now() - t0;
-    stats->blocked_ns += waited;
-    stats->data_ns += waited;
-  }
+  const ChanSn last{ch, scratch->sns.back()};
+  WaitSns({&last, 1}, stats);
 
-  // Second interaction: commit the metadata now that data is durable. The
-  // submission SNs are no longer needed, so the scratch vector is reused
-  // for the all-None commit SNs.
+  // Second interaction: commit the metadata, with no SNs, now that the data
+  // is durable.
   Charge(stats, &fs::OpStats::syscall_ns, params().syscall_enter_ns);
-  scratch->sns.assign(scratch->extents.size(), dma::Sn::None());
-  const Status st =
-      CommitWrite(in, off, n, scratch->extents, scratch->sns, stats);
-  TracePhase(stats, "l1_hold", l1_start, sim()->now());
-  in.lock.WriteUnlock();
-  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
+  const Status st = CommitWrite(in, off, n, scratch->extents, {}, stats);
+  ExitWriteLocked(in, l1_start, stats);
   writes_offloaded_++;
   if (!st.ok()) {
     return st;
@@ -421,27 +273,15 @@ StatusOr<size_t> EasyIoFs::ReadInternal(Inode& in, uint64_t off,
   in.lock.ReadLock();
   const sim::SimTime l1_start = sim()->now();
   // Level-2: wait out a conflicting unfinished write (§4.3, Fig 7b).
-  const uint64_t l2_wait = WaitPendingWrite(in);
-  if (stats != nullptr) {
-    stats->blocked_ns += l2_wait;
-  }
-  if (l2_wait > 0) {
-    TracePhase(stats, "l2_wait", sim()->now() - l2_wait, sim()->now());
-  }
+  WaitPendingWrite(in, stats);
   if (off >= in.size) {
     in.lock.ReadUnlock();
     Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
     return size_t{0};
   }
   const size_t n = std::min<uint64_t>(buf.size(), in.size - off);
-  const uint64_t first_pg = off / nova::kBlockSize;
-  const uint64_t pages = (off + n - 1) / nova::kBlockSize - first_pg + 1;
-  Charge(stats, &fs::OpStats::index_ns,
-         params().index_base_ns + params().index_per_page_ns * pages);
   ScratchLease scratch(this);
-  in.pages.LookupInto(first_pg, pages, &scratch->segs);
-  SegmentsToByteRanges(scratch->segs, off, n, &scratch->ranges);
-  in.pending_reads++;
+  PrepareRead(in, off, n, *scratch, stats);
 
   // Listing 2: DMA only for >4KB and an L channel below the depth bound.
   dma::Channel* ch = nullptr;
@@ -452,18 +292,19 @@ StatusOr<size_t> EasyIoFs::ReadInternal(Inode& in, uint64_t off,
   if (ch == nullptr) {
     // memcpy fallback: reads never leave an SN behind, and CoW plus the
     // pending-read count protect the blocks, so the lock drops first.
-    TracePhase(stats, "l1_hold", l1_start, sim()->now());
+    Phase(this, stats, "l1_hold", {}, {}, l1_start);
     in.lock.ReadUnlock();
     reads_memcpy_++;
     for (const ByteRange& r : scratch->ranges) {
       if (r.hole) {
         FillZero(buf.data() + r.buf_off, r.bytes, stats);
-      } else {
-        Timed(stats, &fs::OpStats::data_ns, [&] {
-          memory()->CpuRead(buf.data() + r.buf_off, r.pmem_off, r.bytes);
-        });
-        AddCpuBytes(r.bytes);
+        continue;
       }
+      {
+        Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
+        memory()->CpuRead(buf.data() + r.buf_off, r.pmem_off, r.bytes);
+      }
+      AddCpuBytes(r.bytes);  // once copied, unlike MoveFromPmem
     }
     OnReadDone(in);
     Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
@@ -486,7 +327,7 @@ StatusOr<size_t> EasyIoFs::ReadInternal(Inode& in, uint64_t off,
   }
   reads_offloaded_++;
   if (scratch->batch.empty()) {
-    TracePhase(stats, "l1_hold", l1_start, sim()->now());
+    Phase(this, stats, "l1_hold", {}, {}, l1_start);
     in.lock.ReadUnlock();
     OnReadDone(in);
     Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
@@ -495,36 +336,19 @@ StatusOr<size_t> EasyIoFs::ReadInternal(Inode& in, uint64_t off,
   for (const dma::Descriptor& d : scratch->batch) {
     AddDmaBytes(d.size);
   }
-  const sim::SimTime submit_t0 = sim()->now();
-  Timed(stats, &fs::OpStats::data_ns, [&] {
-    ch->SubmitBatch(std::span<dma::Descriptor>(scratch->batch),
-                    &scratch->sns);
-  });
-  TracePhase(stats, "dma_submit", submit_t0, sim()->now(),
-             {{"descs", scratch->batch.size()}, {"chan", ch->id()}});
-  const dma::Sn last_sn = scratch->sns.back();
-  TracePhase(stats, "l1_hold", l1_start, sim()->now());
+  SubmitBatch(ch, *scratch, stats);
+  const ChanSn last{ch, scratch->sns.back()};
+  Phase(this, stats, "l1_hold", {}, {}, l1_start);
   in.lock.ReadUnlock();  // reads only touch timestamps; unlock at once
   Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-
-  Charge(stats, &fs::OpStats::data_ns, params().uthread_switch_ns);
-  const sim::SimTime t0 = sim()->now();
-  const uint64_t errs0 = ch->transfer_errors();
-  ch->WaitSnRecover(last_sn, RecoverPolicyFor(*ch));
-  NoteChannelFaults(*ch, errs0);
-  TracePhase(stats, "sn_wait", t0, sim()->now(), {{"chan", ch->id()}});
-  if (stats != nullptr) {
-    const uint64_t waited = sim()->now() - t0;
-    stats->blocked_ns += waited;
-    stats->data_ns += waited;
-  }
+  WaitSns({&last, 1}, stats);
   OnReadDone(in);
   return n;
 }
 
 Status EasyIoFs::FsyncInternal(Inode& in) {
   // Data of the (single possible) outstanding orderless write must land.
-  WaitPendingWrite(in);
+  WaitPendingWrite(in, nullptr);
   return OkStatus();
 }
 

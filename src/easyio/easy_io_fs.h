@@ -25,6 +25,8 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "src/easyio/channel_manager.h"
 #include "src/nova/nova_fs.h"
@@ -86,6 +88,8 @@ class EasyIoFs : public nova::NovaFs {
   Status FsyncInternal(Inode& in) override;
 
  private:
+  using ChanSn = std::pair<dma::Channel*, dma::Sn>;
+
   // All write paths enter with the level-1 lock held; `l1_start` is its
   // acquisition time, so the path can attribute the full lock-hold window to
   // the traced op when it releases the lock.
@@ -103,25 +107,27 @@ class EasyIoFs : public nova::NovaFs {
   StatusOr<size_t> WriteNaive(Inode& in, uint64_t off,
                               std::span<const std::byte> buf,
                               fs::OpStats* stats, sim::SimTime l1_start);
-  // Synchronous memcpy fallback shared by both modes (small I/O).
-  StatusOr<size_t> WriteMemcpy(Inode& in, uint64_t off,
-                               std::span<const std::byte> buf,
-                               fs::OpStats* stats, sim::SimTime l1_start);
-  // Finishes a write on the CPU when no channel is available (all L
-  // channels quarantined). Enters after index charge, block allocation,
-  // FillWriteEdges and ChunkifyInto — reuses that work instead of
-  // restarting the op through WriteMemcpy.
-  StatusOr<size_t> DegradedCpuWriteTail(Inode& in, uint64_t off,
-                                        std::span<const std::byte> buf,
-                                        fs::OpStats* stats,
-                                        sim::SimTime l1_start,
-                                        OpScratch& scratch);
-  // Maps the user buffer onto the allocated extents: one range per
-  // contiguous extent (never a hole), honoring the unaligned head offset.
-  // Appends to *out (not cleared).
-  static void ChunkifyInto(const std::vector<nova::Extent>& extents,
-                           uint64_t off, size_t n,
-                           std::vector<ByteRange>* out);
+  // Finishes a write on the CPU: small I/O (§4.4), and any write that finds
+  // every L channel quarantined. Enters after PrepareWrite and ChunkifyInto.
+  StatusOr<size_t> CpuWriteTail(Inode& in, uint64_t off,
+                                std::span<const std::byte> buf,
+                                fs::OpStats* stats, sim::SimTime l1_start,
+                                OpScratch& scratch);
+  // Maps `buf` onto scratch.extents and submits one write descriptor per
+  // range, as one timed batch (dma_submit), on a picked L channel; the SNs
+  // land in scratch.sns. Returns that channel, or nullptr with nothing
+  // submitted when every L channel is quarantined.
+  dma::Channel* SubmitWrite(uint64_t off, std::span<const std::byte> buf,
+                            OpScratch& scratch, fs::OpStats* stats);
+  // Doorbells scratch.batch on `ch` as one timed batch (dma_submit).
+  void SubmitBatch(dma::Channel* ch, OpScratch& scratch, fs::OpStats* stats);
+  // Back in the runtime, the uthread yields and parks until each channel's
+  // completion record covers its SN (§4.1), through retry/fallback and
+  // quarantine reporting. The wait is blocked data time (sn_wait).
+  void WaitSns(std::span<const ChanSn> waits, fs::OpStats* stats);
+  // Ends the level-1 hold taken at `l1_start` (its l1_hold span), drops
+  // the write lock and leaves the kernel.
+  void ExitWriteLocked(Inode& in, sim::SimTime l1_start, fs::OpStats* stats);
 
   // Per-wait retry policy: a quarantined channel gets zero retry attempts
   // (straight to the CPU-copy fallback — no point re-feeding a channel the

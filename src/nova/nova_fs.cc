@@ -269,10 +269,21 @@ void NovaFs::Charge(fs::OpStats* stats, uint64_t fs::OpStats::*cat,
   }
 }
 
+void NovaFs::Phase::Record(sim::SimTime end,
+                           std::initializer_list<obs::Arg> more) {
+  if (auto* t = obs::Get()) {
+    assert(num_args_ + more.size() <= std::size(args_));
+    for (const obs::Arg& a : more) {
+      args_[num_args_++] = a;
+    }
+    t->AsyncSpan(stats_->trace_op_id, name_, start_, end,
+                 std::span<const obs::Arg>(args_, num_args_));
+  }
+}
+
 // ------------------------------------------------------------ log append ----
 
-Status NovaFs::AppendLogEntry(Inode& in, const void* entry,
-                              fs::OpStats* stats) {
+Status NovaFs::AppendLogEntry(Inode& in, const void* entry) {
   // Chain a new log page if needed.
   const bool page_full =
       in.log_next != 0 && in.log_next % kBlockSize == 0;
@@ -283,58 +294,83 @@ Status NovaFs::AppendLogEntry(Inode& in, const void* entry,
     if (!page.ok()) {
       return page.status();
     }
-    Charge(stats, &fs::OpStats::meta_ns, params().alloc_per_page_ns);
+    sim_->Advance(params().alloc_per_page_ns);
     LogPageHeader hdr{};
-    Timed(stats, &fs::OpStats::meta_ns, [&] {
-      mem_->MetaWrite(page->block_off, &hdr, sizeof(hdr));
-    });
+    mem_->MetaWrite(page->block_off, &hdr, sizeof(hdr));
     in.log_pages++;
     if (in.log_next == 0) {
       // First page: publish via log_head (atomic 8-byte store; harmless if a
       // crash strikes before the first commit — Mount resets it).
-      Timed(stats, &fs::OpStats::meta_ns, [&] {
-        mem_->MetaWrite(PInodeOff(in.slot) + offsetof(PInode, log_head),
-                        &page->block_off, sizeof(uint64_t));
-      });
+      mem_->MetaWrite(PInodeOff(in.slot) + offsetof(PInode, log_head),
+                      &page->block_off, sizeof(uint64_t));
       in.log_head = page->block_off;
     } else {
       const uint64_t prev_page = in.log_next - kBlockSize;
-      Timed(stats, &fs::OpStats::meta_ns, [&] {
-        mem_->MetaWrite(prev_page + offsetof(LogPageHeader, next_page),
-                        &page->block_off, sizeof(uint64_t));
-      });
+      mem_->MetaWrite(prev_page + offsetof(LogPageHeader, next_page),
+                      &page->block_off, sizeof(uint64_t));
     }
     in.log_next = page->block_off + sizeof(LogPageHeader);
   }
 
-  Timed(stats, &fs::OpStats::meta_ns, [&] {
-    mem_->MetaWrite(in.log_next, entry, kLogEntrySize);
-  });
+  mem_->MetaWrite(in.log_next, entry, kLogEntrySize);
   in.log_next += kLogEntrySize;
   return OkStatus();
 }
 
-void NovaFs::CommitLogTail(Inode& in, fs::OpStats* stats) {
-  Timed(stats, &fs::OpStats::meta_ns, [&] {
-    mem_->MetaWrite(PInodeOff(in.slot) + offsetof(PInode, log_tail),
-                    &in.log_next, sizeof(uint64_t));
-  });
+void NovaFs::CommitLogTail(Inode& in) {
+  mem_->MetaWrite(PInodeOff(in.slot) + offsetof(PInode, log_tail),
+                  &in.log_next, sizeof(uint64_t));
   in.log_tail = in.log_next;
 }
 
 // ----------------------------------------------------------- write helpers --
 
-Status NovaFs::AllocBlocks(uint64_t pages, fs::OpStats* stats,
-                           std::vector<Extent>* out) {
+Status NovaFs::PrepareWrite(Inode& in, uint64_t off, size_t n,
+                            OpScratch& scratch, fs::OpStats* stats) {
+  const uint64_t pages = (off + n - 1) / kBlockSize - off / kBlockSize + 1;
+  Charge(stats, &fs::OpStats::index_ns,
+         params().index_base_ns + params().index_per_page_ns * pages);
   const int hint = sim_->current() != nullptr ? sim_->current()->core() : 0;
-  const Status st = allocator_->AllocMultiInto(pages, hint, out);
-  if (st.ok()) {
-    // Per-write fixed bookkeeping (inode update, VFS write path) plus the
-    // per-page allocator cost.
-    Charge(stats, &fs::OpStats::meta_ns,
-           params().meta_write_fixed_ns + params().alloc_per_page_ns * pages);
+  const Status st = allocator_->AllocMultiInto(pages, hint, &scratch.extents);
+  if (!st.ok()) {
+    in.lock.WriteUnlock();
+    Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
+    return st;
   }
-  return st;
+  // Per-write fixed bookkeeping (inode update, VFS write path) plus the
+  // per-page allocator cost.
+  Charge(stats, &fs::OpStats::meta_ns,
+         params().meta_write_fixed_ns + params().alloc_per_page_ns * pages);
+  FillWriteEdges(in, off, n, scratch.extents, stats);
+  return OkStatus();
+}
+
+void NovaFs::PrepareRead(Inode& in, uint64_t off, size_t n,
+                         OpScratch& scratch, fs::OpStats* stats) {
+  const uint64_t first_pg = off / kBlockSize;
+  const uint64_t pages = (off + n - 1) / kBlockSize - first_pg + 1;
+  Charge(stats, &fs::OpStats::index_ns,
+         params().index_base_ns + params().index_per_page_ns * pages);
+  in.pages.LookupInto(first_pg, pages, &scratch.segs);
+  SegmentsToByteRanges(scratch.segs, off, n, &scratch.ranges);
+  in.pending_reads++;
+}
+
+void NovaFs::ChunkifyInto(const std::vector<Extent>& extents, uint64_t off,
+                          size_t n, std::vector<ByteRange>* out) {
+  const uint64_t head = off % kBlockSize;
+  size_t copied = 0;
+  for (const Extent& e : extents) {
+    const uint64_t skip = copied == 0 ? head : 0;
+    const size_t bytes =
+        std::min<uint64_t>(n - copied, e.pages * kBlockSize - skip);
+    out->push_back({copied, e.block_off + skip, bytes, /*hole=*/false});
+    copied += bytes;
+    if (copied == n) {
+      break;
+    }
+  }
+  assert(copied == n);
 }
 
 void NovaFs::FillWriteEdges(Inode& in, uint64_t off, size_t n,
@@ -410,9 +446,10 @@ Status NovaFs::CommitWrite(Inode& in, uint64_t off, size_t n,
                            const std::vector<Extent>& extents,
                            const std::vector<dma::Sn>& sns,
                            fs::OpStats* stats) {
-  assert(extents.size() == sns.size());
-  const uint64_t trace_id = stats != nullptr ? stats->trace_op_id : 0;
-  const sim::SimTime commit_t0 = sim_->now();
+  assert(sns.empty() || extents.size() == sns.size());
+  // Log appends and the tail commit are the op's metadata time.
+  Phase commit(this, stats, "commit", {&fs::OpStats::meta_ns},
+               {{"entries", extents.size()}});
   const uint64_t new_size = std::max<uint64_t>(in.size, off + n);
   const uint64_t mtime = sim_->now();
   uint64_t pg = off / kBlockSize;
@@ -424,41 +461,37 @@ Status NovaFs::CommitWrite(Inode& in, uint64_t off, size_t n,
     e.block_off = extents[i].block_off;
     e.new_size = new_size;
     e.mtime_ns = mtime;
-    e.sn_packed = sns[i].Pack();
+    e.sn_packed = sns.empty() ? dma::Sn::None().Pack() : sns[i].Pack();
     e.csum = e.ComputeCsum();
-    EASYIO_RETURN_IF_ERROR(AppendLogEntry(in, &e, stats));
+    EASYIO_RETURN_IF_ERROR(AppendLogEntry(in, &e));
     pg += extents[i].pages;
   }
-  CommitLogTail(in, stats);
+  CommitLogTail(in);
 
   // DRAM state.
   ScratchLease scratch(this);
   pg = off / kBlockSize;
   for (size_t i = 0; i < extents.size(); ++i) {
     in.pages.Insert(pg, extents[i].pages, extents[i].block_off,
-                    sns[i].Pack(), &scratch->displaced);
+                    sns.empty() ? dma::Sn::None().Pack() : sns[i].Pack(),
+                    &scratch->displaced);
     pg += extents[i].pages;
   }
   in.size = new_size;
   in.mtime_ns = mtime;
   ReleaseBlocks(in, scratch->displaced);
-  if (trace_id != 0) {
-    if (auto* t = obs::Get())
-      t->AsyncSpan(trace_id, "commit", commit_t0, sim_->now(),
-                   {{"entries", extents.size()}});
-  }
   return OkStatus();
 }
 
-uint64_t NovaFs::WaitPendingWrite(Inode& in) {
+void NovaFs::WaitPendingWrite(Inode& in, fs::OpStats* stats) {
   if (in.pending_channel == nullptr && in.pending_stripes.empty()) {
-    return 0;
+    return;
   }
   if (in.pending_stripes.empty() && in.pending_channel != nullptr &&
       in.pending_channel->IsComplete(in.pending_sn)) {
     in.pending_channel = nullptr;
     in.pending_sn = dma::Sn::None();
-    return 0;
+    return;
   }
   const sim::SimTime t0 = sim_->now();
   if (in.pending_channel != nullptr) {
@@ -481,7 +514,9 @@ uint64_t NovaFs::WaitPendingWrite(Inode& in) {
       in.pending_stripes.pop_back();
     }
   }
-  return sim_->now() - t0;
+  if (sim_->now() > t0) {
+    Phase(this, stats, "l2_wait", {&fs::OpStats::blocked_ns}, {}, t0);
+  }
 }
 
 void NovaFs::MaybeCompactLog(Inode& in, fs::OpStats* stats) {
@@ -504,6 +539,7 @@ void NovaFs::MaybeCompactLog(Inode& in, fs::OpStats* stats) {
   // Build the replacement chain (best effort: bail out on allocation
   // pressure; the old log stays valid).
   const sim::SimTime gc_t0 = sim_->now();
+  Phase gc(this, stats, nullptr, {&fs::OpStats::meta_ns});
   const uint64_t gc_old_pages = in.log_pages;
   auto new_pages = allocator_->AllocMulti(needed_pages, 0);
   if (!new_pages.ok()) {
@@ -519,8 +555,7 @@ void NovaFs::MaybeCompactLog(Inode& in, fs::OpStats* stats) {
   for (size_t i = 0; i < pages.size(); ++i) {
     LogPageHeader hdr{};
     hdr.next_page = i + 1 < pages.size() ? pages[i + 1] : 0;
-    Timed(stats, &fs::OpStats::meta_ns,
-          [&] { mem_->MetaWrite(pages[i], &hdr, sizeof(hdr)); });
+    mem_->MetaWrite(pages[i], &hdr, sizeof(hdr));
   }
   // Write the live entries.
   uint64_t write_off = pages[0] + sizeof(LogPageHeader);
@@ -532,8 +567,7 @@ void NovaFs::MaybeCompactLog(Inode& in, fs::OpStats* stats) {
       write_off = pages[page_idx] + sizeof(LogPageHeader);
       slots_used = 0;
     }
-    Timed(stats, &fs::OpStats::meta_ns,
-          [&] { mem_->MetaWrite(write_off, entry, kLogEntrySize); });
+    mem_->MetaWrite(write_off, entry, kLogEntrySize);
     write_off += kLogEntrySize;
     slots_used++;
   };
@@ -571,10 +605,8 @@ void NovaFs::MaybeCompactLog(Inode& in, fs::OpStats* stats) {
       {PInodeOff(in.slot) + offsetof(PInode, log_head), pages[0]},
       {PInodeOff(in.slot) + offsetof(PInode, log_tail), write_off},
   };
-  Timed(stats, &fs::OpStats::meta_ns, [&] {
-    journal_->CommitAndApply(writes,
-                             sim_->current() ? sim_->current()->core() : 0);
-  });
+  journal_->CommitAndApply(writes,
+                           sim_->current() ? sim_->current()->core() : 0);
   in.log_head = pages[0];
   in.log_tail = write_off;
   in.log_next = write_off;
@@ -592,7 +624,8 @@ void NovaFs::MaybeCompactLog(Inode& in, fs::OpStats* stats) {
     page = next;
   }
 
-  // GC is rare, control-plane activity: always recorded when tracing is on.
+  // GC is rare, control-plane activity: always recorded when tracing is
+  // on, as a span of its own rather than a phase of the triggering op.
   if (auto* t = obs::Get()) {
     t->AsyncSpan(t->NextOpId(), "log_gc", gc_t0, sim_->now(),
                  {{"old_pages", gc_old_pages}, {"new_pages", pages.size()}});
@@ -671,15 +704,15 @@ void NovaFs::ReleaseScratch(OpScratch* s) {
 void NovaFs::MoveToPmem(uint64_t pmem_off, const std::byte* src, size_t bytes,
                         fs::OpStats* stats) {
   AddCpuBytes(bytes);
-  Timed(stats, &fs::OpStats::data_ns,
-        [&] { mem_->CpuWrite(pmem_off, src, bytes); });
+  Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
+  mem_->CpuWrite(pmem_off, src, bytes);
 }
 
 void NovaFs::MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
                           fs::OpStats* stats) {
   AddCpuBytes(bytes);
-  Timed(stats, &fs::OpStats::data_ns,
-        [&] { mem_->CpuRead(dst, pmem_off, bytes); });
+  Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
+  mem_->CpuRead(dst, pmem_off, bytes);
 }
 
 StatusOr<size_t> NovaFs::WriteInternal(Inode& in, uint64_t off,
@@ -691,38 +724,16 @@ StatusOr<size_t> NovaFs::WriteInternal(Inode& in, uint64_t off,
     off = in.size;
   }
   const size_t n = buf.size();
-  const uint64_t first_pg = off / kBlockSize;
-  const uint64_t pages = (off + n - 1) / kBlockSize - first_pg + 1;
-
-  Charge(stats, &fs::OpStats::index_ns,
-         params().index_base_ns + params().index_per_page_ns * pages);
-
   ScratchLease scratch(this);
-  const Status alloc_st = AllocBlocks(pages, stats, &scratch->extents);
-  if (!alloc_st.ok()) {
-    in.lock.WriteUnlock();
-    Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-    return alloc_st;
-  }
-  FillWriteEdges(in, off, n, scratch->extents, stats);
+  EASYIO_RETURN_IF_ERROR(PrepareWrite(in, off, n, *scratch, stats));
 
   // NOVA order: data first (synchronously, via the mover hook)...
-  size_t copied = 0;
-  const uint64_t head = off % kBlockSize;
-  for (const Extent& e : scratch->extents) {
-    const uint64_t ext_bytes = e.pages * kBlockSize;
-    const uint64_t skip = copied == 0 ? head : 0;
-    const size_t chunk =
-        std::min<uint64_t>(n - copied, ext_bytes - skip);
-    MoveToPmem(e.block_off + skip, buf.data() + copied, chunk, stats);
-    copied += chunk;
+  ChunkifyInto(scratch->extents, off, n, &scratch->ranges);
+  for (const ByteRange& r : scratch->ranges) {
+    MoveToPmem(r.pmem_off, buf.data() + r.buf_off, r.bytes, stats);
   }
-  assert(copied == n);
-
   // ...then strictly ordered metadata commit.
-  scratch->sns.assign(scratch->extents.size(), dma::Sn::None());
-  const Status st =
-      CommitWrite(in, off, n, scratch->extents, scratch->sns, stats);
+  const Status st = CommitWrite(in, off, n, scratch->extents, {}, stats);
   in.lock.WriteUnlock();
   Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
   if (!st.ok()) {
@@ -741,16 +752,8 @@ StatusOr<size_t> NovaFs::ReadInternal(Inode& in, uint64_t off,
     return size_t{0};
   }
   const size_t n = std::min<uint64_t>(buf.size(), in.size - off);
-  const uint64_t first_pg = off / kBlockSize;
-  const uint64_t pages = (off + n - 1) / kBlockSize - first_pg + 1;
-
-  Charge(stats, &fs::OpStats::index_ns,
-         params().index_base_ns + params().index_per_page_ns * pages);
   ScratchLease scratch(this);
-  in.pages.LookupInto(first_pg, pages, &scratch->segs);
-  in.pending_reads++;
-
-  SegmentsToByteRanges(scratch->segs, off, n, &scratch->ranges);
+  PrepareRead(in, off, n, *scratch, stats);
   for (const ByteRange& r : scratch->ranges) {
     if (r.hole) {
       FillZero(buf.data() + r.buf_off, r.bytes, stats);
@@ -794,112 +797,69 @@ StatusOr<int> NovaFs::AllocFd(Inode* in) {
 
 // ------------------------------------------------------------- data entry ---
 
-StatusOr<size_t> NovaFs::Write(int fd, uint64_t off,
-                               std::span<const std::byte> buf,
-                               fs::OpStats* stats) {
+template <typename Body>
+StatusOr<size_t> NovaFs::RunDataOp(DataOp op, int fd, uint64_t off,
+                                   size_t len, fs::OpStats* stats,
+                                   Body&& body) {
   fs::OpStats local;
   if (stats == nullptr) {
     stats = &local;
   }
   stats->Clear();
-  const sim::SimTime t0 = sim_->now();
+  static constexpr const char* kSpan[] = {"read", "write", "append"};
+  Phase whole(this, stats, kSpan[static_cast<int>(op)],
+              {&fs::OpStats::total_ns});
   Charge(stats, &fs::OpStats::syscall_ns, params().syscall_enter_ns);
   Inode* in = ResolveFd(fd);
+  StatusOr<size_t> r = size_t{0};
   if (in == nullptr) {
-    return BadFd();
+    r = BadFd();
+  } else if (in->is_dir) {
+    r = Status(ErrorCode::kIsDir);
+  } else if (len > 0) {
+    if (auto* t = obs::Get(); t != nullptr && t->Sample()) {
+      stats->trace_op_id = t->NextOpId();
+    }
+    r = body(*in, stats);
+    const bool read = op == DataOp::kRead;
+    (read ? counters_.ops_read : counters_.ops_write)++;
+    if (r.ok()) {
+      (read ? counters_.bytes_read : counters_.bytes_written) += *r;
+    }
   }
-  if (in->is_dir) {
-    return Status(ErrorCode::kIsDir);
+  const obs::Arg bytes{"bytes", r.ok() ? static_cast<uint64_t>(*r) : 0};
+  if (op == DataOp::kAppend) {
+    whole.Close({bytes});
+  } else {
+    whole.Close({{"off", off}, bytes});
   }
-  if (buf.empty()) {
-    return size_t{0};
-  }
-  if (auto* t = obs::Get(); t != nullptr && t->Sample()) {
-    stats->trace_op_id = t->NextOpId();
-  }
-  auto r = WriteInternal(*in, off, buf, /*append=*/false, stats);
-  stats->total_ns = sim_->now() - t0;
   stats->cpu_ns = stats->total_ns - stats->blocked_ns;
-  counters_.ops_write++;
-  if (r.ok()) counters_.bytes_written += *r;
-  if (stats->trace_op_id != 0) {
-    if (auto* t = obs::Get())
-      t->AsyncSpan(stats->trace_op_id, "write", t0, sim_->now(),
-                   {{"off", off},
-                    {"bytes", r.ok() ? static_cast<uint64_t>(*r) : 0}});
-  }
   return r;
+}
+
+StatusOr<size_t> NovaFs::Write(int fd, uint64_t off,
+                               std::span<const std::byte> buf,
+                               fs::OpStats* stats) {
+  return RunDataOp(DataOp::kWrite, fd, off, buf.size(), stats,
+                   [&](Inode& in, fs::OpStats* s) {
+                     return WriteInternal(in, off, buf, /*append=*/false, s);
+                   });
 }
 
 StatusOr<size_t> NovaFs::Append(int fd, std::span<const std::byte> buf,
                                 fs::OpStats* stats) {
-  fs::OpStats local;
-  if (stats == nullptr) {
-    stats = &local;
-  }
-  stats->Clear();
-  const sim::SimTime t0 = sim_->now();
-  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_enter_ns);
-  Inode* in = ResolveFd(fd);
-  if (in == nullptr) {
-    return BadFd();
-  }
-  if (in->is_dir) {
-    return Status(ErrorCode::kIsDir);
-  }
-  if (buf.empty()) {
-    return size_t{0};
-  }
-  if (auto* t = obs::Get(); t != nullptr && t->Sample()) {
-    stats->trace_op_id = t->NextOpId();
-  }
-  auto r = WriteInternal(*in, 0, buf, /*append=*/true, stats);
-  stats->total_ns = sim_->now() - t0;
-  stats->cpu_ns = stats->total_ns - stats->blocked_ns;
-  counters_.ops_write++;
-  if (r.ok()) counters_.bytes_written += *r;
-  if (stats->trace_op_id != 0) {
-    if (auto* t = obs::Get())
-      t->AsyncSpan(stats->trace_op_id, "append", t0, sim_->now(),
-                   {{"bytes", r.ok() ? static_cast<uint64_t>(*r) : 0}});
-  }
-  return r;
+  return RunDataOp(DataOp::kAppend, fd, 0, buf.size(), stats,
+                   [&](Inode& in, fs::OpStats* s) {
+                     return WriteInternal(in, 0, buf, /*append=*/true, s);
+                   });
 }
 
 StatusOr<size_t> NovaFs::Read(int fd, uint64_t off, std::span<std::byte> buf,
                               fs::OpStats* stats) {
-  fs::OpStats local;
-  if (stats == nullptr) {
-    stats = &local;
-  }
-  stats->Clear();
-  const sim::SimTime t0 = sim_->now();
-  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_enter_ns);
-  Inode* in = ResolveFd(fd);
-  if (in == nullptr) {
-    return BadFd();
-  }
-  if (in->is_dir) {
-    return Status(ErrorCode::kIsDir);
-  }
-  if (buf.empty()) {
-    return size_t{0};
-  }
-  if (auto* t = obs::Get(); t != nullptr && t->Sample()) {
-    stats->trace_op_id = t->NextOpId();
-  }
-  auto r = ReadInternal(*in, off, buf, stats);
-  stats->total_ns = sim_->now() - t0;
-  stats->cpu_ns = stats->total_ns - stats->blocked_ns;
-  counters_.ops_read++;
-  if (r.ok()) counters_.bytes_read += *r;
-  if (stats->trace_op_id != 0) {
-    if (auto* t = obs::Get())
-      t->AsyncSpan(stats->trace_op_id, "read", t0, sim_->now(),
-                   {{"off", off},
-                    {"bytes", r.ok() ? static_cast<uint64_t>(*r) : 0}});
-  }
-  return r;
+  return RunDataOp(DataOp::kRead, fd, off, buf.size(), stats,
+                   [&](Inode& in, fs::OpStats* s) {
+                     return ReadInternal(in, off, buf, s);
+                   });
 }
 
 Status NovaFs::Fsync(int fd) {
@@ -970,8 +930,7 @@ StatusOr<NovaFs::Inode*> NovaFs::AllocInode(bool is_dir) {
 }
 
 Status NovaFs::AppendDentry(Inode& dir, EntryType type,
-                            const std::string& name, uint64_t child_ino,
-                            fs::OpStats* stats) {
+                            const std::string& name, uint64_t child_ino) {
   DentryEntry e{};
   e.type = static_cast<uint8_t>(type);
   e.name_len = static_cast<uint8_t>(name.size());
@@ -979,7 +938,7 @@ Status NovaFs::AppendDentry(Inode& dir, EntryType type,
   e.mtime_ns = sim_->now();
   std::memcpy(e.name, name.data(), name.size());
   e.csum = e.ComputeCsum();
-  return AppendLogEntry(dir, &e, stats);
+  return AppendLogEntry(dir, &e);
 }
 
 StatusOr<int> NovaFs::Create(const std::string& path) {
@@ -993,7 +952,7 @@ StatusOr<int> NovaFs::Create(const std::string& path) {
   MaybeCompactLog(*dir, nullptr);
   EASYIO_ASSIGN_OR_RETURN(Inode * child, AllocInode(/*is_dir=*/false));
   EASYIO_RETURN_IF_ERROR(
-      AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino, nullptr));
+      AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino));
 
   const JournalRecord::JWrite writes[] = {
       {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
@@ -1021,7 +980,7 @@ Status NovaFs::Mkdir(const std::string& path) {
   MaybeCompactLog(*dir, nullptr);
   EASYIO_ASSIGN_OR_RETURN(Inode * child, AllocInode(/*is_dir=*/true));
   EASYIO_RETURN_IF_ERROR(
-      AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino, nullptr));
+      AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino));
   const JournalRecord::JWrite writes[] = {
       {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
       {PInodeOff(child->slot) + offsetof(PInode, flags),
@@ -1062,7 +1021,7 @@ Status NovaFs::Close(int fd) {
 
 void NovaFs::FreeInodeResources(Inode& in) {
   // Wait out any in-flight orderless write, then free data + log pages.
-  WaitPendingWrite(in);
+  WaitPendingWrite(in, nullptr);
   std::vector<Extent> extents;
   in.pages.Clear(&extents);
   extents.insert(extents.end(), in.deferred_free.begin(),
@@ -1107,7 +1066,7 @@ Status NovaFs::Unlink(const std::string& path) {
   }
   MaybeCompactLog(*dir, nullptr);
   EASYIO_RETURN_IF_ERROR(
-      AppendDentry(*dir, EntryType::kDentryRemove, leaf, child->ino, nullptr));
+      AppendDentry(*dir, EntryType::kDentryRemove, leaf, child->ino));
 
   const uint64_t new_nlink = child->nlink - 1;
   const uint64_t new_flags = new_nlink == 0 ? 0 : PInode::kFlagValid;
@@ -1148,7 +1107,7 @@ Status NovaFs::Link(const std::string& existing,
     return AlreadyExists(link_path);
   }
   EASYIO_RETURN_IF_ERROR(
-      AppendDentry(*dir, EntryType::kDentryAdd, leaf, target->ino, nullptr));
+      AppendDentry(*dir, EntryType::kDentryAdd, leaf, target->ino));
   const JournalRecord::JWrite writes[] = {
       {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
       {PInodeOff(target->slot) + offsetof(PInode, nlink), target->nlink + 1},
@@ -1191,9 +1150,9 @@ Status NovaFs::Rename(const std::string& from, const std::string& to) {
   }
 
   EASYIO_RETURN_IF_ERROR(AppendDentry(*from_dir, EntryType::kDentryRemove,
-                                      from_leaf, moving->ino, nullptr));
+                                      from_leaf, moving->ino));
   EASYIO_RETURN_IF_ERROR(AppendDentry(*to_dir, EntryType::kDentryAdd, to_leaf,
-                                      moving->ino, nullptr));
+                                      moving->ino));
 
   std::vector<JournalRecord::JWrite> writes;
   writes.push_back(

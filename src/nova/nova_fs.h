@@ -16,8 +16,12 @@
 #ifndef EASYIO_NOVA_NOVA_FS_H_
 #define EASYIO_NOVA_NOVA_FS_H_
 
+#include <cassert>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -31,6 +35,7 @@
 #include "src/nova/journal.h"
 #include "src/nova/layout.h"
 #include "src/nova/page_map.h"
+#include "src/obs/trace.h"
 #include "src/pmem/slow_memory.h"
 #include "src/uthread/scheduler.h"
 
@@ -175,43 +180,89 @@ class NovaFs : public fs::FileSystem {
 
   // Charges `ns` of CPU time and attributes it to a breakdown category.
   void Charge(fs::OpStats* stats, uint64_t fs::OpStats::*cat, uint64_t ns);
-  // Runs `fn` and attributes the elapsed virtual time to `cat`.
-  template <typename Fn>
-  void Timed(fs::OpStats* stats, uint64_t fs::OpStats::*cat, Fn&& fn) {
-    const sim::SimTime t0 = sim_->now();
-    fn();
-    if (stats != nullptr) {
-      stats->*cat += sim_->now() - t0;
+
+  // One per-op phase, timed once in virtual time for both outputs: when it
+  // closes (Close() or scope exit) it adds the elapsed time to each of
+  // `cats` in *stats and, if the op is traced (trace_op_id != 0), records
+  // the async span `name` with `args`. A null `stats` records nothing, a
+  // null `name` no span. `start` backdates the phase to an instant taken
+  // earlier, for windows known only once they end (l1_hold, l2_wait). It
+  // only reads the clock.
+  class Phase {
+   public:
+    using Cat = uint64_t fs::OpStats::*;
+    Phase(const NovaFs* fs, fs::OpStats* stats, const char* name,
+          std::initializer_list<Cat> cats,
+          std::initializer_list<obs::Arg> args = {},
+          std::optional<sim::SimTime> start = std::nullopt)
+        : fs_(fs),
+          stats_(stats),
+          name_(name),
+          start_(start ? *start : fs->sim_->now()) {
+      assert(cats.size() <= std::size(cats_) &&
+             args.size() <= std::size(args_));
+      for (Cat c : cats) {
+        cats_[num_cats_++] = c;
+      }
+      for (const obs::Arg& a : args) {
+        args_[num_args_++] = a;
+      }
     }
-  }
+    ~Phase() { Close(); }
+    Phase(const Phase&) = delete;
+    Phase& operator=(const Phase&) = delete;
+    // Ends the phase now; `more` args follow the constructor's. Later
+    // calls do nothing.
+    void Close(std::initializer_list<obs::Arg> more = {}) {
+      if (fs_ == nullptr) {
+        return;
+      }
+      const sim::SimTime end = fs_->sim_->now();
+      fs_ = nullptr;
+      if (stats_ == nullptr) {
+        return;
+      }
+      for (uint8_t i = 0; i < num_cats_; ++i) {
+        stats_->*cats_[i] += end - start_;
+      }
+      if (name_ != nullptr && stats_->trace_op_id != 0) {
+        Record(end, more);
+      }
+    }
+
+   private:
+    void Record(sim::SimTime end, std::initializer_list<obs::Arg> more);
+
+    const NovaFs* fs_;  // null once closed
+    fs::OpStats* stats_;
+    const char* name_;
+    sim::SimTime start_;
+    Cat cats_[2] = {};
+    obs::Arg args_[3] = {};
+    uint8_t num_cats_ = 0;
+    uint8_t num_args_ = 0;
+  };
 
   // Appends a 64-byte entry to the inode's log (allocating/chaining pages as
   // needed); does not commit. Returns OK or allocation failure.
-  Status AppendLogEntry(Inode& in, const void* entry, fs::OpStats* stats);
+  Status AppendLogEntry(Inode& in, const void* entry);
   // Commits in.log_next as the new persistent tail.
-  void CommitLogTail(Inode& in, fs::OpStats* stats);
+  void CommitLogTail(Inode& in);
 
-  // Allocates CoW extents for `pages` into *out (appended, not cleared),
-  // charging allocator cost.
-  Status AllocBlocks(uint64_t pages, fs::OpStats* stats,
-                     std::vector<Extent>* out);
-  // Copies the preserved head/tail bytes of a partially overwritten edge
-  // page from the old mapping into the new blocks.
-  void FillWriteEdges(Inode& in, uint64_t off, size_t n,
-                      const std::vector<Extent>& extents, fs::OpStats* stats);
   // Builds and appends the write entries for `extents` (one per extent) and
   // commits; updates DRAM size/mtime/page map and releases displaced blocks.
-  // `sns` gives the DMA SN for each extent (Sn::None for memcpy).
+  // `sns` gives the DMA SN for each extent; empty means all memcpy
+  // (Sn::None).
   Status CommitWrite(Inode& in, uint64_t off, size_t n,
                      const std::vector<Extent>& extents,
                      const std::vector<dma::Sn>& sns, fs::OpStats* stats);
 
   // Level-2 wait (§4.3): blocks until the inode's outstanding orderless
-  // write completes. Returns the blocked time (0 when none pending).
-  // Recovery-aware: a channel halted on a transfer error is driven through
-  // retry/fallback per recover_policy_, so the wait always ends with the
-  // data durable.
-  uint64_t WaitPendingWrite(Inode& in);
+  // write completes, attributing the wait to stats->blocked_ns (traced as
+  // l2_wait). Recovery-aware: a channel halted on a transfer error is
+  // driven through retry/fallback per recover_policy_, so the wait always
+  // ends with the data durable.
+  void WaitPendingWrite(Inode& in, fs::OpStats* stats);
 
   // Retry/fallback policy for every SN wait issued on behalf of this
   // filesystem (level-2 waits and subclass write paths). Subclasses may
@@ -278,6 +329,24 @@ class NovaFs : public fs::FileSystem {
   OpScratch* AcquireScratch();
   void ReleaseScratch(OpScratch* s);
 
+  // Write prologue shared by every write path, entered with the write lock
+  // held: charges the index walk over [off, off+n), allocates CoW blocks
+  // into scratch.extents and preserves the partially overwritten edge
+  // bytes. On allocation failure it drops the lock and charges the syscall
+  // exit before returning the error.
+  Status PrepareWrite(Inode& in, uint64_t off, size_t n, OpScratch& scratch,
+                      fs::OpStats* stats);
+  // Read counterpart, entered with the read lock held and n > 0: charges
+  // the index walk, maps [off, off+n) into scratch.ranges and registers
+  // the read for deferred free (pair with OnReadDone).
+  void PrepareRead(Inode& in, uint64_t off, size_t n, OpScratch& scratch,
+                   fs::OpStats* stats);
+  // Maps the user buffer onto freshly allocated extents: one range per
+  // contiguous extent (never a hole), honoring the unaligned head offset.
+  // Appends to *out (not cleared).
+  static void ChunkifyInto(const std::vector<Extent>& extents, uint64_t off,
+                           size_t n, std::vector<ByteRange>* out);
+
   void AddCpuBytes(uint64_t n) { counters_.bytes_cpu += n; }
   void AddDmaBytes(uint64_t n) { counters_.bytes_dma += n; }
 
@@ -289,12 +358,25 @@ class NovaFs : public fs::FileSystem {
   std::unique_ptr<Journal> journal_;
 
  private:
+  enum class DataOp { kRead, kWrite, kAppend };
+  // Entry and exit shared by Read/Write/Append: charges the syscall entry,
+  // rejects a bad fd, a directory or an empty buffer, picks the op's trace
+  // id and runs `body(inode, stats)`. The whole op is one phase, so
+  // total_ns and cpu_ns are set on every return path.
+  template <typename Body>
+  StatusOr<size_t> RunDataOp(DataOp op, int fd, uint64_t off, size_t len,
+                             fs::OpStats* stats, Body&& body);
+  // Copies the preserved head/tail bytes of a partially overwritten edge
+  // page from the old mapping into the new blocks.
+  void FillWriteEdges(Inode& in, uint64_t off, size_t n,
+                      const std::vector<Extent>& extents, fs::OpStats* stats);
+
   // Namespace helpers (all under namespace_lock_).
   StatusOr<Inode*> ResolvePath(const std::vector<std::string>& parts);
   StatusOr<Inode*> ResolveParent(const std::string& path, std::string* leaf);
   StatusOr<Inode*> AllocInode(bool is_dir);
   Status AppendDentry(Inode& dir, EntryType type, const std::string& name,
-                      uint64_t child_ino, fs::OpStats* stats);
+                      uint64_t child_ino);
   void FreeInodeResources(Inode& in);  // blocks + log pages
   void DestroyInode(Inode* in);
   StatusOr<int> AllocFd(Inode* in);

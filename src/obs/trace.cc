@@ -46,7 +46,7 @@ Tracer::Event* Tracer::Append() {
   return &chunks_.back().emplace_back();
 }
 
-void Tracer::FillArgs(Event& ev, std::initializer_list<Arg> args) {
+void Tracer::FillArgs(Event& ev, std::span<const Arg> args) {
   ev.num_args = 0;
   for (const Arg& a : args) {
     if (ev.num_args == Event::kMaxArgs) break;
@@ -90,7 +90,7 @@ void Tracer::Counter(uint32_t track, const char* name, uint64_t ts_ns,
 }
 
 void Tracer::AsyncSpan(uint64_t id, const char* name, uint64_t start_ns,
-                       uint64_t end_ns, std::initializer_list<Arg> args) {
+                       uint64_t end_ns, std::span<const Arg> args) {
   if (end_ns < start_ns) end_ns = start_ns;
   Event* b = Append();
   if (b == nullptr) return;

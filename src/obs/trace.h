@@ -7,12 +7,12 @@
 //
 //   1. Recording must never perturb the simulation. The tracer only *reads*
 //      the virtual clock — it never calls Advance()/ScheduleAfter() — so a
-//      run produces byte-identical simulated output whether tracing is on,
-//      off, or compiled out.
-//   2. Zero overhead when disabled. Every macro below compiles to a single
+//      run produces byte-identical simulated output whether tracing is on
+//      or off.
+//   2. Zero overhead when disabled. Every macro below costs a single
 //      relaxed pointer load plus a predictable branch when no tracer is
-//      installed (and to nothing at all under -DEASYIO_OBS_DISABLED), which
-//      preserves the steady-state zero-allocation guarantee of DESIGN.md §6.
+//      installed, which preserves the steady-state zero-allocation
+//      guarantee of DESIGN.md §6.
 //   3. Bounded memory when enabled. Events are fixed-size PODs stored in
 //      chunked slabs; high-frequency event classes go through a shared
 //      sampling counter (`sample_every`) and a hard `max_events` cap drops
@@ -35,6 +35,7 @@
 #include <cstdio>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,7 +113,12 @@ class Tracer {
   // emitted together once the interval is known, which instrumentation sites
   // use to report phases measured with explicit timestamps after the fact.
   void AsyncSpan(uint64_t id, const char* name, uint64_t start_ns,
-                 uint64_t end_ns, std::initializer_list<Arg> args = {});
+                 uint64_t end_ns, std::span<const Arg> args);
+  void AsyncSpan(uint64_t id, const char* name, uint64_t start_ns,
+                 uint64_t end_ns, std::initializer_list<Arg> args = {}) {
+    AsyncSpan(id, name, start_ns, end_ns,
+              std::span<const Arg>(args.begin(), args.size()));
+  }
 
   // ---- Export ----
   size_t event_count() const;
@@ -138,7 +144,7 @@ class Tracer {
   static constexpr size_t kChunkEvents = 64 * 1024;
 
   Event* Append();  // nullptr once max_events is hit (counts the drop)
-  void FillArgs(Event& ev, std::initializer_list<Arg> args);
+  void FillArgs(Event& ev, std::span<const Arg> args);
   void WriteMetadata(std::FILE* out) const;
 
   Options options_;
@@ -169,96 +175,28 @@ inline Tracer* Get() { return internal::g_tracer; }
 void Install(Tracer* tracer);
 void Uninstall(Tracer* tracer);
 
-// RAII helper behind OBS_SPAN: opens at construction, records a complete
-// span at scope exit. When tracing is off (or the sample gate says no) the
-// constructor leaves tracer_ null and the destructor is a no-op.
-class ScopedSpan {
- public:
-  ScopedSpan(uint32_t track, const char* name, bool sampled = false)
-      : tracer_(Get()), track_(track), name_(name) {
-    if (tracer_ != nullptr && sampled && !tracer_->Sample()) tracer_ = nullptr;
-    if (tracer_ != nullptr) start_ = tracer_->now();
-  }
-  ~ScopedSpan() {
-    if (tracer_ != nullptr)
-      tracer_->CompleteSpan(track_, name_, start_, tracer_->now());
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Tracer* tracer_;
-  uint32_t track_;
-  const char* name_;
-  uint64_t start_ = 0;
-};
-
 }  // namespace easyio::obs
 
-// ---- Macros ----
-//
-// The compile-time gate (-DEASYIO_OBS_DISABLED) removes every macro body so
-// instrumented code carries no tracing instructions at all. The default
-// build keeps them in; the runtime gate is the obs::Get() null check.
+// ---- Macros ---- (the runtime gate is the obs::Get() null check)
 
-#define EASYIO_OBS_CONCAT_INNER(a, b) a##b
-#define EASYIO_OBS_CONCAT(a, b) EASYIO_OBS_CONCAT_INNER(a, b)
-
-#if !defined(EASYIO_OBS_DISABLED)
-
-// Complete span covering the enclosing scope. "Always" class.
-#define OBS_SPAN(track, name) \
-  ::easyio::obs::ScopedSpan EASYIO_OBS_CONCAT(obs_span_, __LINE__)(track, name)
-// Same, but subject to the tracer's sampling rate. Use on per-op hot paths.
-#define OBS_SPAN_SAMPLED(track, name)                                       \
-  ::easyio::obs::ScopedSpan EASYIO_OBS_CONCAT(obs_span_, __LINE__)(track,   \
-                                                                   name, true)
 // Instant event at the current virtual time. Optional {"key", value} args.
 #define OBS_EVENT(track, name, ...)                                       \
   do {                                                                    \
     if (auto* obs_t_ = ::easyio::obs::Get())                              \
       obs_t_->Instant((track), (name), obs_t_->now(), {__VA_ARGS__});     \
   } while (0)
+// Same, but subject to the tracer's sampling rate. Use on per-op hot paths.
 #define OBS_EVENT_SAMPLED(track, name, ...)                               \
   do {                                                                    \
     if (auto* obs_t_ = ::easyio::obs::Get(); obs_t_ && obs_t_->Sample()) \
       obs_t_->Instant((track), (name), obs_t_->now(), {__VA_ARGS__});     \
   } while (0)
-// Counter sample at the current virtual time.
-#define OBS_COUNTER(track, name, value)                                  \
-  do {                                                                   \
-    if (auto* obs_t_ = ::easyio::obs::Get())                             \
-      obs_t_->Counter((track), (name), obs_t_->now(),                    \
-                      static_cast<uint64_t>(value));                     \
-  } while (0)
+// Sampled counter sample at the current virtual time.
 #define OBS_COUNTER_SAMPLED(track, name, value)                          \
   do {                                                                   \
     if (auto* obs_t_ = ::easyio::obs::Get(); obs_t_ && obs_t_->Sample()) \
       obs_t_->Counter((track), (name), obs_t_->now(),                    \
                       static_cast<uint64_t>(value));                     \
   } while (0)
-
-#else  // EASYIO_OBS_DISABLED
-
-#define OBS_SPAN(track, name) \
-  do {                        \
-  } while (0)
-#define OBS_SPAN_SAMPLED(track, name) \
-  do {                                \
-  } while (0)
-#define OBS_EVENT(track, name, ...) \
-  do {                              \
-  } while (0)
-#define OBS_EVENT_SAMPLED(track, name, ...) \
-  do {                                      \
-  } while (0)
-#define OBS_COUNTER(track, name, value) \
-  do {                                  \
-  } while (0)
-#define OBS_COUNTER_SAMPLED(track, name, value) \
-  do {                                          \
-  } while (0)
-
-#endif  // EASYIO_OBS_DISABLED
 
 #endif  // EASYIO_OBS_TRACE_H_

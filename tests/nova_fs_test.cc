@@ -408,6 +408,42 @@ TEST(NovaFsTest, BadFdRejected) {
   });
 }
 
+// An op rejected at entry (bad fd, directory, empty buffer) has cost only
+// the syscall entry, and its OpStats say so on every return path.
+TEST(NovaFsTest, OpStatsOnEarlyReturns) {
+  Fx fx;
+  fx.Run([&] {
+    const uint64_t enter = fx.mem.params().syscall_enter_ns;
+    const int closed = *fx.fs.Create("/f");
+    ASSERT_TRUE(fx.fs.Close(closed).ok());
+    ASSERT_TRUE(fx.fs.Mkdir("/d").ok());
+    const int dir = *fx.fs.Open("/d");
+    const int file = *fx.fs.Create("/g");
+    std::vector<std::byte> buf(4096);
+    auto check = [&](const fs::OpStats& st, const char* what) {
+      EXPECT_EQ(st.total_ns, enter) << what;
+      EXPECT_EQ(st.syscall_ns, enter) << what;
+      EXPECT_EQ(st.cpu_ns, enter) << what;
+    };
+    for (const int fd : {closed, dir}) {
+      fs::OpStats st;
+      EXPECT_FALSE(fx.fs.Write(fd, 0, buf, &st).ok());
+      check(st, "write");
+      EXPECT_FALSE(fx.fs.Append(fd, buf, &st).ok());
+      check(st, "append");
+      EXPECT_FALSE(fx.fs.Read(fd, 0, buf, &st).ok());
+      check(st, "read");
+    }
+    fs::OpStats st;
+    EXPECT_EQ(*fx.fs.Write(file, 0, std::span<const std::byte>(), &st), 0u);
+    check(st, "empty write");
+    EXPECT_EQ(*fx.fs.Append(file, std::span<const std::byte>(), &st), 0u);
+    check(st, "empty append");
+    EXPECT_EQ(*fx.fs.Read(file, 0, std::span<std::byte>(), &st), 0u);
+    check(st, "empty read");
+  });
+}
+
 TEST(NovaFsTest, NameTooLongRejected) {
   Fx fx;
   fx.Run([&] {

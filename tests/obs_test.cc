@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -298,8 +299,6 @@ TEST(Tracer, DisabledByDefault) {
   EXPECT_EQ(obs::Get(), nullptr);
   // Macros must be safe to execute with no tracer installed.
   OBS_EVENT(obs::Track(obs::kProcFs, 0), "noop");
-  OBS_COUNTER(obs::Track(obs::kProcFs, 0), "noop", 1);
-  { OBS_SPAN(obs::Track(obs::kProcFs, 0), "noop"); }
   EXPECT_EQ(obs::Get(), nullptr);
 }
 
@@ -411,18 +410,50 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
   cfg.fs = harness::FsKind::kEasy;
   cfg.machine_cores = 4;
   cfg.device_bytes = 256_MB;
+  // Block-aligned writes above one 16K chunk stripe over two channels;
+  // unaligned ones keep the single-channel orderless path.
+  cfg.easy_options.write_stripe_channels = 2;
   harness::Testbed tb(cfg);
+  std::vector<fs::OpStats> ops;  // every op's stats, to match its spans
   {
     sim::TraceSession session(path, /*sample_every=*/1);
+    bool writer_started = false;
     tb.sim().Spawn(0, [&] {
       int fd = *tb.fs().Create("/t");
       std::vector<std::byte> buf(64_KB, std::byte{0x5a});
+      fs::OpStats st;
+      auto write = [&](uint64_t off, std::span<const std::byte> b) {
+        EASYIO_CHECK_OK(tb.fs().Write(fd, off, b, &st).status());
+        ops.push_back(st);
+      };
       for (int i = 0; i < 32; ++i) {
-        EASYIO_CHECK_OK(tb.fs().Write(fd, uint64_t(i) * 64_KB, buf).status());
+        write(uint64_t(i) * 64_KB, buf);
       }
       for (int i = 0; i < 32; ++i) {
-        EASYIO_CHECK_OK(tb.fs().Read(fd, uint64_t(i) * 64_KB, buf).status());
+        EASYIO_CHECK_OK(
+            tb.fs().Read(fd, uint64_t(i) * 64_KB, buf, &st).status());
+        ops.push_back(st);
       }
+      std::vector<std::byte> big(256_KB, std::byte{0x3c});
+      write(0, big);                           // striped
+      write(100, std::span(buf).first(4_KB));  // memcpy
+      EASYIO_CHECK_OK(tb.fs().Append(fd, std::span(buf).first(10000), &st)
+                          .status());
+      ops.push_back(st);
+      // The second task reads this file while the write's DMA is in flight.
+      writer_started = true;
+      write(4_KB + 100, buf);
+    });
+    tb.sim().Spawn(1, [&] {
+      while (!writer_started) {
+        tb.sim().Advance(100);
+      }
+      tb.sim().Advance(2_us);
+      int fd = *tb.fs().Open("/t");
+      std::vector<std::byte> back(64_KB);
+      fs::OpStats st;
+      EASYIO_CHECK_OK(tb.fs().Read(fd, 4_KB, back, &st).status());
+      ops.push_back(st);
     });
     tb.sim().Run();
     EXPECT_GT(session.tracer().event_count(), 0u);
@@ -439,6 +470,7 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
   std::map<std::string, std::vector<Span>> by_id;
   std::map<std::string, Span> open_async;
   std::map<std::string, int> op_names;
+  bool striped_submit = false;
   for (const JsonValue& ev : events->arr) {
     const std::string& ph = ev.Find("ph")->raw;
     if (ph == "X") {
@@ -457,6 +489,9 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
       s.start = TsToNs(ev.Find("ts")->raw);
       s.name = ev.Find("name")->raw;
       open_async[id] = s;
+      const JsonValue* args = ev.Find("args");
+      striped_submit |= s.name == "dma_submit" && args != nullptr &&
+                        args->Find("stripes") != nullptr;
     } else if (ph == "e") {
       const std::string& id = ev.Find("id")->raw;
       auto it = open_async.find(id);
@@ -480,8 +515,9 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
   }
   // The run was 64K EasyIO writes + reads with full sampling: the op spans
   // and their phase sub-spans must all be present.
-  for (const char* name : {"write", "read", "commit", "l1_hold", "dma_submit",
-                           "sn_wait", "xfer_write", "xfer_read", "run"}) {
+  for (const char* name :
+       {"write", "read", "append", "commit", "l1_hold", "l2_wait",
+        "dma_submit", "sn_wait", "xfer_write", "xfer_read", "run"}) {
     bool found = op_names.count(name) > 0;
     for (const auto& [track, spans] : by_track) {
       for (const Span& s : spans) {
@@ -489,6 +525,26 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
       }
     }
     EXPECT_TRUE(found) << "expected span '" << name << "' in the trace";
+  }
+  EXPECT_TRUE(striped_submit) << "no striped dma_submit in the trace";
+
+  // Each phase is timed once for both outputs, so an op's OpStats agree
+  // with its spans: the whole-op span is total_ns, blocked time is exactly
+  // the level-2 and SN waits, and data time covers submission plus SN wait.
+  ASSERT_EQ(ops.size(), 69u);
+  for (const fs::OpStats& st : ops) {
+    ASSERT_NE(st.trace_op_id, 0u);
+    char id[32];
+    std::snprintf(id, sizeof(id), "0x%llx",
+                  static_cast<unsigned long long>(st.trace_op_id));
+    std::map<std::string, uint64_t> dur;
+    for (const Span& s : by_id[id]) {
+      dur[s.name] += s.end - s.start;
+    }
+    const uint64_t whole = dur["write"] + dur["read"] + dur["append"];
+    EXPECT_EQ(whole, st.total_ns) << "op " << id;
+    EXPECT_EQ(st.blocked_ns, dur["l2_wait"] + dur["sn_wait"]) << "op " << id;
+    EXPECT_GE(st.data_ns, dur["dma_submit"] + dur["sn_wait"]) << "op " << id;
   }
 }
 

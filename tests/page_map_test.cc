@@ -245,11 +245,8 @@ TEST(PageMapAllocTest, ObsMacrosAllocFreeWhenDisabled) {
     OBS_EVENT(easyio::obs::Track(easyio::obs::kProcFs, 0), "e",
               {"k", static_cast<uint64_t>(i)});
     OBS_EVENT_SAMPLED(easyio::obs::Track(easyio::obs::kProcFs, 0), "es");
-    OBS_COUNTER(easyio::obs::Track(easyio::obs::kProcCores, 0), "c", i);
     OBS_COUNTER_SAMPLED(easyio::obs::Track(easyio::obs::kProcCores, 0), "cs",
                         i);
-    OBS_SPAN(easyio::obs::Track(easyio::obs::kProcCores, 0), "s");
-    OBS_SPAN_SAMPLED(easyio::obs::Track(easyio::obs::kProcCores, 0), "ss");
   }
   g_count_allocs = false;
   EXPECT_EQ(g_alloc_count, 0u)
