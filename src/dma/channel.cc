@@ -23,7 +23,8 @@ void Channel::PersistRecord(uint64_t addr, uint64_t cnt) {
   // Hardware-side update: no CPU cost, but it is a persistence event (the
   // completion buffers live in a persistent region, §4.2).
   CompletionRecord rec{addr, cnt};
-  std::memcpy(mem_->As<CompletionRecord>(record_off_), &rec, sizeof(rec));
+  std::memcpy(mem_->Mutable(record_off_, sizeof(rec)).data(), &rec,
+              sizeof(rec));
   mem_->PersistBarrier();
 }
 
@@ -83,7 +84,8 @@ Sn Channel::Enqueue(Descriptor desc) {
     // suffix.
     pending.inflight_token =
         mem_->RegisterInflightWrite(desc.pmem_off, desc.size);
-    std::memcpy(mem_->raw() + desc.pmem_off, desc.dram, desc.size);
+    std::memcpy(mem_->Mutable(desc.pmem_off, desc.size).data(), desc.dram,
+                desc.size);
   }
   const Sn sn = Sn::Make(id_, pending.cnt, pending.slot);
   pending.desc = std::move(desc);
@@ -346,8 +348,8 @@ void Channel::FailHead() {
   // rolled-back range is stable again).
   if (is_write) {
     if (!head.undo.empty()) {
-      std::memcpy(mem_->raw() + head.desc.pmem_off, head.undo.data(),
-                  head.desc.size);
+      std::memcpy(mem_->Mutable(head.desc.pmem_off, head.desc.size).data(),
+                  head.undo.data(), head.desc.size);
     }
     mem_->CompleteInflightWrite(head.inflight_token);
     head.inflight_token = 0;
@@ -380,8 +382,8 @@ void Channel::RetryHead() {
     // the submitter's buffer is stable until completion by contract).
     head.inflight_token =
         mem_->RegisterInflightWrite(head.desc.pmem_off, head.desc.size);
-    std::memcpy(mem_->raw() + head.desc.pmem_off, head.desc.dram,
-                head.desc.size);
+    std::memcpy(mem_->Mutable(head.desc.pmem_off, head.desc.size).data(),
+                head.desc.dram, head.desc.size);
   }
   // Software restart: doorbell cost for the re-submission, and the record's
   // error status is acknowledged/cleared.

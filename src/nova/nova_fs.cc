@@ -38,10 +38,13 @@ Status NovaFs::Format() {
   if (layout_.block_count < 16) {
     return InvalidArgument("device too small");
   }
-  // Zero the metadata regions (fresh media may carry stale state).
-  std::memset(mem_->raw() + layout_.comp_region_off, 0,
-              layout_.inode_table_off + layout_.inode_count * kPInodeSize -
-                  layout_.comp_region_off);
+  // Zero the metadata regions: a device formatted before carries stale
+  // state. Zero() skips the pages nothing has written, which are zero by
+  // construction; every stale byte sits in a written page and is cleared. On
+  // a fresh device the clear writes nothing.
+  mem_->Zero(layout_.comp_region_off,
+             layout_.inode_table_off + layout_.inode_count * kPInodeSize -
+                 layout_.comp_region_off);
 
   Superblock sb{};
   sb.magic = kMagic;
@@ -415,12 +418,12 @@ void NovaFs::FillWriteEdges(Inode& in, uint64_t off, size_t n,
     const uint64_t dst = block_of(pg) + in_page_off;
     if (mapped) {
       // pmem-to-pmem preserve copy; charged as CPU data movement.
-      std::memcpy(mem_->raw() + dst, mem_->raw() + src_block + in_page_off,
-                  bytes);
+      std::memcpy(mem_->Mutable(dst, bytes).data(),
+                  mem_->raw() + src_block + in_page_off, bytes);
       Charge(stats, &fs::OpStats::data_ns,
              TransferNs(bytes, params().cpu_read_cap.at_4k));
     } else {
-      std::memset(mem_->raw() + dst, 0, bytes);
+      mem_->Zero(dst, bytes);
     }
   };
 
@@ -436,8 +439,7 @@ void NovaFs::FillWriteEdges(Inode& in, uint64_t off, size_t n,
   if (end % kBlockSize != 0) {
     const uint64_t zero_from = end % kBlockSize + tail_keep;
     if (zero_from < kBlockSize) {
-      std::memset(mem_->raw() + block_of(last_pg) + zero_from, 0,
-                  kBlockSize - zero_from);
+      mem_->Zero(block_of(last_pg) + zero_from, kBlockSize - zero_from);
     }
   }
 }

@@ -15,11 +15,13 @@
 #ifndef EASYIO_PMEM_SLOW_MEMORY_H_
 #define EASYIO_PMEM_SLOW_MEMORY_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,14 +38,17 @@ namespace easyio::pmem {
 // device costs a page-table entry, not a half-gigabyte memset. Benchmarks pay
 // for the pages the workload actually touches, nothing more.
 //
-// Mappings are recycled, never unmapped. The destructor scrubs its mapping
-// back to all-zero and parks it in a process-wide pool; the constructor takes
-// the parked mapping of exactly `size` bytes with the most pages still
-// mapped, else mmaps a new one. The scrub memsets the pages that are resident
-// and hold data, so they stay mapped for the next owner, and discards every
-// other page. A device therefore always starts all-zero, whichever mapping it
-// gets, and what a parked mapping keeps resident is exactly what its last
-// owner dirtied.
+// The bytes are read-only except through Mutable(), which marks every 4 KiB
+// page it hands out in a dirty bitmap that belongs to the mapping. Because
+// the types force every write through that call, a page the bitmap does not
+// mark is zero, without reading it; that holds for a swapped-out page too.
+//
+// Mappings are recycled, never unmapped, and keep every page they ever
+// mapped. The destructor memsets exactly the marked pages back to zero, in
+// coalesced runs, clears the bitmap and parks the mapping in a process-wide
+// pool. The constructor takes the parked mapping of exactly `size` bytes
+// that holds the most pages, else mmaps a new one. A device therefore always
+// starts all-zero with a clear bitmap, whichever mapping it gets.
 class ZeroMappedBytes {
  public:
   explicit ZeroMappedBytes(size_t size);
@@ -52,19 +57,40 @@ class ZeroMappedBytes {
   ZeroMappedBytes(const ZeroMappedBytes&) = delete;
   ZeroMappedBytes& operator=(const ZeroMappedBytes&) = delete;
 
-  std::byte* data() { return data_; }
-  const std::byte* data() const { return data_; }
-  size_t size() const { return size_; }
+  const std::byte* data() const { return m_.data; }
+  size_t size() const { return m_.size; }
 
-  // Exchanges the two mappings; each destructor then parks what it holds.
-  void swap(ZeroMappedBytes& other) noexcept {
-    std::swap(data_, other.data_);
-    std::swap(size_, other.size_);
+  // The writable view of [off, off+n); marks the pages it covers.
+  std::span<std::byte> Mutable(size_t off, size_t n) {
+    assert(off + n <= m_.size);
+    if (n > 0) {
+      for (size_t p = off / kPageBytes; p <= (off + n - 1) / kPageBytes; ++p) {
+        m_.dirty[p / 64] |= uint64_t{1} << (p % 64);
+      }
+    }
+    return {m_.data + off, n};
   }
 
+  // Zeroes [off, off+n), writing only to marked pages: the rest are zero.
+  void Zero(size_t off, size_t n);
+
+  // Exchanges the two mappings with their bitmaps; each destructor then
+  // scrubs and parks what it holds.
+  void swap(ZeroMappedBytes& other) noexcept { std::swap(m_, other.m_); }
+
  private:
-  std::byte* data_ = nullptr;
-  size_t size_ = 0;
+  static constexpr size_t kPageBytes = 4096;
+
+  struct Mapping {
+    std::byte* data = nullptr;
+    size_t size = 0;
+    std::vector<uint64_t> dirty;  // pages written by the current owner
+    std::vector<uint64_t> held;   // pages written by any owner: mapped
+    size_t held_pages = 0;        // popcount of `held`, as of the last park
+  };
+  class Pool;
+
+  Mapping m_;
 };
 
 class SlowMemory {
@@ -78,17 +104,22 @@ class SlowMemory {
   const MediaParams& params() const { return params_; }
   sim::Simulation* simulation() const { return sim_; }
 
-  // Raw typed access to the persistent array (zero simulated cost; callers
-  // charge their own modeled costs).
-  template <typename T>
-  T* As(uint64_t offset) {
-    return reinterpret_cast<T*>(data_.data() + offset);
-  }
+  // Raw access to the persistent array (zero simulated cost; callers charge
+  // their own modeled costs). Reads are direct; every write goes through
+  // Mutable() or Zero(), so that the backing store knows which pages to
+  // scrub when the device is released (see ZeroMappedBytes).
   template <typename T>
   const T* As(uint64_t offset) const {
     return reinterpret_cast<const T*>(data_.data() + offset);
   }
-  std::byte* raw() { return data_.data(); }
+  const std::byte* raw() const { return data_.data(); }
+  // The only writable view of the array: [offset, offset+n), marked.
+  std::span<std::byte> Mutable(uint64_t offset, size_t n) {
+    return data_.Mutable(offset, n);
+  }
+  // Zeroes [offset, offset+n) at the cost of only the pages ever written:
+  // on a fresh device it writes nothing.
+  void Zero(uint64_t offset, size_t n) { data_.Zero(offset, n); }
 
   // ---- CPU data path (must be called from inside a task) ----
   // Synchronous copies through load/store: the calling task's core is held
@@ -154,11 +185,11 @@ class SlowMemory {
 
   // Hand-off: makes `crashed`'s post-crash image this device's contents.
   // Rolls `crashed`'s in-flight writes back in place, then swaps the two
-  // backing stores, so `crashed` ends up holding this device's fresh
-  // all-zero mapping and no in-flight writes. Its simulation, flows and
-  // suspended tasks may still be torn down afterwards; anything they touch
-  // lands in that spare mapping. Requires equal sizes and no in-flight
-  // writes on this device.
+  // backing stores with their dirty bitmaps, so `crashed` ends up holding
+  // this device's fresh all-zero mapping and no in-flight writes. Its
+  // simulation, flows and suspended tasks may still be torn down afterwards;
+  // anything they touch lands, marked, in that spare mapping. Requires equal
+  // sizes and no in-flight writes on this device.
   void AdoptCrashImage(SlowMemory& crashed);
 
  private:
@@ -166,9 +197,10 @@ class SlowMemory {
   double WriteDerate() const;
   void CrossPoke(sim::FlowResource* target, double* last_util,
                  sim::FlowResource* source, double source_total);
-  // Overwrites each in-flight write's non-durable suffix in `image` (a
-  // device-sized buffer holding this device's contents) with its undo bytes.
-  void RollBackInflight(std::byte* image) const;
+  // Calls restore(off, undo, n) for each in-flight write whose last n bytes,
+  // at `off`, are not yet durable and must read as `undo` in a crash image.
+  template <typename Fn>
+  void ForEachRollback(Fn restore) const;
 
   struct Inflight {
     uint64_t dst_off;

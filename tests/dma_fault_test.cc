@@ -15,6 +15,7 @@
 #include "src/dma/dma_engine.h"
 #include "src/dma/fault_plan.h"
 #include "src/harness/testbed.h"
+#include "src/nova/nova_fs.h"
 #include "src/pmem/slow_memory.h"
 #include "src/sim/simulation.h"
 
@@ -27,6 +28,7 @@ using harness::Testbed;
 using harness::TestbedConfig;
 using pmem::MediaParams;
 using pmem::SlowMemory;
+using pmem::ZeroMappedBytes;
 using sim::Simulation;
 
 constexpr uint64_t kRecordOff = 0;
@@ -162,7 +164,7 @@ TEST(TransferErrorTest, PlainWaitReportsErrorAndRollsBackDestination) {
   FaultPlan plan;
   plan.errors.push_back({0, 0, 1});
   Fixture f(std::move(plan));
-  std::memset(f.mem.raw() + kDataOff, 0xAA, 16_KB);
+  std::memset(f.mem.Mutable(kDataOff, 16_KB).data(), 0xAA, 16_KB);
   const auto src = Pattern(16_KB, 3);
   f.sim.Spawn(0, [&] {
     Channel& ch = f.engine.channel(0);
@@ -660,6 +662,125 @@ TEST(FsFaultTest, NovaDmaBaselineRecoversFromTransferError) {
   }
   EXPECT_EQ(errors, 1u);
   EXPECT_EQ(retries, 1u);
+}
+
+// ---------------------------------------------------------------- scrubbing
+
+// A released device's mapping must come back all-zero, so every path that
+// writes device bytes has to mark the pages it touches. The devices here
+// have a size no other test uses, so the pool holds only this test's two
+// mappings: the junk-loaded device's, which the crashed device reuses
+// (no later write then covers another path's pages), and the recovery
+// device's. Taking both back checks each of them.
+TEST(ScrubTest, EveryWritePathIsScrubbed) {
+  constexpr size_t kSize = 20_MB + 12_KB;
+  const auto pattern = Pattern(192_KB, 11);
+  auto write = [](uint64_t pmem_off, const std::byte* src, uint32_t size) {
+    Descriptor d;
+    d.dir = Descriptor::Dir::kWrite;
+    d.pmem_off = pmem_off;
+    d.dram = const_cast<std::byte*>(src);
+    d.size = size;
+    return d;
+  };
+  {
+    // NOVA on a device loaded with junk, as if it had been used before:
+    // Format must clear the metadata, and unaligned writes must zero the
+    // junk around their bytes in a fresh block.
+    Simulation sim({.num_cores = 1});
+    SlowMemory mem(&sim, MediaParams::OneNode(), kSize);
+    mem.LoadImage(std::vector<std::byte>(kSize, std::byte{0xee}));
+    nova::NovaFs fs(&mem, {});
+    ASSERT_TRUE(fs.Format().ok());
+    const std::span<const std::byte> first(pattern.data(), 1000);
+    const std::span<const std::byte> second(pattern.data() + 4_KB, 500);
+    std::vector<std::byte> got(2500);
+    sim.Spawn(0, [&] {
+      const int fd = *fs.Create("/f");
+      // The first write finds a hole and zero-fills around itself; the
+      // second copies the first's block and zero-fills its own tail.
+      EASYIO_CHECK_OK(fs.Write(fd, 100, first).status());
+      EASYIO_CHECK_OK(fs.Write(fd, 2000, second).status());
+      EASYIO_CHECK_OK(fs.Read(fd, 0, got).status());
+    });
+    sim.Run();
+    std::vector<std::byte> want(2500);
+    std::copy(first.begin(), first.end(), want.begin() + 100);
+    std::copy(second.begin(), second.end(), want.begin() + 2000);
+    EXPECT_EQ(got, want);
+    nova::NovaFs mounted(&mem, {});
+    EXPECT_TRUE(mounted.Mount().ok());
+  }
+  {
+    // Pages of their own for each path, apart from the completion records
+    // at offset 0.
+    constexpr uint64_t kCpu = 16_KB;
+    constexpr uint64_t kMeta = 32_KB;
+    constexpr uint64_t kDma = 48_KB;
+    constexpr uint64_t kRetried = 64_KB;
+    constexpr uint64_t kFailed = 128_KB;  // 64 KiB
+    FaultPlan plan;
+    plan.errors.push_back({/*channel=*/0, /*ordinal=*/1, /*count=*/1});
+    plan.errors.push_back({/*channel=*/1, /*ordinal=*/0, /*count=*/1});
+    Simulation sim({.num_cores = 1});
+    SlowMemory crashed(&sim, MediaParams::OneNode(), kSize);
+    crashed.EnableCrashTracking();
+    FaultInjector injector(std::move(plan));
+    DmaEngine engine(&crashed, kRecordOff, /*channels=*/2);
+    engine.AttachFaultInjector(&injector);
+    Simulation sim2({.num_cores = 1});
+    SlowMemory recovered(&sim2, MediaParams::OneNode(), kSize);
+    sim.Spawn(0, [&] {
+      Channel& ch0 = engine.channel(0);
+      Channel& ch1 = engine.channel(1);
+      crashed.CpuWrite(kCpu, pattern.data(), 4_KB);
+      const uint64_t value = 0x5ca1ab1e;
+      crashed.MetaWrite(kMeta, &value, sizeof(value));
+      EXPECT_EQ(ch0.WaitSn(ch0.Submit(write(kDma, pattern.data(), 4_KB))),
+                DmaResult::kOk);
+      // Channel 0's next transfer fails and is rolled back; it halts.
+      const Sn retried =
+          ch0.Submit(write(kRetried, pattern.data() + 4_KB, 4_KB));
+      EXPECT_EQ(ch0.WaitSn(retried), DmaResult::kError);
+      // The device crashes halfway through channel 1's transfer over old
+      // contents. The recovery device takes the mapping, rolled back;
+      // `crashed` carries on in the recovery device's fresh one, where
+      // channel 0's re-stage and channel 1's error rollback then land.
+      crashed.CpuWrite(kFailed, pattern.data() + 64_KB, 64_KB);
+      ch1.Submit(write(kFailed, pattern.data() + 128_KB, 64_KB));
+      sim.SleepFor(4_us);
+      recovered.AdoptCrashImage(crashed);
+      EXPECT_EQ(ch0.WaitSnRecover(retried), DmaResult::kOk);
+    });
+    sim.Run();
+    EXPECT_EQ(engine.channel(0).retries(), 1u);
+    EXPECT_EQ(engine.channel(1).transfer_errors(), 1u);
+    // The crash image kept a durable prefix of channel 1's transfer and
+    // rolled the rest back; the error then restored all old contents.
+    const std::byte* image = recovered.raw() + kFailed;
+    const std::byte* old = pattern.data() + 64_KB;
+    const std::byte* payload = pattern.data() + 128_KB;
+    size_t prefix = 0;
+    while (prefix < 64_KB && image[prefix] == payload[prefix]) {
+      prefix++;
+    }
+    EXPECT_GT(prefix, 0u);
+    EXPECT_LT(prefix, 64_KB);
+    EXPECT_EQ(std::memcmp(image + prefix / 64 * 64, old + prefix / 64 * 64,
+                          64_KB - prefix / 64 * 64),
+              0);
+    EXPECT_EQ(std::memcmp(crashed.raw() + kFailed, old, 64_KB), 0);
+    EXPECT_EQ(std::memcmp(crashed.raw() + kRetried, pattern.data() + 4_KB,
+                          4_KB),
+              0);
+  }
+  const ZeroMappedBytes parked[] = {ZeroMappedBytes(kSize),
+                                    ZeroMappedBytes(kSize)};
+  for (const ZeroMappedBytes& bytes : parked) {
+    const std::byte* p = bytes.data();
+    EXPECT_TRUE(p[0] == std::byte{0} &&
+                std::memcmp(p, p + 1, bytes.size() - 1) == 0);
+  }
 }
 
 }  // namespace

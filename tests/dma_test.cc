@@ -80,7 +80,7 @@ TEST(ChannelTest, WriteMovesDataAndCompletes) {
 
 TEST(ChannelTest, ReadMovesDataToDram) {
   Fixture f;
-  std::memset(f.mem.raw() + kDataOff, 0x5A, 8_KB);
+  std::memset(f.mem.Mutable(kDataOff, 8_KB).data(), 0x5A, 8_KB);
   std::vector<unsigned char> dst(8_KB, 0);
   f.sim.Spawn(0, [&] {
     Descriptor d;
@@ -310,7 +310,7 @@ TEST(ChannelTest, WaitersWakeInSnOrder) {
 TEST(ChannelTest, CrashRollbackOfInflightDma) {
   Fixture f;
   f.mem.EnableCrashTracking();
-  std::memset(f.mem.raw() + kDataOff, 0x33, 1_MB);
+  std::memset(f.mem.Mutable(kDataOff, 1_MB).data(), 0x33, 1_MB);
   std::vector<char> src(1_MB, 0x44);
   f.sim.Spawn(0, [&] {
     Descriptor d{Descriptor::Dir::kWrite, kDataOff, src.data(), 1_MB, {}};

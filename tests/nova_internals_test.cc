@@ -220,7 +220,8 @@ TEST(JournalTest, RecoverReplaysCommittedRecord) {
   rec.writes[0] = {2_MB, 0xabcd};
   rec.csum = rec.ComputeCsum();
   rec.state = 1;
-  std::memcpy(mem.As<JournalRecord>(kBlockSize), &rec, sizeof(rec));
+  std::memcpy(mem.Mutable(kBlockSize, sizeof(rec)).data(), &rec,
+              sizeof(rec));
   EXPECT_EQ(Journal::Recover(&mem, 0, 4), 1);
   EXPECT_EQ(*mem.As<uint64_t>(2_MB), 0xabcdu);
   EXPECT_EQ(mem.As<JournalRecord>(kBlockSize)->state, 0u);
@@ -234,7 +235,7 @@ TEST(JournalTest, RecoverIgnoresUncommitted) {
   rec.writes[0] = {2_MB, 0xabcd};
   rec.csum = rec.ComputeCsum();
   rec.state = 0;  // never committed
-  std::memcpy(mem.As<JournalRecord>(0), &rec, sizeof(rec));
+  std::memcpy(mem.Mutable(0, sizeof(rec)).data(), &rec, sizeof(rec));
   EXPECT_EQ(Journal::Recover(&mem, 0, 4), 0);
   EXPECT_EQ(*mem.As<uint64_t>(2_MB), 0u);
 }
@@ -247,7 +248,7 @@ TEST(JournalTest, RecoverDiscardsTornRecord) {
   rec.writes[0] = {2_MB, 0xabcd};
   rec.csum = 0xdeadbeef;  // wrong
   rec.state = 1;
-  std::memcpy(mem.As<JournalRecord>(0), &rec, sizeof(rec));
+  std::memcpy(mem.Mutable(0, sizeof(rec)).data(), &rec, sizeof(rec));
   EXPECT_EQ(Journal::Recover(&mem, 0, 4), 0);
   EXPECT_EQ(*mem.As<uint64_t>(2_MB), 0u);
   EXPECT_EQ(mem.As<JournalRecord>(0)->state, 0u);  // cleaned up

@@ -119,7 +119,7 @@ TEST(SlowMemoryTest, ConcurrentCpuWritersContend) {
 TEST(SlowMemoryTest, CpuReadMovesData) {
   Simulation sim({.num_cores = 1});
   SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
-  std::memset(mem.raw() + 4096, 0xAB, 4096);
+  std::memset(mem.Mutable(4096, 4096).data(), 0xAB, 4096);
   std::vector<unsigned char> dst(4096, 0);
   sim.Spawn(0, [&] { mem.CpuRead(dst.data(), 4096, 4096); });
   sim.Run();
@@ -158,7 +158,7 @@ TEST(SlowMemoryTest, CrashImageRollsBackInflightWrite) {
   Simulation sim({.num_cores = 1});
   SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
   mem.EnableCrashTracking();
-  std::memset(mem.raw(), 0x11, 64_KB);  // old contents
+  std::memset(mem.Mutable(0, 64_KB).data(), 0x11, 64_KB);  // old contents
   std::vector<char> src(64_KB, 0x22);
   sim.Spawn(0, [&] { mem.CpuWrite(0, src.data(), src.size()); });
   // Stop mid-transfer: the 64K write takes ~17us at 3.6 GiB/s.
@@ -189,7 +189,7 @@ TEST(SlowMemoryTest, AdoptCrashImageRollsBackInflightWrite) {
   Simulation sim({.num_cores = 1});
   SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
   mem.EnableCrashTracking();
-  std::memset(mem.raw(), 0x11, 64_KB);
+  std::memset(mem.Mutable(0, 64_KB).data(), 0x11, 64_KB);
   std::vector<char> src(64_KB, 0x22);
   sim.Spawn(0, [&] { mem.CpuWrite(0, src.data(), src.size()); });
   sim.RunUntil(8_us);
@@ -244,14 +244,15 @@ TEST(ZeroMappedBytesTest, RecycledMappingReadsZero) {
     // Dirty scattered pages, some only partly, and read-touch others.
     unsigned sum = 0;
     for (size_t off = 0; off < bytes.size(); off += 96_KB) {
-      std::memset(bytes.data() + off, 0xa5, (off / 96_KB) % 3 == 0 ? 4_KB : 1);
+      const size_t n = (off / 96_KB) % 3 == 0 ? 4_KB : 1;
+      std::memset(bytes.Mutable(off, n).data(), 0xa5, n);
       sum += static_cast<unsigned>(bytes.data()[off + 20_KB]);
     }
     EXPECT_EQ(sum, 0u);
-    bytes.data()[bytes.size() - 1] = std::byte{1};
+    bytes.Mutable(bytes.size() - 1, 1)[0] = std::byte{1};
   }
   // The pool hands back a released 4 MiB mapping, scrubbed: the one above
-  // unless another parked one kept more pages mapped.
+  // unless another parked one holds more pages.
   ZeroMappedBytes again(4_MB);
   EXPECT_TRUE(AllZero(again));
 
@@ -271,7 +272,7 @@ TEST(ZeroMappedBytesTest, ConcurrentReleaseAndReuse) {
         ZeroMappedBytes bytes(cycle % 2 == 0 ? 256_KB : 384_KB);
         failures[t] += !AllZero(bytes);
         for (size_t off = 0; off < bytes.size(); off += 20_KB) {
-          bytes.data()[off] = mark;
+          bytes.Mutable(off, 1)[0] = mark;
         }
         for (size_t off = 0; off < bytes.size(); off += 20_KB) {
           failures[t] += bytes.data()[off] != mark;

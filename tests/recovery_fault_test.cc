@@ -36,6 +36,12 @@ struct Fx {
     return fs.layout();
   }
 
+  // A writable view of the on-media T at `off`, for corrupting it.
+  template <typename T>
+  T* Poke(uint64_t off) {
+    return reinterpret_cast<T*>(mem.Mutable(off, sizeof(T)).data());
+  }
+
   Status Mount() {
     NovaFs fs2(&mem, {});
     return fs2.Mount();
@@ -51,7 +57,7 @@ TEST(RecoveryFaultTest, CleanImageMounts) {
 TEST(RecoveryFaultTest, SuperblockMagicCorruption) {
   Fx fx;
   fx.Populate();
-  fx.mem.raw()[3] ^= std::byte{0xff};
+  *fx.Poke<std::byte>(3) ^= std::byte{0xff};
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 
@@ -61,7 +67,7 @@ TEST(RecoveryFaultTest, SuperblockFieldCorruption) {
   (void)layout;
   // Flip a byte inside the layout fields but leave the magic intact: the
   // checksum must catch it.
-  auto* sb = fx.mem.As<Superblock>(0);
+  auto* sb = fx.Poke<Superblock>(0);
   sb->inode_count ^= 1;
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
@@ -74,7 +80,7 @@ TEST(RecoveryFaultTest, TornCommittedLogEntry) {
   const auto* root = fx.mem.As<PInode>(layout.inode_table_off);
   ASSERT_NE(root->log_head, 0u);
   const uint64_t entry_off = root->log_head + kLogEntrySize;
-  auto* e = fx.mem.As<DentryEntry>(entry_off);
+  auto* e = fx.Poke<DentryEntry>(entry_off);
   ASSERT_EQ(static_cast<EntryType>(e->type), EntryType::kDentryAdd);
   e->name[0] ^= 0x7f;
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
@@ -84,7 +90,7 @@ TEST(RecoveryFaultTest, GarbageEntryTypeBeforeTail) {
   Fx fx;
   const Layout layout = fx.Populate();
   const auto* root = fx.mem.As<PInode>(layout.inode_table_off);
-  auto* type = fx.mem.As<uint8_t>(root->log_head + kLogEntrySize);
+  auto* type = fx.Poke<uint8_t>(root->log_head + kLogEntrySize);
   *type = 0xEE;  // not a valid EntryType
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
@@ -93,8 +99,8 @@ TEST(RecoveryFaultTest, BrokenLogChain) {
   Fx fx;
   const Layout layout = fx.Populate();
   // Point the root tail beyond the first page but cut the chain.
-  auto* root = fx.mem.As<PInode>(layout.inode_table_off);
-  auto* hdr = fx.mem.As<LogPageHeader>(root->log_head);
+  auto* root = fx.Poke<PInode>(layout.inode_table_off);
+  auto* hdr = fx.Poke<LogPageHeader>(root->log_head);
   // Force a tail in a nonexistent second page.
   root->log_tail = root->log_head + kBlockSize + 5 * kLogEntrySize;
   hdr->next_page = 0;
@@ -112,7 +118,7 @@ TEST(RecoveryFaultTest, UncommittedTailGarbageIsIgnored) {
   const uint64_t page = root->log_tail / kBlockSize * kBlockSize;
   for (uint64_t off = root->log_tail;
        off + kLogEntrySize <= page + kBlockSize; ++off) {
-    *fx.mem.As<uint8_t>(off) = static_cast<uint8_t>(rng.Next());
+    *fx.Poke<uint8_t>(off) = static_cast<uint8_t>(rng.Next());
   }
   EXPECT_TRUE(fx.Mount().ok());
 }
@@ -122,7 +128,7 @@ TEST(RecoveryFaultTest, DanglingDentryDetected) {
   const Layout layout = fx.Populate();
   // Invalidate /a's inode while leaving the root dentry in place.
   // Slot 1 holds the first allocated inode (/a, ino 2).
-  auto* pi = fx.mem.As<PInode>(layout.inode_table_off + kPInodeSize);
+  auto* pi = fx.Poke<PInode>(layout.inode_table_off + kPInodeSize);
   ASSERT_TRUE(pi->valid());
   ASSERT_FALSE(pi->is_dir());
   pi->flags = 0;
