@@ -10,6 +10,7 @@
 //   4. memcpy write bandwidth *declines* as cores are added.
 
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -77,8 +78,10 @@ double RunDma(bool is_write, uint64_t io_size, int cores, int batch) {
           descs.push_back(std::move(d));
           off = (off + io_size) % kRegionPerWorker;
         }
-        auto sns = engine.channel(0).SubmitBatch(std::move(descs));
-        engine.channel(0).WaitSnBusy(sns.back());
+        std::vector<dma::Sn> sns;
+        engine.channel(0).SubmitBatch(std::span<dma::Descriptor>(descs), &sns);
+        engine.channel(0).WaitSnRecover(sns.back(),
+                                        dma::RetryPolicy{.busy = true});
         bytes_done += io_size * static_cast<uint64_t>(batch);
       }
     });

@@ -9,6 +9,7 @@
 // blocking in the hardware queue).
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "bench/bench_util.h"
 #include "src/common/units.h"
 #include "src/dma/dma_engine.h"
+#include "src/harness/scenario_runner.h"
 #include "src/obs/trace.h"
 #include "src/pmem/slow_memory.h"
 #include "src/sim/obs_session.h"
@@ -49,11 +51,10 @@ std::vector<double> RunTimeline(BgMode mode, const bench::Flags* flags) {
     std::vector<std::byte> buf(64_KB);
     while (!stop) {
       const sim::SimTime t0 = sim.now();
-      dma::Descriptor d{dma::Descriptor::Dir::kRead, 64_MB, buf.data(),
-                        64_KB, {}};
+      dma::Descriptor d{dma::Descriptor::Dir::kRead, 64_MB, buf.data(), 64_KB};
       dma::Channel& ch = engine.channel(0);
       const dma::Sn sn = ch.Submit(std::move(d));
-      ch.WaitSnBusy(sn);
+      ch.WaitSnRecover(sn, dma::RetryPolicy{.busy = true});
       const uint64_t lat = sim.now() - t0;
       // Per-op async span so the interference spike is visible as a band of
       // widening fg_read spans in Perfetto (the JSON the issue's acceptance
@@ -89,7 +90,7 @@ std::vector<double> RunTimeline(BgMode mode, const bench::Flags* flags) {
           dma::Channel& ch =
               engine.channel(mode == BgMode::kDmaShared ? 0 : 1);
           dma::Descriptor d{dma::Descriptor::Dir::kWrite, 128_MB,
-                            bulk.data(), 2_MB, {}};
+                            bulk.data(), 2_MB};
           const dma::Sn sn = ch.Submit(std::move(d));
           ch.WaitSn(sn);
           break;
@@ -116,15 +117,24 @@ int main(int argc, char** argv) {
   using namespace easyio;
   // --trace=<path> records the DMA-SH run (the interesting one: shared-
   // channel head-of-line blocking); default sampling keeps the file small.
-  const bench::Flags flags = bench::ParseFlags(
-      argc, argv, bench::Flags::kTrace, /*default_trace_sample=*/16);
+  // The tracer is per thread and the session is created inside the
+  // scenario job, so it traces exactly that simulation at any --jobs.
+  const bench::Flags flags =
+      bench::ParseFlags(argc, argv, bench::Flags::kJobs | bench::Flags::kTrace,
+                        /*default_trace_sample=*/16);
   bench::PrintHeader(
       "Figure 4: foreground 64K DMA-read latency vs background bulk mover\n"
       "(GC active during [2s,4s) and [6s,8s); avg latency per 0.5s, us)");
-  const auto memcpy_tl = RunTimeline(BgMode::kMemcpy, nullptr);
-  const auto ex_tl = RunTimeline(BgMode::kDmaExclusive, nullptr);
-  const auto sh_tl =
-      RunTimeline(BgMode::kDmaShared, flags.tracing() ? &flags : nullptr);
+  const BgMode modes[] = {BgMode::kMemcpy, BgMode::kDmaExclusive,
+                          BgMode::kDmaShared};
+  const auto timelines =
+      harness::RunIndexed(flags.jobs, std::size(modes), [&](size_t i) {
+        const bool traced = modes[i] == BgMode::kDmaShared && flags.tracing();
+        return RunTimeline(modes[i], traced ? &flags : nullptr);
+      });
+  const auto& memcpy_tl = timelines[0];
+  const auto& ex_tl = timelines[1];
+  const auto& sh_tl = timelines[2];
   std::printf("%6s %12s %12s %12s\n", "t(s)", "BG-Memcpy", "BG-DMA-EX",
               "BG-DMA-SH");
   for (size_t i = 0; i < memcpy_tl.size(); ++i) {

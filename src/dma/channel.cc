@@ -113,12 +113,6 @@ void Channel::SubmitBatch(std::span<Descriptor> descs, std::vector<Sn>* sns) {
   MaybeStart();
 }
 
-std::vector<Sn> Channel::SubmitBatch(std::vector<Descriptor> descs) {
-  std::vector<Sn> sns;
-  SubmitBatch(std::span<Descriptor>(descs), &sns);
-  return sns;
-}
-
 bool Channel::IsComplete(Sn sn) const {
   return StateOf(sn) == SnState::kComplete;
 }
@@ -156,20 +150,6 @@ DmaResult Channel::WaitSn(Sn sn) {
     }
     waiters_.emplace(sn.seq, sim_->current());
     sim_->Block();
-  }
-}
-
-DmaResult Channel::WaitSnBusy(Sn sn) {
-  while (true) {
-    const SnState s = StateOf(sn);
-    if (s == SnState::kComplete) {
-      return DmaResult::kOk;
-    }
-    if (s == SnState::kError) {
-      return DmaResult::kError;
-    }
-    waiters_.emplace(sn.seq, sim_->current());
-    sim_->BlockHoldingCore();
   }
 }
 
@@ -324,9 +304,6 @@ void Channel::OnTransferDone() {
 
   // Wake SN waiters now covered by the completion record.
   WakeCovered();
-  if (done.desc.on_complete) {
-    done.desc.on_complete();
-  }
   MaybeStart();
 }
 
@@ -421,9 +398,6 @@ void Channel::CompleteHeadBySoftware() {
   bytes_completed_ += done.desc.size;
   descriptors_completed_++;
   WakeCovered();
-  if (done.desc.on_complete) {
-    done.desc.on_complete();
-  }
   MaybeStart();
 }
 

@@ -16,17 +16,17 @@
 // the persistent CompletionRecord covers sn and never reverts (even across
 // a crash, because a new incarnation opens a fresh CNT era above every
 // pre-crash SN). WaitSn parks the calling uthread (asynchronous consumption,
-// EasyIO) while WaitSnBusy spins holding the core (synchronous consumption,
-// NOVA-DMA/Fastmove). Suspend/Resume model CHANCMD (74ns each, §4.4): while
-// suspended no new descriptor starts, and an in-flight one either drains or
-// restarts per MediaParams::suspend_restart_threshold.
+// EasyIO); WaitSnRecover with RetryPolicy::busy spins holding the core
+// instead (synchronous consumption, NOVA-DMA/Fastmove). Suspend/Resume
+// model CHANCMD (74ns each, §4.4): while suspended no new descriptor
+// starts, and an in-flight one either drains or restarts per
+// MediaParams::suspend_restart_threshold.
 
 #ifndef EASYIO_DMA_CHANNEL_H_
 #define EASYIO_DMA_CHANNEL_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <span>
 #include <vector>
@@ -58,9 +58,6 @@ struct Descriptor {
   uint64_t pmem_off = 0;
   void* dram = nullptr;  // source for writes, destination for reads
   uint32_t size = 0;
-  // Optional notification fired (as a simulation event) right after the
-  // completion record is updated.
-  std::function<void()> on_complete;
 };
 
 class Channel {
@@ -81,11 +78,10 @@ class Channel {
   // calling task. Returns the SN identifying its completion.
   Sn Submit(Descriptor desc);
   // Batch submission: one doorbell, amortized per-descriptor cost
-  // (§2.2: both I/OAT and DSA support batch submission). The span form
-  // consumes the descriptors in place and appends the SNs to *sns (not
-  // cleared), so a caller can reuse its own buffers across operations.
+  // (§2.2: both I/OAT and DSA support batch submission). Consumes the
+  // descriptors in place and appends the SNs to *sns (not cleared), so a
+  // caller can reuse its own buffers across operations.
   void SubmitBatch(std::span<Descriptor> descs, std::vector<Sn>* sns);
-  std::vector<Sn> SubmitBatch(std::vector<Descriptor> descs);
 
   // True once the channel's completion record covers `sn`. Hard-fails (in
   // every build mode) on an SN belonging to a different channel: comparing a
@@ -101,15 +97,13 @@ class Channel {
   // already has. Returns kError (instead of blocking forever) if the channel
   // halts on a transfer error while the caller waits.
   DmaResult WaitSn(Sn sn);
-  // Busy-polling variant: the calling task keeps its core occupied while
-  // waiting (how a synchronous filesystem like Fastmove/NOVA-DMA consumes
-  // DMA completions).
-  DmaResult WaitSnBusy(Sn sn);
-  // Recovery-driving wait: like WaitSn/WaitSnBusy, but when the channel
-  // halts on a failed descriptor the calling task re-submits it (bounded
-  // attempts, exponential backoff) and finally falls back to a synchronous
-  // CPU copy, so this call always returns kOk with `sn` durable. With no
-  // fault injector attached it behaves exactly like the plain waits.
+  // Recovery-driving wait: like WaitSn, but when the channel halts on a
+  // failed descriptor the calling task re-submits it (bounded attempts,
+  // exponential backoff) and finally falls back to a synchronous CPU copy,
+  // so this call always returns kOk with `sn` durable. With no fault
+  // injector attached it behaves exactly like WaitSn, or with policy.busy
+  // like a busy-polling wait that keeps the core occupied (how a
+  // synchronous filesystem like Fastmove/NOVA-DMA consumes completions).
   DmaResult WaitSnRecover(Sn sn, const RetryPolicy& policy = {});
 
   // Outstanding descriptors (queued + in flight). Listing 2's admission

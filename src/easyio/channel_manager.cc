@@ -36,25 +36,6 @@ dma::Channel* ChannelManager::PickWriteChannel() {
   return best;  // nullptr only when every L channel is quarantined
 }
 
-void ChannelManager::PickWriteChannels(int k, std::vector<dma::Channel*>* out) {
-  out->clear();
-  for (int i = 0; i < options_.num_l_channels; ++i) {
-    dma::Channel& c = engine_->channel(i);
-    if (!health_[c.id()].quarantined) {
-      out->push_back(&c);
-    }
-  }
-  // Least-loaded first (stable: ties keep channel-index order, so the pick
-  // is deterministic), truncated to k.
-  std::stable_sort(out->begin(), out->end(),
-                   [](const dma::Channel* a, const dma::Channel* b) {
-                     return a->queue_depth() < b->queue_depth();
-                   });
-  if (out->size() > static_cast<size_t>(k)) {
-    out->resize(static_cast<size_t>(k));
-  }
-}
-
 dma::Channel* ChannelManager::PickReadChannel() {
   // Rotate the scan start so consecutive reads spread over the L channels
   // (a channel is busy with post-descriptor housekeeping after a read even
@@ -100,7 +81,8 @@ dma::Sn ChannelManager::SubmitBulkWrite(uint64_t pmem_off, const void* src,
     batch.push_back(std::move(d));
     done += chunk;
   }
-  auto sns = target->SubmitBatch(std::move(batch));
+  std::vector<dma::Sn> sns;
+  target->SubmitBatch(std::span<dma::Descriptor>(batch), &sns);
   return sns.back();
 }
 

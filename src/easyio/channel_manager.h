@@ -102,9 +102,6 @@ class ChannelManager {
   // Quarantined channels are skipped; nullptr (fall back to memcpy) only
   // when every L channel is quarantined.
   dma::Channel* PickWriteChannel();
-  // Striped variant: appends the `k` least-loaded healthy L channels to
-  // *out (fewer if quarantine leaves fewer; possibly none).
-  void PickWriteChannels(int k, std::vector<dma::Channel*>* out);
   // Listing 2's admission control: an L channel with q_deps < 2, or nullptr
   // (caller falls back to memcpy).
   dma::Channel* PickReadChannel();

@@ -25,8 +25,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "src/easyio/channel_manager.h"
 #include "src/nova/nova_fs.h"
@@ -45,14 +43,6 @@ class EasyIoFs : public nova::NovaFs {
     // quarantined channel skips straight to the fallback.
     int dma_retry_attempts = 3;
     uint64_t dma_retry_backoff_ns = 2'000;
-
-    // Striping: >1 spreads a large block-aligned orderless write over that
-    // many L channels in stripe_chunk_bytes pieces. Durability then depends
-    // on *every* channel's completion record covering its own last SN —
-    // per-channel SN monotonicity says nothing across channels, so the wait
-    // and the inode's level-2 state track one SN per channel used.
-    int write_stripe_channels = 1;
-    uint64_t stripe_chunk_bytes = 16 * 1024;
   };
 
   EasyIoFs(pmem::SlowMemory* mem, const nova::NovaFs::Options& options,
@@ -88,22 +78,12 @@ class EasyIoFs : public nova::NovaFs {
   Status FsyncInternal(Inode& in) override;
 
  private:
-  using ChanSn = std::pair<dma::Channel*, dma::Sn>;
-
   // All write paths enter with the level-1 lock held; `l1_start` is its
   // acquisition time, so the path can attribute the full lock-hold window to
   // the traced op when it releases the lock.
   StatusOr<size_t> WriteOrderless(Inode& in, uint64_t off,
                                   std::span<const std::byte> buf,
                                   fs::OpStats* stats, sim::SimTime l1_start);
-  // Striped orderless write (write_stripe_channels > 1, block-aligned):
-  // chunks round-robin over several L channels, one log entry + SN per
-  // chunk, and a per-channel last-SN wait.
-  StatusOr<size_t> WriteOrderlessStriped(Inode& in, uint64_t off,
-                                         std::span<const std::byte> buf,
-                                         fs::OpStats* stats,
-                                         sim::SimTime l1_start,
-                                         std::vector<dma::Channel*>&& chans);
   StatusOr<size_t> WriteNaive(Inode& in, uint64_t off,
                               std::span<const std::byte> buf,
                               fs::OpStats* stats, sim::SimTime l1_start);
@@ -121,10 +101,10 @@ class EasyIoFs : public nova::NovaFs {
                             OpScratch& scratch, fs::OpStats* stats);
   // Doorbells scratch.batch on `ch` as one timed batch (dma_submit).
   void SubmitBatch(dma::Channel* ch, OpScratch& scratch, fs::OpStats* stats);
-  // Back in the runtime, the uthread yields and parks until each channel's
-  // completion record covers its SN (§4.1), through retry/fallback and
+  // Back in the runtime, the uthread yields and parks until `ch`'s
+  // completion record covers `sn` (§4.1), through retry/fallback and
   // quarantine reporting. The wait is blocked data time (sn_wait).
-  void WaitSns(std::span<const ChanSn> waits, fs::OpStats* stats);
+  void WaitSn(dma::Channel* ch, dma::Sn sn, fs::OpStats* stats);
   // Ends the level-1 hold taken at `l1_start` (its l1_hold span), drops
   // the write lock and leaves the kernel.
   void ExitWriteLocked(Inode& in, sim::SimTime l1_start, fs::OpStats* stats);

@@ -486,35 +486,25 @@ Status NovaFs::CommitWrite(Inode& in, uint64_t off, size_t n,
 }
 
 void NovaFs::WaitPendingWrite(Inode& in, fs::OpStats* stats) {
-  if (in.pending_channel == nullptr && in.pending_stripes.empty()) {
+  dma::Channel* ch = in.pending_channel;
+  const dma::Sn sn = in.pending_sn;
+  if (ch == nullptr) {
     return;
   }
-  if (in.pending_stripes.empty() && in.pending_channel != nullptr &&
-      in.pending_channel->IsComplete(in.pending_sn)) {
+  if (ch->IsComplete(sn)) {
     in.pending_channel = nullptr;
     in.pending_sn = dma::Sn::None();
     return;
   }
+  // Wait before clearing: a concurrent level-2 waiter that finds the fields
+  // set must also wait, so they stay published until the SN is covered. A
+  // caller without the inode lock (Fsync) can park behind a writer that
+  // publishes a newer SN meanwhile; only clear the pair this call waited on.
   const sim::SimTime t0 = sim_->now();
-  if (in.pending_channel != nullptr) {
-    // Wait before clearing: a concurrent level-2 waiter that finds the
-    // fields set must also wait, so the fields stay published until the SN
-    // is actually covered.
-    dma::Channel* ch = in.pending_channel;
-    const dma::Sn sn = in.pending_sn;
-    ch->WaitSnRecover(sn, recover_policy_);
+  ch->WaitSnRecover(sn, recover_policy_);
+  if (in.pending_channel == ch && in.pending_sn == sn) {
     in.pending_channel = nullptr;
     in.pending_sn = dma::Sn::None();
-  }
-  while (!in.pending_stripes.empty()) {
-    // Same publish-until-covered discipline; the wait can yield, so another
-    // waiter may drain entries concurrently — only remove the entry we
-    // waited on if it is still there.
-    const auto entry = in.pending_stripes.back();
-    entry.first->WaitSnRecover(entry.second, recover_policy_);
-    if (!in.pending_stripes.empty() && in.pending_stripes.back() == entry) {
-      in.pending_stripes.pop_back();
-    }
   }
   if (sim_->now() > t0) {
     Phase(this, stats, "l2_wait", {&fs::OpStats::blocked_ns}, {}, t0);

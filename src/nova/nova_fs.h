@@ -136,14 +136,10 @@ class NovaFs : public fs::FileSystem {
 
     // EasyIO state: the (single) outstanding orderless write (§4.3 ensures
     // at most one per file) and in-flight-read accounting for deferred free.
-    // A striped write spreads its descriptors over several channels;
-    // pending_channel/pending_sn hold the primary channel's last SN and
-    // pending_stripes the other channels' last SNs — durability requires
-    // every channel's record to cover its own SN (per-channel monotonicity
-    // says nothing across channels).
+    // An orderless write puts all its descriptors on one channel, so that
+    // channel's last SN alone says when the write is durable.
     dma::Channel* pending_channel = nullptr;
     dma::Sn pending_sn = dma::Sn::None();
-    std::vector<std::pair<dma::Channel*, dma::Sn>> pending_stripes;
     int pending_reads = 0;
     std::vector<Extent> deferred_free;
 

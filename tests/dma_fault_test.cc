@@ -2,7 +2,7 @@
 // determinism contract, the channel's error/stall/torn-record machinery and
 // its recovery waits, the SN hardening (Pack saturation, cross-channel
 // hard-fail), the channel manager's quarantine, and the filesystem-level
-// recovery paths (retry, CPU fallback, striped multi-channel waits).
+// recovery paths (retry, CPU fallback, last-SN durability waits).
 
 #include <gtest/gtest.h>
 
@@ -420,25 +420,19 @@ TEST(QuarantineTest, FaultStrikesQuarantineThenProbationReleases) {
   EXPECT_TRUE(cm.quarantined(ch0));
   EXPECT_EQ(cm.quarantines(), 1u);
 
-  // No placement lands on the quarantined channel.
+  // No placement lands on the quarantined channel, though it is the
+  // least-loaded-first pick among idle channels.
   for (int i = 0; i < 8; ++i) {
-    EXPECT_NE(cm.PickWriteChannel(), &ch0);
-  }
-  std::vector<Channel*> picks;
-  cm.PickWriteChannels(4, &picks);
-  EXPECT_EQ(picks.size(), 3u);  // 4 L channels minus the quarantined one
-  for (Channel* c : picks) {
-    EXPECT_NE(c, &ch0);
+    Channel* pick = cm.PickWriteChannel();
+    ASSERT_NE(pick, nullptr);
+    EXPECT_NE(pick, &ch0);
   }
 
   // Probation expires after quarantine_ns of virtual time; the channel
-  // rejoins the pick set.
+  // rejoins the pick set (all idle: the tie goes to channel 0 again).
   sim.Run();
   EXPECT_FALSE(cm.quarantined(ch0));
-  picks.clear();
-  cm.PickWriteChannels(4, &picks);
-  EXPECT_EQ(picks.size(), 4u);
-  EXPECT_NE(std::find(picks.begin(), picks.end(), &ch0), picks.end());
+  EXPECT_EQ(cm.PickWriteChannel(), &ch0);
 }
 
 TEST(QuarantineTest, AllLChannelsQuarantinedYieldsNullptr) {
@@ -455,9 +449,6 @@ TEST(QuarantineTest, AllLChannelsQuarantinedYieldsNullptr) {
   }
   EXPECT_EQ(cm.PickWriteChannel(), nullptr);
   EXPECT_EQ(cm.PickReadChannel(), nullptr);
-  std::vector<Channel*> picks;
-  cm.PickWriteChannels(2, &picks);
-  EXPECT_TRUE(picks.empty());
 }
 
 TEST(QuarantineTest, HealthMonitorCatchesHaltedChannel) {
@@ -546,37 +537,33 @@ TEST(FsFaultTest, WritesAndReadsSurviveAllThreeFaultClasses) {
   EXPECT_GE(tb.channel_manager()->quarantines(), 1u);
 }
 
-TEST(FsFaultTest, StripedWriteWaitsForEveryChannelsChunk) {
-  // Regression for the last-SN-only wait: stripe a write over two channels
-  // with heavily skewed latency. The overall last-submitted SN lands on the
-  // fast channel; returning when only IT completes would leave the slow
-  // channel's chunk in flight — not durable.
+TEST(FsFaultTest, WriteWaitsForItsOwnDescriptorBehindQueuedRead) {
+  // Regression for last-SN durability: the write's only L channel first
+  // digests a 2MB read, so its descriptor finishes some hundred
+  // microseconds after submission. The write must not return before the
+  // completion record covers that descriptor's SN.
   TestbedConfig cfg = FaultyEasyConfig();
-  cfg.cm_options.num_l_channels = 2;
-  cfg.cm_options.b_channel = 2;
-  cfg.easy_options.write_stripe_channels = 2;
-  cfg.easy_options.stripe_chunk_bytes = 16_KB;
+  cfg.cm_options.num_l_channels = 1;
+  cfg.cm_options.b_channel = 1;
   Testbed tb(cfg);
   std::vector<std::byte> ballast(2_MB);
   const auto data = Pattern(48_KB, 11);
   tb.sim().Spawn(0, [&] {
-    // Channel 1 first digests a 2MB read, so its stripe chunk finishes some
-    // hundred microseconds after channel 0's.
+    Channel& ch = tb.engine()->channel(0);
     Descriptor d;
     d.dir = Descriptor::Dir::kRead;
     d.pmem_off = 128_MB;
     d.dram = ballast.data();
     d.size = 2_MB;
-    tb.engine()->channel(1).Submit(std::move(d));
+    const Sn read_sn = ch.Submit(std::move(d));
 
-    int fd = *tb.fs().Create("/striped");
+    int fd = *tb.fs().Create("/queued");
     ASSERT_TRUE(tb.fs().Write(fd, 0, data).ok());
-    // 48KB in 16KB chunks over 2 channels: both carried part of the write,
-    // and the write call must not have returned before the slow channel's
-    // chunk (queued behind the 2MB transfer) completed.
-    EXPECT_EQ(tb.engine()->channel(1).queue_depth(), 0u);
-    EXPECT_GT(tb.engine()->channel(1).descriptors_completed(), 1u);
-    EXPECT_GT(tb.engine()->channel(0).descriptors_completed(), 0u);
+    // Both the read and the write's descriptor completed before the write
+    // call returned.
+    EXPECT_TRUE(ch.IsComplete(read_sn));
+    EXPECT_EQ(ch.queue_depth(), 0u);
+    EXPECT_EQ(ch.descriptors_completed(), 2u);
 
     std::vector<std::byte> back(48_KB);
     ASSERT_TRUE(tb.fs().Read(fd, 0, back).ok());
@@ -585,28 +572,6 @@ TEST(FsFaultTest, StripedWriteWaitsForEveryChannelsChunk) {
   });
   tb.sim().Run();
   EXPECT_EQ(tb.easy()->writes_offloaded(), 1u);
-}
-
-TEST(FsFaultTest, StripedWriteSurvivesTransferErrorOnOneStripe) {
-  TestbedConfig cfg = FaultyEasyConfig();
-  cfg.cm_options.num_l_channels = 2;
-  cfg.cm_options.b_channel = 2;
-  cfg.easy_options.write_stripe_channels = 2;
-  cfg.easy_options.stripe_chunk_bytes = 16_KB;
-  cfg.faults.errors.push_back({1, 0, 1});  // channel 1's first chunk fails
-  Testbed tb(cfg);
-  const auto data = Pattern(64_KB, 12);
-  tb.sim().Spawn(0, [&] {
-    int fd = *tb.fs().Create("/striped_err");
-    ASSERT_TRUE(tb.fs().Write(fd, 0, data).ok());
-    std::vector<std::byte> back(64_KB);
-    ASSERT_TRUE(tb.fs().Read(fd, 0, back).ok());
-    EXPECT_EQ(back, data);
-    ASSERT_TRUE(tb.fs().Close(fd).ok());
-  });
-  tb.sim().Run();
-  EXPECT_EQ(tb.engine()->channel(1).transfer_errors(), 1u);
-  EXPECT_EQ(tb.engine()->channel(1).retries(), 1u);
 }
 
 TEST(FsFaultTest, AllChannelsQuarantinedDegradesToMemcpy) {

@@ -225,6 +225,47 @@ TEST(EasyIoFsTest, FsyncWaitsForPendingWrite) {
   tb.sim().Run();
 }
 
+TEST(EasyIoFsTest, FsyncKeepsALaterWritesPendingSn) {
+  // Fsync holds no inode lock. It parks on write A's SN behind a second
+  // writer that is already waiting on A at level 2; that writer resumes
+  // first and publishes its own SN B. Fsync must not clear B when it
+  // resumes, or the next op on the file skips its level-2 wait while B's
+  // data is still in flight.
+  Testbed tb(EasyConfig());
+  sim::SimTime w2_done = 0;
+  sim::SimTime read_done = 0;
+  fs::OpStats read_stats;
+  tb.sim().Spawn(0, [&] {
+    int fd = *tb.fs().Create("/a");
+    ASSERT_TRUE(tb.fs().Write(fd, 0, Pattern(256_KB, 15)).ok());  // SN A
+  });
+  tb.sim().ScheduleAt(4_us, [&] {
+    tb.sim().Spawn(1, [&] {
+      int fd = *tb.fs().Open("/a");
+      ASSERT_TRUE(tb.fs().Write(fd, 0, Pattern(256_KB, 16)).ok());  // SN B
+      w2_done = tb.sim().now();
+    });
+  });
+  tb.sim().ScheduleAt(20_us, [&] {
+    tb.sim().Spawn(1, [&] {
+      int fd = *tb.fs().Open("/a");
+      ASSERT_TRUE(tb.fs().Fsync(fd).ok());
+      std::vector<std::byte> back(4_KB);
+      ASSERT_TRUE(tb.fs().Read(fd, 0, back, &read_stats).ok());
+      read_done = tb.sim().now();
+      // The read waited out B: no write descriptor is left in flight.
+      for (int c = 0; c < tb.channel_manager()->options().num_l_channels;
+           ++c) {
+        EXPECT_EQ(tb.engine()->channel(c).queue_depth(), 0u) << c;
+      }
+    });
+  });
+  tb.sim().Run();
+  ASSERT_GT(w2_done, 0u);
+  ASSERT_GT(read_done, 0u);
+  EXPECT_GT(read_stats.blocked_ns, 0u);  // level-2 wait on B
+}
+
 TEST(EasyIoFsTest, NaiveModeIsOrderedAndSlower) {
   auto run = [](FsKind kind) {
     TestbedConfig cfg = EasyConfig();
@@ -381,8 +422,7 @@ TEST(ChannelManagerTest, PickWriteChannelBalancesDepth) {
   ASSERT_NE(first, nullptr);
   tb.sim().Spawn(0, [&] {
     std::vector<char> buf(64_KB, 'x');
-    dma::Descriptor d{dma::Descriptor::Dir::kWrite, 64_MB, buf.data(),
-                      64_KB, {}};
+    dma::Descriptor d{dma::Descriptor::Dir::kWrite, 64_MB, buf.data(), 64_KB};
     first->Submit(std::move(d));
     dma::Channel* second = cm->PickWriteChannel();
     EXPECT_NE(second, first);
@@ -401,7 +441,7 @@ TEST(ChannelManagerTest, ReadAdmissionRespectsDepthBound) {
     for (int i = 0; i < cm->options().num_l_channels; ++i) {
       for (int k = 0; k < 2; ++k) {
         dma::Descriptor d{dma::Descriptor::Dir::kRead, 64_MB, buf.data(),
-                          2_MB, {}};
+                          2_MB};
         last[static_cast<size_t>(i)] =
             tb.engine()->channel(i).Submit(std::move(d));
       }

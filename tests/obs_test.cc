@@ -410,9 +410,6 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
   cfg.fs = harness::FsKind::kEasy;
   cfg.machine_cores = 4;
   cfg.device_bytes = 256_MB;
-  // Block-aligned writes above one 16K chunk stripe over two channels;
-  // unaligned ones keep the single-channel orderless path.
-  cfg.easy_options.write_stripe_channels = 2;
   harness::Testbed tb(cfg);
   std::vector<fs::OpStats> ops;  // every op's stats, to match its spans
   {
@@ -435,7 +432,7 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
         ops.push_back(st);
       }
       std::vector<std::byte> big(256_KB, std::byte{0x3c});
-      write(0, big);                           // striped
+      write(0, big);                           // orderless
       write(100, std::span(buf).first(4_KB));  // memcpy
       EASYIO_CHECK_OK(tb.fs().Append(fd, std::span(buf).first(10000), &st)
                           .status());
@@ -470,7 +467,6 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
   std::map<std::string, std::vector<Span>> by_id;
   std::map<std::string, Span> open_async;
   std::map<std::string, int> op_names;
-  bool striped_submit = false;
   for (const JsonValue& ev : events->arr) {
     const std::string& ph = ev.Find("ph")->raw;
     if (ph == "X") {
@@ -489,9 +485,6 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
       s.start = TsToNs(ev.Find("ts")->raw);
       s.name = ev.Find("name")->raw;
       open_async[id] = s;
-      const JsonValue* args = ev.Find("args");
-      striped_submit |= s.name == "dma_submit" && args != nullptr &&
-                        args->Find("stripes") != nullptr;
     } else if (ph == "e") {
       const std::string& id = ev.Find("id")->raw;
       auto it = open_async.find(id);
@@ -526,7 +519,6 @@ TEST(TraceSessionTest, EasyIoRunProducesNestedSpans) {
     }
     EXPECT_TRUE(found) << "expected span '" << name << "' in the trace";
   }
-  EXPECT_TRUE(striped_submit) << "no striped dma_submit in the trace";
 
   // Each phase is timed once for both outputs, so an op's OpStats agree
   // with its spans: the whole-op span is total_ns, blocked time is exactly
