@@ -15,6 +15,7 @@
 // throttling caps the spike ~40% lower.
 
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@
 #include "bench/bench_util.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/harness/scenario_runner.h"
 #include "src/harness/testbed.h"
 #include "src/sim/obs_session.h"
 
@@ -135,15 +137,24 @@ int main(int argc, char** argv) {
   using namespace easyio;
   // --trace=<path> records the DMA-Throttling run: epoch ticks,
   // budget_suspend decisions and the B channel's CHANCMD suspension windows.
-  const bench::Flags flags = bench::ParseFlags(
-      argc, argv, bench::Flags::kTrace, /*default_trace_sample=*/32);
+  // The tracer is per thread and the session is created inside the
+  // scenario job, so it traces exactly that simulation at any --jobs.
+  const bench::Flags flags =
+      bench::ParseFlags(argc, argv, bench::Flags::kJobs | bench::Flags::kTrace,
+                        /*default_trace_sample=*/32);
   bench::PrintHeader(
       "Figure 12: web-server max latency per 0.5s (us) with a colocated GC\n"
       "(GC active during [2s,4s) and [6s,8s); B-app limit 2 GiB/s)");
-  const auto none = RunPolicy(Policy::kNone);
-  const auto cpu = RunPolicy(Policy::kCpu);
-  const auto dma =
-      RunPolicy(Policy::kDma, flags.tracing() ? &flags : nullptr);
+  // The three timelines are independent simulations.
+  const Policy policies[] = {Policy::kNone, Policy::kCpu, Policy::kDma};
+  const auto timelines =
+      harness::RunIndexed(flags.jobs, std::size(policies), [&](size_t i) {
+        const bool traced = policies[i] == Policy::kDma && flags.tracing();
+        return RunPolicy(policies[i], traced ? &flags : nullptr);
+      });
+  const auto& none = timelines[0];
+  const auto& cpu = timelines[1];
+  const auto& dma = timelines[2];
   std::printf("%6s %15s %15s %15s\n", "t(s)", "No-Throttling",
               "CPU-Throttling", "DMA-Throttling");
   for (size_t i = 0; i < none.size(); ++i) {

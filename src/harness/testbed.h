@@ -159,6 +159,7 @@ class Testbed {
     s.now_ns = sim_.now();
     s.context_switches = sim_.context_switches();
     s.tasks_spawned = sim_.tasks_spawned();
+    s.events_scheduled = sim_.events_scheduled();
     s.pmem_barriers = mem_.barrier_count();
     for (int c = 0; c < sim_.num_cores(); ++c) {
       obs::CoreStats cs;

@@ -21,6 +21,7 @@ void StatsSnapshot::Print(std::FILE* out) const {
   std::fprintf(out, "stats.now_ns=%" PRIu64 "\n", now_ns);
   std::fprintf(out, "stats.context_switches=%" PRIu64 "\n", context_switches);
   std::fprintf(out, "stats.tasks_spawned=%" PRIu64 "\n", tasks_spawned);
+  std::fprintf(out, "stats.events_scheduled=%" PRIu64 "\n", events_scheduled);
   std::fprintf(out, "stats.pmem_barriers=%" PRIu64 "\n", pmem_barriers);
   for (const CoreStats& c : cores) {
     std::fprintf(out,

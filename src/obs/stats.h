@@ -74,6 +74,7 @@ struct StatsSnapshot {
   uint64_t now_ns = 0;
   uint64_t context_switches = 0;
   uint64_t tasks_spawned = 0;   // tasks ever spawned (sim ids handed out)
+  uint64_t events_scheduled = 0;  // event records ever scheduled
   uint64_t pmem_barriers = 0;   // persistence barriers on the device
   std::vector<CoreStats> cores;
   std::vector<ChannelStats> channels;

@@ -193,10 +193,15 @@ void SlowMemory::CrossPoke(sim::FlowResource* target, double* last_util,
   }
   *last_util = util;
   poke_pending_ = true;
-  sim_->ScheduleAt(sim_->now(), [this, target] {
-    poke_pending_ = false;
-    target->Poke();
-  });
+  sim_->ScheduleCall(sim_->now(), &SlowMemory::RunCrossPoke, this,
+                     target == write_flows_.get() ? 1 : 0);
+}
+
+bool SlowMemory::RunCrossPoke(void* mem, uint64_t poke_write) {
+  auto* self = static_cast<SlowMemory*>(mem);
+  self->poke_pending_ = false;
+  (poke_write != 0 ? self->write_flows_ : self->read_flows_)->Poke();
+  return true;
 }
 
 void SlowMemory::CpuWrite(uint64_t dst_off, const void* src, size_t n) {

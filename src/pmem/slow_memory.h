@@ -197,6 +197,9 @@ class SlowMemory {
   double WriteDerate() const;
   void CrossPoke(sim::FlowResource* target, double* last_util,
                  sim::FlowResource* source, double source_total);
+  // The poke record's action (arg: this, tag: 1 to poke the write
+  // direction, 0 the read one).
+  static bool RunCrossPoke(void* mem, uint64_t poke_write);
   // Calls restore(off, undo, n) for each in-flight write whose last n bytes,
   // at `off`, are not yet durable and must read as `undo` in a crash image.
   template <typename Fn>

@@ -24,10 +24,13 @@
 
 namespace easyio::sim {
 
-// ThreadSanitizer cannot follow a raw stack switch: without annotations it
-// sees one host thread's shadow stack teleport, and reports bogus races (or
-// crashes) the first time a coroutine runs. When the build is sanitized we
-// register every context as a TSan "fiber" and announce each switch.
+// Sanitizers cannot follow a raw stack switch on their own. ThreadSanitizer
+// sees one host thread's shadow stack teleport and reports bogus races (or
+// crashes) the first time a coroutine runs; AddressSanitizer loses track of
+// which stack is live, so its stack bounds and fake stacks (detect_stack_
+// use_after_return) go wrong. When the build is sanitized, every switch is
+// announced: each context is a TSan "fiber", and ASan is told the target
+// stack before a switch and that it landed after it.
 #if defined(__SANITIZE_THREAD__)
 #define EASYIO_TSAN_FIBERS 1
 #elif defined(__has_feature)
@@ -36,34 +39,39 @@ namespace easyio::sim {
 #endif
 #endif
 
-#if defined(EASYIO_UCONTEXT)
+#if defined(__SANITIZE_ADDRESS__)
+#define EASYIO_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define EASYIO_ASAN_FIBERS 1
+#endif
+#endif
 
 struct Context {
+#if defined(EASYIO_UCONTEXT)
   ucontext_t uc;
-  // makecontext only forwards int arguments portably, so the (entry, arg)
-  // pair lives here and the trampoline receives this Context* split across
-  // two ints. A context must therefore stay at a stable address between
-  // MakeContext and its first switch-in (Task objects are heap-allocated and
-  // never move, so the kernel satisfies this for free).
+#else
+  void* sp = nullptr;  // saved stack pointer; register area lives on the stack
+#endif
+  // What the first switch-in starts: entry(arg), called through a
+  // trampoline that first lets the sanitizers know the switch landed. A
+  // context must therefore stay at a stable address between MakeContext and
+  // its first switch-in (Task objects are heap-allocated and never move, so
+  // the kernel satisfies this for free).
   void (*entry)(void*) = nullptr;
   void* arg = nullptr;
 #if defined(EASYIO_TSAN_FIBERS)
   void* tsan_fiber = nullptr;
   bool tsan_fiber_owned = false;  // created by MakeContext (vs adopted)
 #endif
-};
-
-#else
-
-struct Context {
-  void* sp = nullptr;  // saved stack pointer; register area lives on the stack
-#if defined(EASYIO_TSAN_FIBERS)
-  void* tsan_fiber = nullptr;
-  bool tsan_fiber_owned = false;  // created by MakeContext (vs adopted)
+#if defined(EASYIO_ASAN_FIBERS)
+  // The context's stack. For a context that was never MakeContext'd (the
+  // host's own stack), the first switch that lands after leaving it
+  // reports it.
+  const void* stack_bottom = nullptr;
+  size_t stack_size = 0;
 #endif
 };
-
-#endif
 
 using ContextEntry = void (*)(void* arg);
 
@@ -74,6 +82,18 @@ void MakeContext(Context* ctx, void* stack_base, size_t stack_size,
 
 // Saves the current context into `from` and resumes `to`.
 void SwapContext(Context* from, Context* to);
+
+// Leaves `from` for `to` for good: `from`'s coroutine has finished and is
+// never resumed, so its sanitizer fake stack is dropped on the way out.
+// Never returns.
+[[noreturn]] void ExitToContext(Context* from, Context* to);
+
+// Declares that the coroutine suspended in `ctx` will never resume; call it
+// before its stack is freed. Its frames are never unwound, so what they own
+// is abandoned on purpose: in AddressSanitizer builds, every heap object
+// they point to is exempted from LeakSanitizer's report, as it would be if
+// the stack stayed alive as a root. No-op in other builds.
+void AbandonContext(const Context* ctx);
 
 // Frees any sanitizer bookkeeping attached to a context whose coroutine has
 // finished (or was never started). Must not be called on the context that is

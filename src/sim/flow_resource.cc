@@ -142,20 +142,14 @@ void FlowResource::EndBatch() {
 }
 
 void FlowResource::Recompute() {
-  if (in_recompute_) {
-    return;  // a completion callback re-entered; the outer call finishes up
-  }
   if (batch_depth_ > 0) {
     // A BatchScope is open: one recomputation at scope exit covers every
-    // mutation made at this instant. The still-armed completion event cannot
-    // fire meanwhile (no events run inside the synchronous scope).
+    // mutation made at this instant. The still-current completion record
+    // cannot fire meanwhile (no events run inside the synchronous scope).
     recompute_deferred_ = true;
     return;
   }
-  if (pending_event_ != 0) {
-    sim_->Cancel(pending_event_);
-    pending_event_ = 0;
-  }
+  ++event_gen_;  // the pending completion record, if any, is now stale
   if (flows_.empty()) {
     if (total_rate_bps_ != 0) {
       total_rate_bps_ = 0;
@@ -211,50 +205,61 @@ void FlowResource::Recompute() {
   const uint64_t delay =
       std::max<uint64_t>(min_dt_ns <= 0 ? 0 : 1,
                          static_cast<uint64_t>(std::ceil(min_dt_ns)));
-  pending_event_ = sim_->ScheduleAfter(delay, [this] {
-    pending_event_ = 0;
-    Settle();
-    // Collect and remove all flows that just finished, then recompute before
-    // running callbacks (callbacks may start new flows). The in-place
-    // compaction keeps surviving flows in ascending-id order. The callback
-    // buffer is recycled across completions (swap out / swap back).
-    std::vector<DoneFn> done;
-    done.swap(done_scratch_);
-    size_t keep = 0;
-    for (size_t i = 0; i < flows_.size(); ++i) {
-      Flow& flow = flows_[i];
-      if (flow.bytes_left <= kDoneEpsilonBytes) {
-        bytes_completed_ += static_cast<uint64_t>(flow.bytes_total);
-        (flow.type == FlowType::kCpu ? cpu_flows_ : dma_flows_)--;
-        auto& order = OrderFor(flow.type);
-        const auto entry = std::make_pair(flow.cap_gbps, flow.id);
-        const auto oit = std::lower_bound(order.begin(), order.end(), entry);
-        assert(oit != order.end() && *oit == entry);
-        order.erase(oit);
-        done.push_back(std::move(flow.done));
-      } else {
-        if (keep != i) {
-          flows_[keep] = std::move(flow);
-        }
-        keep++;
+  sim_->ScheduleCall(sim_->now() + delay, &FlowResource::OnCompletion, this,
+                     event_gen_);
+}
+
+bool FlowResource::OnCompletion(void* resource, uint64_t gen) {
+  auto* self = static_cast<FlowResource*>(resource);
+  if (gen != self->event_gen_) {
+    return false;  // superseded by a later Recompute
+  }
+  self->CompleteFinished();
+  return true;
+}
+
+void FlowResource::CompleteFinished() {
+  Settle();
+  // Collect and remove all flows that just finished, then recompute before
+  // running callbacks (callbacks may start new flows). The in-place
+  // compaction keeps surviving flows in ascending-id order. The callback
+  // buffer is recycled across completions (swap out / swap back).
+  std::vector<DoneFn> done;
+  done.swap(done_scratch_);
+  size_t keep = 0;
+  for (size_t i = 0; i < flows_.size(); ++i) {
+    Flow& flow = flows_[i];
+    if (flow.bytes_left <= kDoneEpsilonBytes) {
+      bytes_completed_ += static_cast<uint64_t>(flow.bytes_total);
+      (flow.type == FlowType::kCpu ? cpu_flows_ : dma_flows_)--;
+      auto& order = OrderFor(flow.type);
+      const auto entry = std::make_pair(flow.cap_gbps, flow.id);
+      const auto oit = std::lower_bound(order.begin(), order.end(), entry);
+      assert(oit != order.end() && *oit == entry);
+      order.erase(oit);
+      done.push_back(std::move(flow.done));
+    } else {
+      if (keep != i) {
+        flows_[keep] = std::move(flow);
+      }
+      keep++;
+    }
+  }
+  flows_.resize(keep);
+  Recompute();
+  {
+    // Callbacks often start follow-up flows synchronously (a DMA channel
+    // launching its next descriptor); batch their recomputations so N
+    // same-instant completions trigger one water-fill, not N.
+    BatchScope batch(this);
+    for (DoneFn& fn : done) {
+      if (fn) {
+        fn();
       }
     }
-    flows_.resize(keep);
-    Recompute();
-    {
-      // Callbacks often start follow-up flows synchronously (a DMA channel
-      // launching its next descriptor); batch their recomputations so N
-      // same-instant completions trigger one water-fill, not N.
-      BatchScope batch(this);
-      for (DoneFn& fn : done) {
-        if (fn) {
-          fn();
-        }
-      }
-    }
-    done.clear();
-    done_scratch_.swap(done);
-  });
+  }
+  done.clear();
+  done_scratch_.swap(done);
 }
 
 }  // namespace easyio::sim

@@ -47,7 +47,7 @@ struct CapacityModel {
 class FlowResource {
  public:
   using FlowId = uint64_t;
-  using DoneFn = std::function<void()>;
+  using DoneFn = SmallFn<void()>;
 
   FlowResource(Simulation* sim, std::string name, CapacityModel model);
 
@@ -95,11 +95,11 @@ class FlowResource {
 
   // Defers rate recomputation across a run of StartFlow/CancelFlow calls
   // that happen at one virtual instant: each mutation would otherwise
-  // cancel and reschedule the completion event and re-run the water-fill,
-  // only for the next mutation to redo it all. The scope must be strictly
-  // synchronous (no Advance/Yield/RunUntil inside). Eliding the
+  // supersede and reschedule the completion record and re-run the
+  // water-fill, only for the next mutation to redo it all. The scope must
+  // be strictly synchronous (no Advance/Yield/RunUntil inside). Eliding the
   // intermediate recomputes is determinism-safe: the elided completion
-  // events could never have fired (they would have been cancelled within
+  // records could never have fired (they would have been superseded within
   // the same instant), and dropping their sequence numbers is an
   // order-preserving renumbering of every surviving event.
   class BatchScope {
@@ -126,6 +126,10 @@ class FlowResource {
 
   void Settle();       // account transferred bytes up to now
   void Recompute();    // recompute rates + (re)schedule next completion
+  // The completion record's action (arg: this, tag: the generation it was
+  // scheduled under); stale once a later Recompute bumped event_gen_.
+  static bool OnCompletion(void* resource, uint64_t gen);
+  void CompleteFinished();  // retire finished flows, run their callbacks
   void BeginBatch() { batch_depth_++; }
   void EndBatch();
   // Water-fills one type's flows, walking its pre-sorted (cap, id) order.
@@ -159,8 +163,11 @@ class FlowResource {
   int dma_flows_ = 0;
   FlowId next_id_ = 1;
   SimTime last_settle_ = 0;
-  EventId pending_event_ = 0;
-  bool in_recompute_ = false;
+  // Generation of the one live completion record. Every Recompute bumps it,
+  // which supersedes the record scheduled before, instead of a Cancel.
+  // Superseded records still name this object until they pop, so a
+  // FlowResource must not die while its simulation keeps running.
+  uint64_t event_gen_ = 0;
   int batch_depth_ = 0;
   bool recompute_deferred_ = false;
   uint64_t bytes_completed_ = 0;

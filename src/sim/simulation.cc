@@ -1,8 +1,7 @@
 #include "src/sim/simulation.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
+#include <utility>
 
 #include "src/obs/trace.h"
 
@@ -30,8 +29,12 @@ Simulation::Simulation(const Options& options)
 
 Simulation::~Simulation() {
   // Stack memory is owned by stacks_ (freed on member destruction); contexts
-  // of never-finished tasks may still hold sanitizer fiber state.
+  // of never-finished tasks may still hold sanitizer fiber state, and their
+  // frames are dropped without being unwound.
   for (auto& task : tasks_) {
+    if (task->stack_ != nullptr) {
+      AbandonContext(&task->ctx_);
+    }
     ReleaseContext(&task->ctx_);
   }
   std::erase(g_sim_stack, this);
@@ -56,7 +59,6 @@ uint32_t Simulation::AcquireEventSlot() {
 
 void Simulation::ReleaseEventSlot(uint32_t slot) {
   EventSlot& s = event_slots_[slot];
-  s.armed = false;
   s.fn = nullptr;  // release captured state
   if (++s.gen == 0) {
     s.gen = 1;  // keep ids nonzero and distinguishable after wraparound
@@ -64,14 +66,19 @@ void Simulation::ReleaseEventSlot(uint32_t slot) {
   free_event_slots_.push_back(slot);
 }
 
-EventId Simulation::ScheduleAt(SimTime t, EventFn fn) {
+void Simulation::ScheduleCall(SimTime t, EventProc fn, void* arg,
+                              uint64_t tag) {
   assert(t >= now_);
+  events_.push(Event{t, next_event_seq_++, fn, arg, tag});
+}
+
+EventId Simulation::ScheduleAt(SimTime t, EventFn fn) {
   const uint32_t slot = AcquireEventSlot();
   EventSlot& s = event_slots_[slot];
   s.fn = std::move(fn);
-  s.armed = true;
-  events_.push(Event{t, next_event_seq_++, slot, s.gen});
-  return MakeEventId(slot, s.gen);
+  const EventId id = MakeEventId(slot, s.gen);
+  ScheduleCall(t, &Simulation::FireSlot, this, id);
+  return id;
 }
 
 EventId Simulation::ScheduleAfter(uint64_t delay_ns, EventFn fn) {
@@ -86,33 +93,41 @@ void Simulation::Cancel(EventId id) {
   const uint32_t slot = raw - 1;
   const uint32_t gen = static_cast<uint32_t>(id);
   EventSlot& s = event_slots_[slot];
-  if (s.gen != gen || !s.armed) {
+  if (s.gen != gen) {
     return;  // already fired, cancelled, or recycled
   }
-  ReleaseEventSlot(slot);  // the stale heap entry is skipped on pop
+  ReleaseEventSlot(slot);  // its record goes stale and is skipped on pop
+}
+
+bool Simulation::FireSlot(void* sim, uint64_t id) {
+  auto* self = static_cast<Simulation*>(sim);
+  const uint32_t slot = static_cast<uint32_t>(id >> 32) - 1;
+  EventSlot& s = self->event_slots_[slot];
+  if (s.gen != static_cast<uint32_t>(id)) {
+    return false;  // cancelled (slot already recycled)
+  }
+  EventFn fn = std::move(s.fn);
+  self->ReleaseEventSlot(slot);
+  fn();
+  return true;
 }
 
 void Simulation::RunUntil(SimTime limit) {
   assert(!in_task() && "RunUntil called from inside a task");
-  running_loop_ = true;
   run_limit_ = limit;
   while (!stop_requested_ && !events_.empty() && events_.top().time <= limit) {
     const Event ev = events_.top();
     events_.pop();
-    EventSlot& s = event_slots_[ev.slot];
-    if (s.gen != ev.gen || !s.armed) {
-      continue;  // cancelled (slot already recycled)
-    }
-    EventFn fn = std::move(s.fn);
-    ReleaseEventSlot(ev.slot);
     assert(ev.time >= now_);
+    const SimTime before = now_;
     now_ = ev.time;
-    fn();
+    if (!ev.fn(ev.arg, ev.tag)) {
+      now_ = before;  // a stale record moves nothing, the clock included
+    }
   }
   if (now_ < limit && limit != kSimTimeMax) {
     now_ = limit;
   }
-  running_loop_ = false;
 }
 
 void Simulation::Run() { RunUntil(kSimTimeMax); }
@@ -212,40 +227,46 @@ void Simulation::KickCore(int core) {
     return;
   }
   c.kick_pending = true;
-  ScheduleAt(now_, [this, core] {
-    Core& c = cores_[core];
-    c.kick_pending = false;
-    if (c.running != nullptr) {
-      return;
-    }
-    if (const auto& poll = core_poll_hooks_[static_cast<size_t>(core)]) {
-      poll(core);
-    }
-    if (c.running != nullptr) {
-      return;  // poll hook resumed a core-holding task
-    }
-    Task* next = nullptr;
-    if (!c.run_queue.empty()) {
-      next = c.run_queue.front();
-      c.run_queue.pop_front();
-      OBS_COUNTER_SAMPLED(obs::Track(obs::kProcCores, core), "runq",
-                          c.run_queue.size());
-    } else if (const auto& steal =
-                   core_steal_hooks_[static_cast<size_t>(core)]) {
-      next = steal(core);
-      if (next != nullptr) {
-        next->core_ = core;
-      }
-    }
+  ScheduleCall(now_, &Simulation::RunKick, this, static_cast<uint64_t>(core));
+}
+
+bool Simulation::RunKick(void* sim, uint64_t core) {
+  static_cast<Simulation*>(sim)->DispatchKick(static_cast<int>(core));
+  return true;
+}
+
+void Simulation::DispatchKick(int core) {
+  Core& c = cores_[core];
+  c.kick_pending = false;
+  if (c.running != nullptr) {
+    return;
+  }
+  if (const auto& poll = core_poll_hooks_[static_cast<size_t>(core)]) {
+    poll(core);
+  }
+  if (c.running != nullptr) {
+    return;  // poll hook resumed a core-holding task
+  }
+  Task* next = nullptr;
+  if (!c.run_queue.empty()) {
+    next = c.run_queue.front();
+    c.run_queue.pop_front();
+    OBS_COUNTER_SAMPLED(obs::Track(obs::kProcCores, core), "runq",
+                        c.run_queue.size());
+  } else if (const auto& steal = core_steal_hooks_[static_cast<size_t>(core)]) {
+    next = steal(core);
     if (next != nullptr) {
-      DispatchTask(next, /*event_tail=*/false);
-      // Work is still queued behind a now-busy core: let the scheduling
-      // layer prod idle siblings to steal it.
-      if (!c.run_queue.empty()) {
-        NotifyEnqueue(core);
-      }
+      next->core_ = core;
     }
-  });
+  }
+  if (next != nullptr) {
+    DispatchTask(next, /*event_tail=*/false);
+    // Work is still queued behind a now-busy core: let the scheduling
+    // layer prod idle siblings to steal it.
+    if (!c.run_queue.empty()) {
+      NotifyEnqueue(core);
+    }
+  }
 }
 
 Task* Simulation::TryStealFrom(int victim) {
@@ -258,9 +279,9 @@ Task* Simulation::TryStealFrom(int victim) {
   return t;
 }
 
-void Simulation::DispatchTask(Task* t, bool event_tail) {
+void Simulation::BeginSlice(Task* t, bool event_tail) {
   assert(t->state_ == Task::State::kRunnable ||
-         t->state_ == Task::State::kRunning);
+         t->state_ == Task::State::kRunning || t->holds_core_);
   Core& core = cores_[t->core_];
   assert(core.running == nullptr || core.running == t);
   t->state_ = Task::State::kRunning;
@@ -269,22 +290,34 @@ void Simulation::DispatchTask(Task* t, bool event_tail) {
   current_ = t;
   slice_is_event_tail_ = event_tail;
   context_switches_++;
-  SwapContext(&host_ctx_, &t->ctx_);
-  current_ = nullptr;
-  HandleDirective(t);
 }
 
-void Simulation::HandleDirective(Task* t) {
-  const Directive d = directive_;
-  directive_ = Directive::kNone;
+void Simulation::DispatchTask(Task* t, bool event_tail) {
+  BeginSlice(t, event_tail);
+  SwapContext(&host_ctx_, &t->ctx_);
+  // Back on the host stack. A tail slice may have handed its core straight
+  // on, so the task that switched back is current_, not necessarily t.
+  Task* out = current_;
+  current_ = nullptr;
+  const Directive d = std::exchange(directive_, Directive::kNone);
+  if (d != Directive::kNone) {
+    HandleDirective(out, d);
+  }
+}
+
+bool Simulation::ResumeTask(void* task, uint64_t /*unused*/) {
+  Task* t = static_cast<Task*>(task);
+  t->owner_->DispatchTask(t, /*event_tail=*/true);
+  return true;
+}
+
+void Simulation::HandleDirective(Task* t, Directive d) {
   Core& core = cores_[t->core_];
   switch (d) {
     case Directive::kAdvance: {
       // Core stays busy; resume the same task after the delay.
-      ScheduleAfter(advance_ns_, [this, t] {
-        assert(t->state_ == Task::State::kRunning);
-        DispatchTask(t, /*event_tail=*/true);
-      });
+      assert(core.running == t);
+      ScheduleCall(now_ + advance_ns_, &Simulation::ResumeTask, t, 0);
       break;
     }
     case Directive::kYield: {
@@ -336,9 +369,32 @@ void Simulation::HandleDirective(Task* t) {
 }
 
 void Simulation::SwitchOut(Directive d) {
-  assert(in_task());
-  directive_ = d;
+  assert(in_task() && d != Directive::kFinish);
   Task* t = current_;
+  if (!slice_is_event_tail_) {
+    // A kick dispatched this slice and still has work to do after it.
+    directive_ = d;
+    SwapContext(&t->ctx_, &host_ctx_);
+    return;
+  }
+  // Nothing runs after a tail slice on the host: act on the directive here,
+  // then do what the host loop would do next. When that is dispatching a
+  // task resume, do it from this stack and skip the host round trip.
+  HandleDirective(t, d);
+  if (!stop_requested_ && !events_.empty()) {
+    const Event& ev = events_.top();
+    if (ev.fn == &Simulation::ResumeTask && ev.time <= run_limit_) {
+      Task* next = static_cast<Task*>(ev.arg);
+      assert(ev.time >= now_);
+      now_ = ev.time;
+      events_.pop();
+      BeginSlice(next, /*event_tail=*/true);
+      if (next != t) {
+        SwapContext(&t->ctx_, &next->ctx_);
+      }
+      return;
+    }
+  }
   SwapContext(&t->ctx_, &host_ctx_);
 }
 
@@ -346,14 +402,13 @@ void Simulation::Advance(uint64_t ns) {
   if (ns == 0) {
     return;
   }
-  // Elision: switching out would schedule the resume event at `until` and
-  // return to RunUntil, which would pop that event next and switch straight
-  // back, provided (1) the event that dispatched this slice does nothing
-  // after DispatchTask returns, (2) no stop is pending, (3) `until` is
-  // within the loop's limit and (4) nothing else is due at or before
-  // `until` (a same-time entry has a smaller seq, so it would fire first;
-  // a cancelled entry still counts until it is popped, which only costs
-  // an elision, never order).
+  // Elision: switching out would schedule the resume record at `until`,
+  // and the next pop would take that record and resume this task, provided
+  // (1) the event that dispatched this slice does nothing after it, (2) no
+  // stop is pending, (3) `until` is within the loop's limit and (4) nothing
+  // else is due at or before `until` (a same-time entry has a smaller seq,
+  // so it would fire first; a stale record still counts until it is
+  // popped, which only costs an elision, never order).
   // Then moving the clock inline is indistinguishable, save the one unused
   // event sequence number: an order-preserving renumbering.
   const SimTime until = now_ + ns;
@@ -382,11 +437,8 @@ void Simulation::WakeOn(Task* t, int core) {
     // The task still owns its core (synchronous hardware wait): resume it
     // directly; it cannot migrate.
     assert(core == t->core_);
-    ScheduleAt(now_, [this, t] {
-      assert(t->holds_core_ && cores_[t->core_].running == t);
-      t->state_ = Task::State::kRunnable;
-      DispatchTask(t, /*event_tail=*/true);
-    });
+    assert(cores_[core].running == t);
+    ScheduleCall(now_, &Simulation::ResumeTask, t, 0);
     return;
   }
   t->state_ = Task::State::kRunnable;
@@ -416,10 +468,11 @@ void Simulation::SleepFor(uint64_t ns) {
 }
 
 void Simulation::FinishCurrent() {
-  SwitchOut(Directive::kFinish);
-  // A finished task is never resumed.
-  std::fprintf(stderr, "easyio: finished task resumed\n");
-  std::abort();
+  // Always back to the host: the host releases this task's stack, which
+  // must not be the stack that does it.
+  assert(in_task());
+  directive_ = Directive::kFinish;
+  ExitToContext(&current_->ctx_, &host_ctx_);  // never resumed
 }
 
 }  // namespace easyio::sim

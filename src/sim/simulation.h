@@ -1,8 +1,8 @@
 // The discrete-event simulation kernel.
 //
 // One host thread multiplexes N simulated cores. Each core runs at most one
-// Task at a time; a Task gives up the host thread whenever it performs a
-// modeled operation:
+// Task at a time; a Task gives up its core whenever it performs a modeled
+// operation:
 //
 //   Advance(ns)  - the core is busy for `ns` of virtual time (CPU work,
 //                  memcpy to slow memory, syscall overhead, ...). Other
@@ -19,11 +19,24 @@
 //                  bandwidth arbiter. No other uthread can use the core,
 //                  which is exactly the CPU waste the paper measures.
 //
-// Plain events (ScheduleAt/ScheduleAfter) run on the host context and model
-// hardware: DMA channel progress, epoch timers, flow-rate recomputation.
+// Every pending event is one slot-free record {time, seq, fn, arg, tag}.
+// Task resumes, core kicks and the hardware models' own timers push records
+// directly; plain callbacks (ScheduleAt/ScheduleAfter) park their SmallFn in
+// a generation-tagged slab and push a record that names the slot.
 //
-// Determinism: events fire in (time, sequence) order; no wall-clock time or
-// host threading is involved anywhere.
+// Where a slice ends: a *tail* slice, one dispatched by an Advance resume or
+// a core-holding wake (records that do nothing after the slice), handles its
+// own directive on the task's stack. Then, if the next due record resumes a
+// task within the RunUntil limit and no stop is pending, it pops that record
+// and switches straight into that task (or simply continues, when the task
+// is itself). Every other slice end returns to the host loop, which handles
+// the directive: a slice dispatched by a core kick (the kick still notifies
+// the enqueue hook afterwards), a finishing task (its stack is released on
+// the host stack), and a tail slice whose next due record is not a task
+// resume. Plain callbacks and kicks always run on the host stack.
+//
+// Determinism: events fire in (time, sequence) order whichever stack pops
+// them; no wall-clock time or host threading is involved anywhere.
 //
 // Thread compatibility: a Simulation is single-threaded — every method,
 // including construction and destruction, must be called from the host
@@ -72,6 +85,10 @@ using EventFn = SmallFn<void()>;
 // Opaque handle for Cancel(): slot index + generation. Never 0, so callers
 // can keep 0 as a "no event pending" sentinel.
 using EventId = uint64_t;
+// The action of a pending-event record: runs at the record's time with the
+// (arg, tag) it was scheduled with. Returns false if the record turned out
+// stale (its owner superseded it); the clock then does not move to it.
+using EventProc = bool (*)(void* arg, uint64_t tag);
 
 class Simulation {
  public:
@@ -105,6 +122,11 @@ class Simulation {
   EventId ScheduleAt(SimTime t, EventFn fn);
   EventId ScheduleAfter(uint64_t delay_ns, EventFn fn);
   void Cancel(EventId id);
+  // Pushes a slot-free record: no allocation and no EventId. An owner that
+  // supersedes its records passes a generation of its own as the tag and
+  // returns false from `fn` when the tag is out of date. `arg` must stay
+  // valid until the record fires, stale or not.
+  void ScheduleCall(SimTime t, EventProc fn, void* arg, uint64_t tag);
 
   // ---- Task management ----
   // Spawns a task on `core`, runnable at the current time. The returned
@@ -177,32 +199,37 @@ class Simulation {
   SimTime core_busy_ns(int core) const;
   uint64_t tasks_spawned() const { return next_task_id_; }
   uint64_t context_switches() const { return context_switches_; }
+  // Records ever scheduled (the sequence counter): ScheduleAt/After calls,
+  // task resumes, core kicks and the models' own records.
+  uint64_t events_scheduled() const { return next_event_seq_ - 1; }
   // Distinct stacks ever mapped; spawn churn should hold this steady.
   size_t stacks_created() const { return stacks_.stacks_created(); }
 
  private:
-  // Events live in a slab of recycled slots: the pending-event heap stores
-  // only plain {time, seq, slot, gen} records and the callback sits in the
-  // slot, so a ScheduleAt/fire cycle performs no per-event heap allocation
-  // once the slab and the heap's vector have warmed up (SmallFn keeps the
-  // hot capture shapes — two or three words — inline). The generation tag
-  // makes Cancel() safe against stale ids: a slot is recycled the moment its
-  // event fires or is cancelled, and any other EventId naming it is detected
-  // by a generation mismatch.
+  // ScheduleAt/ScheduleAfter callbacks live in a slab of recycled slots, and
+  // the record they push names its slot by the EventId in its tag, so a
+  // schedule/fire cycle performs no per-event heap allocation once the slab
+  // and the heap's vector have warmed up (SmallFn keeps the hot capture
+  // shapes — two or three words — inline). The generation tag makes
+  // Cancel() safe against stale ids: a slot is recycled the moment its event
+  // fires or is cancelled, and any other EventId naming it is detected by a
+  // generation mismatch, which also makes its record stale.
   struct EventSlot {
     EventFn fn;
+    // Bumped on every release, so no issued id matches a free slot.
     uint32_t gen = 1;
-    bool armed = false;
   };
 
-  // A pending event: pops in (time, seq) order, seq counting ScheduleAt calls,
-  // so same-time events fire in schedule order. A binary heap suffices: the
-  // store holds about a dozen entries on the figure benches (DESIGN.md §6).
+  // A pending event: pops in (time, seq) order, seq counting every record
+  // scheduled, so same-time events fire in schedule order. A binary heap
+  // suffices: the store holds about a dozen entries on the figure benches
+  // (DESIGN.md §6).
   struct Event {
     SimTime time;
     uint64_t seq;
-    uint32_t slot;  // index into event_slots_
-    uint32_t gen;   // the slot's generation when scheduled
+    EventProc fn;
+    void* arg;
+    uint64_t tag;
     bool operator>(const Event& other) const {
       return time != other.time ? time > other.time : seq > other.seq;
     }
@@ -214,6 +241,14 @@ class Simulation {
 
   uint32_t AcquireEventSlot();
   void ReleaseEventSlot(uint32_t slot);
+
+  // Record actions. FireSlot runs a slab callback (arg: this, tag: its
+  // EventId); ResumeTask dispatches a core-holding task as the tail of its
+  // event (arg: the Task); RunKick picks a core's next task (arg: this,
+  // tag: the core).
+  static bool FireSlot(void* sim, uint64_t id);
+  static bool ResumeTask(void* task, uint64_t unused);
+  static bool RunKick(void* sim, uint64_t core);
 
   struct Core {
     RingQueue<Task*> run_queue;
@@ -228,26 +263,30 @@ class Simulation {
   static void TaskEntry(void* arg);
 
   void KickCore(int core);
+  void DispatchKick(int core);
   void NotifyEnqueue(int core);
-  // Switches into t, then acts on its directive. `event_tail` says the
-  // calling event does nothing after this returns, which lets the slice
-  // elide an uncontended Advance (see Advance()).
+  // Marks t running on its core and makes it current. `event_tail` says the
+  // event that dispatches the slice does nothing after it, which lets the
+  // slice elide an uncontended Advance and switch straight to the next task
+  // (see SwitchOut()).
+  void BeginSlice(Task* t, bool event_tail);
+  // Host side: begins t's slice, switches into it and, once a task switches
+  // back, acts on that task's directive if its own stack did not.
   void DispatchTask(Task* t, bool event_tail);
-  void HandleDirective(Task* t);
-  void FinishCurrent();            // task side; never returns
+  void HandleDirective(Task* t, Directive d);
+  [[noreturn]] void FinishCurrent();  // task side
   void MarkCoreBusy(Core& core, Task* t);
   void MarkCoreIdle(Core& core);
   Task* CreateTask(int core, std::function<void()> fn, bool detached);
-  void SwitchOut(Directive d);     // task side: record directive, swap to host
+  void SwitchOut(Directive d);     // task side: end the current slice
 
   SimTime now_ = 0;
   uint64_t next_event_seq_ = 1;
   uint64_t next_task_id_ = 1;
   uint64_t context_switches_ = 0;
   bool stop_requested_ = false;
-  bool running_loop_ = false;
   SimTime run_limit_ = 0;             // the active RunUntil bound
-  bool slice_is_event_tail_ = false;  // the running slice's DispatchTask arg
+  bool slice_is_event_tail_ = false;  // the running slice's BeginSlice arg
 
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
   std::vector<EventSlot> event_slots_;
@@ -256,7 +295,7 @@ class Simulation {
   std::vector<Core> cores_;
   Context host_ctx_{};
   Task* current_ = nullptr;
-  Directive directive_ = Directive::kNone;
+  Directive directive_ = Directive::kNone;  // left for the host to handle
   uint64_t advance_ns_ = 0;
 
   StackAllocator stacks_;

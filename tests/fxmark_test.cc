@@ -81,20 +81,22 @@ TEST(FxmarkTest, DeterministicAcrossRuns) {
 }
 
 // Deterministic work done by a run: a change that adds context switches,
-// tasks, barriers or DMA descriptors per op moves these counts exactly, on
-// any host and at any optimization level.
+// tasks, barriers, DMA descriptors or kernel events per op moves these
+// counts exactly, on any host and at any optimization level.
 struct WorkCounts {
   uint64_t ops = 0;
   uint64_t switches = 0;
   uint64_t tasks = 0;
   uint64_t barriers = 0;
   uint64_t descs = 0;
+  uint64_t events = 0;
 };
 
 std::string Format(const WorkCounts& w) {
   return "{" + std::to_string(w.ops) + ", " + std::to_string(w.switches) +
          ", " + std::to_string(w.tasks) + ", " + std::to_string(w.barriers) +
-         ", " + std::to_string(w.descs) + "}";
+         ", " + std::to_string(w.descs) + ", " + std::to_string(w.events) +
+         "}";
 }
 
 struct PinnedCase {
@@ -119,31 +121,31 @@ WorkCounts CountWork(const PinnedCase& c) {
   cfg.machine_cores = 8;
   const RunResult r = fxmark::Run(cfg);
   WorkCounts w{r.ops, r.stats.context_switches, r.stats.tasks_spawned,
-               r.stats.pmem_barriers, 0};
+               r.stats.pmem_barriers, 0, r.stats.events_scheduled};
   for (const obs::ChannelStats& ch : r.stats.channels) {
     w.descs += ch.descriptors_completed;
   }
   return w;
 }
 
-// Pins {ops, context switches, tasks spawned, barriers, DMA descriptors} of
-// small EasyIO and NOVA runs. After a deliberate model change, paste the
-// printed counts into the table and say why in CHANGES.md.
+// Pins {ops, context switches, tasks spawned, barriers, DMA descriptors,
+// events scheduled} of small EasyIO and NOVA runs. After a deliberate model
+// change, paste the printed counts into the table and say why in CHANGES.md.
 TEST(FxmarkTest, WorkCountsMatchPinnedTable) {
   using harness::FsKind;
   const PinnedCase kCases[] = {
       {"easyio_dwal_4k", FsKind::kEasy, Workload::kDWAL, 4_KB,
-       {1684, 14957, 10, 6576, 32}},
+       {1684, 14957, 10, 6576, 32, 18286}},
       {"easyio_dwal_64k", FsKind::kEasy, Workload::kDWAL, 64_KB,
-       {417, 2904, 10, 1779, 557}},
+       {417, 2904, 10, 1779, 557, 5182}},
       {"easyio_drbl_4k", FsKind::kEasy, Workload::kDRBL, 4_KB,
-       {2660, 13417, 10, 188, 32}},
+       {2660, 13417, 10, 188, 32, 18576}},
       {"easyio_drbl_64k", FsKind::kEasy, Workload::kDRBL, 64_KB,
-       {196, 1617, 10, 440, 284}},
+       {196, 1617, 10, 440, 284, 2918}},
       {"nova_dwal_4k", FsKind::kNova, Workload::kDWAL, 4_KB,
-       {1684, 14874, 6, 6476, 0}},
+       {1684, 14874, 6, 6476, 0, 18091}},
       {"nova_drbl_64k", FsKind::kNova, Workload::kDRBL, 64_KB,
-       {520, 2630, 6, 88, 0}},
+       {520, 2630, 6, 88, 0, 3663}},
   };
   std::string table;
   for (const PinnedCase& c : kCases) {

@@ -615,6 +615,7 @@ TEST(StatsTest, CollectStatsCountsFsWork) {
   std::fclose(out);
   const std::string dump = ReadFile(path);
   EXPECT_NE(dump.find("fs[EasyIO].ops_write=8"), std::string::npos) << dump;
+  EXPECT_NE(dump.find("stats.events_scheduled="), std::string::npos);
   EXPECT_NE(dump.find("core[0].busy_ns="), std::string::npos);
   EXPECT_NE(dump.find("chan[0].bytes="), std::string::npos);
   EXPECT_NE(dump.find("lat[op_ns].count=1"), std::string::npos);

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -159,6 +160,49 @@ TEST(SimStackTest, DetachedSpawnChurnIsAllocationFree) {
       << "spawn/exit churn allocated in steady state";
   EXPECT_EQ(sim.stacks_created(), stacks_before)
       << "spawn/exit churn mapped new stacks instead of recycling";
+}
+
+TEST(SimStackTest, LockStepBlockWakeLoopIsAllocationFree) {
+  // Four cores: core 0's task blocks every step and core 1's wakes it;
+  // core 2's task blocks holding its core and core 3's wakes it. Advance
+  // resumes, core-holding wakes and kicks all ride the direct task-to-task
+  // path or the host loop's records, and none of them may allocate once
+  // the event heap and run queues have warmed up.
+  Simulation sim({.num_cores = 4});
+  Task* parked[2] = {nullptr, nullptr};
+  for (int pair = 0; pair < 2; ++pair) {
+    const bool hold_core = pair == 1;
+    sim.Spawn(2 * pair, [&sim, &parked, pair, hold_core] {
+      for (;;) {
+        sim.Advance(7);
+        parked[pair] = sim.current();
+        if (hold_core) {
+          sim.BlockHoldingCore();
+        } else {
+          sim.Block();
+        }
+      }
+    });
+    sim.Spawn(2 * pair + 1, [&sim, &parked, pair] {
+      for (;;) {
+        if (parked[pair] != nullptr) {
+          sim.Wake(std::exchange(parked[pair], nullptr));
+        }
+        sim.Advance(8);
+      }
+    });
+  }
+  sim.RunUntil(20'000);
+  const uint64_t switches_before = sim.context_switches();
+
+  g_alloc_count = 0;
+  g_count_allocs = true;
+  sim.RunUntil(400'000);
+  g_count_allocs = false;
+
+  EXPECT_EQ(g_alloc_count, 0u)
+      << "the Advance/Block/Wake loop allocated in steady state";
+  EXPECT_GT(sim.context_switches() - switches_before, 100'000u);
 }
 
 }  // namespace

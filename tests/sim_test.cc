@@ -408,6 +408,180 @@ TEST(SimulationTest, AdvanceAfterRequestStopSuspends) {
   EXPECT_FALSE(t->finished());
 }
 
+// ---- Direct task-to-task switching ----
+//
+// A slice dispatched at the tail of its event (an Advance resume or a
+// core-holding wake) handles its directive on its own stack and, when the
+// next due record resumes a task, switches straight into it. These tests
+// pin the cases that must still go back to the host.
+
+// One entry per observation: (virtual time, who). Cores are 0-3; plain
+// events log negative ids.
+using Log = std::vector<std::pair<SimTime, int>>;
+
+// Spawns one task per core of a 4-core simulation; each logs (now, core)
+// and then advances 10 ns, `steps` times, so all four resume at every
+// multiple of 10 and hand their cores to one another in turn.
+void SpawnLockStep(Simulation& sim, Log& log, int steps) {
+  for (int c = 0; c < 4; ++c) {
+    sim.Spawn(c, [&sim, &log, c, steps] {
+      for (int i = 0; i < steps; ++i) {
+        log.emplace_back(sim.now(), c);
+        sim.Advance(10);
+      }
+    });
+  }
+}
+
+TEST(SimulationTest, LockStepTiesFireInTimeSeqOrder) {
+  // Four lock-stepped cores plus two plain events per instant: one
+  // scheduled up front (its seq precedes every resume due then) and one that
+  // core 1 schedules just before its own Advance (its seq falls between
+  // core 0's and core 1's resumes). Ties must fire in schedule order, so a
+  // direct switch from core 0 may not jump over the event to core 1.
+  Simulation sim(Opts(4));
+  Log log;
+  constexpr int kSteps = 6;
+  for (int k = 1; k < kSteps; ++k) {
+    sim.ScheduleAt(10 * k, [&log, &sim] { log.emplace_back(sim.now(), -1); });
+  }
+  for (int c = 0; c < 4; ++c) {
+    sim.Spawn(c, [&sim, &log, c] {
+      for (int i = 0; i < kSteps; ++i) {
+        log.emplace_back(sim.now(), c);
+        if (c == 1 && i + 1 < kSteps) {
+          sim.ScheduleAfter(10, [&log, &sim] {
+            log.emplace_back(sim.now(), -2);
+          });
+        }
+        sim.Advance(10);
+      }
+    });
+  }
+  sim.Run();
+  Log expected;
+  for (int k = 0; k < kSteps; ++k) {
+    const SimTime t = 10 * k;
+    if (k > 0) {
+      expected.emplace_back(t, -1);
+    }
+    expected.emplace_back(t, 0);
+    if (k > 0) {
+      expected.emplace_back(t, -2);
+    }
+    for (int c = 1; c < 4; ++c) {
+      expected.emplace_back(t, c);
+    }
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(sim.now(), 10u * kSteps);
+  // One slice per task per step, plus each task's last resume.
+  EXPECT_EQ(sim.context_switches(), 4u * (kSteps + 1));
+}
+
+TEST(SimulationTest, DirectSwitchHonorsRunUntilLimit) {
+  Log split;
+  {
+    Simulation sim(Opts(4));
+    SpawnLockStep(sim, split, 20);
+    sim.RunUntil(55);
+    for (const auto& [t, who] : split) {
+      EXPECT_LE(t, 55u) << "core " << who << " ran past the RunUntil limit";
+    }
+    EXPECT_EQ(sim.now(), 55u);
+    EXPECT_EQ(split.size(), 4u * 6);  // instants 0, 10, ..., 50
+    sim.RunUntil(1000);
+  }
+  Log whole;
+  {
+    Simulation sim(Opts(4));
+    SpawnLockStep(sim, whole, 20);
+    sim.RunUntil(1000);
+  }
+  EXPECT_EQ(split, whole);  // the rest ran on the next call, in order
+}
+
+TEST(SimulationTest, RequestStopPrecedesNextDirectSwitch) {
+  Simulation sim(Opts(4));
+  Log log;
+  for (int c = 0; c < 4; ++c) {
+    sim.Spawn(c, [&sim, &log, c] {
+      for (int i = 0; i < 10; ++i) {
+        log.emplace_back(sim.now(), c);
+        if (c == 1 && sim.now() == 30) {
+          sim.RequestStop();
+        }
+        sim.Advance(10);
+      }
+    });
+  }
+  sim.Run();
+  ASSERT_FALSE(log.empty());
+  // Cores 2 and 3 are due at 30 too, but the stop comes first.
+  EXPECT_EQ(log.back(), std::make_pair(SimTime{30}, 1));
+  EXPECT_EQ(sim.now(), 30u);
+}
+
+TEST(SimulationTest, FinishingTaskReturnsToHostBeforeNextResume) {
+  // At t=10 core 0's task finishes while core 1's resume is due. The finish
+  // goes back to the host, which releases the finished stack; only then
+  // does core 1 resume, and the task it spawns reuses that stack.
+  Simulation sim({.num_cores = 2,
+                  .stack_size = 64 * 1024,
+                  .stack_guard_pages = true,
+                  .poison_stacks = true});
+  Task* first = sim.SpawnDetached(0, [&sim] { sim.Advance(10); });
+  bool first_finished_at_resume = false;
+  size_t stacks_at_resume = 0;
+  bool child_ran = false;
+  sim.Spawn(1, [&] {
+    sim.Advance(10);
+    first_finished_at_resume = first->finished();
+    stacks_at_resume = sim.stacks_created();
+    sim.SpawnDetached(0, [&child_ran] { child_ran = true; });
+    sim.Advance(5);
+  });
+  sim.Run();
+  EXPECT_TRUE(first_finished_at_resume);
+  EXPECT_TRUE(child_ran);
+  EXPECT_EQ(stacks_at_resume, 2u);
+  EXPECT_EQ(sim.stacks_created(), 2u);  // the child reused the first stack
+  EXPECT_EQ(sim.now(), 15u);
+}
+
+TEST(SimulationTest, KickSliceReturnsToKick) {
+  // Two tasks queue on core 0 while core 1 idles. The kick that dispatches
+  // the first must get control back when that slice ends, at t=0, so the
+  // enqueue hook prods core 1 and the steal hook moves the second task
+  // over at the same instant, not once the first task next leaves the CPU.
+  Simulation sim(Opts(2));
+  std::vector<SimTime> enqueue_at;
+  std::vector<SimTime> steal_at;
+  SimTime second_started = kSimTimeMax;
+  sim.SetEnqueueHook(0, [&](int) {
+    enqueue_at.push_back(sim.now());
+    sim.Kick(1);
+  });
+  sim.SetStealHook(1, [&](int) {
+    Task* t = sim.TryStealFrom(0);
+    if (t != nullptr) {
+      steal_at.push_back(sim.now());
+    }
+    return t;
+  });
+  sim.Spawn(0, [&] {
+    for (int i = 0; i < 10; ++i) {
+      sim.Advance(100);
+    }
+  });
+  sim.Spawn(0, [&] { second_started = sim.now(); });
+  sim.Run();
+  EXPECT_EQ(enqueue_at, (std::vector<SimTime>{0}));
+  EXPECT_EQ(steal_at, (std::vector<SimTime>{0}));
+  EXPECT_EQ(second_started, 0u);
+  EXPECT_EQ(sim.now(), 1000u);
+}
+
 // ---- Cancellation (slab generation tags) ----
 
 TEST(SimCancelTest, StaleIdDoesNotCancelRecycledSlot) {
