@@ -23,8 +23,7 @@ void Channel::PersistRecord(uint64_t addr, uint64_t cnt) {
   // Hardware-side update: no CPU cost, but it is a persistence event (the
   // completion buffers live in a persistent region, §4.2).
   CompletionRecord rec{addr, cnt};
-  std::memcpy(mem_->Mutable(record_off_, sizeof(rec)).data(), &rec,
-              sizeof(rec));
+  mem_->Write(record_off_, &rec, sizeof(rec));
   mem_->PersistBarrier();
 }
 
@@ -73,8 +72,8 @@ Sn Channel::Enqueue(Descriptor desc) {
       // The eager payload copy below must be revertible when the transfer
       // aborts: an errored descriptor leaves nothing durable. SlowMemory's
       // inflight undo only exists with crash tracking on, so keep our own.
-      const std::byte* dst = mem_->raw() + desc.pmem_off;
-      pending.undo.assign(dst, dst + desc.size);
+      pending.undo.resize(desc.size);
+      mem_->CopyOut(pending.undo.data(), desc.pmem_off, desc.size);
     }
   }
   if (desc.dir == Descriptor::Dir::kWrite) {
@@ -84,8 +83,7 @@ Sn Channel::Enqueue(Descriptor desc) {
     // suffix.
     pending.inflight_token =
         mem_->RegisterInflightWrite(desc.pmem_off, desc.size);
-    std::memcpy(mem_->Mutable(desc.pmem_off, desc.size).data(), desc.dram,
-                desc.size);
+    mem_->Write(desc.pmem_off, desc.dram, desc.size);
   }
   const Sn sn = Sn::Make(id_, pending.cnt, pending.slot);
   pending.desc = std::move(desc);
@@ -221,8 +219,7 @@ void Channel::MaybeStart() {
     if (!is_write) {
       // Reads materialize into the destination buffer at transfer start;
       // CoW + deferred free guarantee the source blocks stay immutable.
-      std::memcpy(head.desc.dram, mem_->raw() + head.desc.pmem_off,
-                  head.desc.size);
+      mem_->CopyOut(head.desc.dram, head.desc.pmem_off, head.desc.size);
     }
     auto& flows = is_write ? mem_->write_flows() : mem_->read_flows();
     const double cap = is_write ? p.dma_write_chan_cap.Lookup(head.desc.size)
@@ -325,8 +322,7 @@ void Channel::FailHead() {
   // rolled-back range is stable again).
   if (is_write) {
     if (!head.undo.empty()) {
-      std::memcpy(mem_->Mutable(head.desc.pmem_off, head.desc.size).data(),
-                  head.undo.data(), head.desc.size);
+      mem_->Write(head.desc.pmem_off, head.undo.data(), head.desc.size);
     }
     mem_->CompleteInflightWrite(head.inflight_token);
     head.inflight_token = 0;
@@ -359,8 +355,7 @@ void Channel::RetryHead() {
     // the submitter's buffer is stable until completion by contract).
     head.inflight_token =
         mem_->RegisterInflightWrite(head.desc.pmem_off, head.desc.size);
-    std::memcpy(mem_->Mutable(head.desc.pmem_off, head.desc.size).data(),
-                head.desc.dram, head.desc.size);
+    mem_->Write(head.desc.pmem_off, head.desc.dram, head.desc.size);
   }
   // Software restart: doorbell cost for the re-submission, and the record's
   // error status is acknowledged/cleared.

@@ -418,8 +418,8 @@ void NovaFs::FillWriteEdges(Inode& in, uint64_t off, size_t n,
     const uint64_t dst = block_of(pg) + in_page_off;
     if (mapped) {
       // pmem-to-pmem preserve copy; charged as CPU data movement.
-      std::memcpy(mem_->Mutable(dst, bytes).data(),
-                  mem_->raw() + src_block + in_page_off, bytes);
+      mem_->Write(dst, mem_->Read(src_block + in_page_off, bytes).data(),
+                  bytes);
       Charge(stats, &fs::OpStats::data_ns,
              TransferNs(bytes, params().cpu_read_cap.at_4k));
     } else {

@@ -14,11 +14,11 @@
 
 namespace easyio::pmem {
 
-// Released device mappings, each all-zero with a clear dirty bitmap,
-// waiting for a device of the same size. Leaked so that devices destroyed
-// during static destruction can still park theirs. The mutex is the only
-// lock on the process's one shared mutable state; a mapping has one owner at
-// a time.
+// Released device mappings, each with no dirty page (the pages their owners
+// wrote are stale), waiting for a device of the same size. Leaked so that
+// devices destroyed during static destruction can still park theirs. The
+// mutex is the only lock on the process's one shared mutable state; a
+// mapping has one owner at a time.
 class ZeroMappedBytes::Pool {
  public:
   static Pool& Get() {
@@ -58,6 +58,49 @@ class ZeroMappedBytes::Pool {
   std::vector<Mapping> free_;
 };
 
+namespace {
+
+// Calls fn(first, end) for each maximal run [first, end) of set bits within
+// bits [bit, end_bit) of `bits`.
+template <typename Fn>
+void ForEachRun(const uint64_t* bits, size_t bit, size_t end_bit, Fn fn) {
+  while (bit < end_bit) {
+    const uint64_t word = bits[bit / 64] >> (bit % 64);
+    if (word == 0) {
+      bit = (bit / 64 + 1) * 64;
+      continue;
+    }
+    bit += static_cast<size_t>(std::countr_zero(word));
+    if (bit >= end_bit) {
+      break;
+    }
+    size_t run_end = bit;
+    while (run_end < end_bit) {
+      const size_t shift = run_end % 64;
+      const auto ones =
+          static_cast<size_t>(std::countr_one(bits[run_end / 64] >> shift));
+      run_end += ones;
+      if (shift + ones < 64) {
+        break;
+      }
+    }
+    run_end = std::min(run_end, end_bit);
+    fn(bit, run_end);
+    bit = run_end;
+  }
+}
+
+}  // namespace
+
+template <typename Fn>
+void ZeroMappedBytes::ForEachWord(size_t first, size_t end, Fn fn) {
+  while (first < end) {
+    const size_t stop = std::min(end, (first / 64 + 1) * 64);
+    fn(first / 64, Bits(first % 64, (stop - 1) % 64));
+    first = stop;
+  }
+}
+
 ZeroMappedBytes::ZeroMappedBytes(size_t size) {
   if (size == 0) {
     return;
@@ -66,65 +109,109 @@ ZeroMappedBytes::ZeroMappedBytes(size_t size) {
   if (m_.data != nullptr) {
     return;
   }
-  void* p = mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  static_assert(kPageBytes / kLineBytes == 64);
+  const size_t pages = (size + kPageBytes - 1) / kPageBytes;
+  void* p = mmap(nullptr, pages * (kPageBytes + sizeof(uint64_t)),
+                 PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) {
     std::perror("easyio: mmap of device backing store failed");
     std::abort();
   }
   m_.data = static_cast<std::byte*>(p);
   m_.size = size;
-  const size_t words = ((size + kPageBytes - 1) / kPageBytes + 63) / 64;
-  m_.dirty.assign(words, 0);
-  m_.held.assign(words, 0);
+  m_.stale = reinterpret_cast<uint64_t*>(m_.data + pages * kPageBytes);
+  m_.dirty.assign((pages + 63) / 64, 0);
+  m_.held.assign((pages + 63) / 64, 0);
 }
 
-// The scrub: a page the owner marked is memset back to zero and stays mapped,
-// so the next owner finds it there instead of paying a fresh fault (per 4 KiB
-// page on a 4-vCPU x86-64 VM: memset ~0.5-0.8 us, fault ~2.3-2.6 us). Every
-// other page was not written by this owner and is zero already.
+// Release writes no byte: the owner's pages turn stale and stay mapped, so
+// the next owner finds them there instead of paying a fresh fault (per 4 KiB
+// page on a 4-vCPU x86-64 VM: memset ~0.5-0.8 us, fault ~2.3-2.6 us). It
+// zeroes a stale line only if it reads it, or writes part of it, before
+// writing all of it.
 ZeroMappedBytes::~ZeroMappedBytes() {
   if (m_.data == nullptr) {
     return;
   }
-  Zero(0, m_.size);
   for (size_t w = 0; w < m_.dirty.size(); ++w) {
     m_.held_pages +=
         static_cast<size_t>(std::popcount(m_.dirty[w] & ~m_.held[w]));
     m_.held[w] |= m_.dirty[w];
+    for (uint64_t bits = m_.dirty[w]; bits != 0; bits &= bits - 1) {
+      m_.stale[w * 64 + static_cast<size_t>(std::countr_zero(bits))] =
+          ~uint64_t{0};
+    }
     m_.dirty[w] = 0;
   }
   Pool::Get().Park(std::move(m_));
 }
 
+void ZeroMappedBytes::ZeroStale(size_t first, size_t end) const {
+  ForEachRun(m_.stale, first, end, [&](size_t run, size_t run_end) {
+    const size_t from = run * kLineBytes;
+    std::memset(m_.data + from, 0,
+                std::min(run_end * kLineBytes, m_.size) - from);
+    ForEachWord(run, run_end,
+                [&](size_t w, uint64_t bits) { m_.stale[w] &= ~bits; });
+  });
+}
+
+void ZeroMappedBytes::CopyOutStale(void* dst, size_t off, size_t n) const {
+  auto* out = static_cast<std::byte*>(dst);
+  const size_t end = off + n;
+  size_t done = off;  // device bytes before it are copied out
+  ForEachRun(m_.stale, off / kLineBytes, (end - 1) / kLineBytes + 1,
+             [&](size_t run, size_t run_end) {
+               const size_t from = std::max(off, run * kLineBytes);
+               const size_t to = std::min(end, run_end * kLineBytes);
+               std::memcpy(out + (done - off), m_.data + done, from - done);
+               std::memset(out + (from - off), 0, to - from);
+               done = to;
+             });
+  std::memcpy(out + (done - off), m_.data + done, end - done);
+}
+
+void ZeroMappedBytes::Mark(size_t off, size_t n) {
+  if (n == 0) {
+    return;
+  }
+  ForEachWord(off / kPageBytes, (off + n - 1) / kPageBytes + 1,
+              [&](size_t w, uint64_t bits) { m_.dirty[w] |= bits; });
+  ForEachWord(off / kLineBytes, (off + n - 1) / kLineBytes + 1,
+              [&](size_t w, uint64_t bits) { m_.stale[w] &= ~bits; });
+}
+
+void ZeroMappedBytes::WriteSpan(size_t off, const void* src, size_t n) {
+  if (n == 0) {
+    return;
+  }
+  // A line the write covers whole needs no zeroing; a stale one it covers
+  // partly keeps bytes outside the write, which must read as zero.
+  if (off % kLineBytes != 0) {
+    Unstale(off, 1);
+  }
+  if ((off + n) % kLineBytes != 0) {
+    Unstale(off + n - 1, 1);
+  }
+  Mark(off, n);
+  std::memcpy(m_.data + off, src, n);
+}
+
+// A dirty page's stale lines take the zeroes too; they read as zero either
+// way.
 void ZeroMappedBytes::Zero(size_t off, size_t n) {
   assert(off + n <= m_.size);
   if (n == 0) {
     return;
   }
   const size_t end = off + n;
-  const size_t end_page = (end + kPageBytes - 1) / kPageBytes;
-  auto marked = [&](size_t p) { return (m_.dirty[p / 64] >> (p % 64)) & 1; };
-  size_t page = off / kPageBytes;
-  while (page < end_page) {
-    const uint64_t word = m_.dirty[page / 64] >> (page % 64);
-    if (word == 0) {
-      page = (page / 64 + 1) * 64;
-      continue;
-    }
-    page += static_cast<size_t>(std::countr_zero(word));
-    if (page >= end_page) {
-      break;
-    }
-    size_t run_end = page + 1;
-    while (run_end < end_page && marked(run_end)) {
-      run_end++;
-    }
-    const size_t from = std::max(off, page * kPageBytes);
-    const size_t to = std::min(end, run_end * kPageBytes);
-    std::memset(m_.data + from, 0, to - from);
-    page = run_end;
-  }
+  ForEachRun(m_.dirty.data(), off / kPageBytes,
+             (end + kPageBytes - 1) / kPageBytes,
+             [&](size_t run, size_t run_end) {
+               const size_t from = std::max(off, run * kPageBytes);
+               const size_t to = std::min(end, run_end * kPageBytes);
+               std::memset(m_.data + from, 0, to - from);
+             });
 }
 
 SlowMemory::SlowMemory(sim::Simulation* sim, const MediaParams& params,
@@ -208,8 +295,7 @@ void SlowMemory::CpuWrite(uint64_t dst_off, const void* src, size_t n) {
   assert(dst_off + n <= data_.size());
   assert(sim_->in_task());
   const uint64_t token = RegisterInflightWrite(dst_off, n);  // undo snapshot
-  // Eager copy; durable at completion.
-  std::memcpy(data_.Mutable(dst_off, n).data(), src, n);
+  data_.Write(dst_off, src, n);  // eager copy; durable at completion
   sim::Task* task = sim_->current();
   const auto flow = write_flows_->StartFlow(
       n, params_.cpu_write_cap.Lookup(n), sim::FlowType::kCpu,
@@ -225,7 +311,7 @@ void SlowMemory::CpuWrite(uint64_t dst_off, const void* src, size_t n) {
 void SlowMemory::CpuRead(void* dst, uint64_t src_off, size_t n) {
   assert(src_off + n <= data_.size());
   assert(sim_->in_task());
-  std::memcpy(dst, data_.data() + src_off, n);
+  data_.CopyOut(dst, src_off, n);
   sim::Task* task = sim_->current();
   read_flows_->StartFlow(n, params_.cpu_read_cap.Lookup(n),
                          sim::FlowType::kCpu, [this, task] {
@@ -240,7 +326,7 @@ uint64_t SlowMemory::MetaCostNs(size_t n) const {
 }
 
 void SlowMemory::MetaWrite(uint64_t dst_off, const void* src, size_t n) {
-  std::memcpy(data_.Mutable(dst_off, n).data(), src, n);
+  data_.Write(dst_off, src, n);
   if (sim_->in_task()) {
     sim_->Advance(MetaCostNs(n));
   }
@@ -268,9 +354,10 @@ uint64_t SlowMemory::RegisterInflightWrite(uint64_t dst_off, size_t n) {
   }
   // Callers must register *before* performing the eager memcpy so the undo
   // snapshot preserves the pre-write contents.
-  const std::byte* old = data_.data() + dst_off;
+  auto undo = std::make_unique_for_overwrite<std::byte[]>(n);
+  data_.CopyOut(undo.get(), dst_off, n);
   const uint64_t token = next_token_++;
-  inflight_.emplace(token, Inflight{dst_off, n, {old, old + n}});
+  inflight_.emplace(token, Inflight{dst_off, n, std::move(undo)});
   return token;
 }
 
@@ -304,14 +391,15 @@ void SlowMemory::ForEachRollback(Fn restore) const {
         (static_cast<size_t>(progress * static_cast<double>(entry.n)) / 64) *
         64;
     if (durable < entry.n) {
-      restore(entry.dst_off + durable, entry.undo.data() + durable,
+      restore(entry.dst_off + durable, entry.undo.get() + durable,
               entry.n - durable);
     }
   }
 }
 
 std::vector<std::byte> SlowMemory::CrashImage() const {
-  std::vector<std::byte> image(data_.data(), data_.data() + data_.size());
+  const std::byte* bytes = data_.data();
+  std::vector<std::byte> image(bytes, bytes + data_.size());
   ForEachRollback([&](uint64_t off, const std::byte* undo, size_t n) {
     std::memcpy(image.data() + off, undo, n);
   });
@@ -320,8 +408,7 @@ std::vector<std::byte> SlowMemory::CrashImage() const {
 
 void SlowMemory::LoadImage(const std::vector<std::byte>& image) {
   assert(image.size() == data_.size());
-  std::memcpy(data_.Mutable(0, image.size()).data(), image.data(),
-              image.size());
+  data_.Write(0, image.data(), image.size());
 }
 
 void SlowMemory::AdoptCrashImage(SlowMemory& crashed) {
@@ -329,7 +416,7 @@ void SlowMemory::AdoptCrashImage(SlowMemory& crashed) {
   assert(crashed.data_.size() == data_.size());
   assert(inflight_.empty());
   crashed.ForEachRollback([&](uint64_t off, const std::byte* undo, size_t n) {
-    std::memcpy(crashed.data_.Mutable(off, n).data(), undo, n);
+    crashed.data_.Write(off, undo, n);
   });
   // The undo bytes describe the mapping that is about to leave; late
   // completions of the dead flows just find no entry to erase.

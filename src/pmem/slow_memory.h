@@ -38,17 +38,35 @@ namespace easyio::pmem {
 // device costs a page-table entry, not a half-gigabyte memset. Benchmarks pay
 // for the pages the workload actually touches, nothing more.
 //
-// The bytes are read-only except through Mutable(), which marks every 4 KiB
-// page it hands out in a dirty bitmap that belongs to the mapping. Because
-// the types force every write through that call, a page the bitmap does not
-// mark is zero, without reading it; that holds for a swapped-out page too.
-//
 // Mappings are recycled, never unmapped, and keep every page they ever
-// mapped. The destructor memsets exactly the marked pages back to zero, in
-// coalesced runs, clears the bitmap and parks the mapping in a process-wide
-// pool. The constructor takes the parked mapping of exactly `size` bytes
-// that holds the most pages, else mmaps a new one. A device therefore always
-// starts all-zero with a clear bitmap, whichever mapping it gets.
+// mapped. Two bitmaps move with the mapping:
+//  * dirty, one bit per 4 KiB page: the current owner wrote to the page;
+//  * stale, one bit per 64-byte line: an earlier owner wrote to the line's
+//    page, and the current owner has not touched the line since. Its bytes
+//    are junk, but it reads as zero: the first access of its new owner
+//    zeroes it.
+// A page is therefore clean (all zero, no bit set), stale (every line
+// stale), dirty, or dirty with the lines its owner has not touched still
+// stale. Writes go through Write() (a copy in) or Mutable() (a
+// read-modify-write view); both mark the pages they touch dirty and the
+// lines they touch not stale. Because the types force every write through
+// them, a page that is not dirty is clean or stale, without reading it; that
+// holds for a swapped-out page too.
+//
+// Reads go through Read(), which zeroes the stale lines in its range first,
+// or CopyOut(), which copies a stale line out as zeros and leaves it stale;
+// both test one bitmap word inline first. Write() zeroes only a stale line
+// it covers partly, so a write over whole lines pays no memset, and a small
+// first touch of a stale page zeroes a line or two, not the page. data()
+// zeroes every stale line of the mapping before handing out the whole array:
+// it costs a scan of the bitmap plus a memset per stale run, and is meant
+// for tests and crash images.
+//
+// Release memsets nothing: the destructor turns every line of each dirty
+// page stale and parks the mapping in a process-wide pool. The constructor
+// takes the parked mapping of exactly `size` bytes that holds the most
+// pages, else mmaps a new one. A device therefore always starts reading
+// all-zero with no dirty page, whichever mapping it gets.
 class ZeroMappedBytes {
  public:
   explicit ZeroMappedBytes(size_t size);
@@ -57,38 +75,110 @@ class ZeroMappedBytes {
   ZeroMappedBytes(const ZeroMappedBytes&) = delete;
   ZeroMappedBytes& operator=(const ZeroMappedBytes&) = delete;
 
-  const std::byte* data() const { return m_.data; }
+  // The whole array, every stale line zeroed first.
+  const std::byte* data() const {
+    ZeroStale(0, pages() * 64);
+    return m_.data;
+  }
   size_t size() const { return m_.size; }
 
-  // The writable view of [off, off+n); marks the pages it covers.
-  std::span<std::byte> Mutable(size_t off, size_t n) {
+  // [off, off+n) for reading, its stale lines zeroed first.
+  std::span<const std::byte> Read(size_t off, size_t n) const {
     assert(off + n <= m_.size);
-    if (n > 0) {
-      for (size_t p = off / kPageBytes; p <= (off + n - 1) / kPageBytes; ++p) {
-        m_.dirty[p / 64] |= uint64_t{1} << (p % 64);
-      }
-    }
+    Unstale(off, n);
     return {m_.data + off, n};
   }
 
-  // Zeroes [off, off+n), writing only to marked pages: the rest are zero.
+  // Copies [off, off+n) to dst. A stale line copies out as zeros and stays
+  // stale: the copy zeroes its destination, not the device.
+  void CopyOut(void* dst, size_t off, size_t n) const {
+    assert(off + n <= m_.size);
+    if (MaybeStale(off, n)) {
+      CopyOutStale(dst, off, n);
+    } else {
+      std::memcpy(dst, m_.data + off, n);
+    }
+  }
+
+  // Copies [src, src+n) to [off, off+n) and marks what it covers. Inline
+  // for the common case, a write within one page that has no stale line in
+  // its range.
+  void Write(size_t off, const void* src, size_t n) {
+    assert(off + n <= m_.size);
+    const size_t page = off / kPageBytes;
+    if (n == 0 || page != (off + n - 1) / kPageBytes || MaybeStale(off, n)) {
+      WriteSpan(off, src, n);
+      return;
+    }
+    m_.dirty[page / 64] |= uint64_t{1} << (page % 64);
+    std::memcpy(m_.data + off, src, n);
+  }
+
+  // The writable view of [off, off+n), stale lines zeroed; marks what it
+  // covers.
+  std::span<std::byte> Mutable(size_t off, size_t n) {
+    assert(off + n <= m_.size);
+    Unstale(off, n);
+    Mark(off, n);
+    return {m_.data + off, n};
+  }
+
+  // Zeroes [off, off+n), writing only to dirty pages: the rest read as zero.
   void Zero(size_t off, size_t n);
 
   // Exchanges the two mappings with their bitmaps; each destructor then
-  // scrubs and parks what it holds.
+  // parks what it holds.
   void swap(ZeroMappedBytes& other) noexcept { std::swap(m_, other.m_); }
 
  private:
   static constexpr size_t kPageBytes = 4096;
+  static constexpr size_t kLineBytes = 64;  // a stale word is one page
 
   struct Mapping {
     std::byte* data = nullptr;
     size_t size = 0;
     std::vector<uint64_t> dirty;  // pages written by the current owner
+    // Lines of pages an earlier owner wrote that this one has not touched,
+    // one word per page. The words live in the mapping, past its last
+    // page, so a word no owner ever set costs no memory. Zeroing a stale
+    // line is invisible to readers, so const reads may do it.
+    uint64_t* stale = nullptr;
     std::vector<uint64_t> held;   // pages written by any owner: mapped
     size_t held_pages = 0;        // popcount of `held`, as of the last park
   };
   class Pool;
+
+  size_t pages() const { return (m_.size + kPageBytes - 1) / kPageBytes; }
+  // Bits lo..hi (inclusive) of a bitmap word.
+  static uint64_t Bits(size_t lo, size_t hi) {
+    return (~uint64_t{0} >> (63 - hi)) & (~uint64_t{0} << lo);
+  }
+  // Calls fn(word index, bits) for each bitmap word bits [first, end) cover.
+  template <typename Fn>
+  static void ForEachWord(size_t first, size_t end, Fn fn);
+  // Whether a line [off, off+n) touches may be stale: exact within one page,
+  // else true.
+  bool MaybeStale(size_t off, size_t n) const {
+    if (n == 0) {
+      return false;
+    }
+    const size_t first = off / kLineBytes;
+    const size_t last = (off + n - 1) / kLineBytes;
+    return first / 64 != last / 64 ||
+           (m_.stale[first / 64] & Bits(first % 64, last % 64)) != 0;
+  }
+  // Zeroes the stale lines among those [off, off+n) touches.
+  void Unstale(size_t off, size_t n) const {
+    if (MaybeStale(off, n)) {
+      ZeroStale(off / kLineBytes, (off + n - 1) / kLineBytes + 1);
+    }
+  }
+  // Zeroes the stale lines in [first, end) and makes them clean.
+  void ZeroStale(size_t first, size_t end) const;
+  void CopyOutStale(void* dst, size_t off, size_t n) const;
+  void WriteSpan(size_t off, const void* src, size_t n);
+  // Makes the pages [off, off+n) touches dirty and its lines not stale.
+  void Mark(size_t off, size_t n);
 
   Mapping m_;
 };
@@ -104,21 +194,34 @@ class SlowMemory {
   const MediaParams& params() const { return params_; }
   sim::Simulation* simulation() const { return sim_; }
 
-  // Raw access to the persistent array (zero simulated cost; callers charge
-  // their own modeled costs). Reads are direct; every write goes through
-  // Mutable() or Zero(), so that the backing store knows which pages to
-  // scrub when the device is released (see ZeroMappedBytes).
+  // Direct access to the persistent array (zero simulated cost; callers
+  // charge their own modeled costs). Every read is ranged (As, Read,
+  // CopyOut) and every write goes through Write(), Mutable() or Zero(), so
+  // that the backing store knows which pages a released device leaves
+  // behind (see ZeroMappedBytes).
   template <typename T>
   const T* As(uint64_t offset) const {
-    return reinterpret_cast<const T*>(data_.data() + offset);
+    return reinterpret_cast<const T*>(data_.Read(offset, sizeof(T)).data());
   }
+  std::span<const std::byte> Read(uint64_t offset, size_t n) const {
+    return data_.Read(offset, n);
+  }
+  // Copies [offset, offset+n) to dst; see ZeroMappedBytes::CopyOut.
+  void CopyOut(void* dst, uint64_t offset, size_t n) const {
+    data_.CopyOut(dst, offset, n);
+  }
+  void Write(uint64_t offset, const void* src, size_t n) {
+    data_.Write(offset, src, n);
+  }
+  // The whole array (every stale line zeroed first; see ZeroMappedBytes).
+  // For tests; the simulator reads through As(), Read() and CopyOut().
   const std::byte* raw() const { return data_.data(); }
-  // The only writable view of the array: [offset, offset+n), marked.
+  // The read-modify-write view of [offset, offset+n), marked.
   std::span<std::byte> Mutable(uint64_t offset, size_t n) {
     return data_.Mutable(offset, n);
   }
-  // Zeroes [offset, offset+n) at the cost of only the pages ever written:
-  // on a fresh device it writes nothing.
+  // Zeroes [offset, offset+n) at the cost of only the pages this device
+  // wrote: on a fresh device it writes nothing.
   void Zero(uint64_t offset, size_t n) { data_.Zero(offset, n); }
 
   // ---- CPU data path (must be called from inside a task) ----
@@ -185,11 +288,11 @@ class SlowMemory {
 
   // Hand-off: makes `crashed`'s post-crash image this device's contents.
   // Rolls `crashed`'s in-flight writes back in place, then swaps the two
-  // backing stores with their dirty bitmaps, so `crashed` ends up holding
-  // this device's fresh all-zero mapping and no in-flight writes. Its
-  // simulation, flows and suspended tasks may still be torn down afterwards;
-  // anything they touch lands, marked, in that spare mapping. Requires equal
-  // sizes and no in-flight writes on this device.
+  // backing stores with their bitmaps, so `crashed` ends up holding this
+  // device's fresh mapping, which reads all-zero, and no in-flight writes.
+  // Its simulation, flows and suspended tasks may still be torn down
+  // afterwards; anything they touch lands, marked, in that spare mapping.
+  // Requires equal sizes and no in-flight writes on this device.
   void AdoptCrashImage(SlowMemory& crashed);
 
  private:
@@ -208,7 +311,7 @@ class SlowMemory {
   struct Inflight {
     uint64_t dst_off;
     size_t n;
-    std::vector<std::byte> undo;
+    std::unique_ptr<std::byte[]> undo;
     sim::FlowResource* res = nullptr;
     sim::FlowResource::FlowId flow = 0;
   };

@@ -7,7 +7,10 @@
 // (target_type) that this kernel never uses. SmallFn keeps exactly two
 // raw function pointers (invoke, manage) next to a fixed inline buffer:
 // construction is a placement-new, a call is one indirect call, and a
-// move is a memcpy-sized move-construct. Callables larger than the buffer
+// move is a memcpy-sized move-construct. An inline callable that is
+// trivially copyable and destructible (a capture of pointers and integers,
+// as every simulator event is) has no manager at all: a move copies the
+// buffer and destruction does nothing. Callables larger than the buffer
 // fall back to a single heap cell so the public Schedule* API keeps
 // accepting arbitrary captures; every capture in the simulator itself fits
 // inline (static buffer of kSmallFnInline bytes, see static_assert use in
@@ -20,6 +23,7 @@
 #define EASYIO_SIM_SMALL_FN_H_
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -45,9 +49,14 @@ class SmallFn<R(Args...), kInline> {
     using D = std::decay_t<F>;
     if constexpr (sizeof(D) <= kInline && alignof(D) <= alignof(Storage) &&
                   std::is_nothrow_move_constructible_v<D>) {
+      if constexpr (std::is_trivially_copyable_v<D> &&
+                    std::is_trivially_destructible_v<D>) {
+        std::memset(buf_, 0, kInline);  // a move copies the whole buffer
+      } else {
+        manage_ = &InlineManage<D>;
+      }
       new (buf_) D(std::forward<F>(f));
       invoke_ = &InlineInvoke<D>;
-      manage_ = &InlineManage<D>;
     } else {
       *reinterpret_cast<D**>(buf_) = new D(std::forward<F>(f));
       invoke_ = &HeapInvoke<D>;
@@ -100,7 +109,8 @@ class SmallFn<R(Args...), kInline> {
   };
   using InvokeFn = R (*)(void*, Args&&...);
   // src != nullptr: move-construct dst's payload from src's (src is left
-  // destructible). src == nullptr: destroy dst's payload.
+  // destructible). src == nullptr: destroy dst's payload. Null for a
+  // trivial inline payload.
   using ManageFn = void (*)(void* dst, void* src);
 
   template <typename D>
@@ -137,6 +147,8 @@ class SmallFn<R(Args...), kInline> {
     if (manage_ != nullptr) {
       manage_(buf_, other.buf_);
       other.manage_(other.buf_, nullptr);
+    } else if (invoke_ != nullptr) {
+      std::memcpy(buf_, other.buf_, kInline);
     }
     other.invoke_ = nullptr;
     other.manage_ = nullptr;

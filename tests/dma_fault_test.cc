@@ -748,5 +748,129 @@ TEST(ScrubTest, EveryWritePathIsScrubbed) {
   }
 }
 
+// A released device's written pages turn stale, not zero: they must read as
+// zero until the next owner first touches them, through every read path and
+// in the undo snapshot of a write in flight, and a write that covers one
+// only partly must zero the rest. The junk
+// device's size is one no other test uses, so the pool hands its mapping,
+// every page stale, straight back.
+TEST(ZeroMappedBytesTest, StaleBytesReadAsZeroThroughEveryPath) {
+  constexpr size_t kSize = 24_MB + 28_KB;
+  constexpr size_t kPage = 4_KB;
+  constexpr size_t kRegion = 12 * kPage;
+  const auto pattern = Pattern(3 * kPage, 21);
+  const std::byte* junk_base = nullptr;
+  {
+    Simulation sim({.num_cores = 1});
+    SlowMemory junk(&sim, MediaParams::OneNode(), kSize);
+    junk.LoadImage(std::vector<std::byte>(kSize, std::byte{0xee}));
+    junk_base = junk.raw();
+  }
+  Simulation sim({.num_cores = 1});
+  SlowMemory mem(&sim, MediaParams::OneNode(), kSize);
+  DmaEngine engine(&mem, kRecordOff, /*channels=*/1);
+
+  // One region per read path, so each finds its own pages still stale: an
+  // untouched page, one byte at a page's last offset, an unaligned write
+  // across three pages, a poke, and a Zero over written and stale bytes.
+  std::vector<std::byte> want_region(kRegion);
+  auto fill = [&](uint64_t base) {
+    mem.Write(base + 2 * kPage - 1, pattern.data(), 1);
+    mem.Write(base + 3 * kPage + 100, pattern.data() + 1, 2 * kPage + 200);
+    mem.Mutable(base + 7 * kPage + 10, 1)[0] = std::byte{0x42};
+    mem.Zero(base + 4 * kPage + 8, 16);
+    mem.Zero(base + 8 * kPage + 5, kPage);
+  };
+  want_region[2 * kPage - 1] = pattern[0];
+  std::copy(pattern.begin() + 1, pattern.begin() + 1 + 2 * kPage + 200,
+            want_region.begin() + 3 * kPage + 100);
+  want_region[7 * kPage + 10] = std::byte{0x42};
+  std::fill_n(want_region.begin() + 4 * kPage + 8, 16, std::byte{0});
+
+  constexpr int kRegions = 5;
+  auto base_of = [](int i) -> uint64_t { return 1_MB + i * kRegion; };
+  for (int i = 0; i < kRegions; ++i) {
+    fill(base_of(i));
+  }
+  auto mismatch = [&](const std::byte* got) -> size_t {
+    const auto [g, w] = std::mismatch(got, got + kRegion, want_region.begin());
+    return static_cast<size_t>(g - got);
+  };
+
+  struct Region {
+    std::byte bytes[kRegion];
+  };
+  EXPECT_EQ(mismatch(mem.As<Region>(base_of(0))->bytes), kRegion) << "As";
+  EXPECT_EQ(mismatch(mem.Read(base_of(1), kRegion).data()), kRegion)
+      << "Read";
+  std::vector<std::byte> cpu(kRegion);
+  std::vector<std::byte> dma(kRegion);
+  sim.Spawn(0, [&] {
+    mem.CpuRead(cpu.data(), base_of(2), kRegion);
+    Descriptor d;
+    d.dir = Descriptor::Dir::kRead;
+    d.pmem_off = base_of(3);
+    d.dram = dma.data();
+    d.size = kRegion;
+    Channel& ch = engine.channel(0);
+    EXPECT_EQ(ch.WaitSn(ch.Submit(d)), DmaResult::kOk);
+  });
+  sim.Run();
+  EXPECT_EQ(mismatch(cpu.data()), kRegion) << "CpuRead";
+  EXPECT_EQ(mismatch(dma.data()), kRegion) << "DMA read";
+
+  // A DMA write in flight over stale pages when the crash image is taken:
+  // its undo snapshot holds zeros, so the unfinished suffix rolls back to
+  // zero.
+  mem.EnableCrashTracking();
+  const uint64_t inflight = base_of(kRegions);
+  const auto payload = Pattern(64_KB, 22);
+  std::vector<std::byte> image;
+  sim.Spawn(0, [&] {
+    Descriptor d;
+    d.dir = Descriptor::Dir::kWrite;
+    d.pmem_off = inflight;
+    d.dram = const_cast<std::byte*>(payload.data());
+    d.size = 64_KB;
+    Channel& ch = engine.channel(0);
+    const Sn sn = ch.Submit(d);
+    sim.SleepFor(4_us);
+    image = mem.CrashImage();
+    EXPECT_EQ(ch.WaitSn(sn), DmaResult::kOk);
+  });
+  sim.Run();
+  size_t prefix = 0;
+  while (prefix < 64_KB && image[inflight + prefix] == payload[prefix]) {
+    prefix++;
+  }
+  EXPECT_GT(prefix, 0u);
+  EXPECT_LT(prefix, 64_KB);
+  const size_t durable = prefix / 64 * 64;
+  EXPECT_TRUE(std::all_of(image.begin() + inflight + durable,
+                          image.begin() + inflight + 64_KB,
+                          [](std::byte b) { return b == std::byte{0}; }))
+      << "CrashImage rollback";
+
+  // The whole-device views: every byte but the regions, the in-flight
+  // write and the completion record reads as zero.
+  std::vector<std::byte> want(kSize);
+  for (int i = 0; i < kRegions; ++i) {
+    std::copy(want_region.begin(), want_region.end(),
+              want.begin() + base_of(i));
+  }
+  auto first_diff = [&](const std::byte* got) -> size_t {
+    // The record changes as transfers complete; it is not under test.
+    std::copy_n(got + kRecordOff, sizeof(CompletionRecord),
+                want.begin() + kRecordOff);
+    return static_cast<size_t>(
+        std::mismatch(got, got + kSize, want.begin()).first - got);
+  };
+  std::copy_n(payload.begin(), durable, want.begin() + inflight);
+  EXPECT_EQ(first_diff(image.data()), kSize) << "CrashImage";
+  std::copy(payload.begin(), payload.end(), want.begin() + inflight);
+  EXPECT_EQ(first_diff(mem.raw()), kSize) << "raw";
+  EXPECT_EQ(mem.raw(), junk_base) << "the junk mapping was not taken back";
+}
+
 }  // namespace
 }  // namespace easyio::dma

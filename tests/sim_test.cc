@@ -2,10 +2,13 @@
 
 #include <random>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.h"
 #include "src/sim/simulation.h"
+#include "src/sim/small_fn.h"
 
 namespace easyio::sim {
 namespace {
@@ -658,6 +661,70 @@ TEST(SimCancelTest, RandomizedScheduleCancelFire) {
         << "out of order at " << i << ": (" << prev.time << "," << prev.issue
         << ") then (" << cur.time << "," << cur.issue << ")";
   }
+}
+
+// Counts the destruction of the payload it was built with, not of the
+// moved-from shells a move leaves behind.
+struct DestroyProbe {
+  explicit DestroyProbe(int* destroyed) : destroyed(destroyed) {}
+  DestroyProbe(DestroyProbe&& other) noexcept
+      : destroyed(other.destroyed), owner(std::exchange(other.owner, false)) {}
+  ~DestroyProbe() {
+    if (owner) {
+      ++*destroyed;
+    }
+  }
+  int* destroyed;
+  bool owner = true;
+};
+
+TEST(SmallFnTest, NonTrivialCaptureIsDestroyedExactlyOnce) {
+  int destroyed = 0;
+  int calls = 0;
+  {
+    SmallFn<void()> a([probe = DestroyProbe(&destroyed), &calls] { ++calls; });
+    SmallFn<void()> b(std::move(a));
+    EXPECT_FALSE(a);
+    b();
+    SmallFn<void()> c;
+    c = std::move(b);
+    EXPECT_FALSE(b);
+    c();
+    EXPECT_EQ(destroyed, 0);
+    c = nullptr;  // Reset
+    EXPECT_EQ(destroyed, 1);
+    EXPECT_FALSE(c);
+
+    // Assigning over a live payload destroys it once; so does the end of
+    // the scope, for both the inline and the heap-held one.
+    SmallFn<void()> d([probe = DestroyProbe(&destroyed)] {});
+    d = [] {};
+    EXPECT_EQ(destroyed, 2);
+    SmallFn<void()> e([probe = DestroyProbe(&destroyed)] {});
+    SmallFn<void(), 8> heap([probe = DestroyProbe(&destroyed), &calls] {
+      ++calls;
+    });
+    SmallFn<void(), 8> heap_moved(std::move(heap));
+    heap_moved();
+  }
+  EXPECT_EQ(destroyed, 4);
+  EXPECT_EQ(calls, 3);
+}
+
+TEST(SmallFnTest, TrivialCaptureMovesByCopy) {
+  const int64_t x = 41;
+  int64_t out = 0;
+  auto set = [x, p = &out](int64_t add) { *p = x + add; };
+  static_assert(std::is_trivially_copyable_v<decltype(set)>);
+  SmallFn<void(int64_t)> a(set);
+  SmallFn<void(int64_t)> b(std::move(a));
+  EXPECT_FALSE(a);
+  SmallFn<void(int64_t)> c;
+  c = std::move(b);
+  c(1);
+  EXPECT_EQ(out, 42);
+  c = nullptr;
+  EXPECT_FALSE(c);
 }
 
 }  // namespace
