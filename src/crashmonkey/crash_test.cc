@@ -208,21 +208,13 @@ std::set<std::string> PathUniverse(const CrashWorkload& workload) {
   return paths;
 }
 
-ExpectedState StateAfter(const CrashWorkload& workload, int last_op) {
-  ExpectedState st;
-  for (int i = 0; i <= last_op && i < static_cast<int>(workload.ops.size());
-       ++i) {
-    workload.ops[static_cast<size_t>(i)].model(st);
-  }
-  return st;
-}
-
 // Compares the recovered filesystem against one candidate expected state.
+// `got` is the read buffer, reused across files and calls.
 bool MatchesState(fs::FileSystem& fs, sim::Simulation& sim,
                   const ExpectedState& expected,
-                  const std::set<std::string>& universe) {
+                  const std::set<std::string>& universe,
+                  std::vector<std::byte>& got) {
   bool ok = true;
-  std::vector<std::byte> got;  // one read buffer, reused across files
   sim.Spawn(0, [&] {
     for (const std::string& path : universe) {
       auto it = expected.find(path);
@@ -260,6 +252,23 @@ bool MatchesState(fs::FileSystem& fs, sim::Simulation& sim,
 }
 
 }  // namespace
+
+ModelCursor::ModelCursor(const CrashWorkload& workload)
+    : workload_(&workload) {
+  AdvanceTo(-1);
+}
+
+void ModelCursor::AdvanceTo(int completed) {
+  assert(completed >= before_last_ && "crash sweep rewound");
+  const auto& ops = workload_->ops;
+  const int last = static_cast<int>(ops.size()) - 1;
+  while (before_last_ < std::min(completed, last)) {
+    ops[static_cast<size_t>(++before_last_)].model(before_);
+  }
+  while (after_last_ < std::min(completed + 1, last)) {
+    ops[static_cast<size_t>(++after_last_)].model(after_);
+  }
+}
 
 nova::NovaFs::Options DefaultCrashFsOptions() {
   nova::NovaFs::Options opts;
@@ -338,12 +347,15 @@ CrashTestResult RunCrashTest(const CrashWorkload& workload, int max_points,
   const std::vector<uint64_t> points =
       SampleCrashPoints(workload, max_points, fs_options, faults);
   const std::set<std::string> universe = PathUniverse(workload);
+  ModelCursor models(workload);
+  std::vector<std::byte> got;  // the check's read buffer, for the sweep
   CrashTestResult result;
   result.total_points = static_cast<int>(points.size());
 
   for (const uint64_t k : points) {
     CrashEnv env(fs_options, faults);
     const int completed = RunToCrash(env, workload, k);
+    models.AdvanceTo(completed);
 
     // Hand the crash image to a fresh instance (no copy: the crashed
     // device's mapping moves over), then mount it and recover.
@@ -364,10 +376,9 @@ CrashTestResult RunCrashTest(const CrashWorkload& workload, int max_points,
     // No ChannelManager attached: reads take the memcpy path, which is all
     // the checker needs.
 
-    const ExpectedState s_last = StateAfter(workload, completed);
-    const ExpectedState s_next = StateAfter(workload, completed + 1);
-    const bool ok = MatchesState(fs2, sim2, s_last, universe) ||
-                    MatchesState(fs2, sim2, s_next, universe);
+    const bool ok =
+        MatchesState(fs2, sim2, models.before(), universe, got) ||
+        MatchesState(fs2, sim2, models.after(), universe, got);
     if (ok) {
       result.passed++;
     } else if (result.failures.size() < 5) {

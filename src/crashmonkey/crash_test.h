@@ -13,11 +13,14 @@
 //      the crashed device to a fresh EasyIO instance
 //      (SlowMemory::AdoptCrashImage: in-flight DMA transfers are rolled
 //      back to their durable prefix in place and the mapping moves over, so
-//      no image is copied), mounts it, and runs recovery. Per point this
-//      costs a replay, a mount and the state check;
+//      no image is copied), mounts it, and runs recovery;
 //   3. checks that the recovered state equals the model state after the
 //      last *completed* operation, or after the one possibly-in-flight
-//      operation — anything else is an atomicity or durability bug.
+//      operation — anything else is an atomicity or durability bug. Both
+//      states come from two running models (ModelCursor) that a sweep
+//      advances one op at a time as its ascending crash points complete
+//      more of the workload, so the model is never replayed per point and
+//      a crash point costs a replay, a mount and the read-back.
 //
 // The four workloads mirror the paper's Table 2: create_delete,
 // generic_056 (create/write/link), generic_090 (write/append/link),
@@ -128,6 +131,34 @@ std::vector<uint64_t> SampleCrashPoints(const CrashWorkload& workload,
 // crashed device: snapshot it with CrashImage() or hand it to a recovery
 // device with AdoptCrashImage().
 int RunToCrash(CrashEnv& env, const CrashWorkload& workload, uint64_t k);
+
+// The two expected states a crash point is checked against, kept as running
+// models over one ascending sweep: before() is the state after op
+// `completed`, after() the state after op `completed + 1` (capped at the
+// last op). Each op's model runs once per model, and each model owns its
+// contents, so hard links alias within it.
+class ModelCursor {
+ public:
+  // Starts at completed = -1: before() is empty, after() holds op 0.
+  // `workload` must outlive the cursor.
+  explicit ModelCursor(const CrashWorkload& workload);
+
+  // Advances both models to `completed`, the index of the last op a crash
+  // replay completed (-1 if none). Replays to ascending crash points are
+  // deterministic prefixes of one another, so `completed` never decreases
+  // across calls.
+  void AdvanceTo(int completed);
+
+  const ExpectedState& before() const { return before_; }
+  const ExpectedState& after() const { return after_; }
+
+ private:
+  const CrashWorkload* workload_;
+  ExpectedState before_;
+  ExpectedState after_;
+  int before_last_ = -1;  // last op applied to before_
+  int after_last_ = -1;   // last op applied to after_
+};
 
 // Runs up to `max_points` crash points (evenly sampled over all persist
 // barriers) for the workload on EasyIO.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/common/bit_runs.h"
 #include "src/nova/layout.h"
 
 namespace easyio::nova {
@@ -181,30 +182,28 @@ void BlockAllocator::BeginRecovery() {
     shard.max_run = 0;
   }
   free_pages_ = 0;
-  used_bitmap_.assign(total_pages_, false);
+  // A set bit means provisionally free.
+  free_bitmap_.assign((total_pages_ + 63) / 64, ~uint64_t{0});
 }
 
 void BlockAllocator::MarkUsed(uint64_t block_off, uint64_t pages) {
   assert(in_recovery_);
   const uint64_t first = (block_off - area_off_) / kBlockSize;
-  for (uint64_t i = 0; i < pages; ++i) {
-    assert(first + i < total_pages_);
-    assert(!used_bitmap_[first + i] && "block referenced twice");
-    used_bitmap_[first + i] = true;
+  for (uint64_t i = first; i < first + pages; ++i) {
+    assert(i < total_pages_);
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    assert((free_bitmap_[i / 64] & bit) != 0 && "block referenced twice");
+    free_bitmap_[i / 64] &= ~bit;
   }
 }
 
 void BlockAllocator::FinishRecovery() {
   assert(in_recovery_);
-  // Sweep free runs back into their shards.
-  uint64_t run_start = 0;
-  uint64_t run_len = 0;
-  auto flush = [&] {
-    if (run_len == 0) {
-      return;
-    }
+  // Sweep free runs back into their shards, in ascending order.
+  auto flush = [&](size_t run_start, size_t run_end) {
     uint64_t off = area_off_ + run_start * kBlockSize;
-    uint64_t pages = run_len;
+    uint64_t pages = run_end - run_start;
+    free_pages_ += pages;
     // Split runs on shard boundaries so stripes stay balanced.
     while (pages > 0) {
       const int shard = ShardOf(off);
@@ -212,27 +211,14 @@ void BlockAllocator::FinishRecovery() {
           area_off_ + (static_cast<uint64_t>(shard) + 1) * shard_span_;
       const uint64_t fit =
           std::min(pages, (shard_end - off) / kBlockSize);
-      FreeIntoShard(shards_[static_cast<size_t>(shard)], off,
-                    fit == 0 ? pages : fit);
       const uint64_t took = fit == 0 ? pages : fit;
+      FreeIntoShard(shards_[static_cast<size_t>(shard)], off, took);
       off += took * kBlockSize;
       pages -= took;
     }
-    free_pages_ += run_len;
-    run_len = 0;
   };
-  for (uint64_t i = 0; i < total_pages_; ++i) {
-    if (used_bitmap_[i]) {
-      flush();
-    } else {
-      if (run_len == 0) {
-        run_start = i;
-      }
-      run_len++;
-    }
-  }
-  flush();
-  used_bitmap_.clear();
+  ForEachRun(free_bitmap_.data(), 0, total_pages_, flush);
+  free_bitmap_.clear();
   in_recovery_ = false;
 }
 

@@ -84,7 +84,7 @@ class BlockAllocator {
   uint64_t free_pages_ = 0;
   uint64_t shard_span_;  // bytes of block area per shard
   std::vector<Shard> shards_;
-  std::vector<bool> used_bitmap_;  // recovery only
+  std::vector<uint64_t> free_bitmap_;  // recovery only; set bit = free
   bool in_recovery_ = false;
 };
 

@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/crashmonkey/crash_test.h"
@@ -15,6 +18,76 @@
 
 namespace easyio::crashmonkey {
 namespace {
+
+// A randomized 40-step op sequence over eight paths (create, write, unlink,
+// link, rename), fixed by `seed`.
+CrashWorkload RandomWorkload(uint64_t seed) {
+  Rng rng(seed);
+  WorkloadBuilder b;
+  std::map<std::string, int> live;  // path -> size hint
+  std::vector<std::string> names;
+  for (int i = 0; i < 8; ++i) {
+    names.push_back("/r" + std::to_string(i));
+  }
+  for (int op = 0; op < 40; ++op) {
+    const std::string& path = names[rng.Below(names.size())];
+    const bool exists = live.contains(path);
+    switch (rng.Below(10)) {
+      case 0 ... 2:
+        if (!exists) {
+          b.Create(path);
+          live[path] = 0;
+        }
+        break;
+      case 3 ... 6:
+        if (exists) {
+          std::vector<std::byte> data(1 + rng.Below(40000));
+          for (auto& x : data) {
+            x = static_cast<std::byte>(rng.Next());
+          }
+          b.Write(path, rng.Below(16) * 4096, data);
+        }
+        break;
+      case 7:
+        if (exists) {
+          b.Unlink(path);
+          live.erase(path);
+        }
+        break;
+      case 8: {
+        const std::string& to = names[rng.Below(names.size())];
+        if (exists && !live.contains(to)) {
+          b.Link(path, to);
+          live[to] = 0;
+        }
+        break;
+      }
+      default: {
+        const std::string& to = names[rng.Below(names.size())];
+        if (exists && to != path && !live.contains(to)) {
+          b.Rename(path, to);
+          live[to] = live[path];
+          live.erase(path);
+        }
+        break;
+      }
+    }
+  }
+  return {"random_" + std::to_string(seed), "randomized op sequence",
+          b.Build()};
+}
+
+// The RandomCrashSweep seeds.
+constexpr uint64_t kRandomSeeds[] = {11u, 22u, 33u, 44u, 55u};
+
+// The reference model: ops [0, last_op] replayed from scratch.
+ExpectedState Replay(const CrashWorkload& w, int last_op) {
+  ExpectedState st;
+  for (int i = 0; i <= last_op && i < static_cast<int>(w.ops.size()); ++i) {
+    w.ops[static_cast<size_t>(i)].model(st);
+  }
+  return st;
+}
 
 TEST(WorkloadBuilderTest, ModelTracksState) {
   WorkloadBuilder b;
@@ -189,12 +262,8 @@ std::map<std::string, std::vector<std::byte>> ReadFiles(
 // The model's files after ops [0, last_op].
 std::map<std::string, std::vector<std::byte>> ModelAfter(
     const CrashWorkload& w, int last_op) {
-  ExpectedState st;
-  for (int i = 0; i <= last_op && i < static_cast<int>(w.ops.size()); ++i) {
-    w.ops[static_cast<size_t>(i)].model(st);
-  }
   std::map<std::string, std::vector<std::byte>> out;
-  for (const auto& [path, content] : st) {
+  for (const auto& [path, content] : Replay(w, last_op)) {
     out[path] = *content;
   }
   return out;
@@ -275,64 +344,145 @@ TEST(AdoptCrashImageTest, ParkedMappingsStayZeroAfterCrashedTeardown) {
   }
 }
 
+// Empty if `got` and `want` hold the same paths, the same bytes and the same
+// hard-link groups (paths sharing one content vector); else the first
+// difference.
+std::string StateDiff(const ExpectedState& got, const ExpectedState& want) {
+  if (got.size() != want.size()) {
+    return std::to_string(got.size()) + " paths, want " +
+           std::to_string(want.size());
+  }
+  // Hard links match when content vectors pair up one to one.
+  std::map<const void*, const void*> to_want;
+  std::map<const void*, const void*> to_got;
+  for (auto g = got.begin(), w = want.begin(); g != got.end(); ++g, ++w) {
+    if (g->first != w->first) {
+      return "path " + g->first + ", want " + w->first;
+    }
+    const std::vector<std::byte>& a = *g->second;
+    const std::vector<std::byte>& b = *w->second;
+    if (a.size() != b.size() ||
+        (!a.empty() && std::memcmp(a.data(), b.data(), a.size()) != 0)) {
+      return "bytes of " + g->first;
+    }
+    if (to_want.emplace(&a, &b).first->second != &b ||
+        to_got.emplace(&b, &a).first->second != &a) {
+      return "hard links of " + g->first;
+    }
+  }
+  return "";
+}
+
+// The running models must equal a from-scratch replay at every op index a
+// sweep can stop at, on the Table 2 workloads and the random ones.
+TEST(ModelCursorTest, MatchesFromScratchReplayAtEveryOp) {
+  std::vector<CrashWorkload> workloads = StandardWorkloads(42);
+  for (const uint64_t seed : kRandomSeeds) {
+    workloads.push_back(RandomWorkload(seed));
+  }
+  for (const CrashWorkload& w : workloads) {
+    const int last = static_cast<int>(w.ops.size()) - 1;
+    ModelCursor models(w);
+    for (int completed = -1; completed <= last; ++completed) {
+      models.AdvanceTo(completed);
+      EXPECT_EQ(StateDiff(models.before(), Replay(w, completed)), "")
+          << w.name << " before, completed " << completed;
+      EXPECT_EQ(StateDiff(models.after(),
+                          Replay(w, std::min(completed + 1, last))),
+                "")
+          << w.name << " after, completed " << completed;
+    }
+  }
+}
+
+// The barrier a RunCrashTest failure message names.
+uint64_t FailureBarrier(const std::string& failure) {
+  const std::string tag = "@barrier ";
+  return std::stoull(failure.substr(failure.find(tag) + tag.size()));
+}
+
+// `w` has a model that disagrees with its apply at op `bad_op` only.
+// RunCrashTest must pass every crash point that stops before that op is in
+// flight and fail every point after it; while it is in flight, the recovered
+// state may still be its pre-state.
+void ExpectCaughtAfter(const CrashWorkload& w, int bad_op) {
+  const auto opts = DefaultCrashFsOptions();
+  constexpr int kMaxPoints = 1000;  // every barrier of these short workloads
+  const std::vector<uint64_t> points =
+      SampleCrashPoints(w, kMaxPoints, opts, nullptr);
+  int must_pass = 0;
+  int in_flight = 0;
+  int must_fail = 0;
+  uint64_t last_must_pass = 0;
+  for (const uint64_t k : points) {
+    CrashEnv env(opts);
+    const int completed = RunToCrash(env, w, k);
+    if (completed + 1 < bad_op) {
+      must_pass++;
+      last_must_pass = k;
+    } else if (completed + 1 == bad_op) {
+      in_flight++;
+    } else {
+      must_fail++;
+    }
+  }
+  ASSERT_GT(must_pass, 0) << w.name;
+  ASSERT_GT(must_fail, 0) << w.name;
+
+  const auto result = RunCrashTest(w, kMaxPoints, opts);
+  EXPECT_EQ(result.total_points, static_cast<int>(points.size())) << w.name;
+  EXPECT_GE(result.passed, must_pass) << w.name;
+  EXPECT_LE(result.passed, must_pass + in_flight) << w.name;
+  // Failures are listed in ascending point order.
+  ASSERT_FALSE(result.failures.empty()) << w.name;
+  EXPECT_GT(FailureBarrier(result.failures.front()), last_must_pass)
+      << result.failures.front();
+}
+
+std::vector<std::byte> Fill(char c) {
+  return std::vector<std::byte>(6000, static_cast<std::byte>(c));
+}
+
+// A short workload whose op 3 writes /b and op 4 unlinks /a; no later op
+// touches either file.
+std::vector<CrashOp> OracleOps() {
+  WorkloadBuilder b;
+  b.Create("/a").Write("/a", 0, Fill('a'));
+  b.Create("/b").Write("/b", 0, Fill('b'));
+  b.Unlink("/a");
+  b.Create("/c").Write("/c", 0, Fill('c'));
+  b.Create("/d").Write("/d", 0, Fill('d'));
+  return b.Build();
+}
+
+TEST(CrashOracleTest, ModelWithOtherBytesFailsAfterTheOp) {
+  CrashWorkload w{"other_bytes", "model writes other bytes", OracleOps()};
+  ASSERT_EQ(w.ops[3].description, "write /b");
+  w.ops[3].model = WorkloadBuilder().Write("/b", 0, Fill('x')).Build()[0].model;
+  ExpectCaughtAfter(w, 3);
+}
+
+TEST(CrashOracleTest, ModelMissingUnlinkFailsAfterTheOp) {
+  CrashWorkload w{"kept_file", "model omits an unlink", OracleOps()};
+  ASSERT_EQ(w.ops[4].description, "unlink /a");
+  w.ops[4].model = [](ExpectedState&) {};
+  ExpectCaughtAfter(w, 4);
+}
+
+TEST(CrashOracleTest, ModelWithExtraUnlinkFailsAfterTheOp) {
+  CrashWorkload w{"lost_file", "filesystem keeps a file the model unlinks",
+                  OracleOps()};
+  ASSERT_EQ(w.ops[4].description, "unlink /a");
+  w.ops[4].apply = [](fs::FileSystem&) {};
+  ExpectCaughtAfter(w, 4);
+}
+
 // Property-style crash testing: randomized workloads (beyond the paper's
 // four fixed ones) must also recover consistently at every sampled point.
 class RandomCrashSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(RandomCrashSweep, RandomWorkloadSurvivesCrashes) {
-  Rng rng(GetParam());
-  WorkloadBuilder b;
-  std::map<std::string, int> live;  // path -> size hint
-  std::vector<std::string> names;
-  for (int i = 0; i < 8; ++i) {
-    names.push_back("/r" + std::to_string(i));
-  }
-  for (int op = 0; op < 40; ++op) {
-    const std::string& path = names[rng.Below(names.size())];
-    const bool exists = live.contains(path);
-    switch (rng.Below(10)) {
-      case 0 ... 2:
-        if (!exists) {
-          b.Create(path);
-          live[path] = 0;
-        }
-        break;
-      case 3 ... 6:
-        if (exists) {
-          std::vector<std::byte> data(1 + rng.Below(40000));
-          for (auto& x : data) {
-            x = static_cast<std::byte>(rng.Next());
-          }
-          b.Write(path, rng.Below(16) * 4096, data);
-        }
-        break;
-      case 7:
-        if (exists) {
-          b.Unlink(path);
-          live.erase(path);
-        }
-        break;
-      case 8: {
-        const std::string& to = names[rng.Below(names.size())];
-        if (exists && !live.contains(to)) {
-          b.Link(path, to);
-          live[to] = 0;
-        }
-        break;
-      }
-      default: {
-        const std::string& to = names[rng.Below(names.size())];
-        if (exists && to != path && !live.contains(to)) {
-          b.Rename(path, to);
-          live[to] = live[path];
-          live.erase(path);
-        }
-        break;
-      }
-    }
-  }
-  CrashWorkload w{"random_" + std::to_string(GetParam()),
-                  "randomized op sequence", b.Build()};
+  const CrashWorkload w = RandomWorkload(GetParam());
   const auto result = RunCrashTest(w, /*max_points=*/30);
   EXPECT_GT(result.total_points, 0);
   EXPECT_EQ(result.passed, result.total_points);
@@ -342,7 +492,7 @@ TEST_P(RandomCrashSweep, RandomWorkloadSurvivesCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomCrashSweep,
-                         ::testing::Values(11u, 22u, 33u, 44u, 55u));
+                         ::testing::ValuesIn(kRandomSeeds));
 
 }  // namespace
 }  // namespace easyio::crashmonkey

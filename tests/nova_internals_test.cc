@@ -107,6 +107,31 @@ TEST(AllocatorTest, RecoveryMarksAndSweeps) {
   EXPECT_FALSE(used.contains(kArea + 20 * kBlockSize));
 }
 
+TEST(AllocatorTest, RecoverySweepCrossesWordBoundaries) {
+  // 200 blocks span four bitmap words, the last one partial; the marked
+  // ranges straddle a word boundary, fill one bit of a word and end at the
+  // area's last block.
+  BlockAllocator alloc(kArea, 200, 3);
+  alloc.BeginRecovery();
+  alloc.MarkUsed(kArea + 60 * kBlockSize, 10);
+  alloc.MarkUsed(kArea + 128 * kBlockSize, 1);
+  alloc.MarkUsed(kArea + 199 * kBlockSize, 1);
+  alloc.FinishRecovery();
+  EXPECT_EQ(alloc.free_pages(), 188u);
+  std::set<uint64_t> free_blocks;
+  while (true) {
+    auto e = alloc.Alloc(1, 0);
+    if (!e.ok()) {
+      break;
+    }
+    free_blocks.insert((e->block_off - kArea) / kBlockSize);
+  }
+  for (uint64_t p = 0; p < 200; ++p) {
+    const bool used = (p >= 60 && p < 70) || p == 128 || p == 199;
+    EXPECT_EQ(free_blocks.contains(p), !used) << "block " << p;
+  }
+}
+
 TEST(PageMapTest, InsertAndLookup) {
   PageMap map;
   EXPECT_TRUE(map.Insert(0, 4, 1_MB, 0).empty());
