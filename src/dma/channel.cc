@@ -67,23 +67,13 @@ Sn Channel::Enqueue(Descriptor desc) {
     pending.planned_errors = injector_->TakeTransferError(id_, ordinal);
     pending.stall_ns = injector_->TakeStall(id_, ordinal);
     pending.torn = injector_->TakeTornRecord(id_, ordinal);
-    if (pending.planned_errors > 0 &&
-        desc.dir == Descriptor::Dir::kWrite) {
-      // The eager payload copy below must be revertible when the transfer
-      // aborts: an errored descriptor leaves nothing durable. SlowMemory's
-      // inflight undo only exists with crash tracking on, so keep our own.
-      pending.undo.resize(desc.size);
-      mem_->CopyOut(pending.undo.data(), desc.pmem_off, desc.size);
-    }
   }
   if (desc.dir == Descriptor::Dir::kWrite) {
-    // Snapshot-then-copy: the payload lands eagerly (the issuing uthread's
-    // buffer is guaranteed stable until completion by the runtime), and the
-    // undo snapshot lets the crash injector roll back the un-transferred
-    // suffix.
+    // The payload lands when the transfer completes (OnTransferDone); the
+    // submitter keeps its buffer stable until then, so a crash image can
+    // lay the durable prefix of an unfinished transfer from it.
     pending.inflight_token =
-        mem_->RegisterInflightWrite(desc.pmem_off, desc.size);
-    mem_->Write(desc.pmem_off, desc.dram, desc.size);
+        mem_->RegisterInflightWrite(desc.pmem_off, desc.dram, desc.size);
   }
   const Sn sn = Sn::Make(id_, pending.cnt, pending.slot);
   pending.desc = std::move(desc);
@@ -240,6 +230,10 @@ void Channel::OnTransferDone() {
   }
   Pending done = std::move(queue_.front());
   queue_.pop_front();
+  if (done.desc.dir == Descriptor::Dir::kWrite) {  // lands before CommitRecord
+    mem_->Write(done.desc.pmem_off, done.desc.dram, done.desc.size);
+    mem_->CompleteInflightWrite(done.inflight_token);
+  }
 
   if (auto* t = obs::Get(); t != nullptr && t->Sample()) {
     const bool is_write = done.desc.dir == Descriptor::Dir::kWrite;
@@ -295,9 +289,6 @@ void Channel::OnTransferDone() {
   epoch_bytes_ += done.desc.size;
   bytes_completed_ += done.desc.size;
   descriptors_completed_++;
-  if (done.desc.dir == Descriptor::Dir::kWrite) {
-    mem_->CompleteInflightWrite(done.inflight_token);
-  }
 
   // Wake SN waiters now covered by the completion record.
   WakeCovered();
@@ -317,15 +308,10 @@ void Channel::FailHead() {
   }
   OBS_EVENT(obs::Track(obs::kProcDmaState, id_), "xfer_error",
             {"bytes", head.desc.size}, {"qdepth", queue_.size()});
-  // An aborted transfer leaves nothing durable: roll the destination back
-  // to its pre-write contents and retire the inflight-tracking entry (the
-  // rolled-back range is stable again).
+  // An aborted transfer has landed nothing, and a crash image before the
+  // retry must not land any of it either.
   if (is_write) {
-    if (!head.undo.empty()) {
-      mem_->Write(head.desc.pmem_off, head.undo.data(), head.desc.size);
-    }
-    mem_->CompleteInflightWrite(head.inflight_token);
-    head.inflight_token = 0;
+    mem_->SetInflightFlow(head.inflight_token, nullptr, 0);
   }
   head.started = false;
   head.flow = 0;
@@ -350,13 +336,6 @@ void Channel::RetryHead() {
   halted_ = false;
   head.attempts++;
   retries_++;
-  if (head.desc.dir == Descriptor::Dir::kWrite) {
-    // Re-stage the payload (the error rollback restored the old contents;
-    // the submitter's buffer is stable until completion by contract).
-    head.inflight_token =
-        mem_->RegisterInflightWrite(head.desc.pmem_off, head.desc.size);
-    mem_->Write(head.desc.pmem_off, head.desc.dram, head.desc.size);
-  }
   // Software restart: doorbell cost for the re-submission, and the record's
   // error status is acknowledged/cleared.
   ChargeSubmit(1);
@@ -383,6 +362,7 @@ void Channel::CompleteHeadBySoftware() {
   // Graceful degradation: the waiting task moves the bytes itself through
   // the CPU path (synchronous, core held, persist barrier at the end).
   if (done.desc.dir == Descriptor::Dir::kWrite) {
+    mem_->CompleteInflightWrite(done.inflight_token);  // CpuWrite tracks it
     mem_->CpuWrite(done.desc.pmem_off, done.desc.dram, done.desc.size);
   } else {
     mem_->CpuRead(done.desc.dram, done.desc.pmem_off, done.desc.size);
@@ -432,7 +412,7 @@ void Channel::Suspend() {
     const double progress = flows.Progress(head.flow);
     if (progress < mem_->params().suspend_restart_threshold) {
       // Restart semantics: abort the transfer; it re-runs from scratch on
-      // resume. A crash in between rolls the destination back fully.
+      // resume. It has landed nothing, and a crash in between lands none.
       flows.CancelFlow(head.flow);
       head.started = false;
       head.flow = 0;

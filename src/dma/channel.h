@@ -9,6 +9,8 @@
 // The channel's CompletionRecord lives in the persistent region of the
 // SlowMemory device and is updated by the "hardware" at completion time —
 // this is the object EasyIO's orderless commit and two-level locking read.
+// A write's payload lands just before the record covers its SN; a transfer
+// that errors or restarts has landed nothing. A read copies at its start.
 //
 // Contract (paper §2.2, §4.2, §4.4): Submit/SubmitBatch charge the caller
 // the CPU-side doorbell cost and return an Sn that is strictly monotonic in
@@ -56,7 +58,7 @@ struct Descriptor {
 
   Dir dir = Dir::kWrite;
   uint64_t pmem_off = 0;
-  void* dram = nullptr;  // source for writes, destination for reads
+  void* dram = nullptr;  // write source or read target, live until done
   uint32_t size = 0;
 };
 
@@ -152,7 +154,6 @@ class Channel {
     uint64_t stall_ns = 0;     // engine stall before this desc starts
     bool torn = false;         // lose this desc's completion-record update
     int attempts = 0;          // software retries issued so far
-    std::vector<std::byte> undo;  // pre-write snapshot for error rollback
   };
 
   const CompletionRecord& record() const {

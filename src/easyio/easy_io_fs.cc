@@ -46,6 +46,7 @@ StatusOr<size_t> EasyIoFs::CpuWriteTail(Inode& in, uint64_t off,
   ExitWriteLocked(in, l1_start, stats);
   writes_memcpy_++;
   if (!st.ok()) {
+    ReleaseBlocks(in, scratch.extents);
     return st;
   }
   return buf.size();
@@ -123,10 +124,11 @@ StatusOr<size_t> EasyIoFs::WriteOrderless(Inode& in, uint64_t off,
   in.pending_sn = last;
   ExitWriteLocked(in, l1_start, stats);  // before the data lands
   writes_offloaded_++;
+  WaitSn(ch, last, stats);
   if (!st.ok()) {
+    ReleaseBlocks(in, scratch->extents);  // the transfer wrote them until now
     return st;
   }
-  WaitSn(ch, last, stats);
   return n;
 }
 
@@ -157,6 +159,7 @@ StatusOr<size_t> EasyIoFs::WriteNaive(Inode& in, uint64_t off,
   ExitWriteLocked(in, l1_start, stats);
   writes_offloaded_++;
   if (!st.ok()) {
+    ReleaseBlocks(in, scratch->extents);
     return st;
   }
   return n;

@@ -36,21 +36,11 @@ class EasyIoFs : public nova::NovaFs {
   struct EasyOptions {
     bool ordered_naive = false;
     uint64_t dma_min_bytes = 4096;  // <= this uses memcpy (Listing 2)
-
-    // Recovery policy for DMA waits (only exercised under fault injection):
-    // re-submit a failed descriptor up to dma_retry_attempts times with
-    // doubling backoff, then fall back to a synchronous CPU copy. A
-    // quarantined channel skips straight to the fallback.
-    int dma_retry_attempts = 3;
-    uint64_t dma_retry_backoff_ns = 2'000;
   };
 
   EasyIoFs(pmem::SlowMemory* mem, const nova::NovaFs::Options& options,
            const EasyOptions& easy_options)
-      : NovaFs(mem, options), easy_(easy_options) {
-    recover_policy_ = {easy_options.dma_retry_attempts,
-                       easy_options.dma_retry_backoff_ns, /*busy=*/false};
-  }
+      : NovaFs(mem, options), easy_(easy_options) {}
 
   // The ChannelManager (and its DmaEngine) must be attached after Format()
   // or Mount(): engine construction starts a fresh completion-record era,
@@ -109,9 +99,9 @@ class EasyIoFs : public nova::NovaFs {
   // the write lock and leaves the kernel.
   void ExitWriteLocked(Inode& in, sim::SimTime l1_start, fs::OpStats* stats);
 
-  // Per-wait retry policy: a quarantined channel gets zero retry attempts
-  // (straight to the CPU-copy fallback — no point re-feeding a channel the
-  // manager already pulled from rotation).
+  // Per-wait retry policy: RetryPolicy's defaults, but a quarantined channel
+  // gets zero retry attempts (straight to the CPU-copy fallback — no point
+  // re-feeding a channel the manager already pulled from rotation).
   dma::RetryPolicy RecoverPolicyFor(const dma::Channel& ch) const {
     dma::RetryPolicy p = recover_policy_;
     if (cm_ != nullptr && cm_->quarantined(ch)) {

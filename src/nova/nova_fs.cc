@@ -326,6 +326,24 @@ void NovaFs::CommitLogTail(Inode& in) {
   in.log_tail = in.log_next;
 }
 
+void NovaFs::RewindLog(Inode& in, uint64_t log_pages) {
+  // Pages chained since the tail follow its page, or start the log. Nothing
+  // follows the tail page's dangling next_page; the next chain rewrites it.
+  const uint64_t tail_page = (in.log_tail - 1) / kBlockSize * kBlockSize;
+  uint64_t page = in.log_tail == 0
+                      ? in.log_head
+                      : mem_->As<LogPageHeader>(tail_page)->next_page;
+  for (; in.log_pages > log_pages; in.log_pages--) {
+    const uint64_t next = mem_->As<LogPageHeader>(page)->next_page;
+    allocator_->Free(Extent{page, 1});
+    page = next;
+  }
+  if (in.log_tail == 0) {
+    in.log_head = 0;  // as Mount resets the persistent one
+  }
+  in.log_next = in.log_tail;
+}
+
 // ----------------------------------------------------------- write helpers --
 
 Status NovaFs::PrepareWrite(Inode& in, uint64_t off, size_t n,
@@ -454,6 +472,7 @@ Status NovaFs::CommitWrite(Inode& in, uint64_t off, size_t n,
                {{"entries", extents.size()}});
   const uint64_t new_size = std::max<uint64_t>(in.size, off + n);
   const uint64_t mtime = sim_->now();
+  const uint64_t log_pages = in.log_pages;
   uint64_t pg = off / kBlockSize;
   for (size_t i = 0; i < extents.size(); ++i) {
     WriteEntry e{};
@@ -465,7 +484,10 @@ Status NovaFs::CommitWrite(Inode& in, uint64_t off, size_t n,
     e.mtime_ns = mtime;
     e.sn_packed = sns.empty() ? dma::Sn::None().Pack() : sns[i].Pack();
     e.csum = e.ComputeCsum();
-    EASYIO_RETURN_IF_ERROR(AppendLogEntry(in, &e));
+    if (const Status st = AppendLogEntry(in, &e); !st.ok()) {
+      RewindLog(in, log_pages);
+      return st;
+    }
     pg += extents[i].pages;
   }
   CommitLogTail(in);
@@ -729,6 +751,7 @@ StatusOr<size_t> NovaFs::WriteInternal(Inode& in, uint64_t off,
   in.lock.WriteUnlock();
   Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
   if (!st.ok()) {
+    ReleaseBlocks(in, scratch->extents);
     return st;
   }
   return n;

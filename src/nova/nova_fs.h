@@ -244,11 +244,15 @@ class NovaFs : public fs::FileSystem {
   Status AppendLogEntry(Inode& in, const void* entry);
   // Commits in.log_next as the new persistent tail.
   void CommitLogTail(Inode& in);
+  // Drops the entries appended since the committed tail, freeing the log
+  // pages they chained; `log_pages` is in.log_pages as of that tail.
+  void RewindLog(Inode& in, uint64_t log_pages);
 
   // Builds and appends the write entries for `extents` (one per extent) and
   // commits; updates DRAM size/mtime/page map and releases displaced blocks.
   // `sns` gives the DMA SN for each extent; empty means all memcpy
-  // (Sn::None).
+  // (Sn::None). On failure the log is as it was; the caller releases
+  // `extents` once no transfer still writes them.
   Status CommitWrite(Inode& in, uint64_t off, size_t n,
                      const std::vector<Extent>& extents,
                      const std::vector<dma::Sn>& sns, fs::OpStats* stats);

@@ -261,12 +261,13 @@ bool SlowMemory::RunCrossPoke(void* mem, uint64_t poke_write) {
 void SlowMemory::CpuWrite(uint64_t dst_off, const void* src, size_t n) {
   assert(dst_off + n <= data_.size());
   assert(sim_->in_task());
-  const uint64_t token = RegisterInflightWrite(dst_off, n);  // undo snapshot
-  data_.Write(dst_off, src, n);  // eager copy; durable at completion
+  const uint64_t token = RegisterInflightWrite(dst_off, src, n);
   sim::Task* task = sim_->current();
+  // Lands at completion; `src` stays put, as its task holds the core.
   const auto flow = write_flows_->StartFlow(
       n, params_.cpu_write_cap.Lookup(n), sim::FlowType::kCpu,
-      [this, token, task] {
+      [this, token, task, dst_off, src, n] {
+        data_.Write(dst_off, src, n);
         CompleteInflightWrite(token);
         sim_->Wake(task);
       });
@@ -315,51 +316,43 @@ void SlowMemory::PersistBarrier() {
   }
 }
 
-uint64_t SlowMemory::RegisterInflightWrite(uint64_t dst_off, size_t n) {
+uint64_t SlowMemory::RegisterInflightWrite(uint64_t dst_off, const void* src,
+                                           size_t n) {
   if (!crash_tracking_) {
     return 0;
   }
-  // Callers must register *before* performing the eager memcpy so the undo
-  // snapshot preserves the pre-write contents.
-  auto undo = std::make_unique_for_overwrite<std::byte[]>(n);
-  data_.CopyOut(undo.get(), dst_off, n);
   const uint64_t token = next_token_++;
-  inflight_.emplace(token, Inflight{dst_off, n, std::move(undo)});
+  inflight_.emplace(
+      token, Inflight{dst_off, n, static_cast<const std::byte*>(src)});
   return token;
 }
 
 void SlowMemory::SetInflightFlow(uint64_t token, sim::FlowResource* res,
                                  sim::FlowResource::FlowId flow) {
-  if (token == 0) {
-    return;
+  // No entry for token 0 (tracking off) or one AdoptCrashImage retired.
+  if (auto it = inflight_.find(token); it != inflight_.end()) {
+    it->second.res = res;
+    it->second.flow = flow;
   }
-  auto it = inflight_.find(token);
-  assert(it != inflight_.end());
-  it->second.res = res;
-  it->second.flow = flow;
 }
 
 void SlowMemory::CompleteInflightWrite(uint64_t token) {
-  if (token == 0) {
-    return;
-  }
   inflight_.erase(token);
 }
 
 template <typename Fn>
-void SlowMemory::ForEachRollback(Fn restore) const {
+void SlowMemory::ForEachDurablePrefix(Fn land) const {
   for (const auto& [token, entry] : inflight_) {
     double progress = 0.0;
     if (entry.res != nullptr) {
       progress = entry.res->Progress(entry.flow);
     }
-    // Durable prefix in whole cachelines; the rest rolls back.
+    // Durable prefix in whole cachelines; the rest has not landed.
     const size_t durable =
         (static_cast<size_t>(progress * static_cast<double>(entry.n)) / 64) *
         64;
-    if (durable < entry.n) {
-      restore(entry.dst_off + durable, entry.undo.get() + durable,
-              entry.n - durable);
+    if (durable > 0) {
+      land(entry.dst_off, entry.src, durable);
     }
   }
 }
@@ -367,8 +360,8 @@ void SlowMemory::ForEachRollback(Fn restore) const {
 std::vector<std::byte> SlowMemory::CrashImage() const {
   const std::byte* bytes = data_.data();
   std::vector<std::byte> image(bytes, bytes + data_.size());
-  ForEachRollback([&](uint64_t off, const std::byte* undo, size_t n) {
-    std::memcpy(image.data() + off, undo, n);
+  ForEachDurablePrefix([&](uint64_t off, const std::byte* src, size_t n) {
+    std::memcpy(image.data() + off, src, n);
   });
   return image;
 }
@@ -382,11 +375,12 @@ void SlowMemory::AdoptCrashImage(SlowMemory& crashed) {
   assert(&crashed != this);
   assert(crashed.data_.size() == data_.size());
   assert(inflight_.empty());
-  crashed.ForEachRollback([&](uint64_t off, const std::byte* undo, size_t n) {
-    crashed.data_.Write(off, undo, n);
-  });
-  // The undo bytes describe the mapping that is about to leave; late
-  // completions of the dead flows just find no entry to erase.
+  crashed.ForEachDurablePrefix(
+      [&](uint64_t off, const std::byte* src, size_t n) {
+        crashed.data_.Write(off, src, n);
+      });
+  // The entries describe the mapping that is about to leave; late
+  // completions land in the spare mapping and find no entry to erase.
   crashed.inflight_.clear();
   data_.swap(crashed.data_);
 }

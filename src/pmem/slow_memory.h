@@ -3,14 +3,13 @@
 // A flat byte array plus two FlowResources (read and write direction) that
 // arbitrate bandwidth between concurrent CPU streams and DMA channels using
 // the calibration in MediaParams. Data movement is real — actual bytes land
-// in the array — but its *timing* is virtual, and writes are attributed
-// durability at their modeled completion.
+// in the array — but its *timing* is virtual, and a write's payload lands
+// when its modeled transfer completes; until then the range reads old bytes.
 //
 // Crash-consistency support: persist barriers (fence boundaries) are counted
 // and exposed via a hook so the CrashMonkey-style harness can stop the
-// simulation at an exact barrier; in-flight write transfers are tracked with
-// undo snapshots so a crash image shows only the prefix that had durably
-// landed.
+// simulation at an exact barrier; in-flight writes are tracked by source
+// buffer so a crash image can lay each one's durable prefix over the device.
 
 #ifndef EASYIO_PMEM_SLOW_MEMORY_H_
 #define EASYIO_PMEM_SLOW_MEMORY_H_
@@ -253,28 +252,30 @@ class SlowMemory {
   sim::FlowResource& write_flows() { return *write_flows_; }
 
   // ---- Crash tracking ----
-  // When enabled, every write transfer snapshots the destination so a crash
-  // image can be produced with only the completed prefix applied.
+  // When enabled, every write transfer is registered with its source buffer
+  // until its payload lands.
   void EnableCrashTracking() { crash_tracking_ = true; }
   bool crash_tracking() const { return crash_tracking_; }
 
-  // Registers an in-flight write of `n` bytes at `dst_off` whose real memcpy
-  // has already been performed eagerly. Returns a token (0 if tracking off).
-  uint64_t RegisterInflightWrite(uint64_t dst_off, size_t n);
-  // Associates the flow so progress can be queried at crash time.
+  // Registers an in-flight write of `n` bytes from `src` (valid until
+  // CompleteInflightWrite) to `dst_off`. Returns a token (0 if tracking off).
+  uint64_t RegisterInflightWrite(uint64_t dst_off, const void* src, size_t n);
+  // Associates the flow so progress can be queried at crash time; a null
+  // `res` (an aborted or restarted transfer) means nothing has landed.
   void SetInflightFlow(uint64_t token, sim::FlowResource* res,
                        sim::FlowResource::FlowId flow);
   void CompleteInflightWrite(uint64_t token);
+  size_t inflight_writes() const { return inflight_.size(); }
 
-  // A crash image is the device contents with every in-flight write rolled
-  // back to its completed prefix (64B granularity). There are two ways to
+  // A crash image is the device contents with each in-flight write's
+  // completed prefix (64B granularity) laid over it. There are two ways to
   // get one onto a recovery device:
   //
   //  * Snapshot — CrashImage() + LoadImage(). Copies the whole device twice
   //    and leaves this device untouched, so it can keep running (e.g. to take
   //    a second image later, or to compare before/after completion).
-  //  * Hand-off — recovery.AdoptCrashImage(crashed). Copies nothing: the
-  //    rollback happens in place and the mapping moves to the recovery
+  //  * Hand-off — recovery.AdoptCrashImage(crashed). Copies nothing but the
+  //    prefixes: they land in place and the mapping moves to the recovery
   //    device. Use it when the crashed device is done, as after every crash
   //    point of a CrashMonkey sweep.
   //
@@ -287,11 +288,12 @@ class SlowMemory {
   void LoadImage(const std::vector<std::byte>& image);
 
   // Hand-off: makes `crashed`'s post-crash image this device's contents.
-  // Rolls `crashed`'s in-flight writes back in place, then swaps the two
-  // backing stores with their bitmaps, so `crashed` ends up holding this
-  // device's fresh mapping, which reads all-zero, and no in-flight writes.
-  // Its simulation, flows and suspended tasks may still be torn down
-  // afterwards; anything they touch lands, marked, in that spare mapping.
+  // Lands the durable prefixes of `crashed`'s in-flight writes in place,
+  // then swaps the two backing stores with their bitmaps, so `crashed` ends
+  // up holding this device's fresh mapping, which reads all-zero, and no
+  // in-flight writes. Its simulation, flows and suspended tasks may still
+  // run or be torn down afterwards; anything they write, a transfer that
+  // completes late included, lands, marked, in that spare mapping.
   // Requires equal sizes and no in-flight writes on this device.
   void AdoptCrashImage(SlowMemory& crashed);
 
@@ -303,15 +305,15 @@ class SlowMemory {
   // The poke record's action (arg: this, tag: 1 to poke the write
   // direction, 0 the read one).
   static bool RunCrossPoke(void* mem, uint64_t poke_write);
-  // Calls restore(off, undo, n) for each in-flight write whose last n bytes,
-  // at `off`, are not yet durable and must read as `undo` in a crash image.
+  // Calls land(off, src, n) for each in-flight write whose first n bytes,
+  // from `src` to `off`, are durable and belong in a crash image.
   template <typename Fn>
-  void ForEachRollback(Fn restore) const;
+  void ForEachDurablePrefix(Fn land) const;
 
   struct Inflight {
     uint64_t dst_off;
     size_t n;
-    std::unique_ptr<std::byte[]> undo;
+    const std::byte* src;
     sim::FlowResource* res = nullptr;
     sim::FlowResource::FlowId flow = 0;
   };

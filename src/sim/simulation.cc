@@ -20,7 +20,6 @@ Simulation::Simulation(const Options& options)
       stacks_(StackAllocator::Options{options.stack_size,
                                       options.stack_guard_pages,
                                       options.poison_stacks}),
-      core_poll_hooks_(static_cast<size_t>(options.num_cores)),
       core_steal_hooks_(static_cast<size_t>(options.num_cores)),
       core_enqueue_hooks_(static_cast<size_t>(options.num_cores)) {
   assert(options.num_cores >= 1);
@@ -240,12 +239,6 @@ void Simulation::DispatchKick(int core) {
   c.kick_pending = false;
   if (c.running != nullptr) {
     return;
-  }
-  if (const auto& poll = core_poll_hooks_[static_cast<size_t>(core)]) {
-    poll(core);
-  }
-  if (c.running != nullptr) {
-    return;  // poll hook resumed a core-holding task
   }
   Task* next = nullptr;
   if (!c.run_queue.empty()) {

@@ -163,13 +163,8 @@ class Simulation {
   // disjoint core sets, as Caladan does across colocated applications) ----
   // Hooks live in flat per-core arrays sized at construction: the dispatch
   // path indexes and tests a SmallFn instead of probing a hash map.
-  // The poll hook runs every time a core is about to pick its next task (the
-  // uthread runtime polls DMA completion buffers here). The steal hook is
-  // consulted when the run queue is empty; it may return a task stolen from
-  // another core.
-  void SetPollHook(int core, SmallFn<void(int)> hook) {
-    core_poll_hooks_[static_cast<size_t>(core)] = std::move(hook);
-  }
+  // The steal hook is consulted when the run queue is empty; it may return
+  // a task stolen from another core.
   void SetStealHook(int core, SmallFn<Task*(int)> hook) {
     core_steal_hooks_[static_cast<size_t>(core)] = std::move(hook);
   }
@@ -185,8 +180,8 @@ class Simulation {
   // nullptr if the queue is empty. The caller re-homes the task.
   Task* TryStealFrom(int victim);
 
-  // Schedules a dispatch attempt on `core` (it will consult the poll and
-  // steal hooks). Public so scheduling layers can prod idle cores.
+  // Schedules a dispatch attempt on `core` (it will consult the steal
+  // hook). Public so scheduling layers can prod idle cores.
   void Kick(int core) { KickCore(core); }
 
   // ---- Introspection ----
@@ -307,7 +302,6 @@ class Simulation {
   std::vector<std::unique_ptr<Task>> tasks_;
   std::vector<Task*> free_tasks_;
 
-  std::vector<SmallFn<void(int)>> core_poll_hooks_;
   std::vector<SmallFn<Task*(int)>> core_steal_hooks_;
   std::vector<SmallFn<void(int)>> core_enqueue_hooks_;
 };

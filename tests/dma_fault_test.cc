@@ -703,14 +703,15 @@ TEST(ScrubTest, EveryWritePathIsScrubbed) {
       crashed.MetaWrite(kMeta, &value, sizeof(value));
       EXPECT_EQ(ch0.WaitSn(ch0.Submit(write(kDma, pattern.data(), 4_KB))),
                 DmaResult::kOk);
-      // Channel 0's next transfer fails and is rolled back; it halts.
+      // Channel 0's next transfer fails, having landed nothing; it halts.
       const Sn retried =
           ch0.Submit(write(kRetried, pattern.data() + 4_KB, 4_KB));
       EXPECT_EQ(ch0.WaitSn(retried), DmaResult::kError);
       // The device crashes halfway through channel 1's transfer over old
-      // contents. The recovery device takes the mapping, rolled back;
-      // `crashed` carries on in the recovery device's fresh one, where
-      // channel 0's re-stage and channel 1's error rollback then land.
+      // contents. The recovery device takes the mapping with the transfer's
+      // durable prefix laid over it; `crashed` carries on in the recovery
+      // device's fresh one, where channel 0's retried transfer lands and
+      // channel 1's, which then fails, lands nothing.
       crashed.CpuWrite(kFailed, pattern.data() + 64_KB, 64_KB);
       ch1.Submit(write(kFailed, pattern.data() + 128_KB, 64_KB));
       sim.SleepFor(4_us);
@@ -720,8 +721,9 @@ TEST(ScrubTest, EveryWritePathIsScrubbed) {
     sim.Run();
     EXPECT_EQ(engine.channel(0).retries(), 1u);
     EXPECT_EQ(engine.channel(1).transfer_errors(), 1u);
-    // The crash image kept a durable prefix of channel 1's transfer and
-    // rolled the rest back; the error then restored all old contents.
+    // The crash image holds a durable prefix of channel 1's transfer over
+    // the old contents; the failed transfer left the spare mapping as it
+    // was.
     const std::byte* image = recovered.raw() + kFailed;
     const std::byte* old = pattern.data() + 64_KB;
     const std::byte* payload = pattern.data() + 128_KB;
@@ -734,7 +736,9 @@ TEST(ScrubTest, EveryWritePathIsScrubbed) {
     EXPECT_EQ(std::memcmp(image + prefix / 64 * 64, old + prefix / 64 * 64,
                           64_KB - prefix / 64 * 64),
               0);
-    EXPECT_EQ(std::memcmp(crashed.raw() + kFailed, old, 64_KB), 0);
+    EXPECT_TRUE(std::all_of(crashed.raw() + kFailed,
+                            crashed.raw() + kFailed + 64_KB,
+                            [](std::byte b) { return b == std::byte{0}; }));
     EXPECT_EQ(std::memcmp(crashed.raw() + kRetried, pattern.data() + 4_KB,
                           4_KB),
               0);
@@ -750,7 +754,7 @@ TEST(ScrubTest, EveryWritePathIsScrubbed) {
 
 // A released device's written pages turn stale, not zero: they must read as
 // zero until the next owner first touches them, through every read path and
-// in the undo snapshot of a write in flight, and a write that covers one
+// under the unlanded suffix of a write in flight, and a write that covers one
 // only partly must zero the rest. The junk
 // device's size is one no other test uses, so the pool hands its mapping,
 // every page stale, straight back.
@@ -820,8 +824,8 @@ TEST(ZeroMappedBytesTest, StaleBytesReadAsZeroThroughEveryPath) {
   EXPECT_EQ(mismatch(dma.data()), kRegion) << "DMA read";
 
   // A DMA write in flight over stale pages when the crash image is taken:
-  // its undo snapshot holds zeros, so the unfinished suffix rolls back to
-  // zero.
+  // only its durable prefix lands in the image, so the unfinished suffix
+  // reads as zero.
   mem.EnableCrashTracking();
   const uint64_t inflight = base_of(kRegions);
   const auto payload = Pattern(64_KB, 22);
@@ -849,7 +853,7 @@ TEST(ZeroMappedBytesTest, StaleBytesReadAsZeroThroughEveryPath) {
   EXPECT_TRUE(std::all_of(image.begin() + inflight + durable,
                           image.begin() + inflight + 64_KB,
                           [](std::byte b) { return b == std::byte{0}; }))
-      << "CrashImage rollback";
+      << "CrashImage unlanded suffix";
 
   // The whole-device views: every byte but the regions, the in-flight
   // write and the completion record reads as zero.

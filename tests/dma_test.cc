@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <span>
 #include <vector>
@@ -77,6 +78,46 @@ TEST(ChannelTest, WriteMovesDataAndCompletes) {
   const double expect = static_cast<double>(
       p.dma_submit_ns + p.dma_startup_ns + TransferNs(16_KB, 6.0));
   EXPECT_NEAR(static_cast<double>(done_at), expect, expect * 0.1);
+}
+
+// The device contract: a write's payload lands when its modeled transfer
+// completes, on the CPU path and the DMA path alike. Until then the range
+// reads its old bytes.
+TEST(ChannelTest, WritePayloadLandsAtCompletion) {
+  Fixture f;
+  constexpr uint64_t kCpuOff = kDataOff;
+  constexpr uint64_t kDmaOff = kDataOff + 1_MB;
+  std::memset(f.mem.Mutable(kCpuOff, 64_KB).data(), 0x11, 64_KB);
+  std::memset(f.mem.Mutable(kDmaOff, 64_KB).data(), 0x11, 64_KB);
+  std::vector<char> cpu_src(64_KB, 0x22);
+  std::vector<char> dma_src(64_KB, 0x33);
+  auto reads = [&](uint64_t off, char c) {
+    const auto bytes = f.mem.Read(off, 64_KB);
+    return std::all_of(bytes.begin(), bytes.end(),
+                       [c](std::byte b) { return b == std::byte(c); });
+  };
+  bool cpu_done = false;
+  bool dma_done = false;
+  f.sim.Spawn(0, [&] {
+    f.mem.CpuWrite(kCpuOff, cpu_src.data(), cpu_src.size());
+    EXPECT_TRUE(reads(kCpuOff, 0x22));
+    cpu_done = true;
+  });
+  f.sim.Spawn(1, [&] {
+    Descriptor d{Descriptor::Dir::kWrite, kDmaOff, dma_src.data(), 64_KB};
+    Channel& ch = f.engine.channel(0);
+    EXPECT_EQ(ch.WaitSn(ch.Submit(std::move(d))), DmaResult::kOk);
+    EXPECT_TRUE(reads(kDmaOff, 0x33));
+    dma_done = true;
+  });
+  f.sim.RunUntil(4_us);  // both transfers take longer
+  ASSERT_FALSE(cpu_done);
+  ASSERT_FALSE(dma_done);
+  EXPECT_TRUE(reads(kCpuOff, 0x11));
+  EXPECT_TRUE(reads(kDmaOff, 0x11));
+  f.sim.Run();
+  EXPECT_TRUE(cpu_done);
+  EXPECT_TRUE(dma_done);
 }
 
 TEST(ChannelTest, ReadMovesDataToDram) {

@@ -266,6 +266,47 @@ TEST(EasyIoFsTest, FsyncKeepsALaterWritesPendingSn) {
   EXPECT_GT(read_stats.blocked_ns, 0u);  // level-2 wait on B
 }
 
+// A failed orderless commit (NovaFsTest.FailedCommitLeavesFileWritable's
+// device layout): the write waits out its transfer before it frees the
+// blocks and returns, and the file stays writable.
+TEST(EasyIoFsTest, FailedOrderlessCommitLeavesFileWritable) {
+  Testbed tb(EasyConfig(8_MB));
+  nova::NovaFs& fs = *tb.easy();
+  const uint64_t tail = (nova::kEntriesPerLogPage - 1) * 4_KB;
+  tb.sim().Spawn(0, [&] {
+    const std::vector<std::byte> page(4_KB, std::byte{0x5a});
+    const int a = *fs.Create("/a");
+    for (uint64_t off = 0; off < tail; off += 4_KB) {
+      ASSERT_TRUE(fs.Write(a, off, page).ok());
+    }
+    for (const char* path : {"/s1", "/sep", "/s2"}) {
+      const int fd = *fs.Create(path);
+      ASSERT_TRUE(fs.Write(fd, 0, page).ok());
+      ASSERT_TRUE(fs.Close(fd).ok());
+    }
+    const int fill = *fs.Create("/fill");
+    for (uint64_t off = 0; fs.Write(fill, off, page).ok(); off += 4_KB) {
+    }
+    ASSERT_EQ(fs.free_pages(), 0u);
+    ASSERT_TRUE(fs.Unlink("/s1").ok());
+    ASSERT_TRUE(fs.Unlink("/s2").ok());
+    ASSERT_EQ(fs.free_pages(), 4u);
+
+    const uint64_t offloaded = tb.easy()->writes_offloaded();
+    EXPECT_EQ(fs.Write(a, tail, Pattern(16_KB, 3)).status().code(),
+              ErrorCode::kNoSpace);
+    EXPECT_EQ(tb.easy()->writes_offloaded(), offloaded + 1);
+    EXPECT_EQ(fs.free_pages(), 4u);
+    const auto last = Pattern(4_KB, 4);
+    ASSERT_TRUE(fs.Write(a, tail, last).ok());
+    EXPECT_EQ(fs.free_pages(), 3u);
+    std::vector<std::byte> back(4_KB);
+    ASSERT_TRUE(fs.Read(a, tail, back).ok());
+    EXPECT_EQ(back, last);
+  });
+  tb.sim().Run();
+}
+
 TEST(EasyIoFsTest, NaiveModeIsOrderedAndSlower) {
   auto run = [](FsKind kind) {
     TestbedConfig cfg = EasyConfig();
@@ -420,8 +461,9 @@ TEST(ChannelManagerTest, PickWriteChannelBalancesDepth) {
   // All empty: returns some L channel; after loading channel 0, pick moves.
   dma::Channel* first = cm->PickWriteChannel();
   ASSERT_NE(first, nullptr);
+  // The transfer reads `buf` until it completes, after the task has ended.
+  std::vector<char> buf(64_KB, 'x');
   tb.sim().Spawn(0, [&] {
-    std::vector<char> buf(64_KB, 'x');
     dma::Descriptor d{dma::Descriptor::Dir::kWrite, 64_MB, buf.data(), 64_KB};
     first->Submit(std::move(d));
     dma::Channel* second = cm->PickWriteChannel();

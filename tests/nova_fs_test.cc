@@ -191,6 +191,97 @@ TEST(NovaFsTest, UnlinkFreesSpace) {
   });
 }
 
+// A commit that runs out of log pages midway must leave the log as it was
+// and give the write's blocks back, so the file stays writable.
+TEST(NovaFsTest, FailedCommitLeavesFileWritable) {
+  Fx fx(8_MB);
+  // One 1-page write per log entry: /a's first log page keeps one free slot.
+  const uint64_t tail = (kEntriesPerLogPage - 1) * 4_KB;
+  const auto last = Pattern(4_KB, 4);
+  fx.Run([&] {
+    const std::vector<std::byte> page(4_KB, std::byte{0x5a});
+    const int a = *fx.fs.Create("/a");
+    for (uint64_t off = 0; off < tail; off += 4_KB) {
+      ASSERT_TRUE(fx.fs.Write(a, off, page).ok());
+    }
+    // Two 1-page files (a data and a log page each) apart, then a file
+    // that takes every page left; unlinking the two leaves two 2-page holes.
+    for (const char* path : {"/s1", "/sep", "/s2"}) {
+      const int fd = *fx.fs.Create(path);
+      ASSERT_TRUE(fx.fs.Write(fd, 0, page).ok());
+      ASSERT_TRUE(fx.fs.Close(fd).ok());
+    }
+    const int fill = *fx.fs.Create("/fill");
+    for (uint64_t off = 0; fx.fs.Write(fill, off, page).ok(); off += 4_KB) {
+    }
+    ASSERT_EQ(fx.fs.free_pages(), 0u);
+    ASSERT_TRUE(fx.fs.Unlink("/s1").ok());
+    ASSERT_TRUE(fx.fs.Unlink("/s2").ok());
+    ASSERT_EQ(fx.fs.free_pages(), 4u);
+
+    // Two 2-page extents take two log entries; the second finds no page to
+    // chain.
+    EXPECT_EQ(fx.fs.Write(a, tail, Pattern(16_KB, 3)).status().code(),
+              ErrorCode::kNoSpace);
+    EXPECT_EQ(fx.fs.free_pages(), 4u);
+    ASSERT_TRUE(fx.fs.Write(a, tail, last).ok());
+    EXPECT_EQ(fx.fs.free_pages(), 3u);
+    std::vector<std::byte> back(4_KB);
+    ASSERT_TRUE(fx.fs.Read(a, tail, back).ok());
+    EXPECT_EQ(back, last);
+  });
+  // The persistent log recovers the same file and free space.
+  NovaFs mounted(&fx.mem, {});
+  ASSERT_TRUE(mounted.Mount().ok());
+  EXPECT_EQ(mounted.free_pages(), 3u);
+  fx.Run([&] {
+    const int a = *mounted.Open("/a");
+    EXPECT_EQ(mounted.StatFd(a)->size, tail + 4_KB);
+    std::vector<std::byte> back(4_KB);
+    ASSERT_TRUE(mounted.Read(a, tail, back).ok());
+    EXPECT_EQ(back, last);
+  });
+}
+
+// The same for a file's first commit, which chains the log's first page.
+TEST(NovaFsTest, FailedFirstCommitFreesItsLogPage) {
+  Fx fx(8_MB);
+  fx.Run([&] {
+    const std::vector<std::byte> page(4_KB, std::byte{0x5a});
+    const int b = *fx.fs.Create("/b");
+    // Interleaved 1-page writes to /h and /k, then a file that takes every
+    // page left: unlinking /h leaves 66 holes, two of them 2 pages long.
+    const int h = *fx.fs.Create("/h");
+    const int k = *fx.fs.Create("/k");
+    for (uint64_t off = 0; off < 66 * 4_KB; off += 4_KB) {
+      ASSERT_TRUE(fx.fs.Write(h, off, page).ok());
+      ASSERT_TRUE(fx.fs.Write(k, off, page).ok());
+    }
+    ASSERT_TRUE(fx.fs.Close(h).ok());
+    const int fill = *fx.fs.Create("/fill");
+    for (uint64_t off = 0; fx.fs.Write(fill, off, page).ok(); off += 4_KB) {
+    }
+    ASSERT_EQ(fx.fs.free_pages(), 0u);
+    ASSERT_TRUE(fx.fs.Unlink("/h").ok());
+    ASSERT_EQ(fx.fs.free_pages(), 68u);
+
+    // 67 pages in 65 extents take 65 entries: /b's first log page gets the
+    // last free page, its second finds none.
+    EXPECT_EQ(fx.fs.Write(b, 0, std::vector<std::byte>(67 * 4_KB))
+                  .status()
+                  .code(),
+              ErrorCode::kNoSpace);
+    EXPECT_EQ(fx.fs.free_pages(), 68u);
+    // Freeing the file walks no log page.
+    ASSERT_TRUE(fx.fs.Close(b).ok());
+    ASSERT_TRUE(fx.fs.Unlink("/b").ok());
+    EXPECT_EQ(fx.fs.free_pages(), 68u);
+  });
+  NovaFs mounted(&fx.mem, {});
+  ASSERT_TRUE(mounted.Mount().ok());
+  EXPECT_EQ(mounted.free_pages(), 68u);
+}
+
 TEST(NovaFsTest, UnlinkOpenFileDefersFree) {
   Fx fx;
   fx.Run([&] {

@@ -246,15 +246,6 @@ TEST(SimulationTest, DetachedTaskIsReaped) {
   EXPECT_EQ(runs, 100);
 }
 
-TEST(SimulationTest, PollHookRunsBeforePick) {
-  Simulation sim(Opts(1));
-  int polls = 0;
-  sim.SetPollHook(0, [&](int core) { polls++; });
-  sim.Spawn(0, [&] { sim.Yield(); });
-  sim.Run();
-  EXPECT_GT(polls, 0);
-}
-
 TEST(SimulationTest, StealHookMovesWork) {
   Simulation sim(Opts(2));
   // Core 0 is kept busy by a long task with two more queued behind it;
