@@ -6,7 +6,8 @@
 // committed. Mounting the crash image shows recovery comparing the log
 // entry's SN against the channel's persistent completion record and
 // discarding the half-done overwrite: the file reads back fully old, never
-// torn.
+// torn. Recovery borrows the stopped device in place and hands it back
+// rolled back, so the crashed machine can then run on to the end.
 //
 // Run: ./build/examples/crash_recovery
 
@@ -64,36 +65,46 @@ int main() {
               sim.now() / 1e3, overwrite_returned ? "yes" : "no");
 
   // ---- life after the crash ----
-  // The crashed machine is done, so hand its device over instead of copying
-  // a snapshot: the in-flight DMA is rolled back to its durable prefix in
-  // place and the recovery device takes the mapping.
-  sim::Simulation sim2({.num_cores = 2});
-  pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(), kDevice);
-  mem2.AdoptCrashImage(mem);
-  core::EasyIoFs fs2(&mem2, {}, {});
-  EASYIO_CHECK_OK(fs2.Mount());
-  std::printf("remount: recovery discarded %llu committed-but-incomplete "
-              "write entr%s (SN > completion record)\n",
-              static_cast<unsigned long long>(
-                  fs2.recovery_discarded_entries()),
-              fs2.recovery_discarded_entries() == 1 ? "y" : "ies");
+  // Recover on a second machine that borrows the crashed device in place:
+  // the in-flight DMA's durable prefix is laid over it, and whatever
+  // recovery writes is rolled back when the device is handed back.
+  {
+    sim::Simulation sim2({.num_cores = 2});
+    pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(), kDevice);
+    mem.LendCrashImage(mem2);
+    {
+      core::EasyIoFs fs2(&mem2, {}, {});
+      EASYIO_CHECK_OK(fs2.Mount());
+      std::printf("remount: recovery discarded %llu committed-but-incomplete "
+                  "write entr%s (SN > completion record)\n",
+                  static_cast<unsigned long long>(
+                      fs2.recovery_discarded_entries()),
+                  fs2.recovery_discarded_entries() == 1 ? "y" : "ies");
 
-  sim2.Spawn(0, [&] {
-    int fd = *fs2.Open("/important");
-    std::vector<std::byte> back(kFile);
-    EASYIO_CHECK_OK(fs2.Read(fd, 0, back).status());
-    size_t old_bytes = 0;
-    size_t new_bytes = 0;
-    for (std::byte b : back) {
-      old_bytes += b == std::byte{0xAA};
-      new_bytes += b == std::byte{0xBB};
+      sim2.Spawn(0, [&] {
+        int fd = *fs2.Open("/important");
+        std::vector<std::byte> back(kFile);
+        EASYIO_CHECK_OK(fs2.Read(fd, 0, back).status());
+        size_t old_bytes = 0;
+        size_t new_bytes = 0;
+        for (std::byte b : back) {
+          old_bytes += b == std::byte{0xAA};
+          new_bytes += b == std::byte{0xBB};
+        }
+        std::printf("file contents: %zu bytes old (0xAA), %zu bytes new "
+                    "(0xBB) -> %s\n",
+                    old_bytes, new_bytes,
+                    old_bytes == kFile ? "atomically rolled back, no tearing"
+                                       : "TORN WRITE (bug!)");
+      });
+      sim2.Run();
     }
-    std::printf("file contents: %zu bytes old (0xAA), %zu bytes new (0xBB) "
-                "-> %s\n",
-                old_bytes, new_bytes,
-                old_bytes == kFile ? "atomically rolled back, no tearing"
-                                   : "TORN WRITE (bug!)");
-  });
-  sim2.Run();
+    mem.ReclaimCrashImage(mem2);
+  }
+
+  // The stopped machine never saw any of it: let it finish the overwrite.
+  sim.Run();
+  std::printf("t=%7.1fus  crashed machine resumed: overwrite returned: %s\n",
+              sim.now() / 1e3, overwrite_returned ? "yes" : "no");
   return 0;
 }

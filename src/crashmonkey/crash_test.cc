@@ -322,11 +322,16 @@ std::vector<uint64_t> SampleCrashPoints(const CrashWorkload& workload,
   return out;
 }
 
-int RunToCrash(CrashEnv& env, const CrashWorkload& workload, uint64_t k) {
+void RunWithCrashStops(
+    CrashEnv& env, const CrashWorkload& workload,
+    const std::vector<uint64_t>& points,
+    const std::function<void(int completed, size_t first, size_t end)>&
+        at_stop) {
   env.mem.EnableCrashTracking();
   const uint64_t base = env.mem.barrier_count();
-  env.mem.set_barrier_hook([&env, base, k](uint64_t count) {
-    if (count == base + k) {
+  size_t next = 0;  // the first point no stop has covered yet
+  env.mem.set_barrier_hook([&](uint64_t count) {
+    if (next < points.size() && count == base + points[next]) {
       env.sim.RequestStop();
     }
   });
@@ -338,7 +343,36 @@ int RunToCrash(CrashEnv& env, const CrashWorkload& workload, uint64_t k) {
     }
   });
   env.sim.Run();
+  while (next < points.size()) {
+    assert(env.sim.stop_requested() && "the run ended before a crash point");
+    const uint64_t passed = env.mem.barrier_count() - base;
+    size_t end = next + 1;
+    while (end < points.size() && points[end] <= passed) {
+      end++;
+    }
+    at_stop(completed, next, end);
+    next = end;
+    if (next < points.size()) {
+      env.sim.Resume();
+    }
+  }
+  env.mem.set_barrier_hook(nullptr);
+}
+
+int RunToCrash(CrashEnv& env, const CrashWorkload& workload, uint64_t k) {
+  int completed = -1;
+  RunWithCrashStops(env, workload, {k},
+                    [&](int at, size_t, size_t) { completed = at; });
   return completed;
+}
+
+void WithCrashImage(pmem::SlowMemory& crashed,
+                    const std::function<void(pmem::SlowMemory&)>& use) {
+  sim::Simulation sim({.num_cores = 2});
+  pmem::SlowMemory recovery(&sim, crashed.params(), crashed.size());
+  crashed.LendCrashImage(recovery);
+  use(recovery);
+  crashed.ReclaimCrashImage(recovery);
 }
 
 CrashTestResult RunCrashTest(const CrashWorkload& workload, int max_points,
@@ -352,42 +386,37 @@ CrashTestResult RunCrashTest(const CrashWorkload& workload, int max_points,
   CrashTestResult result;
   result.total_points = static_cast<int>(points.size());
 
-  for (const uint64_t k : points) {
-    CrashEnv env(fs_options, faults);
-    const int completed = RunToCrash(env, workload, k);
+  CrashEnv env(fs_options, faults);
+  RunWithCrashStops(env, workload, points, [&](int completed, size_t first,
+                                               size_t end) {
     models.AdvanceTo(completed);
-
-    // Hand the crash image to a fresh instance (no copy: the crashed
-    // device's mapping moves over), then mount it and recover.
-    sim::Simulation sim2({.num_cores = 2});
-    pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(),
-                          CrashEnv::kDeviceBytes);
-    mem2.AdoptCrashImage(env.mem);
-    core::EasyIoFs fs2(&mem2, fs_options, core::EasyIoFs::EasyOptions{});
-    const Status mount = fs2.Mount();
-    if (!mount.ok()) {
-      if (result.failures.size() < 5) {
-        result.failures.push_back(workload.name + " @barrier " +
-                                  std::to_string(k) +
-                                  ": mount failed: " + mount.ToString());
+    std::string failure;  // empty if the stop recovered consistently
+    WithCrashImage(env.mem, [&](pmem::SlowMemory& mem2) {
+      core::EasyIoFs fs2(&mem2, fs_options, core::EasyIoFs::EasyOptions{});
+      const Status mount = fs2.Mount();
+      if (!mount.ok()) {
+        failure = "mount failed: " + mount.ToString();
+        return;
       }
-      continue;
+      // No ChannelManager attached: reads take the memcpy path, which is
+      // all the checker needs.
+      sim::Simulation& sim2 = *mem2.simulation();
+      if (!MatchesState(fs2, sim2, models.before(), universe, got) &&
+          !MatchesState(fs2, sim2, models.after(), universe, got)) {
+        failure =
+            "recovered state matches neither pre- nor post-state of op " +
+            std::to_string(completed + 1);
+      }
+    });
+    for (size_t i = first; i < end; ++i) {
+      if (failure.empty()) {
+        result.passed++;
+      } else if (result.failures.size() < 5) {
+        result.failures.push_back(workload.name + " @barrier " +
+                                  std::to_string(points[i]) + ": " + failure);
+      }
     }
-    // No ChannelManager attached: reads take the memcpy path, which is all
-    // the checker needs.
-
-    const bool ok =
-        MatchesState(fs2, sim2, models.before(), universe, got) ||
-        MatchesState(fs2, sim2, models.after(), universe, got);
-    if (ok) {
-      result.passed++;
-    } else if (result.failures.size() < 5) {
-      result.failures.push_back(
-          workload.name + " @barrier " + std::to_string(k) +
-          ": recovered state matches neither pre- nor post-state of op " +
-          std::to_string(completed + 1));
-    }
-  }
+  });
   return result;
 }
 

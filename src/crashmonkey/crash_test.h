@@ -7,20 +7,25 @@
 //
 //   1. runs the workload once to count persist barriers (legal crash
 //      points — every fence boundary, including DMA completion-record
-//      updates);
-//   2. for each sampled crash point k, re-runs the workload from scratch
-//      deterministically, stops the simulation exactly at barrier k, hands
-//      the crashed device to a fresh EasyIO instance
-//      (SlowMemory::AdoptCrashImage: in-flight DMA transfers are rolled
-//      back to their durable prefix in place and the mapping moves over, so
-//      no image is copied), mounts it, and runs recovery;
+//      updates) and samples the crash points;
+//   2. runs the workload a second time, once, and stops the simulation at
+//      each sampled barrier. The stopped run holds exactly the device
+//      bytes, in-flight writes and completed ops a run stopped at that
+//      barrier alone would: a stop only declines an Advance elision, which
+//      moves nothing (Simulation::Resume). At each stop the crashed
+//      device's mapping is lent to a fresh EasyIO instance with the
+//      in-flight writes' durable prefixes laid over it
+//      (SlowMemory::LendCrashImage), which mounts it and runs recovery;
 //   3. checks that the recovered state equals the model state after the
 //      last *completed* operation, or after the one possibly-in-flight
 //      operation — anything else is an atomicity or durability bug. Both
-//      states come from two running models (ModelCursor) that a sweep
-//      advances one op at a time as its ascending crash points complete
-//      more of the workload, so the model is never replayed per point and
-//      a crash point costs a replay, a mount and the read-back.
+//      states come from two running models (ModelCursor) that advance one
+//      op at a time as the stops complete more of the workload. The check
+//      done, the lent mapping is rolled back to the stopped run's bytes and
+//      returned (SlowMemory::ReclaimCrashImage), and the run resumes. A
+//      crash point thus costs a mount, the read-back and the undo of the
+//      pages they wrote; the workload runs twice per sweep, not once per
+//      point.
 //
 // The four workloads mirror the paper's Table 2: create_delete,
 // generic_056 (create/write/link), generic_090 (write/append/link),
@@ -126,11 +131,33 @@ std::vector<uint64_t> SampleCrashPoints(const CrashWorkload& workload,
                                         const dma::FaultPlan* faults);
 
 // Runs `workload` on a fresh `env` with crash tracking on and stops the
-// simulation exactly at its `k`-th persist barrier. Returns the index of the
-// last operation that completed (-1 if none). `env.mem` then holds the
-// crashed device: snapshot it with CrashImage() or hand it to a recovery
-// device with AdoptCrashImage().
+// simulation at each persist barrier in `points` (ascending, as
+// SampleCrashPoints returns them; a run must reach the last one). At each
+// stop it calls at_stop(completed, first, end): `completed` is the index of
+// the last operation that completed (-1 if none), and points [first, end)
+// are those the stopped run has passed that no earlier stop covered. More
+// than one shares a stop when no switch-out separates them, and a run
+// stopped at any of them alone would stop at this same slice. `env.mem`
+// then holds the crashed device; it must be unchanged when at_stop returns
+// (lend it with WithCrashImage or snapshot it with CrashImage()). The run
+// resumes after each stop but the last, and stays stopped after that.
+void RunWithCrashStops(
+    CrashEnv& env, const CrashWorkload& workload,
+    const std::vector<uint64_t>& points,
+    const std::function<void(int completed, size_t first, size_t end)>&
+        at_stop);
+
+// RunWithCrashStops with the one point `k`: returns the index of the last
+// operation that completed (-1 if none).
 int RunToCrash(CrashEnv& env, const CrashWorkload& workload, uint64_t k);
+
+// Calls use(recovery) on a fresh device of `crashed`'s size and media, on a
+// 2-core simulation of its own, that holds `crashed`'s crash image in place
+// (SlowMemory::LendCrashImage). Then rolls back whatever `use` wrote and
+// returns the mapping to `crashed`. `crashed`'s simulation must be stopped,
+// and `use` must leave no task of the recovery simulation unfinished.
+void WithCrashImage(pmem::SlowMemory& crashed,
+                    const std::function<void(pmem::SlowMemory&)>& use);
 
 // The two expected states a crash point is checked against, kept as running
 // models over one ascending sweep: before() is the state after op
@@ -144,9 +171,8 @@ class ModelCursor {
   explicit ModelCursor(const CrashWorkload& workload);
 
   // Advances both models to `completed`, the index of the last op a crash
-  // replay completed (-1 if none). Replays to ascending crash points are
-  // deterministic prefixes of one another, so `completed` never decreases
-  // across calls.
+  // run completed (-1 if none). A sweep's stops come in barrier order, so
+  // `completed` never decreases across calls.
   void AdvanceTo(int completed);
 
   const ExpectedState& before() const { return before_; }
@@ -161,13 +187,17 @@ class ModelCursor {
 };
 
 // Runs up to `max_points` crash points (evenly sampled over all persist
-// barriers) for the workload on EasyIO.
+// barriers) for the workload on EasyIO: a counting run (SampleCrashPoints),
+// then one run stopped at every point (RunWithCrashStops), each stop mounted
+// and checked in place (WithCrashImage). Points that share a stop share its
+// verdict.
 //
-// `faults` optionally injects DMA faults into every run: each CrashEnv gets a
-// fresh FaultInjector built from the same plan (the injector's consume-once
-// state must not leak between runs), so the barrier-count pass and every
-// replay see identical fault timing — retries and error-record updates add
-// persist barriers, which then become sampled crash points like any other.
+// `faults` optionally injects DMA faults into both runs: each CrashEnv gets
+// a fresh FaultInjector built from the same plan (the injector's
+// consume-once state must not leak between runs), so the barrier-count pass
+// and the stopped run see identical fault timing — retries and error-record
+// updates add persist barriers, which then become sampled crash points like
+// any other.
 CrashTestResult RunCrashTest(const CrashWorkload& workload, int max_points,
                              const nova::NovaFs::Options& fs_options =
                                  DefaultCrashFsOptions(),

@@ -966,8 +966,12 @@ StatusOr<int> NovaFs::Create(const std::string& path) {
   }
   MaybeCompactLog(*dir, nullptr);
   EASYIO_ASSIGN_OR_RETURN(Inode * child, AllocInode(/*is_dir=*/false));
-  EASYIO_RETURN_IF_ERROR(
-      AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino));
+  if (const Status st =
+          AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino);
+      !st.ok()) {
+    DestroyInode(child);  // its persistent body is not valid yet
+    return st;
+  }
 
   const JournalRecord::JWrite writes[] = {
       {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
@@ -994,8 +998,12 @@ Status NovaFs::Mkdir(const std::string& path) {
   }
   MaybeCompactLog(*dir, nullptr);
   EASYIO_ASSIGN_OR_RETURN(Inode * child, AllocInode(/*is_dir=*/true));
-  EASYIO_RETURN_IF_ERROR(
-      AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino));
+  if (const Status st =
+          AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino);
+      !st.ok()) {
+    DestroyInode(child);
+    return st;
+  }
   const JournalRecord::JWrite writes[] = {
       {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
       {PInodeOff(child->slot) + offsetof(PInode, flags),
@@ -1164,10 +1172,20 @@ Status NovaFs::Rename(const std::string& from, const std::string& to) {
     }
   }
 
-  EASYIO_RETURN_IF_ERROR(AppendDentry(*from_dir, EntryType::kDentryRemove,
-                                      from_leaf, moving->ino));
-  EASYIO_RETURN_IF_ERROR(AppendDentry(*to_dir, EntryType::kDentryAdd, to_leaf,
-                                      moving->ino));
+  // A failed append leaves nothing behind, but the first one may have
+  // succeeded: rewind both logs to their tails.
+  const uint64_t from_pages = from_dir->log_pages;
+  const uint64_t to_pages = to_dir->log_pages;
+  Status st = AppendDentry(*from_dir, EntryType::kDentryRemove, from_leaf,
+                           moving->ino);
+  if (st.ok()) {
+    st = AppendDentry(*to_dir, EntryType::kDentryAdd, to_leaf, moving->ino);
+  }
+  if (!st.ok()) {
+    RewindLog(*from_dir, from_pages);
+    RewindLog(*to_dir, to_pages);
+    return st;
+  }
 
   std::vector<JournalRecord::JWrite> writes;
   writes.push_back(

@@ -99,6 +99,7 @@ class NovaFs : public fs::FileSystem {
     return recovery_replayed_journals_;
   }
   uint64_t free_pages() const { return allocator_->free_pages(); }
+  uint64_t free_inodes() const { return free_slots_.size(); }
   uint64_t log_compactions() const { return log_compactions_; }
 
   // Cumulative data-path counters (obs::FsStats source). `bytes_cpu` counts

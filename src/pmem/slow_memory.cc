@@ -28,10 +28,10 @@ class ZeroMappedBytes::Pool {
   }
 
   // The parked mapping of exactly `size` bytes that holds the most pages, or
-  // one with no data. Preferring the warmest matters when devices are
-  // released in pairs: a crash point's recovery device holds the dirtied
-  // mapping and the replay device an untouched one, and the next replay
-  // should get the one whose pages are already there.
+  // one with no data. Preferring the warmest matters when devices of one
+  // size are released side by side: a crash sweep parks its live device's
+  // mapping and its recovery device's untouched spare, and the next sweep's
+  // live device should get the one whose pages are already there.
   Mapping Take(size_t size) {
     std::lock_guard<std::mutex> lock(mu_);
     auto best = free_.end();
@@ -97,6 +97,7 @@ ZeroMappedBytes::ZeroMappedBytes(size_t size) {
 // zeroes a stale line only if it reads it, or writes part of it, before
 // writing all of it.
 ZeroMappedBytes::~ZeroMappedBytes() {
+  assert(undo_ == nullptr && "released with an undo session open");
   if (m_.data == nullptr) {
     return;
   }
@@ -116,8 +117,11 @@ ZeroMappedBytes::~ZeroMappedBytes() {
 void ZeroMappedBytes::ZeroStale(size_t first, size_t end) const {
   ForEachRun(m_.stale, first, end, [&](size_t run, size_t run_end) {
     const size_t from = run * kLineBytes;
-    std::memset(m_.data + from, 0,
-                std::min(run_end * kLineBytes, m_.size) - from);
+    const size_t to = std::min(run_end * kLineBytes, m_.size);
+    if (undo_ != nullptr) {
+      SaveForUndo(from, to - from);
+    }
+    std::memset(m_.data + from, 0, to - from);
     ForEachWord(run, run_end,
                 [&](size_t w, uint64_t bits) { m_.stale[w] &= ~bits; });
   });
@@ -152,6 +156,9 @@ void ZeroMappedBytes::WriteSpan(size_t off, const void* src, size_t n) {
   if (n == 0) {
     return;
   }
+  if (undo_ != nullptr) {
+    SaveForUndo(off, n);
+  }
   // A line the write covers whole needs no zeroing; a stale one it covers
   // partly keeps bytes outside the write, which must read as zero.
   if (off % kLineBytes != 0) {
@@ -177,8 +184,62 @@ void ZeroMappedBytes::Zero(size_t off, size_t n) {
              [&](size_t run, size_t run_end) {
                const size_t from = std::max(off, run * kPageBytes);
                const size_t to = std::min(end, run_end * kPageBytes);
+               if (undo_ != nullptr) {
+                 SaveForUndo(from, to - from);
+               }
                std::memset(m_.data + from, 0, to - from);
              });
+}
+
+struct ZeroMappedBytes::UndoLog {
+  struct Page {
+    size_t index;
+    bool dirty;
+    uint64_t stale;
+  };
+  std::vector<uint64_t> saved;   // one bit per page of the mapping
+  std::vector<Page> pages;       // in save order
+  std::vector<std::byte> bytes;  // kPageBytes per entry of `pages`
+};
+
+void ZeroMappedBytes::BeginUndo() {
+  assert(undo_ == nullptr && m_.data != nullptr);
+  undo_ = std::make_unique<UndoLog>();
+  undo_->saved.assign(m_.dirty.size(), 0);
+}
+
+// A page is saved whole, even the last one of a size that is not a page
+// multiple: the mapping extends to the page's end.
+void ZeroMappedBytes::SaveForUndo(size_t off, size_t n) const {
+  if (n == 0) {
+    return;
+  }
+  UndoLog& log = *undo_;
+  for (size_t p = off / kPageBytes; p <= (off + n - 1) / kPageBytes; ++p) {
+    const uint64_t bit = uint64_t{1} << (p % 64);
+    if ((log.saved[p / 64] & bit) != 0) {
+      continue;
+    }
+    log.saved[p / 64] |= bit;
+    log.pages.push_back({p, (m_.dirty[p / 64] & bit) != 0, m_.stale[p]});
+    const std::byte* page = m_.data + p * kPageBytes;
+    log.bytes.insert(log.bytes.end(), page, page + kPageBytes);
+  }
+}
+
+void ZeroMappedBytes::Rollback() {
+  assert(undo_ != nullptr);
+  const UndoLog& log = *undo_;
+  for (size_t i = 0; i < log.pages.size(); ++i) {
+    const UndoLog::Page& page = log.pages[i];
+    std::memcpy(m_.data + page.index * kPageBytes,
+                log.bytes.data() + i * kPageBytes, kPageBytes);
+    const uint64_t bit = uint64_t{1} << (page.index % 64);
+    uint64_t& dirty = m_.dirty[page.index / 64];
+    dirty = page.dirty ? dirty | bit : dirty & ~bit;
+    m_.stale[page.index] = page.stale;
+  }
+  undo_.reset();
 }
 
 SlowMemory::SlowMemory(sim::Simulation* sim, const MediaParams& params,
@@ -329,7 +390,7 @@ uint64_t SlowMemory::RegisterInflightWrite(uint64_t dst_off, const void* src,
 
 void SlowMemory::SetInflightFlow(uint64_t token, sim::FlowResource* res,
                                  sim::FlowResource::FlowId flow) {
-  // No entry for token 0 (tracking off) or one AdoptCrashImage retired.
+  // No entry for token 0 (tracking off).
   if (auto it = inflight_.find(token); it != inflight_.end()) {
     it->second.res = res;
     it->second.flow = flow;
@@ -371,18 +432,20 @@ void SlowMemory::LoadImage(const std::vector<std::byte>& image) {
   data_.Write(0, image.data(), image.size());
 }
 
-void SlowMemory::AdoptCrashImage(SlowMemory& crashed) {
-  assert(&crashed != this);
-  assert(crashed.data_.size() == data_.size());
-  assert(inflight_.empty());
-  crashed.ForEachDurablePrefix(
-      [&](uint64_t off, const std::byte* src, size_t n) {
-        crashed.data_.Write(off, src, n);
-      });
-  // The entries describe the mapping that is about to leave; late
-  // completions land in the spare mapping and find no entry to erase.
-  crashed.inflight_.clear();
-  data_.swap(crashed.data_);
+void SlowMemory::LendCrashImage(SlowMemory& recovery) {
+  assert(&recovery != this);
+  assert(recovery.data_.size() == data_.size());
+  assert(recovery.inflight_.empty());
+  data_.swap(recovery.data_);
+  recovery.data_.BeginUndo();
+  ForEachDurablePrefix([&](uint64_t off, const std::byte* src, size_t n) {
+    recovery.data_.Write(off, src, n);
+  });
+}
+
+void SlowMemory::ReclaimCrashImage(SlowMemory& recovery) {
+  recovery.data_.Rollback();
+  data_.swap(recovery.data_);
 }
 
 }  // namespace easyio::pmem

@@ -66,6 +66,12 @@ namespace easyio::pmem {
 // takes the parked mapping of exactly `size` bytes that holds the most
 // pages, else mmaps a new one. A device therefore always starts reading
 // all-zero with no dirty page, whichever mapping it gets.
+//
+// An undo session makes a stretch of writes temporary. Between BeginUndo()
+// and Rollback(), the first write, Mutable(), Zero() or stale-line zeroing
+// to touch a page saves the page's bytes, dirty bit and stale word first;
+// Rollback() puts every saved page back. Outside a session the write paths
+// pay one test of the session pointer.
 class ZeroMappedBytes {
  public:
   explicit ZeroMappedBytes(size_t size);
@@ -105,7 +111,8 @@ class ZeroMappedBytes {
   void Write(size_t off, const void* src, size_t n) {
     assert(off + n <= m_.size);
     const size_t page = off / kPageBytes;
-    if (n == 0 || page != (off + n - 1) / kPageBytes || MaybeStale(off, n)) {
+    if (n == 0 || page != (off + n - 1) / kPageBytes || MaybeStale(off, n) ||
+        undo_ != nullptr) {
       WriteSpan(off, src, n);
       return;
     }
@@ -117,6 +124,9 @@ class ZeroMappedBytes {
   // covers.
   std::span<std::byte> Mutable(size_t off, size_t n) {
     assert(off + n <= m_.size);
+    if (undo_ != nullptr) {
+      SaveForUndo(off, n);
+    }
     Unstale(off, n);
     Mark(off, n);
     return {m_.data + off, n};
@@ -126,8 +136,16 @@ class ZeroMappedBytes {
   void Zero(size_t off, size_t n);
 
   // Exchanges the two mappings with their bitmaps; each destructor then
-  // parks what it holds.
-  void swap(ZeroMappedBytes& other) noexcept { std::swap(m_, other.m_); }
+  // parks what it holds. Neither may have an undo session open.
+  void swap(ZeroMappedBytes& other) noexcept {
+    assert(undo_ == nullptr && other.undo_ == nullptr);
+    std::swap(m_, other.m_);
+  }
+
+  // Opens an undo session; see the class comment.
+  void BeginUndo();
+  // Restores every page the session saved and closes it.
+  void Rollback();
 
  private:
   static constexpr size_t kPageBytes = 4096;
@@ -146,6 +164,7 @@ class ZeroMappedBytes {
     size_t held_pages = 0;        // popcount of `held`, as of the last park
   };
   class Pool;
+  struct UndoLog;
 
   size_t pages() const { return (m_.size + kPageBytes - 1) / kPageBytes; }
   // Bits lo..hi (inclusive) of a bitmap word.
@@ -178,8 +197,12 @@ class ZeroMappedBytes {
   void WriteSpan(size_t off, const void* src, size_t n);
   // Makes the pages [off, off+n) touches dirty and its lines not stale.
   void Mark(size_t off, size_t n);
+  // Saves each page [off, off+n) touches that the open session has not
+  // saved yet. Const for ZeroStale, whose zeroing readers cannot see.
+  void SaveForUndo(size_t off, size_t n) const;
 
   Mapping m_;
+  std::unique_ptr<UndoLog> undo_;  // the open undo session, if any
 };
 
 class SlowMemory {
@@ -274,10 +297,12 @@ class SlowMemory {
   //  * Snapshot — CrashImage() + LoadImage(). Copies the whole device twice
   //    and leaves this device untouched, so it can keep running (e.g. to take
   //    a second image later, or to compare before/after completion).
-  //  * Hand-off — recovery.AdoptCrashImage(crashed). Copies nothing but the
-  //    prefixes: they land in place and the mapping moves to the recovery
-  //    device. Use it when the crashed device is done, as after every crash
-  //    point of a CrashMonkey sweep.
+  //  * In place — crashed.LendCrashImage(recovery), recover on `recovery`,
+  //    then crashed.ReclaimCrashImage(recovery). Copies the prefixes and the
+  //    pages recovery writes, nothing else: the mapping itself moves to the
+  //    recovery device and back, and whatever was written to it in between
+  //    is rolled back. A stopped run then resumes as if it had never been
+  //    looked at, as at every stop of a CrashMonkey sweep.
   //
   // Both produce byte-identical images (tests/crashmonkey_test.cc).
 
@@ -287,15 +312,17 @@ class SlowMemory {
   // Overwrites the device contents (used to mount a snapshot).
   void LoadImage(const std::vector<std::byte>& image);
 
-  // Hand-off: makes `crashed`'s post-crash image this device's contents.
-  // Lands the durable prefixes of `crashed`'s in-flight writes in place,
-  // then swaps the two backing stores with their bitmaps, so `crashed` ends
-  // up holding this device's fresh mapping, which reads all-zero, and no
-  // in-flight writes. Its simulation, flows and suspended tasks may still
-  // run or be torn down afterwards; anything they write, a transfer that
-  // completes late included, lands, marked, in that spare mapping.
-  // Requires equal sizes and no in-flight writes on this device.
-  void AdoptCrashImage(SlowMemory& crashed);
+  // In place: makes this device's post-crash image `recovery`'s contents.
+  // Swaps the two backing stores with their bitmaps, opens an undo session
+  // on the lent one and lands this device's durable prefixes on it. Until
+  // ReclaimCrashImage, this device holds `recovery`'s spare mapping, and
+  // its simulation must not run: a transfer completing meanwhile would land
+  // in the spare. Requires equal sizes and no in-flight writes on
+  // `recovery`.
+  void LendCrashImage(SlowMemory& recovery);
+  // Rolls back everything written to the lent mapping since
+  // LendCrashImage, the prefixes included, and swaps it back.
+  void ReclaimCrashImage(SlowMemory& recovery);
 
  private:
   double ReadDerate() const;

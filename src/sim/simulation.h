@@ -145,8 +145,21 @@ class Simulation {
   void Run();                    // until the event queue drains
   void RunUntil(SimTime t);      // process events with time <= t
   void RunFor(uint64_t dur_ns) { RunUntil(now_ + dur_ns); }
+  // A stop ends the loop at its next turn: a task that requests it runs on
+  // until it next switches out (an Advance then switches instead of moving
+  // the clock inline). The request stays set, so Run() returns at once
+  // until Resume() withdraws it.
   void RequestStop() { stop_requested_ = true; }
   bool stop_requested() const { return stop_requested_; }
+  // Withdraws a stop and runs until the event queue drains or the next
+  // stop. The events fire in the (time, action) order of a run that was
+  // never stopped: the only thing a stop changes is an Advance elision it
+  // declined, whose resume record, due before anything else, spends one
+  // sequence number and moves nothing.
+  void Resume() {
+    stop_requested_ = false;
+    Run();
+  }
 
   // ---- Task-side primitives (must be called from inside a task) ----
   Task* current() const { return current_; }

@@ -186,53 +186,6 @@ TEST(CrashDuringGcTest, CompactionSwitchIsCrashAtomic) {
   }
 }
 
-// The hand-off path (AdoptCrashImage) must leave the recovery device holding
-// exactly the snapshot path's image (CrashImage) at every crash point a
-// sweep visits, with and without injected DMA faults.
-class AdoptEquivalence
-    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
-
-TEST_P(AdoptEquivalence, AdoptedBytesEqualSnapshot) {
-  const auto [index, faulty] = GetParam();
-  const auto workloads = StandardWorkloads(42);
-  const auto& w = workloads[static_cast<size_t>(index)];
-  const dma::FaultPlan plan = StandardFaults();
-  const dma::FaultPlan* faults = faulty ? &plan : nullptr;
-  const auto opts = DefaultCrashFsOptions();
-  const std::vector<uint64_t> points =
-      SampleCrashPoints(w, /*max_points=*/30, opts, faults);
-  ASSERT_EQ(points.size(), 30u) << w.name;
-
-  int in_flight = 0;  // points that caught a write transfer unfinished
-  for (const uint64_t k : points) {
-    CrashEnv env(opts, faults);
-    RunToCrash(env, w, k);
-    in_flight += env.mem.inflight_writes() > 0;
-    const std::vector<std::byte> snapshot = env.mem.CrashImage();
-
-    sim::Simulation sim2({.num_cores = 2});
-    pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(),
-                          CrashEnv::kDeviceBytes);
-    mem2.AdoptCrashImage(env.mem);
-    ASSERT_EQ(mem2.size(), snapshot.size());
-    ASSERT_EQ(std::memcmp(mem2.raw(), snapshot.data(), snapshot.size()), 0)
-        << w.name << " @barrier " << k;
-  }
-  // Some points must catch a transfer mid-flight, or laying durable
-  // prefixes went untested.
-  EXPECT_GT(in_flight, 0) << w.name;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Table2, AdoptEquivalence,
-    ::testing::Combine(::testing::Values(0, 1, 2, 3), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
-      return StandardWorkloads(42)[static_cast<size_t>(
-                                       std::get<0>(info.param))]
-                 .name +
-             (std::get<1>(info.param) ? "_faults" : "");
-    });
-
 // Contents of every path in `paths` that exists on the mounted `fs`.
 std::map<std::string, std::vector<std::byte>> ReadFiles(
     fs::FileSystem& fs, sim::Simulation& sim,
@@ -268,21 +221,122 @@ std::map<std::string, std::vector<std::byte>> ModelAfter(
   return out;
 }
 
-TEST(AdoptCrashImageTest, RecoversAfterCrashedEnvIsDestroyed) {
-  // The recovery device outlives the crashed machine: its simulation,
-  // suspended tasks, flows and DMA engine are torn down after the hand-off
-  // and must leave the adopted image intact.
-  const CrashWorkload w = StandardWorkloads(42)[3];
-  const auto opts = DefaultCrashFsOptions();
-  const std::vector<uint64_t> points =
-      SampleCrashPoints(w, /*max_points=*/7, opts, nullptr);
-  ASSERT_EQ(points.size(), 7u);
+// Every path any op of `w` may touch.
+std::set<std::string> Universe(const CrashWorkload& w) {
   std::set<std::string> universe;
   for (int i = 0; i < static_cast<int>(w.ops.size()); ++i) {
     for (const auto& [path, content] : ModelAfter(w, i)) {
       universe.insert(path);
     }
   }
+  return universe;
+}
+
+// The workloads the crash sweeps run: the Table 2 four, then the random
+// ones.
+std::vector<CrashWorkload> SweptWorkloads() {
+  std::vector<CrashWorkload> workloads = StandardWorkloads(42);
+  for (const uint64_t seed : kRandomSeeds) {
+    workloads.push_back(RandomWorkload(seed));
+  }
+  return workloads;
+}
+
+// The first offset at which `mem` reads other than `want` (its size if
+// none), read a chunk at a time through CopyOut, which changes nothing.
+size_t FirstDifference(const pmem::SlowMemory& mem,
+                       const std::vector<std::byte>& want) {
+  constexpr size_t kChunk = 1_MB;
+  std::vector<std::byte> chunk(kChunk);
+  for (size_t off = 0; off < mem.size(); off += kChunk) {
+    const size_t n = std::min(kChunk, mem.size() - off);
+    mem.CopyOut(chunk.data(), off, n);
+    // memcmp first: std::mismatch compares std::byte one at a time.
+    if (std::memcmp(chunk.data(), want.data() + off, n) != 0) {
+      const auto diff =
+          std::mismatch(chunk.begin(), chunk.begin() + n, want.begin() + off);
+      return off + static_cast<size_t>(diff.first - chunk.begin());
+    }
+  }
+  return mem.size();
+}
+
+// The single stopped run of a sweep must show every crash point the crash
+// state a run stopped there alone reaches: the image the recovery device
+// adopts in place (prefixes laid, before Mount) equals the snapshot of
+// RunToCrash + CrashImage(), with the same completed ops. And once recovery
+// has mounted and read that image and handed it back, the stopped run's
+// device reads as it did before. The parameter indexes SweptWorkloads().
+class AdoptEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
+
+TEST_P(AdoptEquivalence, AdoptedBytesEqualSnapshot) {
+  const auto [index, faulty] = GetParam();
+  const std::vector<CrashWorkload> workloads = SweptWorkloads();
+  const CrashWorkload& w = workloads[static_cast<size_t>(index)];
+  const dma::FaultPlan plan = StandardFaults();
+  const dma::FaultPlan* faults = faulty ? &plan : nullptr;
+  const auto opts = DefaultCrashFsOptions();
+  const std::vector<uint64_t> points =
+      SampleCrashPoints(w, /*max_points=*/30, opts, faults);
+  ASSERT_EQ(points.size(), 30u) << w.name;
+  const std::set<std::string> universe = Universe(w);
+
+  int in_flight = 0;  // stops that caught a write transfer unfinished
+  std::vector<std::byte> live;
+  CrashEnv env(opts, faults);
+  RunWithCrashStops(env, w, points, [&](int completed, size_t first,
+                                        size_t end) {
+    in_flight += env.mem.inflight_writes() > 0;
+    live.resize(env.mem.size());
+    env.mem.CopyOut(live.data(), 0, live.size());
+    for (size_t i = first; i < end; ++i) {
+      const uint64_t k = points[i];
+      CrashEnv replay(opts, faults);
+      EXPECT_EQ(RunToCrash(replay, w, k), completed)
+          << w.name << " @barrier " << k;
+      const std::vector<std::byte> image = replay.mem.CrashImage();
+      WithCrashImage(env.mem, [&](pmem::SlowMemory& mem2) {
+        EXPECT_EQ(FirstDifference(mem2, image), image.size())
+            << w.name << " @barrier " << k;
+        core::EasyIoFs fs2(&mem2, opts, core::EasyIoFs::EasyOptions{});
+        ASSERT_TRUE(fs2.Mount().ok()) << w.name << " @barrier " << k;
+        ReadFiles(fs2, *mem2.simulation(), universe);
+      });
+    }
+    EXPECT_EQ(FirstDifference(env.mem, live), live.size())
+        << w.name << " rolled back @barrier " << points[end - 1];
+  });
+  // Some stops must catch a transfer mid-flight, or laying durable prefixes
+  // went untested.
+  EXPECT_GT(in_flight, 0) << w.name;
+}
+
+std::string SweptWorkloadName(
+    const ::testing::TestParamInfo<std::tuple<int, bool>>& info) {
+  return SweptWorkloads()[static_cast<size_t>(std::get<0>(info.param))].name +
+         (std::get<1>(info.param) ? "_faults" : "");
+}
+
+INSTANTIATE_TEST_SUITE_P(Table2, AdoptEquivalence,
+                         ::testing::Combine(::testing::Range(0, 4),
+                                            ::testing::Bool()),
+                         SweptWorkloadName);
+INSTANTIATE_TEST_SUITE_P(Seeds, AdoptEquivalence,
+                         ::testing::Combine(::testing::Range(4, 9),
+                                            ::testing::Bool()),
+                         SweptWorkloadName);
+
+TEST(CrashImageTest, RecoversAfterCrashedEnvIsDestroyed) {
+  // A snapshot outlives the crashed machine: its simulation, suspended
+  // tasks, flows and DMA engine are torn down after CrashImage() and must
+  // leave the loaded image intact.
+  const CrashWorkload w = StandardWorkloads(42)[3];
+  const auto opts = DefaultCrashFsOptions();
+  const std::vector<uint64_t> points =
+      SampleCrashPoints(w, /*max_points=*/7, opts, nullptr);
+  ASSERT_EQ(points.size(), 7u);
+  const std::set<std::string> universe = Universe(w);
 
   for (const uint64_t k : {points[2], points[5]}) {
     sim::Simulation sim2({.num_cores = 2});
@@ -294,7 +348,7 @@ TEST(AdoptCrashImageTest, RecoversAfterCrashedEnvIsDestroyed) {
       completed = RunToCrash(*env, w, k);
       ASSERT_LT(completed + 1, static_cast<int>(w.ops.size()))
           << "crash point " << k << " must stop the run mid-workload";
-      mem2.AdoptCrashImage(env->mem);
+      mem2.LoadImage(env->mem.CrashImage());
     }
     core::EasyIoFs fs2(&mem2, opts, core::EasyIoFs::EasyOptions{});
     ASSERT_TRUE(fs2.Mount().ok()) << "@barrier " << k;
@@ -306,10 +360,11 @@ TEST(AdoptCrashImageTest, RecoversAfterCrashedEnvIsDestroyed) {
   }
 }
 
-TEST(AdoptCrashImageTest, ParkedMappingsStayZeroAfterCrashedTeardown) {
-  // Both devices of a crash point are released with DMA in flight and tasks
-  // suspended; CrashEnv destroys its device before its simulation. Whatever
-  // that teardown does, the mappings it parks must come back all-zero.
+TEST(LendCrashImageTest, ParkedMappingsStayZeroAfterCrashedTeardown) {
+  // A crashed device is lent, mounted and handed back, then released with
+  // DMA in flight and tasks suspended; CrashEnv destroys its device before
+  // its simulation. Whatever that teardown does, the mappings it and the
+  // recovery device park must come back all-zero.
   const CrashWorkload w = StandardWorkloads(42)[3];
   const auto opts = DefaultCrashFsOptions();
   const dma::FaultPlan plan = StandardFaults();
@@ -319,16 +374,14 @@ TEST(AdoptCrashImageTest, ParkedMappingsStayZeroAfterCrashedTeardown) {
         SampleCrashPoints(w, /*max_points=*/7, opts, faults);
     ASSERT_EQ(points.size(), 7u);
     {
-      sim::Simulation sim2({.num_cores = 2});
-      pmem::SlowMemory mem2(&sim2, pmem::MediaParams::TwoNode(),
-                            CrashEnv::kDeviceBytes);
       auto env = std::make_unique<CrashEnv>(opts, faults);
       const int completed = RunToCrash(*env, w, points[3]);
       ASSERT_LT(completed + 1, static_cast<int>(w.ops.size()))
           << "crash point " << points[3] << " must stop the run mid-workload";
-      mem2.AdoptCrashImage(env->mem);
-      core::EasyIoFs fs2(&mem2, opts, core::EasyIoFs::EasyOptions{});
-      ASSERT_TRUE(fs2.Mount().ok()) << "@barrier " << points[3];
+      WithCrashImage(env->mem, [&](pmem::SlowMemory& mem2) {
+        core::EasyIoFs fs2(&mem2, opts, core::EasyIoFs::EasyOptions{});
+        ASSERT_TRUE(fs2.Mount().ok()) << "@barrier " << points[3];
+      });
       env.reset();
     }
     const pmem::ZeroMappedBytes parked[] = {
@@ -375,11 +428,7 @@ std::string StateDiff(const ExpectedState& got, const ExpectedState& want) {
 // The running models must equal a from-scratch replay at every op index a
 // sweep can stop at, on the Table 2 workloads and the random ones.
 TEST(ModelCursorTest, MatchesFromScratchReplayAtEveryOp) {
-  std::vector<CrashWorkload> workloads = StandardWorkloads(42);
-  for (const uint64_t seed : kRandomSeeds) {
-    workloads.push_back(RandomWorkload(seed));
-  }
-  for (const CrashWorkload& w : workloads) {
+  for (const CrashWorkload& w : SweptWorkloads()) {
     const int last = static_cast<int>(w.ops.size()) - 1;
     ModelCursor models(w);
     for (int completed = -1; completed <= last; ++completed) {

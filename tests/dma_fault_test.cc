@@ -695,6 +695,7 @@ TEST(ScrubTest, EveryWritePathIsScrubbed) {
     engine.AttachFaultInjector(&injector);
     Simulation sim2({.num_cores = 1});
     SlowMemory recovered(&sim2, MediaParams::OneNode(), kSize);
+    std::vector<std::byte> image(64_KB);
     sim.Spawn(0, [&] {
       Channel& ch0 = engine.channel(0);
       Channel& ch1 = engine.channel(1);
@@ -708,23 +709,27 @@ TEST(ScrubTest, EveryWritePathIsScrubbed) {
           ch0.Submit(write(kRetried, pattern.data() + 4_KB, 4_KB));
       EXPECT_EQ(ch0.WaitSn(retried), DmaResult::kError);
       // The device crashes halfway through channel 1's transfer over old
-      // contents. The recovery device takes the mapping with the transfer's
-      // durable prefix laid over it; `crashed` carries on in the recovery
-      // device's fresh one, where channel 0's retried transfer lands and
+      // contents. The recovery device borrows the mapping with the
+      // transfer's durable prefix laid over it, writes over it and hands it
+      // back, all within this slice, so nothing else runs meanwhile.
+      // `crashed` carries on: channel 0's retried transfer lands and
       // channel 1's, which then fails, lands nothing.
       crashed.CpuWrite(kFailed, pattern.data() + 64_KB, 64_KB);
       ch1.Submit(write(kFailed, pattern.data() + 128_KB, 64_KB));
       sim.SleepFor(4_us);
-      recovered.AdoptCrashImage(crashed);
+      crashed.LendCrashImage(recovered);
+      recovered.CopyOut(image.data(), kFailed, 64_KB);
+      recovered.Zero(kFailed, 64_KB);
+      crashed.ReclaimCrashImage(recovered);
       EXPECT_EQ(ch0.WaitSnRecover(retried), DmaResult::kOk);
     });
     sim.Run();
     EXPECT_EQ(engine.channel(0).retries(), 1u);
     EXPECT_EQ(engine.channel(1).transfer_errors(), 1u);
     // The crash image holds a durable prefix of channel 1's transfer over
-    // the old contents; the failed transfer left the spare mapping as it
-    // was.
-    const std::byte* image = recovered.raw() + kFailed;
+    // the old contents; the hand-back undid the prefix and the recovery
+    // device's Zero, and the failed transfer left the old contents as they
+    // were.
     const std::byte* old = pattern.data() + 64_KB;
     const std::byte* payload = pattern.data() + 128_KB;
     size_t prefix = 0;
@@ -733,12 +738,10 @@ TEST(ScrubTest, EveryWritePathIsScrubbed) {
     }
     EXPECT_GT(prefix, 0u);
     EXPECT_LT(prefix, 64_KB);
-    EXPECT_EQ(std::memcmp(image + prefix / 64 * 64, old + prefix / 64 * 64,
-                          64_KB - prefix / 64 * 64),
+    EXPECT_EQ(std::memcmp(image.data() + prefix / 64 * 64,
+                          old + prefix / 64 * 64, 64_KB - prefix / 64 * 64),
               0);
-    EXPECT_TRUE(std::all_of(crashed.raw() + kFailed,
-                            crashed.raw() + kFailed + 64_KB,
-                            [](std::byte b) { return b == std::byte{0}; }));
+    EXPECT_EQ(std::memcmp(crashed.raw() + kFailed, old, 64_KB), 0);
     EXPECT_EQ(std::memcmp(crashed.raw() + kRetried, pattern.data() + 4_KB,
                           4_KB),
               0);

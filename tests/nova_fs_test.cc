@@ -282,6 +282,67 @@ TEST(NovaFsTest, FailedFirstCommitFreesItsLogPage) {
   EXPECT_EQ(mounted.free_pages(), 68u);
 }
 
+// Creates `files` empty files /f0, /f1, ... and /fill in the root of an
+// 8 MiB device, one root log entry each, then writes /fill until no page
+// is free. Returns /fill's descriptor.
+int FillRootAndDevice(Fx& fx, uint64_t files) {
+  for (uint64_t i = 0; i < files; ++i) {
+    EASYIO_CHECK_OK(fx.fs.Close(*fx.fs.Create("/f" + std::to_string(i))));
+  }
+  const int fill = *fx.fs.Create("/fill");
+  const std::vector<std::byte> page(4_KB, std::byte{0x5a});
+  for (uint64_t off = 0; fx.fs.Write(fill, off, page).ok(); off += 4_KB) {
+  }
+  return fill;
+}
+
+TEST(NovaFsTest, FailedRenameLeavesDirectoryWritable) {
+  Fx fx(8_MB);
+  fx.Run([&] {
+    // The root log's first page keeps one free slot.
+    const int fill = FillRootAndDevice(fx, kEntriesPerLogPage - 2);
+    ASSERT_EQ(fx.fs.free_pages(), 0u);
+    // The remove entry takes the last slot; the add entry finds no page to
+    // chain.
+    EXPECT_EQ(fx.fs.Rename("/f0", "/g0").code(), ErrorCode::kNoSpace);
+    // The unlink's entry takes the slot again and frees the page the
+    // create's entry chains.
+    ASSERT_TRUE(fx.fs.Close(fill).ok());
+    ASSERT_TRUE(fx.fs.Unlink("/fill").ok());
+    const auto h = fx.fs.Create("/h");
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(fx.fs.Close(*h).ok());
+  });
+  NovaFs mounted(&fx.mem, {});
+  ASSERT_TRUE(mounted.Mount().ok());
+  fx.Run([&] {
+    for (const char* path : {"/f0", "/h"}) {
+      const auto fd = mounted.Open(path);
+      ASSERT_TRUE(fd.ok()) << path;
+      ASSERT_TRUE(mounted.Close(*fd).ok());
+    }
+    for (const char* path : {"/g0", "/fill"}) {
+      EXPECT_EQ(mounted.Open(path).status().code(), ErrorCode::kNotFound)
+          << path;
+    }
+  });
+}
+
+TEST(NovaFsTest, FailedCreateReleasesItsInode) {
+  Fx fx(8_MB);
+  fx.Run([&] {
+    // The root log's first page is full.
+    FillRootAndDevice(fx, kEntriesPerLogPage - 1);
+    ASSERT_EQ(fx.fs.free_pages(), 0u);
+    const uint64_t inodes = fx.fs.free_inodes();
+    EXPECT_EQ(fx.fs.Create("/new").status().code(), ErrorCode::kNoSpace);
+    EXPECT_EQ(fx.fs.free_inodes(), inodes);
+    EXPECT_EQ(fx.fs.Mkdir("/dir").code(), ErrorCode::kNoSpace);
+    EXPECT_EQ(fx.fs.free_inodes(), inodes);
+    EXPECT_EQ(fx.fs.Open("/new").status().code(), ErrorCode::kNotFound);
+  });
+}
+
 TEST(NovaFsTest, UnlinkOpenFileDefersFree) {
   Fx fx;
   fx.Run([&] {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -184,8 +185,8 @@ TEST(SlowMemoryTest, CrashImageRollsBackInflightWrite) {
   EXPECT_EQ(final_image[64_KB - 1], std::byte{0x22});
 }
 
-TEST(SlowMemoryTest, AdoptCrashImageRollsBackInflightWrite) {
-  // CrashImageRollsBackInflightWrite, through the hand-off path.
+TEST(SlowMemoryTest, LentCrashImageRollsBackInflightWrite) {
+  // CrashImageRollsBackInflightWrite, through the in-place path.
   Simulation sim({.num_cores = 1});
   SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
   mem.EnableCrashTracking();
@@ -197,7 +198,7 @@ TEST(SlowMemoryTest, AdoptCrashImageRollsBackInflightWrite) {
 
   Simulation sim2({.num_cores = 1});
   SlowMemory recovered(&sim2, MediaParams::OneNode(), 1_MB);
-  recovered.AdoptCrashImage(mem);
+  mem.LendCrashImage(recovered);
   const std::byte* image = recovered.raw();
   size_t new_bytes = 0;
   for (size_t i = 0; i < 64_KB; ++i) {
@@ -211,17 +212,22 @@ TEST(SlowMemoryTest, AdoptCrashImageRollsBackInflightWrite) {
   EXPECT_LT(new_bytes, 48_KB);
   EXPECT_EQ(new_bytes % 64, 0u);
   EXPECT_EQ(std::memcmp(image, snapshot.data(), snapshot.size()), 0);
+  // Recovery writes over the image; the hand-back undoes it and the
+  // prefix.
+  std::memset(recovered.Mutable(0, 8_KB).data(), 0x33, 8_KB);
+  recovered.Zero(8_KB, 56_KB);
+  mem.ReclaimCrashImage(recovered);
 
-  // The crashed device got the fresh all-zero mapping and no in-flight
-  // writes; its transfer, finishing late, lands its whole payload there,
-  // not in the adopted image.
-  EXPECT_EQ(*mem.As<unsigned char>(0), 0u);
-  EXPECT_EQ(*mem.As<unsigned char>(64_KB - 1), 0u);
+  // The crashed device reads its old contents until its transfer, finishing
+  // after the hand-back, lands the whole payload; the recovery device holds
+  // its own all-zero mapping again.
+  EXPECT_EQ(*mem.As<unsigned char>(0), 0x11u);
+  EXPECT_EQ(*mem.As<unsigned char>(64_KB - 1), 0x11u);
+  EXPECT_EQ(*recovered.As<unsigned char>(0), 0u);
   sim.Run();
   const std::vector<std::byte> after = mem.CrashImage();
   EXPECT_EQ(after[0], std::byte{0x22});
   EXPECT_EQ(after[64_KB - 1], std::byte{0x22});
-  EXPECT_EQ(std::memcmp(image, snapshot.data(), snapshot.size()), 0);
 }
 
 TEST(SlowMemoryTest, LoadImageReplacesContents) {
@@ -259,6 +265,56 @@ TEST(ZeroMappedBytesTest, RecycledMappingReadsZero) {
 
   ZeroMappedBytes other(6_MB);
   EXPECT_TRUE(AllZero(other));
+}
+
+// Every path that changes a mapping's bytes or bitmaps saves a page before
+// it first touches it in an undo session. The size is one no other test
+// uses, so the pool hands the same mapping back each time.
+TEST(ZeroMappedBytesTest, UndoSessionRestoresEveryWritePath) {
+  constexpr size_t kSize = 2_MB + 20_KB;
+  constexpr size_t kPage = 4_KB;
+  {
+    // An earlier owner writes the first half: those pages come back stale.
+    ZeroMappedBytes junk(kSize);
+    std::memset(junk.Mutable(0, kSize / 2).data(), 0xee, kSize / 2);
+  }
+  auto bytes = std::make_unique<ZeroMappedBytes>(kSize);
+  // Before the session: pages 1 and 3 dirty with most lines still stale,
+  // page 2 stale, page 300 (in the never-written half) dirty, the rest of
+  // that half clean.
+  const std::vector<std::byte> before_data(3 * kPage, std::byte{0x5a});
+  bytes->Write(kPage + 128, before_data.data(), 64);
+  bytes->Write(3 * kPage + 640, before_data.data(), 200);
+  bytes->Write(300 * kPage + 8, before_data.data(), 100);
+  std::vector<std::byte> before(kSize);
+  bytes->CopyOut(before.data(), 0, kSize);
+
+  bytes->BeginUndo();
+  const std::vector<std::byte> data(3 * kPage, std::byte{0x77});
+  // A write the inline path takes outside a session: one page, no stale
+  // line in range.
+  bytes->Write(kPage + 128, data.data(), 32);
+  // Span writes: across pages over stale lines, and into a clean page.
+  bytes->Write(2 * kPage + 100, data.data(), 2 * kPage);
+  bytes->Write(400 * kPage + 10, data.data(), 50);
+  std::memset(bytes->Mutable(5 * kPage + 7, 70).data(), 0x66, 70);
+  bytes->Zero(3 * kPage + 600, 2 * kPage);  // a dirty page and a stale one
+  bytes->Zero(300 * kPage, kPage);
+  // A read that zeroes stale lines.
+  EXPECT_EQ(bytes->Read(7 * kPage + 64, 200)[0], std::byte{0});
+  std::vector<std::byte> during(kSize);
+  bytes->CopyOut(during.data(), 0, kSize);
+  ASSERT_NE(during, before);
+  bytes->Rollback();
+
+  std::vector<std::byte> after(kSize);
+  bytes->CopyOut(after.data(), 0, kSize);
+  EXPECT_EQ(after, before);
+  // The restored bitmaps: released and taken again, the mapping must read
+  // all-zero, which needs every page written before the session still
+  // dirty, and every line still stale that was.
+  bytes.reset();
+  EXPECT_TRUE(AllZero(ZeroMappedBytes(kSize)));
 }
 
 TEST(ZeroMappedBytesTest, ConcurrentReleaseAndReuse) {

@@ -516,6 +516,71 @@ TEST(SimulationTest, RequestStopPrecedesNextDirectSwitch) {
   EXPECT_EQ(sim.now(), 30u);
 }
 
+// A run stopped from its own actions every `k`-th one (never if k is 0)
+// and resumed each time. Core 0 has a lone advancer, whose Advances are
+// elided unless a stop is pending, and a task that yields to it; core 1 has
+// a sleeper and a task that holds its core through a timed wake; plain
+// timers interleave. Returns every action's (time, who) and the number of
+// stops.
+std::pair<Log, int> RunStoppedEvery(int k) {
+  Simulation sim(Opts(2));
+  Log log;
+  int actions = 0;
+  auto note = [&](int who) {
+    log.emplace_back(sim.now(), who);
+    if (k > 0 && ++actions % k == 0) {
+      sim.RequestStop();
+    }
+  };
+  sim.Spawn(0, [&] {
+    for (int i = 0; i < 40; ++i) {
+      note(0);
+      sim.Advance(7);
+    }
+  });
+  sim.Spawn(0, [&] {
+    for (int i = 0; i < 12; ++i) {
+      note(1);
+      sim.Advance(3);
+      sim.Yield();
+    }
+  });
+  sim.Spawn(1, [&] {
+    for (int i = 0; i < 15; ++i) {
+      note(2);
+      sim.SleepFor(11);
+    }
+  });
+  sim.Spawn(1, [&] {
+    for (int i = 0; i < 15; ++i) {
+      note(3);
+      sim.ScheduleAfter(9, [&sim, t = sim.current()] { sim.Wake(t); });
+      sim.BlockHoldingCore();
+      sim.Advance(2);
+    }
+  });
+  for (SimTime t = 5; t < 300; t += 13) {
+    sim.ScheduleAt(t, [&note] { note(-1); });
+  }
+  sim.Run();
+  int stops = 0;
+  while (sim.stop_requested()) {
+    stops++;
+    sim.Resume();
+  }
+  return {log, stops};
+}
+
+TEST(SimulationTest, StopAndResumeIsTransparent) {
+  const auto [whole, no_stops] = RunStoppedEvery(0);
+  ASSERT_EQ(no_stops, 0);
+  for (const int k : {1, 2, 3, 5, 8}) {
+    const auto [split, stops] = RunStoppedEvery(k);
+    EXPECT_GE(stops, static_cast<int>(whole.size()) / k - 1) << "k=" << k;
+    EXPECT_EQ(split, whole) << "stopped every " << k << " actions";
+  }
+}
+
 TEST(SimulationTest, FinishingTaskReturnsToHostBeforeNextResume) {
   // At t=10 core 0's task finishes while core 1's resume is due. The finish
   // goes back to the host, which releases the finished stack; only then
