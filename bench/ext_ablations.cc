@@ -28,7 +28,7 @@ using fxmark::Workload;
 
 RunConfig Base(Workload w, uint64_t io, int cores) {
   RunConfig cfg;
-  cfg.fs = harness::FsKind::kEasy;
+  cfg.testbed.fs = harness::FsKind::kEasy;
   cfg.workload = w;
   cfg.io_size = io;
   cfg.cores = cores;
@@ -59,7 +59,7 @@ void DsaPreview(int jobs) {
         const Case& c = cases[i % cases.size()];
         RunConfig cfg = Base(c.w, c.io, c.cores);
         if (i >= cases.size()) {
-          cfg.media = pmem::MediaParams::Dsa();
+          cfg.testbed.media = pmem::MediaParams::Dsa();
         }
         return fxmark::Run(cfg).mops * 1e3;
       });
@@ -80,15 +80,16 @@ void SelectiveOffloadAblation(int jobs) {
   const RunConfig r_def = Base(Workload::kDRBL, 16_KB, 8);
 
   RunConfig w_all = w_def;
-  w_all.easy_options.dma_min_bytes = 0;  // DMA even for tiny I/O
+  w_all.testbed.easy_options.dma_min_bytes = 0;  // DMA even for tiny I/O
   RunConfig r_all = r_def;
-  r_all.easy_options.dma_min_bytes = 0;
-  r_all.cm_options.read_admission_qdepth = 1u << 20;  // no admission gate
+  r_all.testbed.easy_options.dma_min_bytes = 0;
+  // No admission gate.
+  r_all.testbed.cm_options.read_admission_qdepth = 1u << 20;
 
   RunConfig w_none = w_def;
-  w_none.easy_options.dma_min_bytes = UINT64_MAX;  // never offload
+  w_none.testbed.easy_options.dma_min_bytes = UINT64_MAX;  // never offload
   RunConfig r_none = r_def;
-  r_none.easy_options.dma_min_bytes = UINT64_MAX;
+  r_none.testbed.easy_options.dma_min_bytes = UINT64_MAX;
 
   struct Row {
     const char* name;
@@ -125,8 +126,7 @@ void LChannelAblation(int jobs) {
   const std::vector<fxmark::RunResult> results =
       harness::RunIndexed(jobs, counts.size(), [&](size_t i) {
         RunConfig cfg = Base(Workload::kDWAL, 16_KB, 8);
-        cfg.cm_options.num_l_channels = counts[i];
-        cfg.cm_options.b_channel = counts[i];  // keep B out of the L range
+        cfg.testbed.cm_options.num_l_channels = counts[i];
         return fxmark::Run(cfg);
       });
   for (size_t i = 0; i < counts.size(); ++i) {

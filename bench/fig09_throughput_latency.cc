@@ -67,15 +67,15 @@ void RunPanel(Workload workload, uint64_t io_size, int jobs) {
   const std::vector<fxmark::CoreSweepPoint> points =
       harness::RunIndexed(jobs, grid.size(), [&](size_t i) {
         RunConfig cfg;
-        cfg.fs = grid[i].fs;
+        cfg.testbed.fs = grid[i].fs;
         cfg.workload = workload;
         cfg.io_size = io_size;
         cfg.uthreads_per_core = 2;  // §6.2: uthreads = 2x cores for EasyIO
         cfg.cores = grid[i].cores;
         if (g_fault_seed != 0) {
-          cfg.faults = bench::MakeBenchFaultPlan(
+          cfg.testbed.faults = bench::MakeBenchFaultPlan(
               g_fault_seed,
-              static_cast<int>(nova::NovaFs::Options{}.comp_channels));
+              static_cast<int>(cfg.testbed.fs_options.comp_channels));
         }
         return fxmark::CoreSweepPoint{grid[i].cores, fxmark::Run(cfg)};
       });

@@ -49,12 +49,12 @@ void RunApp(AppKind app, int jobs) {
         }
         AppRunConfig cfg;
         cfg.app = app;
-        cfg.fs = kind;
+        cfg.testbed.fs = kind;
         cfg.cores = cores;
         if (g_fault_seed != 0) {
-          cfg.faults = bench::MakeBenchFaultPlan(
+          cfg.testbed.faults = bench::MakeBenchFaultPlan(
               g_fault_seed,
-              static_cast<int>(nova::NovaFs::Options{}.comp_channels));
+              static_cast<int>(cfg.testbed.fs_options.comp_channels));
         }
         return apps::RunApp(cfg).ops_per_sec;
       });

@@ -92,6 +92,8 @@ int main() {
   harness::Testbed tb(config);
   auto* sched = tb.MakeScheduler(2);
 
+  int verified = 0;
+  int sampled = 0;
   tb.sim().Spawn(0, [&] {
     KvStore kv(&tb);
     Rng rng(99);
@@ -110,8 +112,8 @@ int main() {
         static_cast<double>(tb.sim().now() - t0) / kEntries / 1e3;
 
     // Verify a sample.
-    int verified = 0;
     for (int i = 0; i < kEntries; i += 17) {
+      sampled++;
       auto v = kv.Get("key" + std::to_string(i));
       EASYIO_CHECK_OK(v.status());
       if ((*v)[0] == static_cast<char>('a' + (i % 26))) {
@@ -125,5 +127,5 @@ int main() {
                     tb.fs().StatPath("/kv_log")->size));
   });
   tb.sim().Run();
-  return 0;
+  return verified == sampled ? 0 : 1;
 }

@@ -24,6 +24,7 @@ int main() {
   // A Caladan-style runtime over 2 cores; 4 uthreads share them.
   auto* sched = tb.MakeScheduler(/*cores=*/2);
 
+  bool all_ok = true;
   tb.sim().Spawn(0, [&] {
     sched->RunWorkers(4, [&](int id) {
       auto& fs = tb.fs();
@@ -47,6 +48,7 @@ int main() {
       EASYIO_CHECK_OK(fs.Read(fd, 0, back, &st).status());
       if (back != data) {
         std::printf("[uthread %d] data mismatch!\n", id);
+        all_ok = false;
         return;
       }
       std::printf("[uthread %d] read back OK: total %5.1fus, CPU %5.1fus\n",
@@ -62,5 +64,5 @@ int main() {
                 static_cast<unsigned long long>(tb.easy()->reads_offloaded()));
   });
   tb.sim().Run();
-  return 0;
+  return all_ok ? 0 : 1;
 }

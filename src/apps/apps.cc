@@ -1,7 +1,6 @@
 #include "src/apps/apps.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -384,15 +383,10 @@ const char* AppName(AppKind app) {
 }
 
 AppResult RunApp(const AppRunConfig& config) {
-  harness::TestbedConfig tb_cfg;
-  tb_cfg.fs = config.fs;
-  tb_cfg.machine_cores = config.machine_cores;
-  tb_cfg.device_bytes = config.device_bytes;
-  tb_cfg.faults = config.faults;
-  harness::Testbed tb(tb_cfg);
+  harness::Testbed tb(config.testbed);
 
-  const bool is_easy = config.fs == harness::FsKind::kEasy ||
-                       config.fs == harness::FsKind::kEasyNaive;
+  const bool is_easy = config.testbed.fs == harness::FsKind::kEasy ||
+                       config.testbed.fs == harness::FsKind::kEasyNaive;
   const int workers =
       config.cores * (is_easy ? config.uthreads_per_core : 1);
 

@@ -10,9 +10,11 @@
 //   Fileserver  create/write/append/read/stat/delete over a file set  (1:2)
 //   Webserver   read 256KB pages + append 16KB to one shared log      (10:1)
 //
-// Compute phases run real code; their host execution time is measured and
-// charged as virtual CPU time on the simulated core, so the compute:I/O
-// ratio — which decides how much CPU EasyIO can harvest — is genuine.
+// Compute phases run real code (their outputs are checked), and each is
+// charged analytic virtual CPU time on the simulated core: work units times
+// a per-unit cost on the paper's reference core. The compute:I/O ratio —
+// which decides how much CPU EasyIO can harvest — thus does not depend on
+// the build host's speed.
 
 #ifndef EASYIO_APPS_APPS_H_
 #define EASYIO_APPS_APPS_H_
@@ -40,16 +42,14 @@ const char* AppName(AppKind app);
 
 struct AppRunConfig {
   AppKind app = AppKind::kSnappy;
-  harness::FsKind fs = harness::FsKind::kEasy;
+  // The machine and filesystem under test (FS kind, cores, device, DMA
+  // fault plan).
+  harness::TestbedConfig testbed;
   int cores = 1;
   int uthreads_per_core = 2;  // applied to EasyIO modes only
   uint64_t warmup_ns = 4_ms;
   uint64_t measure_ns = 25_ms;
   uint64_t seed = 7;
-  int machine_cores = 36;
-  size_t device_bytes = 1_GB;
-  // DMA fault plan forwarded to the testbed; empty = injection off.
-  dma::FaultPlan faults;
 };
 
 struct AppResult {

@@ -5,6 +5,16 @@
 
 namespace easyio::baselines {
 
+namespace {
+
+// Split granularity: OdinFS [OSDI'22] parallelizes a large I/O by fanning
+// chunks of this size across the delegation threads (the §6.1 baseline).
+constexpr uint64_t kChunkBytes = 32 * 1024;
+// Request-posting cost on the application core (ring slot + fence).
+constexpr uint64_t kRingPostNs = 700;
+
+}  // namespace
+
 DelegationPool::DelegationPool(sim::Simulation* sim, pmem::SlowMemory* mem,
                                const Options& options)
     : sim_(sim), mem_(mem), options_(options) {
@@ -50,12 +60,11 @@ void DelegationPool::Move(bool to_pmem, uint64_t pmem_off, std::byte* dram,
                           size_t n) {
   assert(started_ && "Start() the pool before Move()");
   assert(sim_->in_task());
-  const int chunks = static_cast<int>(
-      (n + options_.chunk_bytes - 1) / options_.chunk_bytes);
+  const int chunks = static_cast<int>((n + kChunkBytes - 1) / kChunkBytes);
   Completion completion{chunks, sim_->current()};
   size_t posted = 0;
   while (posted < n) {
-    const size_t chunk = std::min<uint64_t>(options_.chunk_bytes, n - posted);
+    const size_t chunk = std::min<uint64_t>(kChunkBytes, n - posted);
     const int ring = static_cast<int>(next_ring_++ %
                                       static_cast<uint64_t>(
                                           options_.num_threads));
@@ -71,7 +80,7 @@ void DelegationPool::Move(bool to_pmem, uint64_t pmem_off, std::byte* dram,
     // Posting cost per request on the application core (ring + fence).
     // NOTE: this Advance yields to the event loop, so workers may already be
     // consuming requests while later chunks are still being posted.
-    sim_->Advance(options_.ring_post_ns);
+    sim_->Advance(kRingPostNs);
     posted += chunk;
   }
   if (completion.remaining > 0) {

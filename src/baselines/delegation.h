@@ -24,8 +24,6 @@ class DelegationPool {
   struct Options {
     int first_core = 0;   // first reserved core
     int num_threads = 4;  // delegation threads (one per reserved core)
-    uint64_t chunk_bytes = 32 * 1024;  // split granularity
-    uint64_t ring_post_ns = 700;       // request-posting cost on the caller
   };
 
   DelegationPool(sim::Simulation* sim, pmem::SlowMemory* mem,

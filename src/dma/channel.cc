@@ -280,9 +280,9 @@ void Channel::OnTransferDone() {
     if (repair_event_ != 0) {
       sim_->Cancel(repair_event_);
     }
-    repair_event_ = sim_->ScheduleAfter(
-        injector_ != nullptr ? injector_->plan().torn_repair_ns : 50'000,
-        [this] { RepairRecord(); });
+    // Only an attached injector marks a descriptor torn.
+    repair_event_ = sim_->ScheduleAfter(injector_->plan().torn_repair_ns,
+                                        [this] { RepairRecord(); });
   } else {
     CommitRecord(done.slot, done.cnt);
   }

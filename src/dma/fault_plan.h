@@ -36,8 +36,9 @@ namespace easyio::dma {
 
 struct FaultPlan {
   // The descriptor at `ordinal` on `channel` raises a transfer error `count`
-  // times: the first `count` executions (initial + retries) abort with the
-  // destination rolled back; execution count+1 succeeds.
+  // times: the first `count` executions (initial + retries) abort having
+  // landed nothing (a write's payload lands only when its transfer
+  // completes); execution count+1 succeeds.
   struct TransferError {
     uint8_t channel = 0;
     uint64_t ordinal = 0;

@@ -7,6 +7,38 @@
 
 namespace easyio::core {
 
+namespace {
+
+// ---- Throttling and bulk split (paper §4.4) ----
+// Length of one throttling epoch, µs-scale as in Caladan: the B channel's
+// byte budget is b_limit_gbps × kEpochNs, and Listing 1's feedback runs
+// once per epoch.
+constexpr uint64_t kEpochNs = 20_us;
+// Sub-epoch budget checks: how soon an overspent B channel is suspended
+// (the simulator's granularity; the paper gives none).
+constexpr uint64_t kCheckIntervalNs = 4_us;
+// Listing 1's threshold: the B limit rises only while every L-app's SLO
+// headroom exceeds it.
+constexpr double kQosThreshold = 0.25;
+// Clamp on B_APP_BW_LIMIT as Listing 1 moves it, so that it stays positive
+// and bounded (the simulator's choice; the paper gives none).
+constexpr double kBLimitMinGbps = 0.25;
+constexpr double kBLimitMaxGbps = 16.0;
+// §4.4: B-app bulk I/O is split into 64 KB descriptors so that suspending
+// the B channel never re-executes a large transfer.
+constexpr uint64_t kBulkSplitBytes = 64_KB;
+
+// ---- Quarantine (fault handling, DESIGN.md §8; not a paper parameter) ----
+constexpr uint64_t kHealthIntervalNs = 20_us;  // monitor scan period
+// A channel with queued work, not suspended, making no completion progress
+// for this long is declared stalled.
+constexpr uint64_t kStallThresholdNs = 60_us;
+// Probation before a quarantined channel returns to rotation.
+constexpr uint64_t kQuarantineNs = 200_us;
+constexpr int kQuarantineFaultThreshold = 2;  // consumer-reported faults
+
+}  // namespace
+
 ChannelManager::ChannelManager(sim::Simulation* sim, dma::DmaEngine* engine,
                                const Options& options)
     : sim_(sim),
@@ -15,11 +47,8 @@ ChannelManager::ChannelManager(sim::Simulation* sim, dma::DmaEngine* engine,
       b_limit_gbps_(options.b_limit_init_gbps),
       health_(static_cast<size_t>(engine->num_channels())) {
   assert(options.num_l_channels >= 1);
-  assert(options.num_l_channels <= engine->num_channels());
-  assert(options.b_channel >= 0 &&
-         options.b_channel < engine->num_channels());
-  assert(options.b_channel >= options.num_l_channels &&
-         "B channel must not overlap the L channels");
+  assert(options.num_l_channels < engine->num_channels() &&
+         "the B channel is the first channel past the L set");
 }
 
 dma::Channel* ChannelManager::PickWriteChannel() {
@@ -72,7 +101,7 @@ dma::Sn ChannelManager::SubmitBulkWrite(uint64_t pmem_off, const void* src,
   const auto* p = static_cast<const std::byte*>(src);
   size_t done = 0;
   while (done < n) {
-    const size_t chunk = std::min<size_t>(options_.bulk_split_bytes, n - done);
+    const size_t chunk = std::min<size_t>(kBulkSplitBytes, n - done);
     dma::Descriptor d;
     d.dir = dma::Descriptor::Dir::kWrite;
     d.pmem_off = pmem_off + done;
@@ -105,14 +134,14 @@ void ChannelManager::StartThrottling() {
   throttle_generation_++;
   epoch_start_bytes_ = b_channel()->bytes_completed();
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "throttle_start",
-            {"b_chan", static_cast<uint64_t>(options_.b_channel)});
+            {"b_chan", static_cast<uint64_t>(options_.num_l_channels)});
   const uint64_t gen = throttle_generation_;
-  sim_->ScheduleAfter(options_.check_interval_ns, [this, gen] {
+  sim_->ScheduleAfter(kCheckIntervalNs, [this, gen] {
     if (gen == throttle_generation_) {
       BudgetCheck();
     }
   });
-  sim_->ScheduleAfter(options_.epoch_ns, [this, gen] {
+  sim_->ScheduleAfter(kEpochNs, [this, gen] {
     if (gen == throttle_generation_) {
       EpochTick();
     }
@@ -138,7 +167,7 @@ void ChannelManager::BudgetCheck() {
   // Budget for a whole epoch at the current limit; once the B channel has
   // moved that much in this epoch, suspend it until the epoch ends.
   const double budget_bytes =
-      b_limit_gbps_ * kGiB * (static_cast<double>(options_.epoch_ns) / 1e9);
+      b_limit_gbps_ * kGiB * (static_cast<double>(kEpochNs) / 1e9);
   const uint64_t used = b_channel()->bytes_completed() - epoch_start_bytes_;
   if (static_cast<double>(used) >= budget_bytes &&
       !b_channel()->suspended()) {
@@ -148,7 +177,7 @@ void ChannelManager::BudgetCheck() {
     b_channel()->Suspend();
   }
   const uint64_t gen = throttle_generation_;
-  sim_->ScheduleAfter(options_.check_interval_ns, [this, gen] {
+  sim_->ScheduleAfter(kCheckIntervalNs, [this, gen] {
     if (gen == throttle_generation_) {
       BudgetCheck();
     }
@@ -160,7 +189,7 @@ void ChannelManager::ReportChannelFault(dma::Channel& ch) {
   h.fault_score++;
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "channel_fault",
             {"chan", ch.id()}, {"score", static_cast<uint64_t>(h.fault_score)});
-  if (!h.quarantined && h.fault_score >= options_.quarantine_fault_threshold) {
+  if (!h.quarantined && h.fault_score >= kQuarantineFaultThreshold) {
     Quarantine(ch);
   }
 }
@@ -171,7 +200,7 @@ void ChannelManager::Quarantine(dma::Channel& ch) {
     return;
   }
   h.quarantined = true;
-  h.quarantined_until = sim_->now() + options_.quarantine_ns;
+  h.quarantined_until = sim_->now() + kQuarantineNs;
   h.stalled_since = 0;
   quarantines_++;
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "quarantine", {"chan", ch.id()},
@@ -184,11 +213,11 @@ void ChannelManager::Quarantine(dma::Channel& ch) {
     ch.Suspend();
     ch.Resume();
   }
-  // Probation: the channel returns to rotation after quarantine_ns with a
+  // Probation: the channel returns to rotation after kQuarantineNs with a
   // clean slate. The event checks quarantined_until so overlapping
   // quarantines (re-reported faults) keep the latest deadline.
   const uint8_t id = ch.id();
-  sim_->ScheduleAfter(options_.quarantine_ns, [this, id] {
+  sim_->ScheduleAfter(kQuarantineNs, [this, id] {
     ChannelHealth& hh = health_[id];
     if (hh.quarantined && sim_->now() >= hh.quarantined_until) {
       hh.quarantined = false;
@@ -213,7 +242,7 @@ void ChannelManager::StartHealthMonitor() {
   }
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "health_monitor_start");
   const uint64_t gen = health_generation_;
-  sim_->ScheduleAfter(options_.health_interval_ns, [this, gen] {
+  sim_->ScheduleAfter(kHealthIntervalNs, [this, gen] {
     if (gen == health_generation_) {
       HealthTick();
     }
@@ -251,7 +280,7 @@ void ChannelManager::HealthTick() {
     if (ch.queue_depth() > 0 && !ch.suspended() && descs == h.last_descs) {
       if (h.stalled_since == 0) {
         h.stalled_since = sim_->now();
-      } else if (sim_->now() - h.stalled_since >= options_.stall_threshold_ns) {
+      } else if (sim_->now() - h.stalled_since >= kStallThresholdNs) {
         OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "stall_detected",
                   {"chan", ch.id()}, {"qdepth", ch.queue_depth()});
         Quarantine(ch);
@@ -262,7 +291,7 @@ void ChannelManager::HealthTick() {
     h.last_descs = descs;
   }
   const uint64_t gen = health_generation_;
-  sim_->ScheduleAfter(options_.health_interval_ns, [this, gen] {
+  sim_->ScheduleAfter(kHealthIntervalNs, [this, gen] {
     if (gen == health_generation_) {
       HealthTick();
     }
@@ -288,11 +317,10 @@ void ChannelManager::EpochTick() {
   if (any_samples) {
     if (min_headroom < 0) {
       b_limit_gbps_ -= options_.delta_gbps;  // throttle down B-apps
-    } else if (min_headroom > options_.qos_threshold) {
+    } else if (min_headroom > kQosThreshold) {
       b_limit_gbps_ += options_.delta_gbps;  // throttle up B-apps
     }
-    b_limit_gbps_ = std::clamp(b_limit_gbps_, options_.b_limit_min_gbps,
-                               options_.b_limit_max_gbps);
+    b_limit_gbps_ = std::clamp(b_limit_gbps_, kBLimitMinGbps, kBLimitMaxGbps);
   }
   // Epoch ticks are control-plane events (one per 20µs): always recorded.
   if (auto* t = obs::Get()) {
@@ -309,7 +337,7 @@ void ChannelManager::EpochTick() {
     b_channel()->Resume();
   }
   const uint64_t gen = throttle_generation_;
-  sim_->ScheduleAfter(options_.epoch_ns, [this, gen] {
+  sim_->ScheduleAfter(kEpochNs, [this, gen] {
     if (gen == throttle_generation_) {
       EpochTick();
     }

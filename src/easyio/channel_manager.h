@@ -28,40 +28,28 @@
 
 namespace easyio::core {
 
-// Contract (paper §4.4, Listings 1 & 2): PickWriteChannel always returns an
-// L channel (writes are never denied DMA); PickReadChannel returns an L
-// channel with queue depth below
+// Contract (paper §4.4, Listings 1 & 2): the L set is channels
+// [0, num_l_channels) and the shared B channel is channel num_l_channels, the
+// first one past it ("<= 4 L channels + 1 shared B channel").
+// PickWriteChannel always returns an L channel (writes are never denied
+// DMA); PickReadChannel returns an L channel with queue depth below
 // read_admission_qdepth or nullptr, and the caller MUST fall back to memcpy
 // on nullptr (Listing 2). SubmitBulkWrite never splits a request across
 // channels — all chunks land on the single shared B channel, preserving SN
 // monotonicity for the returned last-SN. While StartThrottling is active the
-// manager owns the B channel's Suspend/Resume: per check_interval_ns it
-// suspends once the epoch's byte budget (b_limit_gbps × epoch_ns) is spent,
-// per epoch_ns it resumes and moves the limit by delta_gbps following
+// manager owns the B channel's Suspend/Resume: every budget check it
+// suspends once the epoch's byte budget (b_limit_gbps × epoch) is spent,
+// every epoch it resumes and moves the limit by delta_gbps following
 // Listing 1's min-headroom feedback. Callers must not Suspend/Resume the B
-// channel concurrently.
+// channel concurrently. The fixed design constants live in
+// channel_manager.cc.
 class ChannelManager {
  public:
   struct Options {
-    int num_l_channels = 4;
-    int b_channel = 4;  // channel index reserved for B-apps
-    uint64_t epoch_ns = 20_us;
-    uint64_t check_interval_ns = 4_us;  // sub-epoch budget checks
-    double delta_gbps = 0.25;           // Listing 1's Delta
-    double qos_threshold = 0.25;        // Listing 1's threshold
-    double b_limit_init_gbps = 8.0;
-    double b_limit_min_gbps = 0.25;
-    double b_limit_max_gbps = 16.0;
-    uint64_t bulk_split_bytes = 64_KB;
-    size_t read_admission_qdepth = 2;   // Listing 2's q_deps bound
-
-    // ---- Fault handling (see "Quarantine" below) ----
-    uint64_t health_interval_ns = 20_us;  // monitor scan period
-    // A channel with queued work, not suspended, making no completion
-    // progress for this long is declared stalled.
-    uint64_t stall_threshold_ns = 60_us;
-    uint64_t quarantine_ns = 200_us;  // probation before a channel returns
-    int quarantine_fault_threshold = 2;  // consumer-reported faults
+    int num_l_channels = 4;  // §2.2: more than 4 costs write bandwidth
+    size_t read_admission_qdepth = 2;  // Listing 2's q_deps bound
+    double delta_gbps = 0.25;          // Listing 1's Delta
+    double b_limit_init_gbps = 8.0;    // Listing 1's initial B_APP_BW_LIMIT
   };
 
   // Tracks one L-app's SLO. The app (or the FS on its behalf) reports each
@@ -106,7 +94,7 @@ class ChannelManager {
   // (caller falls back to memcpy).
   dma::Channel* PickReadChannel();
 
-  // B-app bulk write: split into bulk_split_bytes descriptors on the shared
+  // B-app bulk write: split into 64 KB descriptors on the shared
   // B channel (so suspension never re-executes a large transfer, §4.4) and
   // batch-submitted. Returns the last SN.
   dma::Sn SubmitBulkWrite(uint64_t pmem_off, const void* src, size_t n);
@@ -114,7 +102,9 @@ class ChannelManager {
   // until the bulk transfer completes.
   void BulkWriteAndWait(uint64_t pmem_off, const void* src, size_t n);
 
-  dma::Channel* b_channel() { return &engine_->channel(options_.b_channel); }
+  dma::Channel* b_channel() {
+    return &engine_->channel(options_.num_l_channels);
+  }
 
   // ---- QoS loop ----
   LApp* RegisterLApp(uint64_t target_latency_ns);
@@ -125,12 +115,12 @@ class ChannelManager {
 
   // ---- Quarantine (graceful degradation under channel faults) ----
   // A quarantined channel receives no new placements (picks skip it; bulk
-  // writes reroute to a healthy L channel) for quarantine_ns, then returns
-  // on probation with a cleared fault score. Outstanding work on it still
+  // writes reroute to a healthy L channel) for 200 µs, then returns on
+  // probation with a cleared fault score. Outstanding work on it still
   // completes through WaitSnRecover's retry/fallback path. Channels enter
   // quarantine two ways: a consumer reports transfer errors
-  // (ReportChannelFault, quarantine_fault_threshold strikes) or the health
-  // monitor observes a halted or stalled channel.
+  // (ReportChannelFault, two strikes) or the health monitor observes a
+  // halted or stalled channel.
   bool quarantined(const dma::Channel& ch) const {
     return health_[ch.id()].quarantined;
   }

@@ -18,19 +18,11 @@ struct SharedState {
 }  // namespace
 
 RunResult Run(const RunConfig& config) {
-  harness::TestbedConfig tb_cfg;
-  tb_cfg.fs = config.fs;
-  tb_cfg.machine_cores = config.machine_cores;
-  tb_cfg.device_bytes = config.device_bytes;
-  tb_cfg.media = config.media;
-  tb_cfg.cm_options = config.cm_options;
-  tb_cfg.easy_options = config.easy_options;
-  tb_cfg.faults = config.faults;
-  harness::Testbed tb(tb_cfg);
+  harness::Testbed tb(config.testbed);
   sim::Simulation& sim = tb.sim();
 
-  const bool is_easy = config.fs == harness::FsKind::kEasy ||
-                       config.fs == harness::FsKind::kEasyNaive;
+  const bool is_easy = config.testbed.fs == harness::FsKind::kEasy ||
+                       config.testbed.fs == harness::FsKind::kEasyNaive;
   const int uthreads_per_core = is_easy ? config.uthreads_per_core : 1;
   const int workers = config.cores * uthreads_per_core;
   const bool shared_file = config.workload == Workload::kDWOM;

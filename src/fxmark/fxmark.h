@@ -40,7 +40,9 @@ inline const char* WorkloadName(Workload w) {
 }
 
 struct RunConfig {
-  harness::FsKind fs = harness::FsKind::kEasy;
+  // The machine and filesystem under test (FS kind, cores, device, media
+  // model, EasyIO options, DMA fault plan).
+  harness::TestbedConfig testbed;
   Workload workload = Workload::kDWAL;
   int cores = 1;
   int uthreads_per_core = 1;     // paper uses 2 for EasyIO
@@ -49,14 +51,6 @@ struct RunConfig {
   uint64_t warmup_ns = 10_ms;
   uint64_t measure_ns = 60_ms;
   uint64_t seed = 42;
-  size_t device_bytes = 1_GB;
-  int machine_cores = 36;
-  // Overrides applied to the testbed (media model etc.).
-  pmem::MediaParams media = pmem::MediaParams::TwoNode();
-  core::ChannelManager::Options cm_options;
-  core::EasyIoFs::EasyOptions easy_options;
-  // DMA fault plan forwarded to the testbed; empty = injection off.
-  dma::FaultPlan faults;
 };
 
 struct RunResult {

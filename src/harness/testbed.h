@@ -41,6 +41,10 @@ inline const char* FsKindName(FsKind kind) {
   return "?";
 }
 
+// OdinFS's reserved delegation cores: 12 per node on the paper's 2-node
+// machine (§6.1), so its workloads stop at 12 worker cores of 36.
+inline constexpr int kOdinReservedCores = 24;
+
 struct TestbedConfig {
   FsKind fs = FsKind::kEasy;
   int machine_cores = 36;
@@ -49,9 +53,6 @@ struct TestbedConfig {
   nova::NovaFs::Options fs_options;
   core::ChannelManager::Options cm_options;
   core::EasyIoFs::EasyOptions easy_options;  // kEasy/kEasyNaive only
-  // OdinFS reservation: 12 delegation threads per node in the paper.
-  int odin_reserved_cores = 24;
-  baselines::DelegationPool::Options odin_options;
   // DMA fault plan (fs kinds with an engine only). Empty = infallible
   // hardware, byte-identical behavior to a build without fault injection.
   dma::FaultPlan faults;
@@ -85,11 +86,11 @@ class Testbed {
         break;
       }
       case FsKind::kOdin: {
-        baselines::DelegationPool::Options opts = config.odin_options;
-        opts.first_core = config.machine_cores - config.odin_reserved_cores;
-        opts.num_threads = config.odin_reserved_cores;
-        pool_ = std::make_unique<baselines::DelegationPool>(&sim_, &mem_,
-                                                            opts);
+        pool_ = std::make_unique<baselines::DelegationPool>(
+            &sim_, &mem_,
+            baselines::DelegationPool::Options{
+                .first_core = config.machine_cores - kOdinReservedCores,
+                .num_threads = kOdinReservedCores});
         pool_->Start();
         auto fs = std::make_unique<baselines::OdinFs>(&mem_,
                                                       config.fs_options,
@@ -147,7 +148,7 @@ class Testbed {
   // Usable worker cores for this filesystem on this machine.
   int max_worker_cores() const {
     return config_.fs == FsKind::kOdin
-               ? config_.machine_cores - config_.odin_reserved_cores
+               ? config_.machine_cores - kOdinReservedCores
                : config_.machine_cores;
   }
 

@@ -15,6 +15,10 @@ namespace {
 
 constexpr int kFirstFd = 3;
 
+// Block-allocator shards: NOVA keeps per-CPU free lists so that allocation
+// scales, and EasyIO inherits them (paper §5 builds EasyIO on NOVA).
+constexpr int kAllocShards = 16;
+
 }  // namespace
 
 NovaFs::NovaFs(pmem::SlowMemory* mem, const Options& options)
@@ -25,7 +29,7 @@ NovaFs::NovaFs(pmem::SlowMemory* mem, const Options& options)
   layout_ = Layout::Compute(mem->size(), options.inode_count,
                             options.journal_slots, options.comp_channels);
   allocator_ = std::make_unique<BlockAllocator>(
-      layout_.block_area_off, layout_.block_count, options.alloc_shards);
+      layout_.block_area_off, layout_.block_count, kAllocShards);
   journal_ = std::make_unique<Journal>(mem, layout_.journal_off,
                                        layout_.journal_slots);
 }

@@ -47,7 +47,6 @@ class NovaFs : public fs::FileSystem {
     uint64_t inode_count = 16384;
     uint64_t journal_slots = 64;
     uint64_t comp_channels = 16;  // completion-record region in the layout
-    int alloc_shards = 16;
     // Log-GC trigger: compact once the chain exceeds this many pages AND is
     // 4x what its live entries need. Tests lower it to exercise compaction
     // cheaply.

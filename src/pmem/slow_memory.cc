@@ -362,14 +362,6 @@ void SlowMemory::MetaWrite(uint64_t dst_off, const void* src, size_t n) {
   PersistBarrier();
 }
 
-void SlowMemory::MetaPersist(uint64_t dst_off, size_t n) {
-  assert(dst_off + n <= data_.size());
-  if (sim_->in_task()) {
-    sim_->Advance(MetaCostNs(n));
-  }
-  PersistBarrier();
-}
-
 void SlowMemory::PersistBarrier() {
   barriers_++;
   if (barrier_hook_) {

@@ -46,11 +46,11 @@ namespace easyio::pmem {
 //    zeroes it.
 // A page is therefore clean (all zero, no bit set), stale (every line
 // stale), dirty, or dirty with the lines its owner has not touched still
-// stale. Writes go through Write() (a copy in) or Mutable() (a
-// read-modify-write view); both mark the pages they touch dirty and the
-// lines they touch not stale. Because the types force every write through
-// them, a page that is not dirty is clean or stale, without reading it; that
-// holds for a swapped-out page too.
+// stale. Writes go through Write() (a copy in), which marks the pages it
+// touches dirty and the lines it touches not stale, or Zero(), which writes
+// only to dirty pages. Because the types force every write through them, a
+// page that is not dirty is clean or stale, without reading it; that holds
+// for a swapped-out page too.
 //
 // Reads go through Read(), which zeroes the stale lines in its range first,
 // or CopyOut(), which copies a stale line out as zeros and leaves it stale;
@@ -68,8 +68,8 @@ namespace easyio::pmem {
 // all-zero with no dirty page, whichever mapping it gets.
 //
 // An undo session makes a stretch of writes temporary. Between BeginUndo()
-// and Rollback(), the first write, Mutable(), Zero() or stale-line zeroing
-// to touch a page saves the page's bytes, dirty bit and stale word first;
+// and Rollback(), the first Write(), Zero() or stale-line zeroing to touch
+// a page saves the page's bytes, dirty bit and stale word first;
 // Rollback() puts every saved page back. Outside a session the write paths
 // pay one test of the session pointer.
 class ZeroMappedBytes {
@@ -118,18 +118,6 @@ class ZeroMappedBytes {
     }
     m_.dirty[page / 64] |= uint64_t{1} << (page % 64);
     std::memcpy(m_.data + off, src, n);
-  }
-
-  // The writable view of [off, off+n), stale lines zeroed; marks what it
-  // covers.
-  std::span<std::byte> Mutable(size_t off, size_t n) {
-    assert(off + n <= m_.size);
-    if (undo_ != nullptr) {
-      SaveForUndo(off, n);
-    }
-    Unstale(off, n);
-    Mark(off, n);
-    return {m_.data + off, n};
   }
 
   // Zeroes [off, off+n), writing only to dirty pages: the rest read as zero.
@@ -218,7 +206,7 @@ class SlowMemory {
 
   // Direct access to the persistent array (zero simulated cost; callers
   // charge their own modeled costs). Every read is ranged (As, Read,
-  // CopyOut) and every write goes through Write(), Mutable() or Zero(), so
+  // CopyOut) and every write goes through Write() or Zero(), so
   // that the backing store knows which pages a released device leaves
   // behind (see ZeroMappedBytes).
   template <typename T>
@@ -238,10 +226,6 @@ class SlowMemory {
   // The whole array (every stale line zeroed first; see ZeroMappedBytes).
   // For tests; the simulator reads through As(), Read() and CopyOut().
   const std::byte* raw() const { return data_.data(); }
-  // The read-modify-write view of [offset, offset+n), marked.
-  std::span<std::byte> Mutable(uint64_t offset, size_t n) {
-    return data_.Mutable(offset, n);
-  }
   // Zeroes [offset, offset+n) at the cost of only the pages this device
   // wrote: on a fresh device it writes nothing.
   void Zero(uint64_t offset, size_t n) { data_.Zero(offset, n); }
@@ -256,8 +240,6 @@ class SlowMemory {
   // Small persisted store (store + clwb + fence). Performs the real copy,
   // charges the modeled latency, and marks a persist barrier.
   void MetaWrite(uint64_t dst_off, const void* src, size_t n);
-  // Persist already-written bytes (for in-place structure updates).
-  void MetaPersist(uint64_t dst_off, size_t n);
   uint64_t MetaCostNs(size_t n) const;
 
   // Marks a legal crash point (everything modeled-durable before it survives,

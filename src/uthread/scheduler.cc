@@ -116,14 +116,6 @@ void Mutex::Lock() {
   assert(owner_ == self);  // handed off by Unlock
 }
 
-bool Mutex::TryLock() {
-  if (owner_ != nullptr) {
-    return false;
-  }
-  owner_ = sim_->current();
-  return true;
-}
-
 void Mutex::Unlock() {
   assert(owner_ == sim_->current());
   if (waiters_.empty()) {
@@ -189,30 +181,6 @@ void RwLock::WakeNext() {
     sim::Task* t = waiters_.front().task;
     waiters_.pop_front();
     sim_->Wake(t);
-  }
-}
-
-// --------------------------------------------------------------- CondVar ----
-
-void CondVar::Wait(Mutex* mu) {
-  waiters_.push_back(sim_->current());
-  mu->Unlock();
-  sim_->Block();
-  mu->Lock();
-}
-
-void CondVar::NotifyOne() {
-  if (waiters_.empty()) {
-    return;
-  }
-  sim::Task* t = waiters_.front();
-  waiters_.pop_front();
-  sim_->Wake(t);
-}
-
-void CondVar::NotifyAll() {
-  while (!waiters_.empty()) {
-    NotifyOne();
   }
 }
 

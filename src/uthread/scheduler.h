@@ -79,7 +79,6 @@ class Mutex {
   Mutex& operator=(const Mutex&) = delete;
 
   void Lock();
-  bool TryLock();
   void Unlock();
   bool locked() const { return owner_ != nullptr; }
   sim::Task* owner() const { return owner_; }
@@ -128,22 +127,6 @@ class RwLock {
   sim::Task* writer_ = nullptr;
   int readers_ = 0;
   std::deque<Waiter> waiters_;
-};
-
-// Condition variable paired with Mutex.
-class CondVar {
- public:
-  explicit CondVar(sim::Simulation* sim) : sim_(sim) {}
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex* mu);
-  void NotifyOne();
-  void NotifyAll();
-
- private:
-  sim::Simulation* sim_;
-  std::deque<sim::Task*> waiters_;
 };
 
 }  // namespace easyio::uthread

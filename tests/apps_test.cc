@@ -228,7 +228,7 @@ class AppSmoke : public ::testing::TestWithParam<AppKind> {};
 TEST_P(AppSmoke, RunsOnEasyIo) {
   AppRunConfig cfg;
   cfg.app = GetParam();
-  cfg.fs = harness::FsKind::kEasy;
+  cfg.testbed.fs = harness::FsKind::kEasy;
   cfg.cores = 2;
   cfg.warmup_ns = 1_ms;
   cfg.measure_ns = 30_ms;  // heavy apps (JPG/KNN) need several ms per op
@@ -254,9 +254,9 @@ TEST(AppCompare, IoHeavyAppGainsOnEasyIo) {
   cfg.cores = 8;
   cfg.warmup_ns = 2_ms;
   cfg.measure_ns = 40_ms;
-  cfg.fs = harness::FsKind::kNova;
+  cfg.testbed.fs = harness::FsKind::kNova;
   const double nova = RunApp(cfg).ops_per_sec;
-  cfg.fs = harness::FsKind::kEasy;
+  cfg.testbed.fs = harness::FsKind::kEasy;
   const double easy = RunApp(cfg).ops_per_sec;
   EXPECT_GT(easy, nova * 1.1);
 }

@@ -164,7 +164,8 @@ TEST(TransferErrorTest, PlainWaitReportsErrorAndRollsBackDestination) {
   FaultPlan plan;
   plan.errors.push_back({0, 0, 1});
   Fixture f(std::move(plan));
-  std::memset(f.mem.Mutable(kDataOff, 16_KB).data(), 0xAA, 16_KB);
+  const std::vector<std::byte> old(16_KB, std::byte{0xAA});
+  f.mem.Write(kDataOff, old.data(), old.size());
   const auto src = Pattern(16_KB, 3);
   f.sim.Spawn(0, [&] {
     Channel& ch = f.engine.channel(0);
@@ -428,7 +429,7 @@ TEST(QuarantineTest, FaultStrikesQuarantineThenProbationReleases) {
     EXPECT_NE(pick, &ch0);
   }
 
-  // Probation expires after quarantine_ns of virtual time; the channel
+  // Probation expires after 200 µs of virtual time; the channel
   // rejoins the pick set (all idle: the tie goes to channel 0 again).
   sim.Run();
   EXPECT_FALSE(cm.quarantined(ch0));
@@ -441,7 +442,6 @@ TEST(QuarantineTest, AllLChannelsQuarantinedYieldsNullptr) {
   DmaEngine engine(&mem, kRecordOff, 6);
   ChannelManager::Options opts;
   opts.num_l_channels = 2;
-  opts.b_channel = 2;
   ChannelManager cm(&sim, &engine, opts);
   for (int c = 0; c < 2; ++c) {
     cm.ReportChannelFault(engine.channel(c));
@@ -544,7 +544,6 @@ TEST(FsFaultTest, WriteWaitsForItsOwnDescriptorBehindQueuedRead) {
   // completion record covers that descriptor's SN.
   TestbedConfig cfg = FaultyEasyConfig();
   cfg.cm_options.num_l_channels = 1;
-  cfg.cm_options.b_channel = 1;
   Testbed tb(cfg);
   std::vector<std::byte> ballast(2_MB);
   const auto data = Pattern(48_KB, 11);
@@ -576,9 +575,8 @@ TEST(FsFaultTest, WriteWaitsForItsOwnDescriptorBehindQueuedRead) {
 
 TEST(FsFaultTest, AllChannelsQuarantinedDegradesToMemcpy) {
   TestbedConfig cfg = FaultyEasyConfig();
+  // The write and the read finish well inside the 200 µs quarantine.
   cfg.cm_options.num_l_channels = 2;
-  cfg.cm_options.b_channel = 2;
-  cfg.cm_options.quarantine_ns = 100'000'000;  // stays quarantined all run
   Testbed tb(cfg);
   const auto data = Pattern(32_KB, 13);
   tb.sim().Spawn(0, [&] {
@@ -784,7 +782,8 @@ TEST(ZeroMappedBytesTest, StaleBytesReadAsZeroThroughEveryPath) {
   auto fill = [&](uint64_t base) {
     mem.Write(base + 2 * kPage - 1, pattern.data(), 1);
     mem.Write(base + 3 * kPage + 100, pattern.data() + 1, 2 * kPage + 200);
-    mem.Mutable(base + 7 * kPage + 10, 1)[0] = std::byte{0x42};
+    const std::byte poke{0x42};
+    mem.Write(base + 7 * kPage + 10, &poke, 1);
     mem.Zero(base + 4 * kPage + 8, 16);
     mem.Zero(base + 8 * kPage + 5, kPage);
   };

@@ -87,8 +87,9 @@ TEST(ChannelTest, WritePayloadLandsAtCompletion) {
   Fixture f;
   constexpr uint64_t kCpuOff = kDataOff;
   constexpr uint64_t kDmaOff = kDataOff + 1_MB;
-  std::memset(f.mem.Mutable(kCpuOff, 64_KB).data(), 0x11, 64_KB);
-  std::memset(f.mem.Mutable(kDmaOff, 64_KB).data(), 0x11, 64_KB);
+  const std::vector<char> old(64_KB, 0x11);
+  f.mem.Write(kCpuOff, old.data(), old.size());
+  f.mem.Write(kDmaOff, old.data(), old.size());
   std::vector<char> cpu_src(64_KB, 0x22);
   std::vector<char> dma_src(64_KB, 0x33);
   auto reads = [&](uint64_t off, char c) {
@@ -122,7 +123,8 @@ TEST(ChannelTest, WritePayloadLandsAtCompletion) {
 
 TEST(ChannelTest, ReadMovesDataToDram) {
   Fixture f;
-  std::memset(f.mem.Mutable(kDataOff, 8_KB).data(), 0x5A, 8_KB);
+  const std::vector<char> data(8_KB, 0x5A);
+  f.mem.Write(kDataOff, data.data(), data.size());
   std::vector<unsigned char> dst(8_KB, 0);
   f.sim.Spawn(0, [&] {
     Descriptor d;
@@ -339,7 +341,8 @@ TEST(ChannelTest, WaitersWakeInSnOrder) {
 TEST(ChannelTest, CrashRollbackOfInflightDma) {
   Fixture f;
   f.mem.EnableCrashTracking();
-  std::memset(f.mem.Mutable(kDataOff, 1_MB).data(), 0x33, 1_MB);
+  const std::vector<char> old(1_MB, 0x33);
+  f.mem.Write(kDataOff, old.data(), old.size());
   std::vector<char> src(1_MB, 0x44);
   f.sim.Spawn(0, [&] {
     Descriptor d{Descriptor::Dir::kWrite, kDataOff, src.data(), 1_MB};

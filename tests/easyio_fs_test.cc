@@ -509,6 +509,31 @@ TEST(ChannelManagerTest, BulkWriteSplitsInto64K) {
   EXPECT_EQ(cm->b_channel()->descriptors_completed(), 2_MB / 64_KB);
 }
 
+// The shared B channel is the first channel past the L set, whatever the
+// L count, and bulk writes land there alone.
+TEST(ChannelManagerTest, BChannelIsFirstPastLChannels) {
+  for (int l_channels = 1; l_channels <= 4; ++l_channels) {
+    TestbedConfig cfg = EasyConfig();
+    cfg.cm_options.num_l_channels = l_channels;
+    Testbed tb(cfg);
+    ASSERT_EQ(tb.engine()->num_channels(), 16);
+    auto* cm = tb.channel_manager();
+    EXPECT_EQ(static_cast<int>(cm->b_channel()->id()), l_channels);
+    std::vector<std::byte> buf(256_KB, std::byte{0x5b});
+    tb.sim().Spawn(0, [&] {
+      cm->BulkWriteAndWait(128_MB, buf.data(), buf.size());
+    });
+    tb.sim().Run();
+    for (int c = 0; c < tb.engine()->num_channels(); ++c) {
+      const uint64_t want = c == l_channels ? 256_KB / 64_KB : 0;
+      EXPECT_EQ(tb.engine()->channel(c).descriptors_completed(), want)
+          << "L channels " << l_channels << ", channel " << c;
+    }
+    EXPECT_EQ(std::memcmp(tb.mem().raw() + 128_MB, buf.data(), buf.size()),
+              0);
+  }
+}
+
 TEST(ChannelManagerTest, ThrottlingCapsBandwidth) {
   Testbed tb(EasyConfig());
   auto* cm = tb.channel_manager();

@@ -12,7 +12,7 @@ namespace {
 
 RunConfig Quick(harness::FsKind fs, Workload w, int cores) {
   RunConfig cfg;
-  cfg.fs = fs;
+  cfg.testbed.fs = fs;
   cfg.workload = w;
   cfg.cores = cores;
   cfg.io_size = 16_KB;
@@ -109,7 +109,7 @@ struct PinnedCase {
 
 WorkCounts CountWork(const PinnedCase& c) {
   RunConfig cfg;
-  cfg.fs = c.fs;
+  cfg.testbed.fs = c.fs;
   cfg.workload = c.workload;
   cfg.cores = 4;
   cfg.uthreads_per_core = 2;  // EasyIO only; Run() uses 1 for the others
@@ -117,8 +117,8 @@ WorkCounts CountWork(const PinnedCase& c) {
   cfg.file_bytes = 4_MB;
   cfg.warmup_ns = 500_us;
   cfg.measure_ns = 2_ms;
-  cfg.device_bytes = 512_MB;
-  cfg.machine_cores = 8;
+  cfg.testbed.device_bytes = 512_MB;
+  cfg.testbed.machine_cores = 8;
   const RunResult r = fxmark::Run(cfg);
   WorkCounts w{r.ops, r.stats.context_switches, r.stats.tasks_spawned,
                r.stats.pmem_barriers, 0, r.stats.events_scheduled};

@@ -245,8 +245,7 @@ TEST(JournalTest, RecoverReplaysCommittedRecord) {
   rec.writes[0] = {2_MB, 0xabcd};
   rec.csum = rec.ComputeCsum();
   rec.state = 1;
-  std::memcpy(mem.Mutable(kBlockSize, sizeof(rec)).data(), &rec,
-              sizeof(rec));
+  mem.Write(kBlockSize, &rec, sizeof(rec));
   EXPECT_EQ(Journal::Recover(&mem, 0, 4), 1);
   EXPECT_EQ(*mem.As<uint64_t>(2_MB), 0xabcdu);
   EXPECT_EQ(mem.As<JournalRecord>(kBlockSize)->state, 0u);
@@ -260,7 +259,7 @@ TEST(JournalTest, RecoverIgnoresUncommitted) {
   rec.writes[0] = {2_MB, 0xabcd};
   rec.csum = rec.ComputeCsum();
   rec.state = 0;  // never committed
-  std::memcpy(mem.Mutable(0, sizeof(rec)).data(), &rec, sizeof(rec));
+  mem.Write(0, &rec, sizeof(rec));
   EXPECT_EQ(Journal::Recover(&mem, 0, 4), 0);
   EXPECT_EQ(*mem.As<uint64_t>(2_MB), 0u);
 }
@@ -273,7 +272,7 @@ TEST(JournalTest, RecoverDiscardsTornRecord) {
   rec.writes[0] = {2_MB, 0xabcd};
   rec.csum = 0xdeadbeef;  // wrong
   rec.state = 1;
-  std::memcpy(mem.Mutable(0, sizeof(rec)).data(), &rec, sizeof(rec));
+  mem.Write(0, &rec, sizeof(rec));
   EXPECT_EQ(Journal::Recover(&mem, 0, 4), 0);
   EXPECT_EQ(*mem.As<uint64_t>(2_MB), 0u);
   EXPECT_EQ(mem.As<JournalRecord>(0)->state, 0u);  // cleaned up

@@ -120,7 +120,8 @@ TEST(SlowMemoryTest, ConcurrentCpuWritersContend) {
 TEST(SlowMemoryTest, CpuReadMovesData) {
   Simulation sim({.num_cores = 1});
   SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
-  std::memset(mem.Mutable(4096, 4096).data(), 0xAB, 4096);
+  const std::vector<unsigned char> src(4096, 0xAB);
+  mem.Write(4096, src.data(), src.size());
   std::vector<unsigned char> dst(4096, 0);
   sim.Spawn(0, [&] { mem.CpuRead(dst.data(), 4096, 4096); });
   sim.Run();
@@ -159,7 +160,8 @@ TEST(SlowMemoryTest, CrashImageRollsBackInflightWrite) {
   Simulation sim({.num_cores = 1});
   SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
   mem.EnableCrashTracking();
-  std::memset(mem.Mutable(0, 64_KB).data(), 0x11, 64_KB);  // old contents
+  const std::vector<char> old(64_KB, 0x11);
+  mem.Write(0, old.data(), old.size());  // old contents
   std::vector<char> src(64_KB, 0x22);
   sim.Spawn(0, [&] { mem.CpuWrite(0, src.data(), src.size()); });
   // Stop mid-transfer: the 64K write takes ~17us at 3.6 GiB/s.
@@ -190,7 +192,8 @@ TEST(SlowMemoryTest, LentCrashImageRollsBackInflightWrite) {
   Simulation sim({.num_cores = 1});
   SlowMemory mem(&sim, MediaParams::OneNode(), 1_MB);
   mem.EnableCrashTracking();
-  std::memset(mem.Mutable(0, 64_KB).data(), 0x11, 64_KB);
+  const std::vector<char> old(64_KB, 0x11);
+  mem.Write(0, old.data(), old.size());
   std::vector<char> src(64_KB, 0x22);
   sim.Spawn(0, [&] { mem.CpuWrite(0, src.data(), src.size()); });
   sim.RunUntil(8_us);
@@ -214,7 +217,8 @@ TEST(SlowMemoryTest, LentCrashImageRollsBackInflightWrite) {
   EXPECT_EQ(std::memcmp(image, snapshot.data(), snapshot.size()), 0);
   // Recovery writes over the image; the hand-back undoes it and the
   // prefix.
-  std::memset(recovered.Mutable(0, 8_KB).data(), 0x33, 8_KB);
+  const std::vector<char> scribble(8_KB, 0x33);
+  recovered.Write(0, scribble.data(), scribble.size());
   recovered.Zero(8_KB, 56_KB);
   mem.ReclaimCrashImage(recovered);
 
@@ -249,14 +253,16 @@ TEST(ZeroMappedBytesTest, RecycledMappingReadsZero) {
     ZeroMappedBytes bytes(4_MB);
     ASSERT_TRUE(AllZero(bytes));
     // Dirty scattered pages, some only partly, and read-touch others.
+    const std::vector<std::byte> fill(4_KB, std::byte{0xa5});
     unsigned sum = 0;
     for (size_t off = 0; off < bytes.size(); off += 96_KB) {
       const size_t n = (off / 96_KB) % 3 == 0 ? 4_KB : 1;
-      std::memset(bytes.Mutable(off, n).data(), 0xa5, n);
+      bytes.Write(off, fill.data(), n);
       sum += static_cast<unsigned>(bytes.data()[off + 20_KB]);
     }
     EXPECT_EQ(sum, 0u);
-    bytes.Mutable(bytes.size() - 1, 1)[0] = std::byte{1};
+    const std::byte last{1};
+    bytes.Write(bytes.size() - 1, &last, 1);
   }
   // The pool hands back a released 4 MiB mapping, scrubbed: the one above
   // unless another parked one holds more pages.
@@ -276,7 +282,8 @@ TEST(ZeroMappedBytesTest, UndoSessionRestoresEveryWritePath) {
   {
     // An earlier owner writes the first half: those pages come back stale.
     ZeroMappedBytes junk(kSize);
-    std::memset(junk.Mutable(0, kSize / 2).data(), 0xee, kSize / 2);
+    const std::vector<std::byte> fill(kSize / 2, std::byte{0xee});
+    junk.Write(0, fill.data(), fill.size());
   }
   auto bytes = std::make_unique<ZeroMappedBytes>(kSize);
   // Before the session: pages 1 and 3 dirty with most lines still stale,
@@ -297,7 +304,6 @@ TEST(ZeroMappedBytesTest, UndoSessionRestoresEveryWritePath) {
   // Span writes: across pages over stale lines, and into a clean page.
   bytes->Write(2 * kPage + 100, data.data(), 2 * kPage);
   bytes->Write(400 * kPage + 10, data.data(), 50);
-  std::memset(bytes->Mutable(5 * kPage + 7, 70).data(), 0x66, 70);
   bytes->Zero(3 * kPage + 600, 2 * kPage);  // a dirty page and a stale one
   bytes->Zero(300 * kPage, kPage);
   // A read that zeroes stale lines.
@@ -329,7 +335,7 @@ TEST(ZeroMappedBytesTest, ConcurrentReleaseAndReuse) {
         ZeroMappedBytes bytes(cycle % 2 == 0 ? 256_KB : 384_KB);
         failures[t] += !AllZero(bytes);
         for (size_t off = 0; off < bytes.size(); off += 20_KB) {
-          bytes.Mutable(off, 1)[0] = mark;
+          bytes.Write(off, &mark, 1);
         }
         for (size_t off = 0; off < bytes.size(); off += 20_KB) {
           failures[t] += bytes.data()[off] != mark;

@@ -36,10 +36,14 @@ struct Fx {
     return fs.layout();
   }
 
-  // A writable view of the on-media T at `off`, for corrupting it.
-  template <typename T>
-  T* Poke(uint64_t off) {
-    return reinterpret_cast<T*>(mem.Mutable(off, sizeof(T)).data());
+  // Corrupts the on-media T at `off`: copies it out, applies `fn` to the
+  // copy and writes it back.
+  template <typename T, typename Fn>
+  void Poke(uint64_t off, Fn fn) {
+    T value;
+    mem.CopyOut(&value, off, sizeof(T));
+    fn(value);
+    mem.Write(off, &value, sizeof(T));
   }
 
   Status Mount() {
@@ -57,7 +61,7 @@ TEST(RecoveryFaultTest, CleanImageMounts) {
 TEST(RecoveryFaultTest, SuperblockMagicCorruption) {
   Fx fx;
   fx.Populate();
-  *fx.Poke<std::byte>(3) ^= std::byte{0xff};
+  fx.Poke<std::byte>(3, [](std::byte& b) { b ^= std::byte{0xff}; });
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 
@@ -67,8 +71,7 @@ TEST(RecoveryFaultTest, SuperblockFieldCorruption) {
   (void)layout;
   // Flip a byte inside the layout fields but leave the magic intact: the
   // checksum must catch it.
-  auto* sb = fx.Poke<Superblock>(0);
-  sb->inode_count ^= 1;
+  fx.Poke<Superblock>(0, [](Superblock& sb) { sb.inode_count ^= 1; });
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 
@@ -80,9 +83,9 @@ TEST(RecoveryFaultTest, TornCommittedLogEntry) {
   const auto* root = fx.mem.As<PInode>(layout.inode_table_off);
   ASSERT_NE(root->log_head, 0u);
   const uint64_t entry_off = root->log_head + kLogEntrySize;
-  auto* e = fx.Poke<DentryEntry>(entry_off);
-  ASSERT_EQ(static_cast<EntryType>(e->type), EntryType::kDentryAdd);
-  e->name[0] ^= 0x7f;
+  ASSERT_EQ(static_cast<EntryType>(fx.mem.As<DentryEntry>(entry_off)->type),
+            EntryType::kDentryAdd);
+  fx.Poke<DentryEntry>(entry_off, [](DentryEntry& e) { e.name[0] ^= 0x7f; });
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 
@@ -90,8 +93,9 @@ TEST(RecoveryFaultTest, GarbageEntryTypeBeforeTail) {
   Fx fx;
   const Layout layout = fx.Populate();
   const auto* root = fx.mem.As<PInode>(layout.inode_table_off);
-  auto* type = fx.Poke<uint8_t>(root->log_head + kLogEntrySize);
-  *type = 0xEE;  // not a valid EntryType
+  fx.Poke<uint8_t>(root->log_head + kLogEntrySize, [](uint8_t& type) {
+    type = 0xEE;  // not a valid EntryType
+  });
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 
@@ -99,11 +103,12 @@ TEST(RecoveryFaultTest, BrokenLogChain) {
   Fx fx;
   const Layout layout = fx.Populate();
   // Point the root tail beyond the first page but cut the chain.
-  auto* root = fx.Poke<PInode>(layout.inode_table_off);
-  auto* hdr = fx.Poke<LogPageHeader>(root->log_head);
+  const uint64_t head = fx.mem.As<PInode>(layout.inode_table_off)->log_head;
   // Force a tail in a nonexistent second page.
-  root->log_tail = root->log_head + kBlockSize + 5 * kLogEntrySize;
-  hdr->next_page = 0;
+  fx.Poke<PInode>(layout.inode_table_off, [&](PInode& root) {
+    root.log_tail = head + kBlockSize + 5 * kLogEntrySize;
+  });
+  fx.Poke<LogPageHeader>(head, [](LogPageHeader& hdr) { hdr.next_page = 0; });
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 
@@ -118,7 +123,8 @@ TEST(RecoveryFaultTest, UncommittedTailGarbageIsIgnored) {
   const uint64_t page = root->log_tail / kBlockSize * kBlockSize;
   for (uint64_t off = root->log_tail;
        off + kLogEntrySize <= page + kBlockSize; ++off) {
-    *fx.Poke<uint8_t>(off) = static_cast<uint8_t>(rng.Next());
+    fx.Poke<uint8_t>(
+        off, [&](uint8_t& b) { b = static_cast<uint8_t>(rng.Next()); });
   }
   EXPECT_TRUE(fx.Mount().ok());
 }
@@ -128,10 +134,11 @@ TEST(RecoveryFaultTest, DanglingDentryDetected) {
   const Layout layout = fx.Populate();
   // Invalidate /a's inode while leaving the root dentry in place.
   // Slot 1 holds the first allocated inode (/a, ino 2).
-  auto* pi = fx.Poke<PInode>(layout.inode_table_off + kPInodeSize);
+  const uint64_t slot_off = layout.inode_table_off + kPInodeSize;
+  const auto* pi = fx.mem.As<PInode>(slot_off);
   ASSERT_TRUE(pi->valid());
   ASSERT_FALSE(pi->is_dir());
-  pi->flags = 0;
+  fx.Poke<PInode>(slot_off, [](PInode& p) { p.flags = 0; });
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 

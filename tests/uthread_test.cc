@@ -156,19 +156,6 @@ TEST(MutexTest, FifoHandoff) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(MutexTest, TryLock) {
-  Simulation sim({.num_cores = 1});
-  Mutex mu(&sim);
-  sim.Spawn(0, [&] {
-    EXPECT_TRUE(mu.TryLock());
-    EXPECT_FALSE(mu.TryLock());
-    mu.Unlock();
-    EXPECT_TRUE(mu.TryLock());
-    mu.Unlock();
-  });
-  sim.Run();
-}
-
 TEST(RwLockTest, ReadersShare) {
   Simulation sim({.num_cores = 4});
   RwLock rw(&sim);
@@ -239,58 +226,6 @@ TEST(RwLockTest, WriterPreferenceAvoidsStarvation) {
   });
   sim.Run();
   EXPECT_EQ(writer_done, 2_us);
-}
-
-TEST(CondVarTest, WaitAndNotify) {
-  Simulation sim({.num_cores = 2});
-  Mutex mu(&sim);
-  CondVar cv(&sim);
-  bool ready = false;
-  sim::SimTime consumer_woke = 0;
-  sim.Spawn(0, [&] {
-    mu.Lock();
-    while (!ready) {
-      cv.Wait(&mu);
-    }
-    consumer_woke = sim.now();
-    mu.Unlock();
-  });
-  sim.Spawn(1, [&] {
-    sim.Advance(3_us);
-    mu.Lock();
-    ready = true;
-    cv.NotifyOne();
-    mu.Unlock();
-  });
-  sim.Run();
-  EXPECT_GE(consumer_woke, 3_us);
-}
-
-TEST(CondVarTest, NotifyAllWakesEveryone) {
-  Simulation sim({.num_cores = 4});
-  Mutex mu(&sim);
-  CondVar cv(&sim);
-  bool go = false;
-  int woke = 0;
-  for (int i = 0; i < 3; ++i) {
-    sim.Spawn(i, [&] {
-      mu.Lock();
-      while (!go) {
-        cv.Wait(&mu);
-      }
-      woke++;
-      mu.Unlock();
-    });
-  }
-  sim.Spawn(3, [&] {
-    sim.Advance(1_us);
-    mu.Lock();
-    go = true;
-    cv.NotifyAll();
-    mu.Unlock();
-  });
-  sim.Run();
-  EXPECT_EQ(woke, 3);
 }
 
 }  // namespace
