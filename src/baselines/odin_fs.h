@@ -1,9 +1,10 @@
 // OdinFS baseline [OSDI'22]: NOVA layout + opportunistic delegation for data
 // movement. The application thread handles metadata itself but ships data
 // copies to the DelegationPool's reserved-core threads, which parallelize
-// large I/Os across chunks. Small I/Os (< one chunk) skip delegation — the
-// ring round-trip would cost more than the copy (OdinFS's "opportunistic"
-// part).
+// large I/Os across 32 KiB chunks. I/Os below kInlineCopyBytes (8 KiB) skip
+// delegation, as the ring round-trip would cost more than the copy (OdinFS's
+// "opportunistic" part); those from 8 KiB up to 32 KiB go to one thread as a
+// single chunk.
 
 #ifndef EASYIO_BASELINES_ODIN_FS_H_
 #define EASYIO_BASELINES_ODIN_FS_H_
@@ -25,8 +26,7 @@ class OdinFs : public nova::NovaFs {
   void MoveToPmem(uint64_t pmem_off, const std::byte* src, size_t bytes,
                   fs::OpStats* stats) override {
     Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
-    if (bytes < 8192) {
-      // Below ~2 chunks delegation doesn't pay; copy inline.
+    if (bytes < kInlineCopyBytes) {
       memory()->CpuWrite(pmem_off, src, bytes);
     } else {
       pool_->Move(/*to_pmem=*/true, pmem_off, const_cast<std::byte*>(src),
@@ -37,7 +37,7 @@ class OdinFs : public nova::NovaFs {
   void MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
                     fs::OpStats* stats) override {
     Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
-    if (bytes < 8192) {
+    if (bytes < kInlineCopyBytes) {
       memory()->CpuRead(dst, pmem_off, bytes);
     } else {
       pool_->Move(/*to_pmem=*/false, pmem_off, dst, bytes);
@@ -45,6 +45,12 @@ class OdinFs : public nova::NovaFs {
   }
 
  private:
+  // I/Os below this copy inline on the application core. From here up to
+  // the pool's kChunkBytes (32 KiB, delegation.cc), an I/O goes to one
+  // delegation thread as a single chunk; larger ones fan out in 32 KiB
+  // chunks across the threads.
+  static constexpr size_t kInlineCopyBytes = 8192;
+
   DelegationPool* pool_;
 };
 

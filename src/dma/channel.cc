@@ -68,13 +68,6 @@ Sn Channel::Enqueue(Descriptor desc) {
     pending.stall_ns = injector_->TakeStall(id_, ordinal);
     pending.torn = injector_->TakeTornRecord(id_, ordinal);
   }
-  if (desc.dir == Descriptor::Dir::kWrite) {
-    // The payload lands when the transfer completes (OnTransferDone); the
-    // submitter keeps its buffer stable until then, so a crash image can
-    // lay the durable prefix of an unfinished transfer from it.
-    pending.inflight_token =
-        mem_->RegisterInflightWrite(desc.pmem_off, desc.dram, desc.size);
-  }
   const Sn sn = Sn::Make(id_, pending.cnt, pending.slot);
   pending.desc = std::move(desc);
   pending.enqueue_time = sim_->now();
@@ -206,7 +199,13 @@ void Channel::MaybeStart() {
     head.transfer_start = sim_->now();
     const auto& p = mem_->params();
     const bool is_write = head.desc.dir == Descriptor::Dir::kWrite;
-    if (!is_write) {
+    sim::FlowResource::Landing landing{};  // a read carries none
+    if (is_write) {
+      // The payload lands when the transfer completes (OnTransferDone); the
+      // submitter keeps its buffer stable until then, so a crash image can
+      // lay the durable prefix of the unfinished flow from it.
+      landing = {head.desc.pmem_off, head.desc.dram};
+    } else {
       // Reads materialize into the destination buffer at transfer start;
       // CoW + deferred free guarantee the source blocks stay immutable.
       mem_->CopyOut(head.desc.dram, head.desc.pmem_off, head.desc.size);
@@ -215,10 +214,7 @@ void Channel::MaybeStart() {
     const double cap = is_write ? p.dma_write_chan_cap.Lookup(head.desc.size)
                                 : p.dma_read_chan_cap.Lookup(head.desc.size);
     head.flow = flows.StartFlow(head.desc.size, cap, sim::FlowType::kDma,
-                                [this] { OnTransferDone(); });
-    if (is_write) {
-      mem_->SetInflightFlow(head.inflight_token, &flows, head.flow);
-    }
+                                [this] { OnTransferDone(); }, landing);
   });
 }
 
@@ -232,7 +228,6 @@ void Channel::OnTransferDone() {
   queue_.pop_front();
   if (done.desc.dir == Descriptor::Dir::kWrite) {  // lands before CommitRecord
     mem_->Write(done.desc.pmem_off, done.desc.dram, done.desc.size);
-    mem_->CompleteInflightWrite(done.inflight_token);
   }
 
   if (auto* t = obs::Get(); t != nullptr && t->Sample()) {
@@ -299,7 +294,6 @@ void Channel::FailHead() {
   Pending& head = queue_.front();
   head.planned_errors--;
   transfer_errors_++;
-  const bool is_write = head.desc.dir == Descriptor::Dir::kWrite;
   if (auto* t = obs::Get()) {
     t->CompleteSpan(obs::Track(obs::kProcDma, id_), "xfer_error",
                     head.transfer_start, sim_->now(),
@@ -308,11 +302,8 @@ void Channel::FailHead() {
   }
   OBS_EVENT(obs::Track(obs::kProcDmaState, id_), "xfer_error",
             {"bytes", head.desc.size}, {"qdepth", queue_.size()});
-  // An aborted transfer has landed nothing, and a crash image before the
-  // retry must not land any of it either.
-  if (is_write) {
-    mem_->SetInflightFlow(head.inflight_token, nullptr, 0);
-  }
+  // An aborted transfer has landed nothing, and as its flow is gone, a
+  // crash image before the retry lands none of it either.
   head.started = false;
   head.flow = 0;
   halted_ = true;
@@ -362,7 +353,6 @@ void Channel::CompleteHeadBySoftware() {
   // Graceful degradation: the waiting task moves the bytes itself through
   // the CPU path (synchronous, core held, persist barrier at the end).
   if (done.desc.dir == Descriptor::Dir::kWrite) {
-    mem_->CompleteInflightWrite(done.inflight_token);  // CpuWrite tracks it
     mem_->CpuWrite(done.desc.pmem_off, done.desc.dram, done.desc.size);
   } else {
     mem_->CpuRead(done.desc.dram, done.desc.pmem_off, done.desc.size);
@@ -412,13 +402,11 @@ void Channel::Suspend() {
     const double progress = flows.Progress(head.flow);
     if (progress < mem_->params().suspend_restart_threshold) {
       // Restart semantics: abort the transfer; it re-runs from scratch on
-      // resume. It has landed nothing, and a crash in between lands none.
+      // resume. It has landed nothing, and with its flow gone a crash in
+      // between lands none.
       flows.CancelFlow(head.flow);
       head.started = false;
       head.flow = 0;
-      if (is_write) {
-        mem_->SetInflightFlow(head.inflight_token, nullptr, 0);
-      }
       engine_busy_ = false;
       OBS_EVENT(obs::Track(obs::kProcDmaState, id_), "xfer_restart",
                 {"bytes", head.desc.size});

@@ -143,7 +143,6 @@ class Channel {
     Descriptor desc;
     uint64_t slot = 0;
     uint64_t cnt = 0;
-    uint64_t inflight_token = 0;  // crash tracking (writes only)
     bool started = false;
     sim::FlowResource::FlowId flow = 0;
     sim::SimTime transfer_start = 0;

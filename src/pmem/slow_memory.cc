@@ -322,17 +322,15 @@ bool SlowMemory::RunCrossPoke(void* mem, uint64_t poke_write) {
 void SlowMemory::CpuWrite(uint64_t dst_off, const void* src, size_t n) {
   assert(dst_off + n <= data_.size());
   assert(sim_->in_task());
-  const uint64_t token = RegisterInflightWrite(dst_off, src, n);
   sim::Task* task = sim_->current();
   // Lands at completion; `src` stays put, as its task holds the core.
-  const auto flow = write_flows_->StartFlow(
+  write_flows_->StartFlow(
       n, params_.cpu_write_cap.Lookup(n), sim::FlowType::kCpu,
-      [this, token, task, dst_off, src, n] {
+      [this, task, dst_off, src, n] {
         data_.Write(dst_off, src, n);
-        CompleteInflightWrite(token);
         sim_->Wake(task);
-      });
-  SetInflightFlow(token, write_flows_.get(), flow);
+      },
+      {dst_off, src});
   sim_->BlockHoldingCore();
   PersistBarrier();
 }
@@ -369,45 +367,34 @@ void SlowMemory::PersistBarrier() {
   }
 }
 
-uint64_t SlowMemory::RegisterInflightWrite(uint64_t dst_off, const void* src,
-                                           size_t n) {
-  if (!crash_tracking_) {
-    return 0;
-  }
-  const uint64_t token = next_token_++;
-  inflight_.emplace(
-      token, Inflight{dst_off, n, static_cast<const std::byte*>(src)});
-  return token;
-}
-
-void SlowMemory::SetInflightFlow(uint64_t token, sim::FlowResource* res,
-                                 sim::FlowResource::FlowId flow) {
-  // No entry for token 0 (tracking off).
-  if (auto it = inflight_.find(token); it != inflight_.end()) {
-    it->second.res = res;
-    it->second.flow = flow;
-  }
-}
-
-void SlowMemory::CompleteInflightWrite(uint64_t token) {
-  inflight_.erase(token);
-}
-
 template <typename Fn>
 void SlowMemory::ForEachDurablePrefix(Fn land) const {
-  for (const auto& [token, entry] : inflight_) {
-    double progress = 0.0;
-    if (entry.res != nullptr) {
-      progress = entry.res->Progress(entry.flow);
-    }
-    // Durable prefix in whole cachelines; the rest has not landed.
-    const size_t durable =
-        (static_cast<size_t>(progress * static_cast<double>(entry.n)) / 64) *
-        64;
-    if (durable > 0) {
-      land(entry.dst_off, entry.src, durable);
-    }
+  if (!crash_tracking_) {
+    return;
   }
+#ifndef NDEBUG
+  // No two in-flight writes overlap, so the order prefixes land in does not
+  // matter.
+  std::vector<std::pair<uint64_t, uint64_t>> ranges;
+  write_flows_->ForEachLanding(
+      [&](const sim::FlowResource::Landing& l, uint64_t n, double) {
+        ranges.emplace_back(l.dst_off, l.dst_off + n);
+      });
+  std::sort(ranges.begin(), ranges.end());
+  for (size_t i = 1; i < ranges.size(); ++i) {
+    assert(ranges[i - 1].second <= ranges[i].first &&
+           "overlapping in-flight writes");
+  }
+#endif
+  write_flows_->ForEachLanding(
+      [&](const sim::FlowResource::Landing& l, uint64_t n, double progress) {
+        // Durable prefix in whole cachelines; the rest has not landed.
+        const size_t durable =
+            (static_cast<size_t>(progress * static_cast<double>(n)) / 64) * 64;
+        if (durable > 0) {
+          land(l.dst_off, static_cast<const std::byte*>(l.src), durable);
+        }
+      });
 }
 
 std::vector<std::byte> SlowMemory::CrashImage() const {
@@ -427,7 +414,8 @@ void SlowMemory::LoadImage(const std::vector<std::byte>& image) {
 void SlowMemory::LendCrashImage(SlowMemory& recovery) {
   assert(&recovery != this);
   assert(recovery.data_.size() == data_.size());
-  assert(recovery.inflight_.empty());
+  assert(recovery.write_flows_->active_flows(sim::FlowType::kCpu) == 0 &&
+         recovery.write_flows_->active_flows(sim::FlowType::kDma) == 0);
   data_.swap(recovery.data_);
   recovery.data_.BeginUndo();
   ForEachDurablePrefix([&](uint64_t off, const std::byte* src, size_t n) {

@@ -8,8 +8,9 @@
 //
 // Crash-consistency support: persist barriers (fence boundaries) are counted
 // and exposed via a hook so the CrashMonkey-style harness can stop the
-// simulation at an exact barrier; in-flight writes are tracked by source
-// buffer so a crash image can lay each one's durable prefix over the device.
+// simulation at an exact barrier; each in-flight write is a write flow that
+// carries its landing (destination and source buffer), so a crash image can
+// lay each one's durable prefix over the device.
 
 #ifndef EASYIO_PMEM_SLOW_MEMORY_H_
 #define EASYIO_PMEM_SLOW_MEMORY_H_
@@ -21,7 +22,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -257,20 +257,12 @@ class SlowMemory {
   sim::FlowResource& write_flows() { return *write_flows_; }
 
   // ---- Crash tracking ----
-  // When enabled, every write transfer is registered with its source buffer
-  // until its payload lands.
+  // The in-flight writes are the write direction's active flows: CpuWrite
+  // and a DMA channel start each with its landing, and the submitter keeps
+  // the source buffer stable until the flow completes. Crash images lay
+  // their durable prefixes only once tracking is enabled.
   void EnableCrashTracking() { crash_tracking_ = true; }
   bool crash_tracking() const { return crash_tracking_; }
-
-  // Registers an in-flight write of `n` bytes from `src` (valid until
-  // CompleteInflightWrite) to `dst_off`. Returns a token (0 if tracking off).
-  uint64_t RegisterInflightWrite(uint64_t dst_off, const void* src, size_t n);
-  // Associates the flow so progress can be queried at crash time; a null
-  // `res` (an aborted or restarted transfer) means nothing has landed.
-  void SetInflightFlow(uint64_t token, sim::FlowResource* res,
-                       sim::FlowResource::FlowId flow);
-  void CompleteInflightWrite(uint64_t token);
-  size_t inflight_writes() const { return inflight_.size(); }
 
   // A crash image is the device contents with each in-flight write's
   // completed prefix (64B granularity) laid over it. There are two ways to
@@ -314,18 +306,11 @@ class SlowMemory {
   // The poke record's action (arg: this, tag: 1 to poke the write
   // direction, 0 the read one).
   static bool RunCrossPoke(void* mem, uint64_t poke_write);
-  // Calls land(off, src, n) for each in-flight write whose first n bytes,
-  // from `src` to `off`, are durable and belong in a crash image.
+  // With crash tracking on, calls land(off, src, n) for each in-flight
+  // write whose first n bytes, from `src` to `off`, are durable and belong
+  // in a crash image.
   template <typename Fn>
   void ForEachDurablePrefix(Fn land) const;
-
-  struct Inflight {
-    uint64_t dst_off;
-    size_t n;
-    const std::byte* src;
-    sim::FlowResource* res = nullptr;
-    sim::FlowResource::FlowId flow = 0;
-  };
 
   sim::Simulation* sim_;
   MediaParams params_;
@@ -335,8 +320,6 @@ class SlowMemory {
   uint64_t barriers_ = 0;
   std::function<void(uint64_t)> barrier_hook_;
   bool crash_tracking_ = false;
-  uint64_t next_token_ = 1;
-  std::unordered_map<uint64_t, Inflight> inflight_;
   double read_poke_util_ = 0;
   double write_poke_util_ = 0;
   bool poke_pending_ = false;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstddef>
 
 #include "src/common/units.h"
 
@@ -19,52 +20,44 @@ FlowResource::FlowResource(Simulation* sim, std::string name,
     : sim_(sim), name_(std::move(name)), model_(std::move(model)),
       last_settle_(sim->now()) {}
 
-std::vector<FlowResource::Flow>::iterator FlowResource::FindFlow(FlowId id) {
-  auto it = std::lower_bound(
-      flows_.begin(), flows_.end(), id,
-      [](const Flow& f, FlowId value) { return f.id < value; });
-  return it != flows_.end() && it->id == id ? it : flows_.end();
+const FlowResource::Flow* FlowResource::Find(FlowId id) const {
+  for (const std::vector<Flow>& flows : flows_) {
+    for (const Flow& f : flows) {
+      if (f.id == id) {
+        return &f;
+      }
+    }
+  }
+  return nullptr;
 }
 
-std::vector<FlowResource::Flow>::const_iterator FlowResource::FindFlow(
-    FlowId id) const {
-  auto it = std::lower_bound(
-      flows_.begin(), flows_.end(), id,
-      [](const Flow& f, FlowId value) { return f.id < value; });
-  return it != flows_.end() && it->id == id ? it : flows_.end();
-}
-
-bool FlowResource::HasFlow(FlowId id) const {
-  return FindFlow(id) != flows_.end();
-}
+bool FlowResource::HasFlow(FlowId id) const { return Find(id) != nullptr; }
 
 FlowResource::FlowId FlowResource::StartFlow(uint64_t bytes,
                                              double per_flow_cap_gbps,
-                                             FlowType type, DoneFn done) {
+                                             FlowType type, DoneFn done,
+                                             Landing landing) {
   Settle();
   const FlowId id = next_id_++;
   Flow flow;
   flow.id = id;
-  flow.type = type;
   flow.bytes_total = static_cast<double>(bytes);
   flow.bytes_left = static_cast<double>(bytes);
   flow.cap_gbps = per_flow_cap_gbps;
   flow.done = std::move(done);
-  flows_.push_back(std::move(flow));  // ids are monotonic: stays sorted
-  (type == FlowType::kCpu ? cpu_flows_ : dma_flows_)++;
-  auto& order = OrderFor(type);
-  const auto entry = std::make_pair(per_flow_cap_gbps, id);
-  order.insert(std::upper_bound(order.begin(), order.end(), entry), entry);
+  flow.landing = landing;
+  // After every flow of equal cap: ids grow, so (cap, id) order holds.
+  auto& flows = FlowsOf(type);
+  flows.insert(std::upper_bound(flows.begin(), flows.end(), per_flow_cap_gbps,
+                                [](double cap, const Flow& f) {
+                                  return cap < f.cap_gbps;
+                                }),
+               std::move(flow));
   Recompute();
   return id;
 }
 
-double FlowResource::Progress(FlowId id) const {
-  auto it = FindFlow(id);
-  if (it == flows_.end()) {
-    return 1.0;
-  }
-  const Flow& f = *it;
+double FlowResource::ProgressOf(const Flow& f) const {
   if (f.bytes_total <= 0) {
     return 1.0;
   }
@@ -74,28 +67,27 @@ double FlowResource::Progress(FlowId id) const {
   return std::clamp(1.0 - left / f.bytes_total, 0.0, 1.0);
 }
 
+double FlowResource::Progress(FlowId id) const {
+  const Flow* f = Find(id);
+  return f == nullptr ? 1.0 : ProgressOf(*f);
+}
+
 double FlowResource::CancelFlow(FlowId id) {
   Settle();
-  auto it = FindFlow(id);
-  if (it == flows_.end()) {
-    return 1.0;
+  for (std::vector<Flow>& flows : flows_) {
+    const auto it = std::find_if(flows.begin(), flows.end(),
+                                 [id](const Flow& f) { return f.id == id; });
+    if (it == flows.end()) {
+      continue;
+    }
+    const double progress = ProgressOf(*it);  // settled: no elapsed time
+    bytes_completed_ +=
+        static_cast<uint64_t>(it->bytes_total - std::max(0.0, it->bytes_left));
+    flows.erase(it);  // shifts the tail; (cap, id) order is preserved
+    Recompute();
+    return progress;
   }
-  const Flow& f = *it;
-  const double progress =
-      f.bytes_total <= 0
-          ? 1.0
-          : std::clamp(1.0 - f.bytes_left / f.bytes_total, 0.0, 1.0);
-  bytes_completed_ +=
-      static_cast<uint64_t>(f.bytes_total - std::max(0.0, f.bytes_left));
-  (f.type == FlowType::kCpu ? cpu_flows_ : dma_flows_)--;
-  auto& order = OrderFor(f.type);
-  const auto entry = std::make_pair(f.cap_gbps, id);
-  const auto oit = std::lower_bound(order.begin(), order.end(), entry);
-  assert(oit != order.end() && *oit == entry);
-  order.erase(oit);
-  flows_.erase(it);  // shifts the tail; ascending-id order is preserved
-  Recompute();
-  return progress;
+  return 1.0;
 }
 
 void FlowResource::Settle() {
@@ -104,33 +96,30 @@ void FlowResource::Settle() {
     return;
   }
   const double elapsed_s = static_cast<double>(now - last_settle_) / 1e9;
-  for (Flow& flow : flows_) {
-    flow.bytes_left = std::max(0.0, flow.bytes_left - flow.rate_bps * elapsed_s);
+  for (std::vector<Flow>& flows : flows_) {
+    for (Flow& flow : flows) {
+      flow.bytes_left =
+          std::max(0.0, flow.bytes_left - flow.rate_bps * elapsed_s);
+    }
   }
   last_settle_ = now;
 }
 
-void FlowResource::MaxMin(
-    const std::vector<std::pair<double, FlowId>>& order,
-    double aggregate_gbps, double* sum_rate_bps) {
-  // Water-filling in ascending per-flow-cap order (pre-sorted, maintained
-  // incrementally by StartFlow/CancelFlow/completion).
-  *sum_rate_bps = 0;
-  if (order.empty()) {
-    return;
-  }
+double FlowResource::MaxMin(std::vector<Flow>& flows, double aggregate_gbps) {
+  // Water-filling in ascending per-flow-cap order: each flow takes its cap
+  // or an equal share of what the flows before it left, whichever is less.
+  double sum_rate_bps = 0;
   double remaining = GbpsToBps(std::max(0.0, aggregate_gbps));
-  size_t left = order.size();
-  for (const auto& [cap_gbps, id] : order) {
-    auto it = FindFlow(id);
-    assert(it != flows_.end());
+  size_t left = flows.size();
+  for (Flow& flow : flows) {
     const double share = remaining / static_cast<double>(left);
-    const double rate = std::min(GbpsToBps(cap_gbps), share);
-    it->rate_bps = rate;
+    const double rate = std::min(GbpsToBps(flow.cap_gbps), share);
+    flow.rate_bps = rate;
     remaining -= rate;
     left--;
-    *sum_rate_bps += rate;
+    sum_rate_bps += rate;
   }
+  return sum_rate_bps;
 }
 
 void FlowResource::EndBatch() {
@@ -150,7 +139,9 @@ void FlowResource::Recompute() {
     return;
   }
   ++event_gen_;  // the pending completion record, if any, is now stale
-  if (flows_.empty()) {
+  auto& cpu = FlowsOf(FlowType::kCpu);
+  auto& dma = FlowsOf(FlowType::kDma);
+  if (cpu.empty() && dma.empty()) {
     if (total_rate_bps_ != 0) {
       total_rate_bps_ = 0;
       if (rates_changed_hook_) {
@@ -160,20 +151,22 @@ void FlowResource::Recompute() {
     return;
   }
 
-  double cpu_sum = 0;
-  double dma_sum = 0;
-  MaxMin(cpu_order_,
-         model_.cpu_aggregate ? model_.cpu_aggregate(cpu_flows_) : model_.total,
-         &cpu_sum);
-  MaxMin(dma_order_,
-         model_.dma_aggregate ? model_.dma_aggregate(dma_flows_) : model_.total,
-         &dma_sum);
+  const double cpu_sum = MaxMin(
+      cpu, model_.cpu_aggregate
+               ? model_.cpu_aggregate(static_cast<int>(cpu.size()))
+               : model_.total);
+  const double dma_sum = MaxMin(
+      dma, model_.dma_aggregate
+               ? model_.dma_aggregate(static_cast<int>(dma.size()))
+               : model_.total);
   const double total_bps = GbpsToBps(model_.total);
   double rate_sum = cpu_sum + dma_sum;
   if (rate_sum > total_bps && rate_sum > 0) {
     const double scale = total_bps / rate_sum;
-    for (Flow& flow : flows_) {
-      flow.rate_bps *= scale;
+    for (std::vector<Flow>& flows : flows_) {
+      for (Flow& flow : flows) {
+        flow.rate_bps *= scale;
+      }
     }
     rate_sum = total_bps;
   }
@@ -186,17 +179,19 @@ void FlowResource::Recompute() {
 
   // Schedule the earliest completion.
   double min_dt_ns = -1;
-  for (const Flow& flow : flows_) {
-    if (flow.bytes_left <= kDoneEpsilonBytes) {
-      min_dt_ns = 0;
-      break;
-    }
-    if (flow.rate_bps <= 0) {
-      continue;  // throttled to zero; no progress until rates change
-    }
-    const double dt_ns = flow.bytes_left / flow.rate_bps * 1e9;
-    if (min_dt_ns < 0 || dt_ns < min_dt_ns) {
-      min_dt_ns = dt_ns;
+  for (const std::vector<Flow>& flows : flows_) {
+    for (const Flow& flow : flows) {
+      if (flow.bytes_left <= kDoneEpsilonBytes) {
+        min_dt_ns = 0;
+        break;
+      }
+      if (flow.rate_bps <= 0) {
+        continue;  // throttled to zero; no progress until rates change
+      }
+      const double dt_ns = flow.bytes_left / flow.rate_bps * 1e9;
+      if (min_dt_ns < 0 || dt_ns < min_dt_ns) {
+        min_dt_ns = dt_ns;
+      }
     }
   }
   if (min_dt_ns < 0) {
@@ -222,37 +217,37 @@ void FlowResource::CompleteFinished() {
   Settle();
   // Collect and remove all flows that just finished, then recompute before
   // running callbacks (callbacks may start new flows). The in-place
-  // compaction keeps surviving flows in ascending-id order. The callback
+  // compaction keeps surviving flows in (cap, id) order. The callback
   // buffer is recycled across completions (swap out / swap back).
-  std::vector<DoneFn> done;
+  std::vector<std::pair<FlowId, DoneFn>> done;
   done.swap(done_scratch_);
-  size_t keep = 0;
-  for (size_t i = 0; i < flows_.size(); ++i) {
-    Flow& flow = flows_[i];
-    if (flow.bytes_left <= kDoneEpsilonBytes) {
-      bytes_completed_ += static_cast<uint64_t>(flow.bytes_total);
-      (flow.type == FlowType::kCpu ? cpu_flows_ : dma_flows_)--;
-      auto& order = OrderFor(flow.type);
-      const auto entry = std::make_pair(flow.cap_gbps, flow.id);
-      const auto oit = std::lower_bound(order.begin(), order.end(), entry);
-      assert(oit != order.end() && *oit == entry);
-      order.erase(oit);
-      done.push_back(std::move(flow.done));
-    } else {
-      if (keep != i) {
-        flows_[keep] = std::move(flow);
+  for (std::vector<Flow>& flows : flows_) {
+    size_t keep = 0;
+    for (size_t i = 0; i < flows.size(); ++i) {
+      Flow& flow = flows[i];
+      if (flow.bytes_left <= kDoneEpsilonBytes) {
+        bytes_completed_ += static_cast<uint64_t>(flow.bytes_total);
+        done.emplace_back(flow.id, std::move(flow.done));
+      } else {
+        if (keep != i) {
+          flows[keep] = std::move(flow);
+        }
+        keep++;
       }
-      keep++;
     }
+    flows.erase(flows.begin() + static_cast<std::ptrdiff_t>(keep),
+                flows.end());
   }
-  flows_.resize(keep);
+  // Same-instant completions run in start order, whatever their type or cap.
+  std::sort(done.begin(), done.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   Recompute();
   {
     // Callbacks often start follow-up flows synchronously (a DMA channel
     // launching its next descriptor); batch their recomputations so N
     // same-instant completions trigger one water-fill, not N.
     BatchScope batch(this);
-    for (DoneFn& fn : done) {
+    for (auto& [id, fn] : done) {
       if (fn) {
         fn();
       }

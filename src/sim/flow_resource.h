@@ -22,9 +22,11 @@
 #ifndef EASYIO_SIM_FLOW_RESOURCE_H_
 #define EASYIO_SIM_FLOW_RESOURCE_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sim/simulation.h"
@@ -49,15 +51,24 @@ class FlowResource {
   using FlowId = uint64_t;
   using DoneFn = SmallFn<void()>;
 
+  // Where a write flow's payload goes: its bytes, read from `src`, land at
+  // device offset `dst_off` when the flow completes. A null `src` means the
+  // flow carries no landing.
+  struct Landing {
+    uint64_t dst_off;
+    const void* src;
+  };
+
   FlowResource(Simulation* sim, std::string name, CapacityModel model);
 
   FlowResource(const FlowResource&) = delete;
   FlowResource& operator=(const FlowResource&) = delete;
 
   // Starts a transfer of `bytes` limited to `per_flow_cap_gbps`; `done` fires
-  // (as a simulation event) when the last byte has moved.
+  // (as a simulation event) when the last byte has moved. The resource keeps
+  // `landing` only to report it (ForEachLanding); `done` lands the bytes.
   FlowId StartFlow(uint64_t bytes, double per_flow_cap_gbps, FlowType type,
-                   DoneFn done);
+                   DoneFn done, Landing landing = {});
 
   // Fraction of the flow's bytes already transferred, in [0, 1].
   // Returns 1.0 for unknown (already completed) flows.
@@ -69,9 +80,23 @@ class FlowResource {
 
   bool HasFlow(FlowId id) const;
   int active_flows(FlowType type) const {
-    return type == FlowType::kCpu ? cpu_flows_ : dma_flows_;
+    return static_cast<int>(FlowsOf(type).size());
   }
   const std::string& name() const { return name_; }
+
+  // Calls fn(landing, bytes, progress) for each active flow that carries a
+  // landing: its byte count and its Progress(). A cancelled or finished
+  // flow is no longer active.
+  template <typename Fn>
+  void ForEachLanding(Fn fn) const {
+    for (const std::vector<Flow>& flows : flows_) {
+      for (const Flow& f : flows) {
+        if (f.landing.src != nullptr) {
+          fn(f.landing, static_cast<uint64_t>(f.bytes_total), ProgressOf(f));
+        }
+      }
+    }
+  }
 
   // Total bytes completed since construction (for bandwidth accounting).
   uint64_t bytes_completed() const { return bytes_completed_; }
@@ -116,14 +141,23 @@ class FlowResource {
  private:
   struct Flow {
     FlowId id;
-    FlowType type;
     double bytes_total;
     double bytes_left;
     double cap_gbps;       // per-flow cap
     double rate_bps = 0;   // current rate, bytes per second
     DoneFn done;
+    Landing landing;
   };
 
+  std::vector<Flow>& FlowsOf(FlowType type) {
+    return flows_[static_cast<size_t>(type)];
+  }
+  const std::vector<Flow>& FlowsOf(FlowType type) const {
+    return flows_[static_cast<size_t>(type)];
+  }
+  // The active flow `id`, or null.
+  const Flow* Find(FlowId id) const;
+  double ProgressOf(const Flow& f) const;
   void Settle();       // account transferred bytes up to now
   void Recompute();    // recompute rates + (re)schedule next completion
   // The completion record's action (arg: this, tag: the generation it was
@@ -132,35 +166,19 @@ class FlowResource {
   void CompleteFinished();  // retire finished flows, run their callbacks
   void BeginBatch() { batch_depth_++; }
   void EndBatch();
-  // Water-fills one type's flows, walking its pre-sorted (cap, id) order.
-  void MaxMin(const std::vector<std::pair<double, FlowId>>& order,
-              double aggregate_gbps, double* sum_rate_bps);
-  std::vector<std::pair<double, FlowId>>& OrderFor(FlowType type) {
-    return type == FlowType::kCpu ? cpu_order_ : dma_order_;
-  }
-  // Binary search by id; flows_.end() if absent.
-  std::vector<Flow>::iterator FindFlow(FlowId id);
-  std::vector<Flow>::const_iterator FindFlow(FlowId id) const;
+  // Water-fills one type's flows in list order; returns their rate sum.
+  static double MaxMin(std::vector<Flow>& flows, double aggregate_gbps);
 
   Simulation* sim_;
   std::string name_;
   CapacityModel model_;
-  // Settle/Recompute walk every flow on each flow-set change, so the
-  // container is the hot path. Ids are handed out monotonically, so
-  // push_back keeps the vector sorted by id and iteration order matches the
-  // std::map this replaced (ascending id => deterministic); lookups are
-  // binary searches, erases shift the tail and preserve order.
-  std::vector<Flow> flows_;
-  // Per-type water-filling order, kept sorted by (per-flow cap, id)
-  // incrementally on start/finish/cancel. Replaces the per-Recompute
-  // group-gather + stable_sort: caps never change after StartFlow, so the
-  // sort is paid once per flow instead of once per recomputation — and the
-  // hot path stops allocating. Ties on cap fall back to id, which is
-  // insertion order, matching what the stable sort produced.
-  std::vector<std::pair<double, FlowId>> cpu_order_;
-  std::vector<std::pair<double, FlowId>> dma_order_;
-  int cpu_flows_ = 0;
-  int dma_flows_ = 0;
+  // The active flows, one list per FlowType, each sorted by (per-flow cap,
+  // id): the order the water-fill walks. Caps never change after
+  // StartFlow, so a flow is placed once, on start, instead of sorted on
+  // every recomputation; ties on cap fall back to id, which is start order.
+  // A lookup by id scans both lists, which hold at most one flow per core
+  // or DMA channel.
+  std::array<std::vector<Flow>, 2> flows_;
   FlowId next_id_ = 1;
   SimTime last_settle_ = 0;
   // Generation of the one live completion record. Every Recompute bumps it,
@@ -173,7 +191,8 @@ class FlowResource {
   uint64_t bytes_completed_ = 0;
   double total_rate_bps_ = 0;
   std::function<void()> rates_changed_hook_;
-  std::vector<DoneFn> done_scratch_;  // completion-callback buffer, reused
+  // Finished flows' callbacks, keyed by id; recycled across completions.
+  std::vector<std::pair<FlowId, DoneFn>> done_scratch_;
 };
 
 }  // namespace easyio::sim

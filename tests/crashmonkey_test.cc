@@ -282,12 +282,19 @@ TEST_P(AdoptEquivalence, AdoptedBytesEqualSnapshot) {
   ASSERT_EQ(points.size(), 30u) << w.name;
   const std::set<std::string> universe = Universe(w);
 
-  int in_flight = 0;  // stops that caught a write transfer unfinished
+  int in_flight = 0;  // stops that caught a write not yet landed
   std::vector<std::byte> live;
   CrashEnv env(opts, faults);
   RunWithCrashStops(env, w, points, [&](int completed, size_t first,
                                         size_t end) {
-    in_flight += env.mem.inflight_writes() > 0;
+    // A write submitted and not landed: a CPU write's flow, or a DMA
+    // descriptor queued on a channel (these workloads issue no DMA reads).
+    bool unlanded =
+        env.mem.write_flows().active_flows(sim::FlowType::kCpu) > 0;
+    for (int c = 0; c < env.engine->num_channels(); ++c) {
+      unlanded |= !env.engine->channel(c).idle();
+    }
+    in_flight += unlanded;
     live.resize(env.mem.size());
     env.mem.CopyOut(live.data(), 0, live.size());
     for (size_t i = first; i < end; ++i) {
@@ -307,8 +314,8 @@ TEST_P(AdoptEquivalence, AdoptedBytesEqualSnapshot) {
     EXPECT_EQ(FirstDifference(env.mem, live), live.size())
         << w.name << " rolled back @barrier " << points[end - 1];
   });
-  // Some stops must catch a transfer mid-flight, or laying durable prefixes
-  // went untested.
+  // Some stops must catch a write before it lands, or the crash states
+  // around an unlanded write went untested.
   EXPECT_GT(in_flight, 0) << w.name;
 }
 

@@ -262,6 +262,40 @@ TEST(ChannelTest, SuspendHaltsAndResumeRestarts) {
   EXPECT_EQ(std::memcmp(f.mem.raw() + kDataOff, src.data(), 1_MB), 0);
 }
 
+// A transfer a suspend restarts has landed nothing and its flow is gone, so
+// a crash image taken while the channel is suspended holds the old bytes.
+// On resume the transfer runs again and its payload lands.
+TEST(ChannelTest, SuspendedRestartLandsNothingInCrashImage) {
+  Fixture f;
+  f.mem.EnableCrashTracking();
+  const std::vector<char> old(64_KB, 0x33);
+  f.mem.Write(kDataOff, old.data(), old.size());
+  std::vector<char> src(64_KB, 0x44);
+  const auto new_bytes = [](const std::vector<std::byte>& image) {
+    return static_cast<uint64_t>(std::count(image.begin() + kDataOff,
+                                            image.begin() + kDataOff + 64_KB,
+                                            std::byte{0x44}));
+  };
+  Sn sn;
+  f.sim.Spawn(0, [&] {
+    Descriptor d{Descriptor::Dir::kWrite, kDataOff, src.data(), 64_KB};
+    sn = f.engine.channel(0).Submit(std::move(d));
+  });
+  // The ~10 us transfer starts at ~1.1 us, so at 3 us it is under half done
+  // (below the restart threshold) with a durable prefix.
+  f.sim.ScheduleAt(3_us, [&] {
+    EXPECT_GT(new_bytes(f.mem.CrashImage()), 0u);
+    f.engine.channel(0).Suspend();
+  });
+  f.sim.RunUntil(500_us);
+  EXPECT_FALSE(f.engine.channel(0).IsComplete(sn));
+  EXPECT_EQ(new_bytes(f.mem.CrashImage()), 0u);
+  f.sim.ScheduleAt(1_ms, [&] { f.engine.channel(0).Resume(); });
+  f.sim.Run();
+  EXPECT_TRUE(f.engine.channel(0).IsComplete(sn));
+  EXPECT_EQ(new_bytes(f.mem.CrashImage()), 64_KB);
+}
+
 TEST(ChannelTest, SuspendLateLetsTransferComplete) {
   Fixture f;
   std::vector<char> src(1_MB, 'l');

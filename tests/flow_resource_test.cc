@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/common/units.h"
 #include "src/sim/flow_resource.h"
@@ -170,6 +171,21 @@ TEST(FlowResourceTest, ZeroByteFlowCompletesImmediately) {
   res.StartFlow(0, 10.0, FlowType::kCpu, [&] { done = true; });
   sim.Run();
   EXPECT_TRUE(done);
+  EXPECT_EQ(sim.now(), 0u);
+}
+
+// Flows finishing at one instant run their callbacks in start order, not in
+// the per-type, per-cap order the water-fill keeps them in.
+TEST(FlowResourceTest, SameInstantCompletionsRunInStartOrder) {
+  Simulation sim({.num_cores = 1});
+  FlowResource res(&sim, "w", FlatModel(1.0));
+  std::vector<int> order;
+  res.StartFlow(0, 5.0, FlowType::kDma, [&] { order.push_back(1); });
+  res.StartFlow(0, 10.0, FlowType::kCpu, [&] { order.push_back(2); });
+  res.StartFlow(0, 1.0, FlowType::kCpu, [&] { order.push_back(3); });
+  res.StartFlow(0, 2.0, FlowType::kDma, [&] { order.push_back(4); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   EXPECT_EQ(sim.now(), 0u);
 }
 
