@@ -124,11 +124,14 @@ struct CrashEnv {
 // The crash points a sweep of at most `max_points` visits: persist barrier
 // indices (1-based, counted from the end of CrashEnv set-up) spread evenly
 // over one full run of the workload, the last one being its final barrier.
-// Runs the workload once to count them.
+// Runs the workload once to count them. A non-null `first_in_flight`
+// receives the first barrier at which a write flow is active (a write has
+// started moving and not landed), or 0 if there is none.
 std::vector<uint64_t> SampleCrashPoints(const CrashWorkload& workload,
                                         int max_points,
                                         const nova::NovaFs::Options& fs_options,
-                                        const dma::FaultPlan* faults);
+                                        const dma::FaultPlan* faults,
+                                        uint64_t* first_in_flight = nullptr);
 
 // Runs `workload` on a fresh `env` with crash tracking on and stops the
 // simulation at each persist barrier in `points` (ascending, as

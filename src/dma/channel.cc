@@ -29,10 +29,7 @@ void Channel::PersistRecord(uint64_t addr, uint64_t cnt) {
 
 void Channel::CommitRecord(uint64_t addr, uint64_t cnt) {
   record_stale_ = false;
-  if (repair_event_ != 0) {
-    sim_->Cancel(repair_event_);
-    repair_event_ = 0;
-  }
+  sim_->Disarm(repair_);
   PersistRecord(addr, cnt);
 }
 
@@ -272,12 +269,11 @@ void Channel::OnTransferDone() {
     torn_records_++;
     OBS_EVENT(obs::Track(obs::kProcDmaState, id_), "torn_record",
               {"slot", done.slot}, {"cnt", done.cnt});
-    if (repair_event_ != 0) {
-      sim_->Cancel(repair_event_);
-    }
     // Only an attached injector marks a descriptor torn.
-    repair_event_ = sim_->ScheduleAfter(injector_->plan().torn_repair_ns,
-                                        [this] { RepairRecord(); });
+    sim_->Rearm(
+        repair_, sim_->now() + injector_->plan().torn_repair_ns,
+        [](void* ch, uint64_t) { static_cast<Channel*>(ch)->RepairRecord(); },
+        this, 0);
   } else {
     CommitRecord(done.slot, done.cnt);
   }
@@ -367,10 +363,7 @@ void Channel::CompleteHeadBySoftware() {
 }
 
 void Channel::RepairRecord() {
-  repair_event_ = 0;
-  if (!record_stale_) {
-    return;
-  }
+  assert(record_stale_);  // a fresh commit disarms the repair
   // Driver completion-timeout scrub: the hardware reached (shadow_addr_,
   // shadow_cnt_) but the persistent record missed the update; rewrite it,
   // preserving a pending error status.

@@ -199,7 +199,7 @@ class Channel {
   bool record_stale_ = false;
   uint64_t shadow_addr_ = 0;
   uint64_t shadow_cnt_ = 0;
-  sim::EventId repair_event_ = 0;
+  sim::Simulation::Timer repair_;  // the scheduled scrub, while stale
   uint64_t transfer_errors_ = 0;
   uint64_t retries_ = 0;
   uint64_t software_completions_ = 0;

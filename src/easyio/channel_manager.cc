@@ -29,10 +29,6 @@ constexpr double kBLimitMaxGbps = 16.0;
 constexpr uint64_t kBulkSplitBytes = 64_KB;
 
 // ---- Quarantine (fault handling, DESIGN.md §8; not a paper parameter) ----
-constexpr uint64_t kHealthIntervalNs = 20_us;  // monitor scan period
-// A channel with queued work, not suspended, making no completion progress
-// for this long is declared stalled.
-constexpr uint64_t kStallThresholdNs = 60_us;
 // Probation before a quarantined channel returns to rotation.
 constexpr uint64_t kQuarantineNs = 200_us;
 constexpr int kQuarantineFaultThreshold = 2;  // consumer-reported faults
@@ -131,21 +127,16 @@ void ChannelManager::StartThrottling() {
     return;
   }
   throttling_ = true;
-  throttle_generation_++;
   epoch_start_bytes_ = b_channel()->bytes_completed();
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "throttle_start",
             {"b_chan", static_cast<uint64_t>(options_.num_l_channels)});
-  const uint64_t gen = throttle_generation_;
-  sim_->ScheduleAfter(kCheckIntervalNs, [this, gen] {
-    if (gen == throttle_generation_) {
-      BudgetCheck();
-    }
-  });
-  sim_->ScheduleAfter(kEpochNs, [this, gen] {
-    if (gen == throttle_generation_) {
-      EpochTick();
-    }
-  });
+  sim_->Rearm(budget_check_, sim_->now() + kCheckIntervalNs, &OnTimer, this, 0);
+  sim_->Rearm(epoch_tick_, sim_->now() + kEpochNs, &OnTimer, this, 1);
+}
+
+void ChannelManager::OnTimer(void* cm, uint64_t epoch) {
+  auto* self = static_cast<ChannelManager*>(cm);
+  epoch != 0 ? self->EpochTick() : self->BudgetCheck();
 }
 
 void ChannelManager::StopThrottling() {
@@ -153,7 +144,8 @@ void ChannelManager::StopThrottling() {
     return;
   }
   throttling_ = false;
-  throttle_generation_++;
+  sim_->Disarm(budget_check_);
+  sim_->Disarm(epoch_tick_);
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "throttle_stop");
   if (b_channel()->suspended()) {
     b_channel()->Resume();
@@ -161,9 +153,6 @@ void ChannelManager::StopThrottling() {
 }
 
 void ChannelManager::BudgetCheck() {
-  if (!throttling_) {
-    return;
-  }
   // Budget for a whole epoch at the current limit; once the B channel has
   // moved that much in this epoch, suspend it until the epoch ends.
   const double budget_bytes =
@@ -176,12 +165,7 @@ void ChannelManager::BudgetCheck() {
               {"budget_bytes", static_cast<uint64_t>(budget_bytes)});
     b_channel()->Suspend();
   }
-  const uint64_t gen = throttle_generation_;
-  sim_->ScheduleAfter(kCheckIntervalNs, [this, gen] {
-    if (gen == throttle_generation_) {
-      BudgetCheck();
-    }
-  });
+  sim_->Rearm(budget_check_, sim_->now() + kCheckIntervalNs, &OnTimer, this, 0);
 }
 
 void ChannelManager::ReportChannelFault(dma::Channel& ch) {
@@ -201,7 +185,6 @@ void ChannelManager::Quarantine(dma::Channel& ch) {
   }
   h.quarantined = true;
   h.quarantined_until = sim_->now() + kQuarantineNs;
-  h.stalled_since = 0;
   quarantines_++;
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "quarantine", {"chan", ch.id()},
             {"qdepth", ch.queue_depth()});
@@ -222,86 +205,13 @@ void ChannelManager::Quarantine(dma::Channel& ch) {
     if (hh.quarantined && sim_->now() >= hh.quarantined_until) {
       hh.quarantined = false;
       hh.fault_score = 0;
-      hh.stalled_since = 0;
       OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "quarantine_end",
                 {"chan", id});
     }
   });
 }
 
-void ChannelManager::StartHealthMonitor() {
-  if (health_monitoring_) {
-    return;
-  }
-  health_monitoring_ = true;
-  health_generation_++;
-  for (int i = 0; i < engine_->num_channels(); ++i) {
-    health_[static_cast<size_t>(i)].last_descs =
-        engine_->channel(i).descriptors_completed();
-    health_[static_cast<size_t>(i)].stalled_since = 0;
-  }
-  OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "health_monitor_start");
-  const uint64_t gen = health_generation_;
-  sim_->ScheduleAfter(kHealthIntervalNs, [this, gen] {
-    if (gen == health_generation_) {
-      HealthTick();
-    }
-  });
-}
-
-void ChannelManager::StopHealthMonitor() {
-  if (!health_monitoring_) {
-    return;
-  }
-  health_monitoring_ = false;
-  health_generation_++;
-  OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "health_monitor_stop");
-}
-
-void ChannelManager::HealthTick() {
-  if (!health_monitoring_) {
-    return;
-  }
-  for (int i = 0; i < engine_->num_channels(); ++i) {
-    dma::Channel& ch = engine_->channel(i);
-    ChannelHealth& h = health_[static_cast<size_t>(i)];
-    const uint64_t descs = ch.descriptors_completed();
-    if (h.quarantined) {
-      h.last_descs = descs;
-      continue;
-    }
-    if (ch.halted()) {
-      // Halted on a transfer error: software recovery (the waiter's
-      // WaitSnRecover) will drain it, but no new work should land there.
-      Quarantine(ch);
-      h.last_descs = descs;
-      continue;
-    }
-    if (ch.queue_depth() > 0 && !ch.suspended() && descs == h.last_descs) {
-      if (h.stalled_since == 0) {
-        h.stalled_since = sim_->now();
-      } else if (sim_->now() - h.stalled_since >= kStallThresholdNs) {
-        OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "stall_detected",
-                  {"chan", ch.id()}, {"qdepth", ch.queue_depth()});
-        Quarantine(ch);
-      }
-    } else {
-      h.stalled_since = 0;
-    }
-    h.last_descs = descs;
-  }
-  const uint64_t gen = health_generation_;
-  sim_->ScheduleAfter(kHealthIntervalNs, [this, gen] {
-    if (gen == health_generation_) {
-      HealthTick();
-    }
-  });
-}
-
 void ChannelManager::EpochTick() {
-  if (!throttling_) {
-    return;
-  }
   // Listing 1: min headroom across L-apps decides the direction.
   double min_headroom = 1e9;
   bool any_samples = false;
@@ -336,12 +246,7 @@ void ChannelManager::EpochTick() {
   if (b_channel()->suspended()) {
     b_channel()->Resume();
   }
-  const uint64_t gen = throttle_generation_;
-  sim_->ScheduleAfter(kEpochNs, [this, gen] {
-    if (gen == throttle_generation_) {
-      EpochTick();
-    }
-  });
+  sim_->Rearm(epoch_tick_, sim_->now() + kEpochNs, &OnTimer, this, 1);
 }
 
 }  // namespace easyio::core

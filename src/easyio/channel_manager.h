@@ -117,22 +117,14 @@ class ChannelManager {
   // A quarantined channel receives no new placements (picks skip it; bulk
   // writes reroute to a healthy L channel) for 200 µs, then returns on
   // probation with a cleared fault score. Outstanding work on it still
-  // completes through WaitSnRecover's retry/fallback path. Channels enter
-  // quarantine two ways: a consumer reports transfer errors
-  // (ReportChannelFault, two strikes) or the health monitor observes a
-  // halted or stalled channel.
+  // completes through WaitSnRecover's retry/fallback path. A channel enters
+  // quarantine when consumers report transfer errors on it
+  // (ReportChannelFault, two strikes).
   bool quarantined(const dma::Channel& ch) const {
     return health_[ch.id()].quarantined;
   }
   // One fault strike against `ch` (a consumer saw a transfer error on it).
   void ReportChannelFault(dma::Channel& ch);
-  // Periodic scan for halted/stalled channels. Read-only over channel state
-  // except when it triggers a quarantine, so running it perturbs nothing on
-  // a healthy system. Stop it before tearing the simulation down, like
-  // StopThrottling.
-  void StartHealthMonitor();
-  void StopHealthMonitor();
-  bool health_monitoring() const { return health_monitoring_; }
   uint64_t quarantines() const { return quarantines_; }
 
  private:
@@ -140,13 +132,13 @@ class ChannelManager {
     bool quarantined = false;
     int fault_score = 0;
     sim::SimTime quarantined_until = 0;
-    uint64_t last_descs = 0;        // completion progress at last scan
-    sim::SimTime stalled_since = 0;  // 0 = progressing
   };
 
+  // The action of the QoS loop's records (arg: this, tag: 1 for the epoch
+  // tick, 0 for the budget check), armed while throttling.
+  static void OnTimer(void* cm, uint64_t epoch);
   void EpochTick();
   void BudgetCheck();
-  void HealthTick();
   void Quarantine(dma::Channel& ch);
 
   sim::Simulation* sim_;
@@ -157,10 +149,9 @@ class ChannelManager {
   double b_limit_gbps_;
   uint64_t epoch_start_bytes_ = 0;
   uint64_t read_rotor_ = 0;
-  uint64_t throttle_generation_ = 0;  // invalidates in-flight timer events
+  sim::Simulation::Timer budget_check_;
+  sim::Simulation::Timer epoch_tick_;
   std::vector<ChannelHealth> health_;
-  bool health_monitoring_ = false;
-  uint64_t health_generation_ = 0;  // invalidates in-flight monitor events
   uint64_t quarantines_ = 0;
 };
 

@@ -303,20 +303,17 @@ double SlowMemory::WriteDerate() const {
 void SlowMemory::CrossPoke(sim::FlowResource* target, double* last_util,
                            sim::FlowResource* source, double source_total) {
   const double util = source->total_rate_bps() / (source_total * kGiB);
-  if (std::abs(util - *last_util) < 0.02 || poke_pending_) {
+  if (std::abs(util - *last_util) < 0.02 || poke_.armed()) {
     return;
   }
   *last_util = util;
-  poke_pending_ = true;
-  sim_->ScheduleCall(sim_->now(), &SlowMemory::RunCrossPoke, this,
-                     target == write_flows_.get() ? 1 : 0);
+  sim_->Rearm(poke_, sim_->now(), &SlowMemory::RunCrossPoke, this,
+              target == write_flows_.get() ? 1 : 0);
 }
 
-bool SlowMemory::RunCrossPoke(void* mem, uint64_t poke_write) {
+void SlowMemory::RunCrossPoke(void* mem, uint64_t poke_write) {
   auto* self = static_cast<SlowMemory*>(mem);
-  self->poke_pending_ = false;
   (poke_write != 0 ? self->write_flows_ : self->read_flows_)->Poke();
-  return true;
 }
 
 void SlowMemory::CpuWrite(uint64_t dst_off, const void* src, size_t n) {

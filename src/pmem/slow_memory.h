@@ -305,7 +305,7 @@ class SlowMemory {
                  sim::FlowResource* source, double source_total);
   // The poke record's action (arg: this, tag: 1 to poke the write
   // direction, 0 the read one).
-  static bool RunCrossPoke(void* mem, uint64_t poke_write);
+  static void RunCrossPoke(void* mem, uint64_t poke_write);
   // With crash tracking on, calls land(off, src, n) for each in-flight
   // write whose first n bytes, from `src` to `off`, are durable and belong
   // in a crash image.
@@ -322,7 +322,7 @@ class SlowMemory {
   bool crash_tracking_ = false;
   double read_poke_util_ = 0;
   double write_poke_util_ = 0;
-  bool poke_pending_ = false;
+  sim::Simulation::Timer poke_;  // armed while a cross-poke is pending
 };
 
 }  // namespace easyio::pmem

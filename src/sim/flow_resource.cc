@@ -138,10 +138,10 @@ void FlowResource::Recompute() {
     recompute_deferred_ = true;
     return;
   }
-  ++event_gen_;  // the pending completion record, if any, is now stale
   auto& cpu = FlowsOf(FlowType::kCpu);
   auto& dma = FlowsOf(FlowType::kDma);
   if (cpu.empty() && dma.empty()) {
+    sim_->Disarm(completion_);
     if (total_rate_bps_ != 0) {
       total_rate_bps_ = 0;
       if (rates_changed_hook_) {
@@ -195,22 +195,18 @@ void FlowResource::Recompute() {
     }
   }
   if (min_dt_ns < 0) {
-    return;  // everything stalled
+    sim_->Disarm(completion_);  // everything stalled
+    return;
   }
   const uint64_t delay =
       std::max<uint64_t>(min_dt_ns <= 0 ? 0 : 1,
                          static_cast<uint64_t>(std::ceil(min_dt_ns)));
-  sim_->ScheduleCall(sim_->now() + delay, &FlowResource::OnCompletion, this,
-                     event_gen_);
+  sim_->Rearm(completion_, sim_->now() + delay, &FlowResource::OnCompletion,
+              this, 0);
 }
 
-bool FlowResource::OnCompletion(void* resource, uint64_t gen) {
-  auto* self = static_cast<FlowResource*>(resource);
-  if (gen != self->event_gen_) {
-    return false;  // superseded by a later Recompute
-  }
-  self->CompleteFinished();
-  return true;
+void FlowResource::OnCompletion(void* resource, uint64_t /*unused*/) {
+  static_cast<FlowResource*>(resource)->CompleteFinished();
 }
 
 void FlowResource::CompleteFinished() {

@@ -160,9 +160,8 @@ class FlowResource {
   double ProgressOf(const Flow& f) const;
   void Settle();       // account transferred bytes up to now
   void Recompute();    // recompute rates + (re)schedule next completion
-  // The completion record's action (arg: this, tag: the generation it was
-  // scheduled under); stale once a later Recompute bumped event_gen_.
-  static bool OnCompletion(void* resource, uint64_t gen);
+  // The completion record's action (arg: this).
+  static void OnCompletion(void* resource, uint64_t unused);
   void CompleteFinished();  // retire finished flows, run their callbacks
   void BeginBatch() { batch_depth_++; }
   void EndBatch();
@@ -181,11 +180,9 @@ class FlowResource {
   std::array<std::vector<Flow>, 2> flows_;
   FlowId next_id_ = 1;
   SimTime last_settle_ = 0;
-  // Generation of the one live completion record. Every Recompute bumps it,
-  // which supersedes the record scheduled before, instead of a Cancel.
-  // Superseded records still name this object until they pop, so a
-  // FlowResource must not die while its simulation keeps running.
-  uint64_t event_gen_ = 0;
+  // The earliest completion's record. Every Recompute moves it (or disarms
+  // it when nothing can complete); destroying the resource removes it.
+  Simulation::Timer completion_;
   int batch_depth_ = 0;
   bool recompute_deferred_ = false;
   uint64_t bytes_completed_ = 0;

@@ -27,6 +27,13 @@ Simulation::Simulation(const Options& options)
 }
 
 Simulation::~Simulation() {
+  // Timers outlive their records: an armed one that dies later must not
+  // reach back into this simulation.
+  for (const Event& ev : heap_) {
+    if (ev.timer != nullptr) {
+      ev.timer->sim_ = nullptr;
+    }
+  }
   // Stack memory is owned by stacks_ (freed on member destruction); contexts
   // of never-finished tasks may still hold sanitizer fiber state, and their
   // frames are dropped without being unwound.
@@ -65,10 +72,58 @@ void Simulation::ReleaseEventSlot(uint32_t slot) {
   free_event_slots_.push_back(slot);
 }
 
+void Simulation::Sift(size_t i, const Event& ev) {
+  // Floyd's method: the hole goes down to a leaf along the earlier children,
+  // then back up until `ev` fits, which may be above where it started.
+  for (size_t child = 2 * i + 1; child < heap_.size(); child = 2 * i + 1) {
+    if (child + 1 < heap_.size() && heap_[child + 1] < heap_[child]) {
+      child++;
+    }
+    Place(i, heap_[child]);
+    i = child;
+  }
+  while (i > 0 && ev < heap_[(i - 1) / 2]) {
+    Place(i, heap_[(i - 1) / 2]);
+    i = (i - 1) / 2;
+  }
+  Place(i, ev);
+}
+
+void Simulation::Remove(size_t i) {
+  if (heap_[i].timer != nullptr) {
+    heap_[i].timer->sim_ = nullptr;
+  }
+  const Event last = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) {
+    Sift(i, last);
+  }
+}
+
 void Simulation::ScheduleCall(SimTime t, EventProc fn, void* arg,
                               uint64_t tag) {
   assert(t >= now_);
-  events_.push(Event{t, next_event_seq_++, fn, arg, tag});
+  heap_.emplace_back();
+  Sift(heap_.size() - 1, Event{t, next_event_seq_++, fn, arg, tag, nullptr});
+}
+
+void Simulation::Rearm(Timer& timer, SimTime t, EventProc fn, void* arg,
+                       uint64_t tag) {
+  assert(t >= now_);
+  assert(timer.sim_ == nullptr || timer.sim_ == this);
+  if (timer.sim_ == nullptr) {
+    timer.sim_ = this;
+    timer.index_ = heap_.size();
+    heap_.emplace_back();
+  }
+  Sift(timer.index_, Event{t, next_event_seq_++, fn, arg, tag, &timer});
+}
+
+void Simulation::Disarm(Timer& timer) {
+  if (timer.sim_ != nullptr) {
+    assert(timer.sim_ == this);
+    Remove(timer.index_);
+  }
 }
 
 EventId Simulation::ScheduleAt(SimTime t, EventFn fn) {
@@ -76,7 +131,7 @@ EventId Simulation::ScheduleAt(SimTime t, EventFn fn) {
   EventSlot& s = event_slots_[slot];
   s.fn = std::move(fn);
   const EventId id = MakeEventId(slot, s.gen);
-  ScheduleCall(t, &Simulation::FireSlot, this, id);
+  Rearm(s.timer, t, &Simulation::FireSlot, this, id);
   return id;
 }
 
@@ -90,39 +145,33 @@ void Simulation::Cancel(EventId id) {
     return;  // never issued (e.g. the 0 sentinel)
   }
   const uint32_t slot = raw - 1;
-  const uint32_t gen = static_cast<uint32_t>(id);
   EventSlot& s = event_slots_[slot];
-  if (s.gen != gen) {
+  if (s.gen != static_cast<uint32_t>(id)) {
     return;  // already fired, cancelled, or recycled
   }
-  ReleaseEventSlot(slot);  // its record goes stale and is skipped on pop
+  Disarm(s.timer);
+  ReleaseEventSlot(slot);
 }
 
-bool Simulation::FireSlot(void* sim, uint64_t id) {
+void Simulation::FireSlot(void* sim, uint64_t id) {
   auto* self = static_cast<Simulation*>(sim);
   const uint32_t slot = static_cast<uint32_t>(id >> 32) - 1;
   EventSlot& s = self->event_slots_[slot];
-  if (s.gen != static_cast<uint32_t>(id)) {
-    return false;  // cancelled (slot already recycled)
-  }
+  assert(s.gen == static_cast<uint32_t>(id));
   EventFn fn = std::move(s.fn);
   self->ReleaseEventSlot(slot);
   fn();
-  return true;
 }
 
 void Simulation::RunUntil(SimTime limit) {
   assert(!in_task() && "RunUntil called from inside a task");
   run_limit_ = limit;
-  while (!stop_requested_ && !events_.empty() && events_.top().time <= limit) {
-    const Event ev = events_.top();
-    events_.pop();
+  while (!stop_requested_ && !heap_.empty() && heap_[0].time <= limit) {
+    const Event ev = heap_[0];
+    Remove(0);
     assert(ev.time >= now_);
-    const SimTime before = now_;
     now_ = ev.time;
-    if (!ev.fn(ev.arg, ev.tag)) {
-      now_ = before;  // a stale record moves nothing, the clock included
-    }
+    ev.fn(ev.arg, ev.tag);
   }
   if (now_ < limit && limit != kSimTimeMax) {
     now_ = limit;
@@ -222,21 +271,18 @@ SimTime Simulation::core_busy_ns(int core) const {
 
 void Simulation::KickCore(int core) {
   Core& c = cores_[core];
-  if (c.running != nullptr || c.kick_pending) {
+  if (c.running != nullptr || c.kick.armed()) {
     return;
   }
-  c.kick_pending = true;
-  ScheduleCall(now_, &Simulation::RunKick, this, static_cast<uint64_t>(core));
+  Rearm(c.kick, now_, &Simulation::RunKick, this, static_cast<uint64_t>(core));
 }
 
-bool Simulation::RunKick(void* sim, uint64_t core) {
+void Simulation::RunKick(void* sim, uint64_t core) {
   static_cast<Simulation*>(sim)->DispatchKick(static_cast<int>(core));
-  return true;
 }
 
 void Simulation::DispatchKick(int core) {
   Core& c = cores_[core];
-  c.kick_pending = false;
   if (c.running != nullptr) {
     return;
   }
@@ -298,10 +344,9 @@ void Simulation::DispatchTask(Task* t, bool event_tail) {
   }
 }
 
-bool Simulation::ResumeTask(void* task, uint64_t /*unused*/) {
+void Simulation::ResumeTask(void* task, uint64_t /*unused*/) {
   Task* t = static_cast<Task*>(task);
   t->owner_->DispatchTask(t, /*event_tail=*/true);
-  return true;
 }
 
 void Simulation::HandleDirective(Task* t, Directive d) {
@@ -374,13 +419,13 @@ void Simulation::SwitchOut(Directive d) {
   // then do what the host loop would do next. When that is dispatching a
   // task resume, do it from this stack and skip the host round trip.
   HandleDirective(t, d);
-  if (!stop_requested_ && !events_.empty()) {
-    const Event& ev = events_.top();
+  if (!stop_requested_ && !heap_.empty()) {
+    const Event& ev = heap_[0];
     if (ev.fn == &Simulation::ResumeTask && ev.time <= run_limit_) {
       Task* next = static_cast<Task*>(ev.arg);
       assert(ev.time >= now_);
       now_ = ev.time;
-      events_.pop();
+      Remove(0);
       BeginSlice(next, /*event_tail=*/true);
       if (next != t) {
         SwapContext(&t->ctx_, &next->ctx_);
@@ -400,13 +445,12 @@ void Simulation::Advance(uint64_t ns) {
   // (1) the event that dispatched this slice does nothing after it, (2) no
   // stop is pending, (3) `until` is within the loop's limit and (4) nothing
   // else is due at or before `until` (a same-time entry has a smaller seq,
-  // so it would fire first; a stale record still counts until it is
-  // popped, which only costs an elision, never order).
+  // so it would fire first).
   // Then moving the clock inline is indistinguishable, save the one unused
   // event sequence number: an order-preserving renumbering.
   const SimTime until = now_ + ns;
   if (slice_is_event_tail_ && !stop_requested_ && until <= run_limit_ &&
-      (events_.empty() || events_.top().time > until)) {
+      (heap_.empty() || heap_[0].time > until)) {
     now_ = until;
     return;
   }

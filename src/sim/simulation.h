@@ -19,10 +19,12 @@
 //                  bandwidth arbiter. No other uthread can use the core,
 //                  which is exactly the CPU waste the paper measures.
 //
-// Every pending event is one slot-free record {time, seq, fn, arg, tag}.
-// Task resumes, core kicks and the hardware models' own timers push records
-// directly; plain callbacks (ScheduleAt/ScheduleAfter) park their SmallFn in
-// a generation-tagged slab and push a record that names the slot.
+// Every pending event is one slot-free record {time, seq, fn, arg, tag},
+// and every one is live. Task resumes push records directly; an owner that
+// supersedes its record (a core kick, a flow completion, a model's tick)
+// holds a Timer, which moves or removes it. Plain callbacks
+// (ScheduleAt/ScheduleAfter) park their SmallFn in a slab slot whose Timer
+// holds the record, so Cancel removes it.
 //
 // Where a slice ends: a *tail* slice, one dispatched by an Advance resume or
 // a core-holding wake (records that do nothing after the slice), handles its
@@ -52,9 +54,9 @@
 #define EASYIO_SIM_SIMULATION_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "src/sim/context.h"
@@ -86,9 +88,8 @@ using EventFn = SmallFn<void()>;
 // can keep 0 as a "no event pending" sentinel.
 using EventId = uint64_t;
 // The action of a pending-event record: runs at the record's time with the
-// (arg, tag) it was scheduled with. Returns false if the record turned out
-// stale (its owner superseded it); the clock then does not move to it.
-using EventProc = bool (*)(void* arg, uint64_t tag);
+// (arg, tag) it was scheduled with.
+using EventProc = void (*)(void* arg, uint64_t tag);
 
 class Simulation {
  public:
@@ -118,15 +119,45 @@ class Simulation {
   SimTime now() const { return now_; }
   int num_cores() const { return static_cast<int>(cores_.size()); }
 
+  // A handle to at most one pending record. An armed Timer's record is in
+  // the queue; it disarms when the record fires (before its action runs),
+  // on Disarm, and when the Timer is destroyed. A Simulation that dies
+  // first detaches its armed Timers. Neither copyable nor movable: the
+  // record points back at it.
+  class Timer {
+   public:
+    Timer() = default;
+    ~Timer() {
+      if (sim_ != nullptr) {
+        sim_->Disarm(*this);
+      }
+    }
+    Timer(const Timer&) = delete;
+    Timer& operator=(const Timer&) = delete;
+
+    bool armed() const { return sim_ != nullptr; }
+
+   private:
+    friend class Simulation;
+    Simulation* sim_ = nullptr;  // set while armed
+    size_t index_ = 0;           // its record's heap index while armed
+  };
+
   // ---- Event scheduling (callable from anywhere) ----
   EventId ScheduleAt(SimTime t, EventFn fn);
   EventId ScheduleAfter(uint64_t delay_ns, EventFn fn);
+  // Removes the event's record; a no-op for an id that already fired or
+  // was cancelled.
   void Cancel(EventId id);
-  // Pushes a slot-free record: no allocation and no EventId. An owner that
-  // supersedes its records passes a generation of its own as the tag and
-  // returns false from `fn` when the tag is out of date. `arg` must stay
-  // valid until the record fires, stale or not.
+  // Pushes a slot-free record: no allocation and no EventId. `arg` must
+  // stay valid until the record fires; an owner that may supersede or
+  // outlive its record uses a Timer instead.
   void ScheduleCall(SimTime t, EventProc fn, void* arg, uint64_t tag);
+  // Gives `timer`'s record the (t, seq) a new ScheduleCall would get, and
+  // arms the timer if it was not. `arg` must stay valid while it is armed.
+  void Rearm(Timer& timer, SimTime t, EventProc fn, void* arg, uint64_t tag);
+  // Removes `timer`'s record, if it is armed.
+  void Disarm(Timer& timer);
 
   // ---- Task management ----
   // Spawns a task on `core`, runnable at the current time. The returned
@@ -218,28 +249,29 @@ class Simulation {
   // the record they push names its slot by the EventId in its tag, so a
   // schedule/fire cycle performs no per-event heap allocation once the slab
   // and the heap's vector have warmed up (SmallFn keeps the hot capture
-  // shapes — two or three words — inline). The generation tag makes
-  // Cancel() safe against stale ids: a slot is recycled the moment its event
-  // fires or is cancelled, and any other EventId naming it is detected by a
-  // generation mismatch, which also makes its record stale.
+  // shapes — two or three words — inline). A slot is recycled the moment
+  // its event fires or is cancelled; the generation in the EventId makes
+  // Cancel() a no-op for any other id naming it.
   struct EventSlot {
     EventFn fn;
     // Bumped on every release, so no issued id matches a free slot.
     uint32_t gen = 1;
+    Timer timer;  // carries the slot's record while its event is pending
   };
 
   // A pending event: pops in (time, seq) order, seq counting every record
-  // scheduled, so same-time events fire in schedule order. A binary heap
-  // suffices: the store holds about a dozen entries on the figure benches
-  // (DESIGN.md §6).
+  // scheduled, so same-time events fire in schedule order. `timer` owns the
+  // record, if any. A binary heap suffices: the store holds about a dozen
+  // entries on the figure benches (DESIGN.md §6).
   struct Event {
     SimTime time;
     uint64_t seq;
     EventProc fn;
     void* arg;
     uint64_t tag;
-    bool operator>(const Event& other) const {
-      return time != other.time ? time > other.time : seq > other.seq;
+    Timer* timer;
+    bool operator<(const Event& other) const {
+      return time != other.time ? time < other.time : seq < other.seq;
     }
   };
 
@@ -250,18 +282,31 @@ class Simulation {
   uint32_t AcquireEventSlot();
   void ReleaseEventSlot(uint32_t slot);
 
+  // The heap: Sift fills the hole at heap_[i] with `ev` (not a record in
+  // the heap), moving records until `ev` sits where its (time, seq)
+  // belongs; Remove takes heap_[i] out. Both keep the moved records'
+  // Timers pointing at their indices.
+  void Sift(size_t i, const Event& ev);
+  void Remove(size_t i);
+  void Place(size_t i, const Event& ev) {
+    heap_[i] = ev;
+    if (ev.timer != nullptr) {
+      ev.timer->index_ = i;
+    }
+  }
+
   // Record actions. FireSlot runs a slab callback (arg: this, tag: its
   // EventId); ResumeTask dispatches a core-holding task as the tail of its
   // event (arg: the Task); RunKick picks a core's next task (arg: this,
   // tag: the core).
-  static bool FireSlot(void* sim, uint64_t id);
-  static bool ResumeTask(void* task, uint64_t unused);
-  static bool RunKick(void* sim, uint64_t core);
+  static void FireSlot(void* sim, uint64_t id);
+  static void ResumeTask(void* task, uint64_t unused);
+  static void RunKick(void* sim, uint64_t core);
 
   struct Core {
     RingQueue<Task*> run_queue;
     Task* running = nullptr;
-    bool kick_pending = false;
+    Timer kick;  // armed while a dispatch attempt is pending
     SimTime busy_ns = 0;
     SimTime busy_since = 0;
   };
@@ -296,8 +341,9 @@ class Simulation {
   SimTime run_limit_ = 0;             // the active RunUntil bound
   bool slice_is_event_tail_ = false;  // the running slice's BeginSlice arg
 
-  std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events_;
-  std::vector<EventSlot> event_slots_;
+  std::vector<Event> heap_;  // binary min-heap on (time, seq)
+  // A deque, so that growing it moves no armed slot's Timer.
+  std::deque<EventSlot> event_slots_;
   std::vector<uint32_t> free_event_slots_;
 
   std::vector<Core> cores_;

@@ -277,24 +277,36 @@ TEST_P(AdoptEquivalence, AdoptedBytesEqualSnapshot) {
   const dma::FaultPlan plan = StandardFaults();
   const dma::FaultPlan* faults = faulty ? &plan : nullptr;
   const auto opts = DefaultCrashFsOptions();
-  const std::vector<uint64_t> points =
-      SampleCrashPoints(w, /*max_points=*/30, opts, faults);
+  uint64_t first_in_flight = 0;
+  std::vector<uint64_t> points = SampleCrashPoints(
+      w, /*max_points=*/30, opts, faults, &first_in_flight);
   ASSERT_EQ(points.size(), 30u) << w.name;
+  // generic_090 never has a write moving at a barrier: its one DMA write
+  // per round, a 5000-byte append, commits (two barriers) before its
+  // transfer starts and no barrier falls while it moves, and its CPU
+  // copies hold the one busy core until they land. Every other workload
+  // must check a stop that catches a write partway, so its first such
+  // barrier joins the sample.
+  const bool exempt = w.name == "generic_090";
+  ASSERT_EQ(first_in_flight == 0, exempt) << w.name;
+  if (first_in_flight != 0) {
+    const auto at =
+        std::lower_bound(points.begin(), points.end(), first_in_flight);
+    if (at == points.end() || *at != first_in_flight) {
+      points.insert(at, first_in_flight);
+    }
+  }
   const std::set<std::string> universe = Universe(w);
 
-  int in_flight = 0;  // stops that caught a write not yet landed
+  int in_flight = 0;  // stops that caught a write moving
   std::vector<std::byte> live;
   CrashEnv env(opts, faults);
   RunWithCrashStops(env, w, points, [&](int completed, size_t first,
                                         size_t end) {
-    // A write submitted and not landed: a CPU write's flow, or a DMA
-    // descriptor queued on a channel (these workloads issue no DMA reads).
-    bool unlanded =
-        env.mem.write_flows().active_flows(sim::FlowType::kCpu) > 0;
-    for (int c = 0; c < env.engine->num_channels(); ++c) {
-      unlanded |= !env.engine->channel(c).idle();
-    }
-    in_flight += unlanded;
+    const sim::FlowResource& writes = env.mem.write_flows();
+    in_flight += writes.active_flows(sim::FlowType::kCpu) +
+                     writes.active_flows(sim::FlowType::kDma) >
+                 0;
     live.resize(env.mem.size());
     env.mem.CopyOut(live.data(), 0, live.size());
     for (size_t i = first; i < end; ++i) {
@@ -314,9 +326,11 @@ TEST_P(AdoptEquivalence, AdoptedBytesEqualSnapshot) {
     EXPECT_EQ(FirstDifference(env.mem, live), live.size())
         << w.name << " rolled back @barrier " << points[end - 1];
   });
-  // Some stops must catch a write before it lands, or the crash states
-  // around an unlanded write went untested.
-  EXPECT_GT(in_flight, 0) << w.name;
+  // Some stops must catch a write partway, or the crash states around a
+  // partly landed write went untested.
+  if (!exempt) {
+    EXPECT_GT(in_flight, 0) << w.name;
+  }
 }
 
 std::string SweptWorkloadName(

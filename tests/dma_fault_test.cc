@@ -451,40 +451,6 @@ TEST(QuarantineTest, AllLChannelsQuarantinedYieldsNullptr) {
   EXPECT_EQ(cm.PickReadChannel(), nullptr);
 }
 
-TEST(QuarantineTest, HealthMonitorCatchesHaltedChannel) {
-  FaultPlan plan;
-  plan.errors.push_back({0, 0, 100});
-  Simulation sim{{.num_cores = 2}};
-  SlowMemory mem(&sim, MediaParams::TwoNode(), 64_MB);
-  FaultInjector injector(plan);
-  DmaEngine engine(&mem, kRecordOff, 6);
-  engine.AttachFaultInjector(&injector);
-  ChannelManager cm(&sim, &engine, ChannelManager::Options{});
-  cm.StartHealthMonitor();
-
-  const auto src = Pattern(8_KB, 10);
-  sim.Spawn(0, [&] {
-    Channel& ch = engine.channel(0);
-    Descriptor d;
-    d.dir = Descriptor::Dir::kWrite;
-    d.pmem_off = kDataOff;
-    d.dram = const_cast<std::byte*>(src.data());
-    d.size = 8_KB;
-    const Sn sn = ch.Submit(std::move(d));
-    EXPECT_EQ(ch.WaitSn(sn), DmaResult::kError);  // channel halts
-    // Nobody recovers it; the monitor's next scan must quarantine it.
-    sim.SleepFor(100'000);
-    EXPECT_TRUE(cm.quarantined(ch));
-    cm.StopHealthMonitor();
-    // Drain the stuck descriptor so the simulation can settle.
-    RetryPolicy p;
-    p.max_attempts = 0;
-    EXPECT_EQ(ch.WaitSnRecover(sn, p), DmaResult::kOk);
-  });
-  sim.Run();
-  EXPECT_GE(cm.quarantines(), 1u);
-}
-
 // -------------------------------------------------- filesystem-level paths
 
 TestbedConfig FaultyEasyConfig() {

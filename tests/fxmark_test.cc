@@ -137,7 +137,7 @@ TEST(FxmarkTest, WorkCountsMatchPinnedTable) {
       {"easyio_dwal_4k", FsKind::kEasy, Workload::kDWAL, 4_KB,
        {1684, 14957, 10, 6576, 32, 18286}},
       {"easyio_dwal_64k", FsKind::kEasy, Workload::kDWAL, 64_KB,
-       {417, 2904, 10, 1779, 557, 5182}},
+       {417, 2772, 10, 1779, 557, 5050}},
       {"easyio_drbl_4k", FsKind::kEasy, Workload::kDRBL, 4_KB,
        {2660, 13417, 10, 188, 32, 18576}},
       {"easyio_drbl_64k", FsKind::kEasy, Workload::kDRBL, 64_KB,

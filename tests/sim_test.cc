@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <memory>
 #include <random>
 #include <string>
 #include <type_traits>
@@ -717,6 +720,172 @@ TEST(SimCancelTest, RandomizedScheduleCancelFire) {
         << "out of order at " << i << ": (" << prev.time << "," << prev.issue
         << ") then (" << cur.time << "," << cur.issue << ")";
   }
+}
+
+// ---- Timers (re-armable records) ----
+
+// A fired record: when it fired and the schedule order it was issued in.
+struct Fired {
+  SimTime time;
+  uint64_t issue;
+  bool operator==(const Fired&) const = default;
+};
+
+// A Timer record's action: logs (now, tag), the tag being its issue number.
+struct TimerLog {
+  Simulation* sim;
+  std::vector<Fired>* log;
+};
+void LogTimerFire(void* arg, uint64_t issue) {
+  auto* l = static_cast<TimerLog*>(arg);
+  l->log->push_back({l->sim->now(), issue});
+}
+
+TEST(SimTimerTest, RandomizedRearmDisarmFire) {
+  // Rearm/Disarm churn on a few Timers mixed with ScheduleAfter/Cancel,
+  // checked against a reference list of live records: exactly those fire,
+  // in (time, issue-order) sequence, and a Timer is armed exactly while its
+  // last record is live.
+  Simulation sim({.num_cores = 1});
+  std::mt19937_64 rng(2026);
+  std::vector<Fired> fired_log;
+  TimerLog timer_log{&sim, &fired_log};
+  constexpr int kTimers = 4;
+  std::vector<Simulation::Timer> timers(kTimers);
+  std::vector<uint64_t> timer_issue(kTimers, 0);  // its live record, or 0
+  std::map<uint64_t, SimTime> live;                // issue -> time
+  std::vector<std::pair<EventId, uint64_t>> ids;   // every slab event
+  uint64_t issue = 0;
+  auto delay = [&rng]() -> uint64_t {
+    switch (rng() % 4) {
+      case 0: return rng() % 8;
+      case 1: return rng() % 512;
+      case 2: return rng() % 50'000;
+      default: return rng() % 5'000'000;
+    }
+  };
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      const int k = static_cast<int>(rng() % kTimers);
+      switch (rng() % 4) {
+        case 0: {  // Rearm: the timer's old record, if any, is gone
+          live.erase(timer_issue[k]);
+          const SimTime t = sim.now() + delay();
+          timer_issue[k] = ++issue;
+          live[issue] = t;
+          sim.Rearm(timers[k], t, &LogTimerFire, &timer_log, issue);
+          break;
+        }
+        case 1:  // Disarm
+          live.erase(timer_issue[k]);
+          timer_issue[k] = 0;
+          sim.Disarm(timers[k]);
+          break;
+        case 2: {  // a slab event
+          const SimTime t = sim.now() + delay();
+          const Fired r{t, ++issue};
+          live[issue] = t;
+          ids.emplace_back(sim.ScheduleAt(
+              t, [&fired_log, r] { fired_log.push_back(r); }), issue);
+          break;
+        }
+        default:  // Cancel any slab event, fired or not
+          if (!ids.empty()) {
+            const auto& [id, cancelled] = ids[rng() % ids.size()];
+            live.erase(cancelled);
+            sim.Cancel(id);
+          }
+          break;
+      }
+    }
+    for (int k = 0; k < kTimers; ++k) {
+      ASSERT_EQ(timers[k].armed(), live.contains(timer_issue[k])) << k;
+    }
+    // What must fire in this run: every live record due by its limit.
+    const SimTime limit = sim.now() + rng() % 200'000;
+    std::vector<Fired> expected;
+    for (auto it = live.begin(); it != live.end();) {
+      if (it->second <= limit) {
+        expected.push_back({it->second, it->first});
+        it = live.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::sort(expected.begin(), expected.end(),
+              [](const Fired& a, const Fired& b) {
+                return a.time != b.time ? a.time < b.time : a.issue < b.issue;
+              });
+    fired_log.clear();
+    sim.RunUntil(limit);
+    ASSERT_EQ(fired_log, expected) << "round " << round;
+  }
+  std::vector<Fired> expected;
+  for (const auto& [i, t] : live) {
+    expected.push_back({t, i});
+  }
+  std::sort(expected.begin(), expected.end(),
+            [](const Fired& a, const Fired& b) {
+              return a.time != b.time ? a.time < b.time : a.issue < b.issue;
+            });
+  fired_log.clear();
+  sim.Run();  // drain
+  EXPECT_EQ(fired_log, expected);
+  for (const Simulation::Timer& timer : timers) {
+    EXPECT_FALSE(timer.armed());
+  }
+}
+
+TEST(SimTimerTest, DestroyedArmedTimerLeavesNothingToFire) {
+  Simulation sim({.num_cores = 1});
+  std::vector<Fired> fired_log;
+  TimerLog timer_log{&sim, &fired_log};
+  {
+    Simulation::Timer timer;
+    sim.Rearm(timer, 10, &LogTimerFire, &timer_log, 1);
+    EXPECT_TRUE(timer.armed());
+  }
+  sim.Run();
+  EXPECT_TRUE(fired_log.empty());
+  EXPECT_EQ(sim.now(), 0u);  // no record was left to move the clock
+}
+
+TEST(SimTimerTest, TimerOutlivesItsSimulation) {
+  // Declared first, so it is destroyed after the simulation it was armed
+  // on: the dying simulation detaches it, and its own destructor then
+  // touches nothing (ASan checks).
+  Simulation::Timer timer;
+  auto sim = std::make_unique<Simulation>(Simulation::Options{.num_cores = 1});
+  std::vector<Fired> fired_log;
+  TimerLog timer_log{sim.get(), &fired_log};
+  sim->Rearm(timer, 10, &LogTimerFire, &timer_log, 1);
+  EXPECT_TRUE(timer.armed());
+  sim.reset();
+  EXPECT_FALSE(timer.armed());
+  EXPECT_TRUE(fired_log.empty());
+}
+
+TEST(SimTimerTest, RearmPastAdvanceEndKeepsElision) {
+  // A timer due inside an Advance and rearmed past its end, before the
+  // Advance, leaves nothing due inside it: the clock moves inline.
+  Simulation sim({.num_cores = 1});
+  std::vector<Fired> fired_log;
+  TimerLog timer_log{&sim, &fired_log};
+  Simulation::Timer timer;
+  sim.Rearm(timer, 50, &LogTimerFire, &timer_log, 1);
+  uint64_t switches_before = 0;
+  uint64_t switches_after = 0;
+  sim.Spawn(0, [&] {
+    sim.Advance(5);  // the kick-dispatched slice switches out here
+    switches_before = sim.context_switches();
+    sim.Rearm(timer, 200, &LogTimerFire, &timer_log, 2);
+    sim.Advance(100);
+    switches_after = sim.context_switches();
+    EXPECT_EQ(sim.now(), 105u);
+  });
+  sim.Run();
+  EXPECT_EQ(switches_after, switches_before);
+  EXPECT_EQ(fired_log, (std::vector<Fired>{{200, 2}}));
 }
 
 // Counts the destruction of the payload it was built with, not of the
