@@ -1,6 +1,11 @@
 #include "src/common/crc32.h"
 
 #include <array>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace easyio {
 
@@ -32,9 +37,54 @@ constexpr Tables MakeTables() {
 
 constexpr Tables kTables = MakeTables();
 
+#if defined(__x86_64__)
+// SSE4.2's crc32 instruction computes this same reflected CRC32C.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t n,
+                                                       uint32_t seed) {
+  uint64_t crc = ~seed;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; --n, ++p) {
+    crc32 = _mm_crc32_u8(crc32, *p);
+  }
+  return ~crc32;
+}
+
+bool DetectSse42() {
+  __builtin_cpu_init();  // it may run before the runtime's own detection
+  return __builtin_cpu_supports("sse4.2");
+}
+
+// Checked once, at static initialisation. A Crc32c call made during static
+// initialisation before this flag is set reads it as false and takes the
+// table path, which gives the same value.
+const bool kUseSse42 = DetectSse42();
+#else
+constexpr bool kUseSse42 = false;
+#endif
+
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+#if defined(__x86_64__)
+  if (kUseSse42) {
+    return Crc32cSse42(data, n, seed);
+  }
+#endif
+  return internal::Crc32cTable(data, n, seed);
+}
+
+namespace internal {
+
+bool Crc32cUsesHardware() { return kUseSse42; }
+
+uint32_t Crc32cTable(const void* data, size_t n, uint32_t seed) {
   uint32_t crc = ~seed;
   const auto* p = static_cast<const unsigned char*>(data);
   // Little-endian words assembled bytewise (compilers fold each into one
@@ -56,5 +106,7 @@ uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
   }
   return ~crc;
 }
+
+}  // namespace internal
 
 }  // namespace easyio

@@ -39,20 +39,14 @@ FlowResource::FlowId FlowResource::StartFlow(uint64_t bytes,
                                              Landing landing) {
   Settle();
   const FlowId id = next_id_++;
-  Flow flow;
-  flow.id = id;
-  flow.bytes_total = static_cast<double>(bytes);
-  flow.bytes_left = static_cast<double>(bytes);
-  flow.cap_gbps = per_flow_cap_gbps;
-  flow.done = std::move(done);
-  flow.landing = landing;
   // After every flow of equal cap: ids grow, so (cap, id) order holds.
   auto& flows = FlowsOf(type);
-  flows.insert(std::upper_bound(flows.begin(), flows.end(), per_flow_cap_gbps,
-                                [](double cap, const Flow& f) {
-                                  return cap < f.cap_gbps;
-                                }),
-               std::move(flow));
+  flows.emplace(std::upper_bound(flows.begin(), flows.end(), per_flow_cap_gbps,
+                                 [](double cap, const Flow& f) {
+                                   return cap < f.cap_gbps;
+                                 }),
+                id, static_cast<double>(bytes), static_cast<double>(bytes),
+                per_flow_cap_gbps, 0.0, std::move(done), landing);
   Recompute();
   return id;
 }
@@ -151,14 +145,19 @@ void FlowResource::Recompute() {
     return;
   }
 
-  const double cpu_sum = MaxMin(
-      cpu, model_.cpu_aggregate
-               ? model_.cpu_aggregate(static_cast<int>(cpu.size()))
-               : model_.total);
-  const double dma_sum = MaxMin(
-      dma, model_.dma_aggregate
-               ? model_.dma_aggregate(static_cast<int>(dma.size()))
-               : model_.total);
+  // A type with no flows shares out nothing: skip its capacity model.
+  const double cpu_sum =
+      cpu.empty() ? 0.0
+                  : MaxMin(cpu, model_.cpu_aggregate
+                                    ? model_.cpu_aggregate(
+                                          static_cast<int>(cpu.size()))
+                                    : model_.total);
+  const double dma_sum =
+      dma.empty() ? 0.0
+                  : MaxMin(dma, model_.dma_aggregate
+                                    ? model_.dma_aggregate(
+                                          static_cast<int>(dma.size()))
+                                    : model_.total);
   const double total_bps = GbpsToBps(model_.total);
   double rate_sum = cpu_sum + dma_sum;
   if (rate_sum > total_bps && rate_sum > 0) {
@@ -235,8 +234,10 @@ void FlowResource::CompleteFinished() {
                 flows.end());
   }
   // Same-instant completions run in start order, whatever their type or cap.
-  std::sort(done.begin(), done.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  if (done.size() > 1) {
+    std::sort(done.begin(), done.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+  }
   Recompute();
   {
     // Callbacks often start follow-up flows synchronously (a DMA channel

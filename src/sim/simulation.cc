@@ -440,22 +440,48 @@ void Simulation::Advance(uint64_t ns) {
   if (ns == 0) {
     return;
   }
-  // Elision: switching out would schedule the resume record at `until`,
-  // and the next pop would take that record and resume this task, provided
-  // (1) the event that dispatched this slice does nothing after it, (2) no
-  // stop is pending, (3) `until` is within the loop's limit and (4) nothing
-  // else is due at or before `until` (a same-time entry has a smaller seq,
-  // so it would fire first).
-  // Then moving the clock inline is indistinguishable, save the one unused
-  // event sequence number: an order-preserving renumbering.
+  // Switching out would push this task's resume record at `until`, with
+  // the newest seq, and the host loop would pop the earliest record next.
+  // A tail slice (its event does nothing after it) with no stop pending
+  // can do that pop itself, decided by one look at the earliest record:
+  // - nothing due at or before `until` (a same-time record has a smaller
+  //   seq, so it would fire first), and `until` within the loop's limit:
+  //   the pop would resume this task, so the clock moves inline. That is
+  //   indistinguishable, save the one unused event sequence number: an
+  //   order-preserving renumbering (elision).
+  // - a task resume due at or before `until` and within the limit: the pop
+  //   would dispatch that task, so HandOff does it from this stack.
+  // Anything else switches out to the host loop.
   const SimTime until = now_ + ns;
-  if (slice_is_event_tail_ && !stop_requested_ && until <= run_limit_ &&
-      (heap_.empty() || heap_[0].time > until)) {
-    now_ = until;
-    return;
+  if (slice_is_event_tail_ && !stop_requested_) {
+    if (heap_.empty() || heap_[0].time > until) {
+      if (until <= run_limit_) {
+        now_ = until;
+        return;
+      }
+    } else if (heap_[0].fn == &Simulation::ResumeTask &&
+               heap_[0].time <= run_limit_) {
+      HandOff(until);
+      return;
+    }
   }
   advance_ns_ = ns;
   SwitchOut(Directive::kAdvance);
+}
+
+void Simulation::HandOff(SimTime until) {
+  Task* t = current_;
+  const Event top = heap_[0];
+  Task* next = static_cast<Task*>(top.arg);
+  assert(top.timer == nullptr && next != t);
+  assert(cores_[t->core_].running == t);  // the core stays busy
+  // The push of t's resume and the pop of the top in one sift: the resume
+  // takes the top's slot with the (time, seq) ScheduleCall would give it.
+  Sift(0, Event{until, next_event_seq_++, &Simulation::ResumeTask, t, 0,
+                nullptr});
+  now_ = top.time;
+  BeginSlice(next, /*event_tail=*/true);
+  SwapContext(&t->ctx_, &next->ctx_);
 }
 
 void Simulation::Yield() { SwitchOut(Directive::kYield); }

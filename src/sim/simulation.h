@@ -31,11 +31,14 @@
 // own directive on the task's stack. Then, if the next due record resumes a
 // task within the RunUntil limit and no stop is pending, it pops that record
 // and switches straight into that task (or simply continues, when the task
-// is itself). Every other slice end returns to the host loop, which handles
-// the directive: a slice dispatched by a core kick (the kick still notifies
-// the enqueue hook afterwards), a finishing task (its stack is released on
-// the host stack), and a tail slice whose next due record is not a task
-// resume. Plain callbacks and kicks always run on the host stack.
+// is itself). An Advance that hands off so pushes its own resume and pops
+// the next one in a single sift: the resume record is re-seated at the
+// heap's top, over the record it pops. Every other slice end returns to the
+// host loop, which handles the directive: a slice dispatched by a core kick
+// (the kick still notifies the enqueue hook afterwards), a finishing task
+// (its stack is released on the host stack), and a tail slice whose next
+// due record is not a task resume. Plain callbacks and kicks always run on
+// the host stack.
 //
 // Determinism: events fire in (time, sequence) order whichever stack pops
 // them; no wall-clock time or host threading is involved anywhere.
@@ -262,7 +265,8 @@ class Simulation {
   // A pending event: pops in (time, seq) order, seq counting every record
   // scheduled, so same-time events fire in schedule order. `timer` owns the
   // record, if any. A binary heap suffices: the store holds about a dozen
-  // entries on the figure benches (DESIGN.md §6).
+  // entries on the figure benches and 5 at 73% of hostbench fxmark_small's
+  // pops, and a hand-off costs one sift (DESIGN.md §6).
   struct Event {
     SimTime time;
     uint64_t seq;
@@ -332,6 +336,10 @@ class Simulation {
   void MarkCoreIdle(Core& core);
   Task* CreateTask(int core, std::function<void()> fn, bool detached);
   void SwitchOut(Directive d);     // task side: end the current slice
+  // Task side, tail slice: ends the slice in an Advance to `until` by
+  // dispatching the earliest record, a task resume due by then, whose heap
+  // slot the current task's resume record takes.
+  void HandOff(SimTime until);
 
   SimTime now_ = 0;
   uint64_t next_event_seq_ = 1;

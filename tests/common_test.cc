@@ -223,7 +223,7 @@ TEST(HistogramTest, SaturatingBucketPercentiles) {
   EXPECT_EQ(h.Percentile(1.0), kHot);  // exact max
 }
 
-// Bytewise CRC32C, kept here as the reference the sliced version must match.
+// Bytewise CRC32C, kept here as the reference both fast paths must match.
 uint32_t Crc32cBytewise(const void* data, size_t n, uint32_t seed) {
   uint32_t crc = ~seed;
   const auto* p = static_cast<const unsigned char*>(data);
@@ -239,11 +239,18 @@ uint32_t Crc32cBytewise(const void* data, size_t n, uint32_t seed) {
 TEST(Crc32cTest, KnownAnswer) {
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
   EXPECT_EQ(Crc32c("", 0), 0u);
+  EXPECT_EQ(internal::Crc32cTable("123456789", 9, 0), 0xE3069283u);
 }
 
 TEST(Crc32cTest, MatchesBytewiseAtEveryLengthAndAlignment) {
   // Lengths 0-300 cover the all-tail, all-sliced and mixed cases; the eight
-  // start offsets put the 8-byte loads at every alignment.
+  // start offsets put the 8-byte loads at every alignment. Crc32c is the
+  // hardware path on a CPU that has one, checked here alongside the table
+  // path; elsewhere both legs run the table.
+#if defined(__x86_64__)
+  EXPECT_EQ(internal::Crc32cUsesHardware(),
+            static_cast<bool>(__builtin_cpu_supports("sse4.2")));
+#endif
   constexpr size_t kMaxLen = 300;
   Rng rng(42);
   std::vector<unsigned char> buf(kMaxLen + 8);
@@ -254,8 +261,12 @@ TEST(Crc32cTest, MatchesBytewiseAtEveryLengthAndAlignment) {
     for (size_t align = 0; align < 8; ++align) {
       for (size_t len = 0; len <= kMaxLen; ++len) {
         const unsigned char* p = buf.data() + align;
-        ASSERT_EQ(Crc32c(p, len, seed), Crc32cBytewise(p, len, seed))
-            << "seed " << seed << " align " << align << " len " << len;
+        const uint32_t want = Crc32cBytewise(p, len, seed);
+        ASSERT_EQ(internal::Crc32cTable(p, len, seed), want)
+            << "table: seed " << seed << " align " << align << " len " << len;
+        ASSERT_EQ(Crc32c(p, len, seed), want)
+            << "Crc32c (hardware " << internal::Crc32cUsesHardware()
+            << "): seed " << seed << " align " << align << " len " << len;
       }
     }
   }

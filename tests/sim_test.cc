@@ -644,6 +644,182 @@ TEST(SimulationTest, KickSliceReturnsToKick) {
   EXPECT_EQ(sim.now(), 1000u);
 }
 
+// ---- Replace-top hand-off ----
+//
+// An Advance that cannot be elided, in a tail slice with no stop pending,
+// hands its core to the earliest record when that is a task resume due by
+// the Advance's end and within the RunUntil limit: its own resume record
+// takes the popped record's heap slot. These tests pin the order that must
+// come out, the cases that still return to the host, and the exact switch
+// and record counts (hand-computed from the pushes each step makes).
+
+// Spawns one task per entry of `delays`, on core i for entry i. Each logs
+// (now, core) before each of its Advances and once more when done.
+void SpawnAdvancers(Simulation& sim, Log& log,
+                    const std::vector<std::vector<uint64_t>>& delays) {
+  for (size_t c = 0; c < delays.size(); ++c) {
+    const int core = static_cast<int>(c);
+    sim.Spawn(core, [&sim, &log, core, steps = delays[c]] {
+      for (const uint64_t ns : steps) {
+        log.emplace_back(sim.now(), core);
+        sim.Advance(ns);
+      }
+      log.emplace_back(sim.now(), core);
+    });
+  }
+}
+
+TEST(SimulationTest, HandOffRunsRecordDueAtAdvanceEndFirst) {
+  // At 7 core 1 advances to 15, where core 0's resume is due: that record
+  // was issued first, so core 0 runs at 15 before core 1 does. At 18 core
+  // 0 advances to 22 while core 1's resume waits at 35: nothing is due by
+  // 22, so core 0 runs on inline and core 1 resumes only at 35.
+  Simulation sim(Opts(2));
+  Log log;
+  SpawnAdvancers(sim, log, {{5, 10, 3, 4}, {7, 8, 20}});
+  sim.Run();
+  EXPECT_EQ(log, (Log{{0, 0}, {0, 1}, {5, 0}, {7, 1}, {15, 0}, {15, 1},
+                      {18, 0}, {22, 0}, {35, 1}}));
+  EXPECT_EQ(sim.now(), 35u);
+  // Slices: 2 kick-dispatched, 2 host resumes (at 5 and 35) and 4
+  // hand-offs (at 7, 15 twice and 18).
+  EXPECT_EQ(sim.context_switches(), 8u);
+  // Records: 2 spawn kicks, 6 resumes pushed (5, 7, 15, 15, 18, 35) and 2
+  // kicks when the tasks finish; the Advance to 22 pushed none.
+  EXPECT_EQ(sim.events_scheduled(), 10u);
+}
+
+TEST(SimulationTest, HandOffKeepsSameTimeTiesInIssueOrder) {
+  // Core 2's resume at 20 is issued at 4, before core 0's and core 1's
+  // (issued at 10), so at 20 core 2 runs first; at 10 core 0's and core
+  // 1's resumes, issued at 0 in core order, run in that order.
+  Simulation sim(Opts(3));
+  Log log;
+  SpawnAdvancers(sim, log, {{10, 10}, {10, 10}, {4, 16}});
+  sim.Run();
+  EXPECT_EQ(log, (Log{{0, 0}, {0, 1}, {0, 2}, {4, 2}, {10, 0}, {10, 1},
+                      {20, 2}, {20, 0}, {20, 1}}));
+  // 3 kick slices, the host's resumes of core 2 at 4 and of cores 0 and 1
+  // at 20, and hand-offs at 10 (twice) and 20.
+  EXPECT_EQ(sim.context_switches(), 9u);
+  // 3 spawn kicks, 6 resumes, 3 finish kicks.
+  EXPECT_EQ(sim.events_scheduled(), 12u);
+}
+
+TEST(SimulationTest, HandOffLeavesPendingStopToHost) {
+  // Core 1 requests a stop at 7 and then advances to 15; core 0's resume
+  // is due at 15, but the stop returns to the host first. Resuming runs
+  // the rest as the unstopped run does, with the same counts.
+  auto run = [](bool stop, Log* log, uint64_t* switches, uint64_t* events) {
+    Simulation sim(Opts(2));
+    sim.Spawn(0, [&] {
+      log->emplace_back(sim.now(), 0);
+      sim.Advance(5);
+      log->emplace_back(sim.now(), 0);
+      sim.Advance(10);
+      log->emplace_back(sim.now(), 0);
+    });
+    sim.Spawn(1, [&] {
+      log->emplace_back(sim.now(), 1);
+      sim.Advance(7);
+      log->emplace_back(sim.now(), 1);
+      if (stop) {
+        sim.RequestStop();
+      }
+      sim.Advance(8);
+      log->emplace_back(sim.now(), 1);
+    });
+    sim.Run();
+    if (stop) {
+      EXPECT_TRUE(sim.stop_requested());
+      EXPECT_EQ(sim.now(), 7u);
+      EXPECT_EQ(*log, (Log{{0, 0}, {0, 1}, {5, 0}, {7, 1}}));
+      sim.Resume();
+    }
+    *switches = sim.context_switches();
+    *events = sim.events_scheduled();
+  };
+  Log whole;
+  uint64_t whole_switches = 0;
+  uint64_t whole_events = 0;
+  run(false, &whole, &whole_switches, &whole_events);
+  EXPECT_EQ(whole, (Log{{0, 0}, {0, 1}, {5, 0}, {7, 1}, {15, 0}, {15, 1}}));
+  EXPECT_EQ(whole_switches, 6u);
+  EXPECT_EQ(whole_events, 8u);
+  Log split;
+  uint64_t split_switches = 0;
+  uint64_t split_events = 0;
+  run(true, &split, &split_switches, &split_events);
+  EXPECT_EQ(split, whole);
+  EXPECT_EQ(split_switches, whole_switches);
+  EXPECT_EQ(split_events, whole_events);
+}
+
+TEST(SimulationTest, HandOffStopsAtRunUntilLimit) {
+  // With the loop's limit at 12, core 0 advancing at 5 to 15 may not hand
+  // off to core 1's resume at 13: it returns to the host, which stops. The
+  // next RunUntil runs what one unlimited run does, with the same counts.
+  const std::vector<std::vector<uint64_t>> delays = {{5, 10}, {13, 5}};
+  const Log want = {{0, 0}, {0, 1}, {5, 0}, {13, 1}, {15, 0}, {18, 1}};
+  Simulation split(Opts(2));
+  Log split_log;
+  SpawnAdvancers(split, split_log, delays);
+  split.RunUntil(12);
+  EXPECT_EQ(split_log, (Log{{0, 0}, {0, 1}, {5, 0}}));
+  EXPECT_EQ(split.now(), 12u);
+  split.RunUntil(100);
+  EXPECT_EQ(split_log, want);
+  Simulation whole(Opts(2));
+  Log whole_log;
+  SpawnAdvancers(whole, whole_log, delays);
+  whole.Run();
+  EXPECT_EQ(whole_log, want);
+  for (const Simulation* sim : {&split, &whole}) {
+    EXPECT_EQ(sim->context_switches(), 6u);
+    EXPECT_EQ(sim->events_scheduled(), 8u);
+  }
+}
+
+TEST(SimulationTest, HandOffLeavesKicksAndCallbacksToHost) {
+  // At 5 core 0 schedules a callback for 8 and advances to 15: the
+  // callback is due first and runs on the host, and core 1's resume at 12
+  // is dispatched by the host after it. At 15 core 0 spawns a task on idle
+  // core 1 and advances to 16: the kick due at 15 runs first, on the host,
+  // and dispatches the new task before core 0 resumes.
+  Simulation sim(Opts(2));
+  Log log;
+  sim.Spawn(0, [&] {
+    log.emplace_back(sim.now(), 0);
+    sim.Advance(5);
+    log.emplace_back(sim.now(), 0);
+    sim.ScheduleAt(8, [&] {
+      EXPECT_FALSE(sim.in_task());
+      log.emplace_back(sim.now(), -1);
+    });
+    sim.Advance(10);
+    log.emplace_back(sim.now(), 0);
+    sim.SpawnDetached(1, [&] { log.emplace_back(sim.now(), 2); });
+    sim.Advance(1);
+    log.emplace_back(sim.now(), 0);
+  });
+  sim.Spawn(1, [&] {
+    log.emplace_back(sim.now(), 1);
+    sim.Advance(3);
+    log.emplace_back(sim.now(), 1);
+    sim.Advance(9);
+    log.emplace_back(sim.now(), 1);
+  });
+  sim.Run();
+  EXPECT_EQ(log, (Log{{0, 0}, {0, 1}, {3, 1}, {5, 0}, {8, -1}, {12, 1},
+                      {15, 0}, {15, 2}, {16, 0}}));
+  // Slices: 3 kick-dispatched, 4 host resumes (at 3, 12, 15 and 16) and
+  // one hand-off (core 1 at 3 to core 0's resume at 5).
+  EXPECT_EQ(sim.context_switches(), 8u);
+  // Records: 2 spawn kicks, 5 resumes (at 3, 5, 12, 15 and 16), the
+  // callback, the new task's kick and 3 kicks when tasks finish.
+  EXPECT_EQ(sim.events_scheduled(), 12u);
+}
+
 // ---- Cancellation (slab generation tags) ----
 
 TEST(SimCancelTest, StaleIdDoesNotCancelRecycledSlot) {
