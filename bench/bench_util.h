@@ -3,6 +3,7 @@
 #ifndef EASYIO_BENCH_BENCH_UTIL_H_
 #define EASYIO_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
@@ -10,9 +11,9 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <thread>
 
 #include "src/dma/fault_plan.h"
-#include "src/harness/scenario_runner.h"
 
 namespace easyio::bench {
 
@@ -26,9 +27,9 @@ inline void PrintHeader(const std::string& title) {
 // honors and parses argv once with ParseFlags; any other argument (a typo,
 // or a flag this bench does not take) prints a usage line to stderr and
 // exits 2, so a run never silently drops an option.
-//   --jobs=<N>          worker threads for independent cells, N >= 1
-//                       (default: ScenarioRunner::DefaultJobs(), which
-//                       honors EASYIO_JOBS)
+//   --jobs=<N>          worker threads for independent cells
+//                       (harness::RunIndexed), N >= 1; the only way to set
+//                       them (default: the host's hardware threads)
 //   --faults=<seed>     a nonzero seed injects a seeded random FaultPlan
 //                       (see MakeBenchFaultPlan); 0, the default, is
 //                       byte-identical to omitting the flag
@@ -50,7 +51,7 @@ struct Flags {
 inline Flags ParseFlags(int argc, char** argv, unsigned accepts,
                         uint32_t default_trace_sample = 1) {
   Flags f;
-  f.jobs = harness::ScenarioRunner::DefaultJobs();
+  f.jobs = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   f.trace_sample = default_trace_sample;
   // Parses all of `text` as a decimal integer.
   const auto number = [](std::string_view text, auto* out) {

@@ -297,26 +297,13 @@ CrashEnv::CrashEnv(const nova::NovaFs::Options& fs_options,
 std::vector<uint64_t> SampleCrashPoints(const CrashWorkload& workload,
                                         int max_points,
                                         const nova::NovaFs::Options& fs_options,
-                                        const dma::FaultPlan* faults,
-                                        uint64_t* first_in_flight) {
+                                        const dma::FaultPlan* faults) {
   // Runs under the same fault plan as the replays: retries and error-record
   // updates persist, so faults shift the barrier numbering.
   uint64_t total_barriers = 0;
   {
     CrashEnv env(fs_options, faults);
     const uint64_t base = env.mem.barrier_count();
-    if (first_in_flight != nullptr) {
-      *first_in_flight = 0;
-      env.mem.set_barrier_hook([&](uint64_t count) {
-        const sim::FlowResource& writes = env.mem.write_flows();
-        if (*first_in_flight == 0 &&
-            writes.active_flows(sim::FlowType::kCpu) +
-                    writes.active_flows(sim::FlowType::kDma) >
-                0) {
-          *first_in_flight = count - base;
-        }
-      });
-    }
     env.sim.Spawn(0, [&] {
       for (const auto& op : workload.ops) {
         op.apply(*env.fs);

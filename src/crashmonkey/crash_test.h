@@ -124,14 +124,11 @@ struct CrashEnv {
 // The crash points a sweep of at most `max_points` visits: persist barrier
 // indices (1-based, counted from the end of CrashEnv set-up) spread evenly
 // over one full run of the workload, the last one being its final barrier.
-// Runs the workload once to count them. A non-null `first_in_flight`
-// receives the first barrier at which a write flow is active (a write has
-// started moving and not landed), or 0 if there is none.
+// Runs the workload once to count them.
 std::vector<uint64_t> SampleCrashPoints(const CrashWorkload& workload,
                                         int max_points,
                                         const nova::NovaFs::Options& fs_options,
-                                        const dma::FaultPlan* faults,
-                                        uint64_t* first_in_flight = nullptr);
+                                        const dma::FaultPlan* faults);
 
 // Runs `workload` on a fresh `env` with crash tracking on and stops the
 // simulation at each persist barrier in `points` (ascending, as

@@ -277,7 +277,6 @@ void Channel::OnTransferDone() {
   } else {
     CommitRecord(done.slot, done.cnt);
   }
-  epoch_bytes_ += done.desc.size;
   bytes_completed_ += done.desc.size;
   descriptors_completed_++;
 
@@ -424,12 +423,6 @@ void Channel::Resume() {
                     suspend_start_, sim_->now());
   }
   MaybeStart();
-}
-
-uint64_t Channel::TakeEpochBytes() {
-  const uint64_t bytes = epoch_bytes_;
-  epoch_bytes_ = 0;
-  return bytes;
 }
 
 }  // namespace easyio::dma

@@ -122,7 +122,6 @@ class Channel {
   bool suspended() const { return suspended_; }
 
   // Bandwidth-accounting for the channel manager's epoch loop.
-  uint64_t TakeEpochBytes();
   uint64_t bytes_completed() const { return bytes_completed_; }
   uint64_t descriptors_completed() const { return descriptors_completed_; }
 
@@ -182,7 +181,6 @@ class Channel {
   bool engine_busy_ = false;   // startup gap or flow in progress
   bool suspended_ = false;
   sim::SimTime suspend_start_ = 0;  // trace: open CHANCMD suspension window
-  uint64_t epoch_bytes_ = 0;
   uint64_t bytes_completed_ = 0;
   uint64_t descriptors_completed_ = 0;
   std::multimap<uint64_t, sim::Task*> waiters_;  // seq -> parked task

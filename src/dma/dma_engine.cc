@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace easyio::dma {
 
@@ -40,17 +39,6 @@ void DmaEngine::AttachFaultInjector(FaultInjector* injector) {
   for (auto& ch : channels_) {
     ch->set_fault_injector(injector);
   }
-}
-
-uint64_t DmaEngine::CompletedSeqInImage(std::span<const std::byte> image,
-                                        uint64_t record_region_off,
-                                        int channel) {
-  CompletionRecord rec;
-  std::memcpy(&rec,
-              image.data() + record_region_off +
-                  static_cast<uint64_t>(channel) * sizeof(CompletionRecord),
-              sizeof(rec));
-  return rec.CompletedSeq();
 }
 
 }  // namespace easyio::dma

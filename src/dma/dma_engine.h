@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/dma/channel.h"
@@ -53,11 +52,6 @@ class DmaEngine {
   // engine; pass nullptr to detach. With no injector the engine models
   // infallible hardware, bit-for-bit identical to a build without this call.
   void AttachFaultInjector(FaultInjector* injector);
-
-  // Completed sequence for a channel read directly from a raw device image —
-  // what mount-time recovery uses before any engine object exists.
-  static uint64_t CompletedSeqInImage(std::span<const std::byte> image,
-                                      uint64_t record_region_off, int channel);
 
  private:
   std::vector<std::unique_ptr<Channel>> channels_;

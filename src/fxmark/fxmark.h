@@ -74,7 +74,7 @@ RunResult Run(const RunConfig& config);
 // the paper's "cores at peak" tables in Fig 9.
 //
 // Each sweep point is an independent Simulation, so the sweep fans out
-// across `jobs` host threads (harness::ScenarioRunner); results come back
+// across `jobs` host threads (harness::RunIndexed); results come back
 // in core_counts order and are byte-identical for any jobs value.
 struct CoreSweepPoint {
   int cores;

@@ -186,15 +186,24 @@ void BlockAllocator::BeginRecovery() {
   free_bitmap_.assign((total_pages_ + 63) / 64, ~uint64_t{0});
 }
 
-void BlockAllocator::MarkUsed(uint64_t block_off, uint64_t pages) {
+Status BlockAllocator::MarkUsed(uint64_t block_off, uint64_t pages) {
   assert(in_recovery_);
+  // Check the range before it indexes the bitmap.
+  if (block_off < area_off_ || (block_off - area_off_) % kBlockSize != 0) {
+    return Corruption("block reference outside the block area");
+  }
   const uint64_t first = (block_off - area_off_) / kBlockSize;
+  if (first >= total_pages_ || pages > total_pages_ - first) {
+    return Corruption("block reference outside the block area");
+  }
   for (uint64_t i = first; i < first + pages; ++i) {
-    assert(i < total_pages_);
     const uint64_t bit = uint64_t{1} << (i % 64);
-    assert((free_bitmap_[i / 64] & bit) != 0 && "block referenced twice");
+    if ((free_bitmap_[i / 64] & bit) == 0) {
+      return Corruption("block referenced twice");
+    }
     free_bitmap_[i / 64] &= ~bit;
   }
+  return OkStatus();
 }
 
 void BlockAllocator::FinishRecovery() {

@@ -53,9 +53,11 @@ class BlockAllocator {
   void Free(const Extent& e);
 
   // Recovery interface: empty the allocator, mark referenced ranges used,
-  // then release everything unmarked in one pass.
+  // then release everything unmarked in one pass. The ranges come from
+  // media: MarkUsed returns kCorruption for one that is not whole blocks
+  // inside the block area or that holds a block already marked.
   void BeginRecovery();                      // all blocks provisionally free
-  void MarkUsed(uint64_t block_off, uint64_t pages);
+  Status MarkUsed(uint64_t block_off, uint64_t pages);
   void FinishRecovery();
 
   uint64_t free_pages() const { return free_pages_; }

@@ -176,12 +176,28 @@ Status NovaFs::RecoverInode(uint64_t slot) {
     in->log_head = 0;
   }
   in->log_next = in->log_tail;
+  // The slot carries no checksum, so its pointers are checked before use:
+  // log_tail must be entry-aligned and end entries on a block-area page.
+  // Each log page (log_head, then every next_page) is range- and
+  // alignment-checked and marked by MarkUsed before it is read, which also
+  // ends a chain that visits a page twice.
+  const uint64_t tail_page = (in->log_tail - 1) / kBlockSize * kBlockSize;
+  if (in->log_tail != 0 &&
+      (in->log_tail % kLogEntrySize != 0 ||
+       tail_page < layout_.block_area_off ||
+       tail_page >= layout_.block_area_off +
+                        layout_.block_count * kBlockSize)) {
+    return Corruption("log tail outside the block area");
+  }
+  if (in->log_tail != 0 && in->log_head == 0) {
+    return Corruption("log tail without a log head");
+  }
 
   std::vector<Extent> replay_displaced;
   uint64_t page = in->log_head;
   bool done = in->log_tail == 0;
-  while (!done && page != 0) {
-    allocator_->MarkUsed(page, 1);
+  while (!done) {
+    EASYIO_RETURN_IF_ERROR(allocator_->MarkUsed(page, 1));
     in->log_pages++;
     for (uint64_t s = 1; s <= kEntriesPerLogPage && !done; ++s) {
       const uint64_t off = page + s * kLogEntrySize;
@@ -253,12 +269,15 @@ Status NovaFs::RecoverInode(uint64_t slot) {
   }
 
   // Mark live data blocks.
+  Status marked = OkStatus();
   in->pages.ForEachSegment(0, UINT64_MAX / kBlockSize,
-                           [this](const PageMap::Segment& seg) {
-                             if (!seg.hole) {
-                               allocator_->MarkUsed(seg.block_off, seg.pages);
+                           [&](const PageMap::Segment& seg) {
+                             if (!seg.hole && marked.ok()) {
+                               marked = allocator_->MarkUsed(seg.block_off,
+                                                             seg.pages);
                              }
                            });
+  EASYIO_RETURN_IF_ERROR(marked);
   inodes_.emplace(in->ino, std::move(in));
   return OkStatus();
 }

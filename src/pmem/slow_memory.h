@@ -262,7 +262,6 @@ class SlowMemory {
   // the source buffer stable until the flow completes. Crash images lay
   // their durable prefixes only once tracking is enabled.
   void EnableCrashTracking() { crash_tracking_ = true; }
-  bool crash_tracking() const { return crash_tracking_; }
 
   // A crash image is the device contents with each in-flight write's
   // completed prefix (64B granularity) laid over it. There are two ways to

@@ -1,7 +1,6 @@
 #include "src/sim/flow_resource.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstddef>
 
@@ -116,22 +115,7 @@ double FlowResource::MaxMin(std::vector<Flow>& flows, double aggregate_gbps) {
   return sum_rate_bps;
 }
 
-void FlowResource::EndBatch() {
-  assert(batch_depth_ > 0);
-  if (--batch_depth_ == 0 && recompute_deferred_) {
-    recompute_deferred_ = false;
-    Recompute();
-  }
-}
-
 void FlowResource::Recompute() {
-  if (batch_depth_ > 0) {
-    // A BatchScope is open: one recomputation at scope exit covers every
-    // mutation made at this instant. The still-current completion record
-    // cannot fire meanwhile (no events run inside the synchronous scope).
-    recompute_deferred_ = true;
-    return;
-  }
   auto& cpu = FlowsOf(FlowType::kCpu);
   auto& dma = FlowsOf(FlowType::kDma);
   if (cpu.empty() && dma.empty()) {
@@ -239,15 +223,9 @@ void FlowResource::CompleteFinished() {
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
   Recompute();
-  {
-    // Callbacks often start follow-up flows synchronously (a DMA channel
-    // launching its next descriptor); batch their recomputations so N
-    // same-instant completions trigger one water-fill, not N.
-    BatchScope batch(this);
-    for (auto& [id, fn] : done) {
-      if (fn) {
-        fn();
-      }
+  for (auto& [id, fn] : done) {
+    if (fn) {
+      fn();
     }
   }
   done.clear();

@@ -118,26 +118,6 @@ class FlowResource {
     Recompute();
   }
 
-  // Defers rate recomputation across a run of StartFlow/CancelFlow calls
-  // that happen at one virtual instant: each mutation would otherwise
-  // supersede and reschedule the completion record and re-run the
-  // water-fill, only for the next mutation to redo it all. The scope must
-  // be strictly synchronous (no Advance/Yield/RunUntil inside). Eliding the
-  // intermediate recomputes is determinism-safe: the elided completion
-  // records could never have fired (they would have been superseded within
-  // the same instant), and dropping their sequence numbers is an
-  // order-preserving renumbering of every surviving event.
-  class BatchScope {
-   public:
-    explicit BatchScope(FlowResource* r) : r_(r) { r_->BeginBatch(); }
-    ~BatchScope() { r_->EndBatch(); }
-    BatchScope(const BatchScope&) = delete;
-    BatchScope& operator=(const BatchScope&) = delete;
-
-   private:
-    FlowResource* r_;
-  };
-
  private:
   struct Flow {
     FlowId id;
@@ -163,8 +143,6 @@ class FlowResource {
   // The completion record's action (arg: this).
   static void OnCompletion(void* resource, uint64_t unused);
   void CompleteFinished();  // retire finished flows, run their callbacks
-  void BeginBatch() { batch_depth_++; }
-  void EndBatch();
   // Water-fills one type's flows in list order; returns their rate sum.
   static double MaxMin(std::vector<Flow>& flows, double aggregate_gbps);
 
@@ -183,8 +161,6 @@ class FlowResource {
   // The earliest completion's record. Every Recompute moves it (or disarms
   // it when nothing can complete); destroying the resource removes it.
   Simulation::Timer completion_;
-  int batch_depth_ = 0;
-  bool recompute_deferred_ = false;
   uint64_t bytes_completed_ = 0;
   double total_rate_bps_ = 0;
   std::function<void()> rates_changed_hook_;

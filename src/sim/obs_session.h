@@ -19,9 +19,9 @@
 // Thread binding: both the tracer installation and Simulation::Get() are
 // per-host-thread (thread_local), so a TraceSession instruments exactly the
 // simulations run on the thread that constructed it. Under
-// harness::ScenarioRunner this means a session created *inside* a scenario
-// job traces that job alone, wherever the pool schedules it; a session
-// created on the submitting thread does not follow jobs onto workers.
+// harness::RunIndexed this means a session created *inside* a scenario
+// job traces that job alone, whichever worker runs it; a session created
+// on the calling thread does not follow jobs onto workers.
 // Construct, run, and destroy a session on one thread.
 
 #ifndef EASYIO_SIM_OBS_SESSION_H_

@@ -10,7 +10,7 @@ namespace easyio::sim {
 namespace {
 // Stack of live simulations; supports nested simulations in tests.
 // thread_local so distinct Simulation instances can run on distinct host
-// threads (harness::ScenarioRunner): each thread sees only the simulations
+// threads (harness::RunIndexed): each thread sees only the simulations
 // constructed on it, and Simulation::Get() resolves per thread.
 thread_local std::vector<Simulation*> g_sim_stack;
 }  // namespace

@@ -50,8 +50,8 @@
 // concurrently on distinct host threads: the only cross-instance state, the
 // live-simulation stack behind Simulation::Get(), is thread_local, so Get()
 // resolves to the innermost simulation constructed on the calling thread.
-// harness::ScenarioRunner exploits this to fan independent scenarios across
-// a worker pool while each scenario stays byte-identical to a serial run.
+// harness::RunIndexed exploits this to fan independent scenarios across
+// worker threads while each scenario stays byte-identical to a serial run.
 
 #ifndef EASYIO_SIM_SIMULATION_H_
 #define EASYIO_SIM_SIMULATION_H_
@@ -152,12 +152,9 @@ class Simulation {
   // Removes the event's record; a no-op for an id that already fired or
   // was cancelled.
   void Cancel(EventId id);
-  // Pushes a slot-free record: no allocation and no EventId. `arg` must
-  // stay valid until the record fires; an owner that may supersede or
-  // outlive its record uses a Timer instead.
-  void ScheduleCall(SimTime t, EventProc fn, void* arg, uint64_t tag);
-  // Gives `timer`'s record the (t, seq) a new ScheduleCall would get, and
-  // arms the timer if it was not. `arg` must stay valid while it is armed.
+  // Gives `timer`'s record the (t, seq) a newly scheduled record would get,
+  // and arms the timer if it was not. `arg` must stay valid while it is
+  // armed.
   void Rearm(Timer& timer, SimTime t, EventProc fn, void* arg, uint64_t tag);
   // Removes `timer`'s record, if it is armed.
   void Disarm(Timer& timer);
@@ -248,6 +245,10 @@ class Simulation {
   size_t stacks_created() const { return stacks_.stacks_created(); }
 
  private:
+  // Pushes a slot-free record (task resumes): no allocation and no EventId.
+  // `arg` must stay valid until the record fires.
+  void ScheduleCall(SimTime t, EventProc fn, void* arg, uint64_t tag);
+
   // ScheduleAt/ScheduleAfter callbacks live in a slab of recycled slots, and
   // the record they push names its slot by the EventId in its tag, so a
   // schedule/fire cycle performs no per-event heap allocation once the slab

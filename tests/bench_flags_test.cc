@@ -1,10 +1,11 @@
 // bench::ParseFlags, the one argv parser every figure bench uses.
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
+#include <algorithm>
 #include <initializer_list>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -34,20 +35,13 @@ TEST(BenchFlagsTest, ParsesEveryFlag) {
   EXPECT_EQ(f.trace_sample, 4u);
 }
 
-TEST(BenchFlagsTest, DefaultsComeFromBenchAndEnvironment) {
-  const char* saved = getenv("EASYIO_JOBS");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  setenv("EASYIO_JOBS", "3", 1);
+TEST(BenchFlagsTest, DefaultsComeFromBenchAndHost) {
   const Flags f = Parse({}, kAll, /*default_trace_sample=*/32);
-  EXPECT_EQ(f.jobs, 3);
+  EXPECT_EQ(f.jobs,
+            static_cast<int>(std::max(1u, std::thread::hardware_concurrency())));
   EXPECT_EQ(f.faults, 0u);
   EXPECT_FALSE(f.tracing());
   EXPECT_EQ(f.trace_sample, 32u);
-  if (saved != nullptr) {
-    setenv("EASYIO_JOBS", saved_value.c_str(), 1);
-  } else {
-    unsetenv("EASYIO_JOBS");
-  }
 }
 
 TEST(BenchFlagsTest, RejectsUnknownArgument) {

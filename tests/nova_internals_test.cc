@@ -87,8 +87,8 @@ TEST(AllocatorTest, AllocMultiRollsBackOnFailure) {
 TEST(AllocatorTest, RecoveryMarksAndSweeps) {
   BlockAllocator alloc(kArea, 64, 4);
   alloc.BeginRecovery();
-  alloc.MarkUsed(kArea + 4 * kBlockSize, 4);
-  alloc.MarkUsed(kArea + 20 * kBlockSize, 1);
+  ASSERT_TRUE(alloc.MarkUsed(kArea + 4 * kBlockSize, 4).ok());
+  ASSERT_TRUE(alloc.MarkUsed(kArea + 20 * kBlockSize, 1).ok());
   alloc.FinishRecovery();
   EXPECT_EQ(alloc.free_pages(), 59u);
   // The marked ranges must not be handed out.
@@ -113,9 +113,9 @@ TEST(AllocatorTest, RecoverySweepCrossesWordBoundaries) {
   // area's last block.
   BlockAllocator alloc(kArea, 200, 3);
   alloc.BeginRecovery();
-  alloc.MarkUsed(kArea + 60 * kBlockSize, 10);
-  alloc.MarkUsed(kArea + 128 * kBlockSize, 1);
-  alloc.MarkUsed(kArea + 199 * kBlockSize, 1);
+  ASSERT_TRUE(alloc.MarkUsed(kArea + 60 * kBlockSize, 10).ok());
+  ASSERT_TRUE(alloc.MarkUsed(kArea + 128 * kBlockSize, 1).ok());
+  ASSERT_TRUE(alloc.MarkUsed(kArea + 199 * kBlockSize, 1).ok());
   alloc.FinishRecovery();
   EXPECT_EQ(alloc.free_pages(), 188u);
   std::set<uint64_t> free_blocks;
@@ -130,6 +130,30 @@ TEST(AllocatorTest, RecoverySweepCrossesWordBoundaries) {
     const bool used = (p >= 60 && p < 70) || p == 128 || p == 199;
     EXPECT_EQ(free_blocks.contains(p), !used) << "block " << p;
   }
+}
+
+TEST(AllocatorTest, RecoveryRejectsBadReferences) {
+  // Recovery reads block references from media: a range off the block
+  // area, a misaligned one or a block marked twice is corruption, not a
+  // crash.
+  BlockAllocator alloc(kArea, 64, 4);
+  alloc.BeginRecovery();
+  EXPECT_EQ(alloc.MarkUsed(kArea - kBlockSize, 1).code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(alloc.MarkUsed(kArea + 64 * kBlockSize, 1).code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(alloc.MarkUsed(kArea + 60 * kBlockSize, 5).code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(alloc.MarkUsed(kArea + 60 * kBlockSize, UINT64_MAX).code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(alloc.MarkUsed(kArea + (1ull << 62), 1).code(),
+            ErrorCode::kCorruption);
+  EXPECT_EQ(alloc.MarkUsed(kArea + 64, 1).code(), ErrorCode::kCorruption);
+  ASSERT_TRUE(alloc.MarkUsed(kArea + 10 * kBlockSize, 2).ok());
+  EXPECT_EQ(alloc.MarkUsed(kArea + 11 * kBlockSize, 1).code(),
+            ErrorCode::kCorruption);
+  alloc.FinishRecovery();
+  EXPECT_EQ(alloc.free_pages(), 62u);
 }
 
 TEST(PageMapTest, InsertAndLookup) {

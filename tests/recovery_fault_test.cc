@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
@@ -109,6 +110,100 @@ TEST(RecoveryFaultTest, BrokenLogChain) {
     root.log_tail = head + kBlockSize + 5 * kLogEntrySize;
   });
   fx.Poke<LogPageHeader>(head, [](LogPageHeader& hdr) { hdr.next_page = 0; });
+  EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
+}
+
+// The slots of the inodes Populate creates with a log: the root, /a and /d
+// (the empty file /d/b has none).
+constexpr uint64_t kLoggedSlots = 3;
+
+// A bit flip in a live slot's log_head that sends it off the block area
+// (bytes 34-39 of the slot: past the device, or below the area once the
+// low block bits are kept) must be reported, not used to index the
+// allocator's bitmap.
+TEST(RecoveryFaultTest, LogHeadOffTheBlockAreaIsCorruption) {
+  Fx fx;
+  const Layout layout = fx.Populate();
+  const uint64_t area_end =
+      layout.block_area_off + layout.block_count * kBlockSize;
+  int flips = 0;
+  for (uint64_t slot = 0; slot < kLoggedSlots; ++slot) {
+    const uint64_t off = layout.inode_table_off + slot * kPInodeSize;
+    const uint64_t head = fx.mem.As<PInode>(off)->log_head;
+    ASSERT_NE(head, 0u) << "slot " << slot;
+    for (int bit = 16; bit < 64; ++bit) {
+      const uint64_t flipped = head ^ (uint64_t{1} << bit);
+      if (flipped >= layout.block_area_off && flipped < area_end) {
+        continue;  // still a block-area page: the walk reads it
+      }
+      flips++;
+      fx.Poke<PInode>(off, [&](PInode& p) { p.log_head = flipped; });
+      EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption)
+          << "slot " << slot << " bit " << bit;
+      fx.Poke<PInode>(off, [&](PInode& p) { p.log_head = head; });
+    }
+  }
+  EXPECT_GT(flips, 100);
+  EXPECT_TRUE(fx.Mount().ok());
+}
+
+// A flip in the low byte of the root's log_head leaves it inside the block
+// area but off a page boundary; walking entries from there would skip the
+// first ones and mount a different tree.
+TEST(RecoveryFaultTest, MisalignedLogHeadIsCorruption) {
+  Fx fx;
+  const Layout layout = fx.Populate();
+  const uint64_t head = fx.mem.As<PInode>(layout.inode_table_off)->log_head;
+  for (int bit = 0; bit < 8; ++bit) {
+    fx.Poke<PInode>(layout.inode_table_off, [&](PInode& p) {
+      p.log_head = head ^ (uint64_t{1} << bit);
+    });
+    EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption) << "bit " << bit;
+  }
+}
+
+TEST(RecoveryFaultTest, LogTailOffAnEntryOrTheAreaIsCorruption) {
+  Fx fx;
+  const Layout layout = fx.Populate();
+  const uint64_t tail = fx.mem.As<PInode>(layout.inode_table_off)->log_tail;
+  for (const uint64_t bad : {tail + 8, tail | (uint64_t{1} << 40),
+                             layout.inode_table_off + kLogEntrySize}) {
+    fx.Poke<PInode>(layout.inode_table_off,
+                    [&](PInode& p) { p.log_tail = bad; });
+    EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption) << "tail " << bad;
+  }
+}
+
+// A zeroed log_head under a committed tail would otherwise mount the root
+// with an empty log: /a and /d silently gone.
+TEST(RecoveryFaultTest, LogTailWithoutLogHeadIsCorruption) {
+  Fx fx;
+  const Layout layout = fx.Populate();
+  fx.Poke<PInode>(layout.inode_table_off, [](PInode& p) { p.log_head = 0; });
+  EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
+}
+
+// A chain whose next_page leads back to a page already walked must end in
+// kCorruption, not loop or trip the allocator's double-mark check. The
+// root's first log page must be full of valid entries for the walk to
+// follow its next_page, so this image creates more files than one page
+// holds dentries.
+TEST(RecoveryFaultTest, LogChainCycleIsCorruption) {
+  Fx fx;
+  NovaFs fs(&fx.mem, {});
+  EASYIO_CHECK_OK(fs.Format());
+  fx.sim.Spawn(0, [&] {
+    for (uint64_t i = 0; i < kEntriesPerLogPage + 8; ++i) {
+      EASYIO_CHECK_OK(fs.Close(*fs.Create("/f" + std::to_string(i))));
+    }
+  });
+  fx.sim.Run();
+  const uint64_t root_off = fs.layout().inode_table_off;
+  const uint64_t head = fx.mem.As<PInode>(root_off)->log_head;
+  ASSERT_NE(fx.mem.As<LogPageHeader>(head)->next_page, 0u);
+  ASSERT_TRUE(fx.Mount().ok());
+  fx.Poke<LogPageHeader>(head,
+                         [&](LogPageHeader& hdr) { hdr.next_page = head; });
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 

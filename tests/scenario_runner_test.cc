@@ -1,11 +1,12 @@
 #include "src/harness/scenario_runner.h"
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -40,23 +41,19 @@ uint64_t SimChecksum(uint64_t seed) {
   return acc;
 }
 
-TEST(ScenarioRunnerTest, ResultsLandInSubmissionOrder) {
-  constexpr int kJobs = 4;
+TEST(ScenarioRunnerTest, ResultsLandInIndexOrder) {
   constexpr size_t kN = 16;
-  std::vector<int> out(kN, -1);
-  ScenarioRunner runner(kJobs);
-  for (size_t i = 0; i < kN; ++i) {
-    const size_t idx = runner.Submit([&out, i] {
-      // Later submissions finish *earlier*, so completion order is roughly
-      // the reverse of submission order.
-      std::this_thread::sleep_for(std::chrono::milliseconds(kN - i));
-      out[i] = static_cast<int>(i);
+  for (const int jobs : {1, 2, 8, 20}) {  // 20: more jobs than indices
+    const std::vector<size_t> out = RunIndexed(jobs, kN, [](size_t i) {
+      // Later indices finish *earlier*, so completion order is roughly the
+      // reverse of index order.
+      std::this_thread::sleep_for(std::chrono::microseconds(500 * (kN - i)));
+      return i;
     });
-    EXPECT_EQ(idx, i);
-  }
-  runner.Wait();
-  for (size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(out[i], static_cast<int>(i)) << "slot " << i;
+    ASSERT_EQ(out.size(), kN) << "jobs=" << jobs;
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(out[i], i) << "jobs=" << jobs << " slot " << i;
+    }
   }
 }
 
@@ -68,14 +65,14 @@ TEST(ScenarioRunnerTest, SerialAndParallelResultsMatch) {
 }
 
 TEST(ScenarioRunnerTest, ThrowingJobRunsAllAndRethrowsFirstInOrder) {
-  for (int jobs : {1, 4}) {
+  for (const int jobs : {1, 4}) {
     std::atomic<int> ran{0};
-    ScenarioRunner runner(jobs);
-    for (size_t i = 0; i < 16; ++i) {
-      runner.Submit([&ran, i] {
+    std::string what;
+    try {
+      RunIndexed(jobs, 16, [&ran](size_t i) {
         ran.fetch_add(1);
-        // Job 9 often *completes* before job 3 when parallel; submission
-        // order must still decide which exception Wait() surfaces.
+        // Index 9 often *completes* before index 3 when parallel; index
+        // order must still decide which exception surfaces.
         if (i == 9) {
           throw std::runtime_error("job9");
         }
@@ -83,22 +80,63 @@ TEST(ScenarioRunnerTest, ThrowingJobRunsAllAndRethrowsFirstInOrder) {
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
           throw std::runtime_error("job3");
         }
+        return i;
       });
-    }
-    std::string what;
-    try {
-      runner.Wait();
     } catch (const std::runtime_error& e) {
       what = e.what();
     }
     EXPECT_EQ(what, "job3") << "jobs=" << jobs;
     EXPECT_EQ(ran.load(), 16) << "jobs=" << jobs;
+  }
+}
 
-    // The runner stays usable after a throwing Wait().
-    bool again = false;
-    runner.Submit([&again] { again = true; });
-    runner.Wait();
-    EXPECT_TRUE(again) << "jobs=" << jobs;
+TEST(ScenarioRunnerTest, SerialRunsInlineInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const int jobs : {1, 0, -3}) {
+    std::vector<size_t> order;
+    const std::vector<std::thread::id> ran_on =
+        RunIndexed(jobs, 8, [&order](size_t i) {
+          order.push_back(i);
+          return std::this_thread::get_id();
+        });
+    EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}))
+        << "jobs=" << jobs;
+    for (const std::thread::id id : ran_on) {
+      EXPECT_EQ(id, caller) << "jobs=" << jobs;
+    }
+  }
+}
+
+// With two workers, indices 0 and 1 are claimed first and run side by side:
+// each waits until both have arrived, and a later index starts only after
+// that. A timeout fails the test instead of hanging it. No index runs on
+// the calling thread.
+TEST(ScenarioRunnerTest, FirstTwoIndicesRunTogether) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mu;
+  std::condition_variable cv;
+  int arrived = 0;
+  struct Ran {
+    bool met = true;
+    std::thread::id on;
+  };
+  const std::vector<Ran> ran = RunIndexed(2, 6, [&](size_t i) {
+    Ran r{.on = std::this_thread::get_id()};
+    std::unique_lock<std::mutex> lock(mu);
+    if (i < 2) {
+      arrived++;
+      cv.notify_all();
+      r.met = cv.wait_for(lock, std::chrono::seconds(10),
+                          [&arrived] { return arrived == 2; });
+    } else {
+      r.met = arrived == 2;
+    }
+    return r;
+  });
+  EXPECT_NE(ran[0].on, ran[1].on);
+  for (size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_TRUE(ran[i].met) << "index " << i;
+    EXPECT_NE(ran[i].on, caller) << "index " << i;
   }
 }
 
@@ -119,22 +157,9 @@ TEST(ScenarioRunnerTest, ConcurrentSimulationsMatchSerial) {
   }
 }
 
-TEST(ScenarioRunnerTest, DefaultJobsHonorsEnvironment) {
-  const char* saved = getenv("EASYIO_JOBS");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  setenv("EASYIO_JOBS", "3", 1);
-  EXPECT_EQ(ScenarioRunner::DefaultJobs(), 3);
-  setenv("EASYIO_JOBS", "0", 1);  // invalid: fall back to >= 1
-  EXPECT_GE(ScenarioRunner::DefaultJobs(), 1);
-  if (saved != nullptr) {
-    setenv("EASYIO_JOBS", saved_value.c_str(), 1);
-  } else {
-    unsetenv("EASYIO_JOBS");
-  }
-}
-
 // fig11-style determinism regression: a formatted (io x kind) results table
-// built from ordered runner results must be byte-identical at any job count.
+// built from RunIndexed's ordered results must be byte-identical at any job
+// count.
 std::string FormatFig11LikeGrid(int jobs) {
   const size_t kRows = 5;  // "I/O sizes"
   const std::vector<uint64_t> cells =
