@@ -100,8 +100,12 @@ inline Flags ParseFlags(int argc, char** argv, unsigned accepts,
 // The shared fault shape for figure benches: a couple of transfer errors,
 // one stall and one torn record per channel on average, all inside the
 // first 128 descriptors each channel sees so the faults actually fire on
-// short runs. Deterministic in (seed, num_channels).
+// short runs. Deterministic in (seed, num_channels). Seed 0 is the empty
+// plan (infallible hardware), so a bench assigns the result unconditionally.
 inline dma::FaultPlan MakeBenchFaultPlan(uint64_t seed, int num_channels) {
+  if (seed == 0) {
+    return {};
+  }
   return dma::FaultPlan::Random(seed, num_channels,
                                 /*n_errors=*/2 * num_channels,
                                 /*n_stalls=*/num_channels,

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/fxmark/fxmark.h"
 #include "src/harness/testbed.h"
 #include "src/sim/obs_session.h"
 
@@ -39,41 +39,21 @@ Breakdown Measure(bool is_write, uint64_t io_size,
   }
 
   Breakdown out;
-  constexpr int kOps = 200;
-  tb.sim().Spawn(0, [&] {
-    Rng rng(1);
-    int fd = *tb.fs().Create("/f");
-    std::vector<std::byte> buf(io_size, std::byte{0x33});
-    const uint64_t file_bytes = 4_MB;
-    // Preallocate.
-    for (uint64_t off = 0; off < file_bytes; off += io_size) {
-      EASYIO_CHECK_OK(tb.fs().Write(fd, off, buf).status());
-    }
-    const uint64_t blocks = file_bytes / io_size;
-    for (int i = 0; i < kOps; ++i) {
-      const uint64_t off = rng.Below(blocks) * io_size;
-      fs::OpStats st;
-      if (is_write) {
-        EASYIO_CHECK_OK(tb.fs().Write(fd, off, buf, &st).status());
-      } else {
-        EASYIO_CHECK_OK(tb.fs().Read(fd, off, buf, &st).status());
-      }
-      out.total_us += st.total_ns / 1e3;
-      out.meta_us += st.meta_ns / 1e3;
-      out.memcpy_us += st.data_ns / 1e3;
-      out.index_us += st.index_ns / 1e3;
-      out.syscall_us += st.syscall_ns / 1e3;
-    }
-  });
-  tb.sim().Run();
+  for (const fs::OpStats& st : fxmark::Probe(tb, is_write, io_size)) {
+    out.total_us += st.total_ns / 1e3;
+    out.meta_us += st.meta_ns / 1e3;
+    out.memcpy_us += st.data_ns / 1e3;
+    out.index_us += st.index_ns / 1e3;
+    out.syscall_us += st.syscall_ns / 1e3;
+  }
   if (session != nullptr) {
     tb.CollectStats().Print(stderr);
   }
-  out.total_us /= kOps;
-  out.meta_us /= kOps;
-  out.memcpy_us /= kOps;
-  out.index_us /= kOps;
-  out.syscall_us /= kOps;
+  out.total_us /= fxmark::kProbeOps;
+  out.meta_us /= fxmark::kProbeOps;
+  out.memcpy_us /= fxmark::kProbeOps;
+  out.index_us /= fxmark::kProbeOps;
+  out.syscall_us /= fxmark::kProbeOps;
   return out;
 }
 

@@ -25,14 +25,12 @@ using fxmark::Workload;
 
 const std::vector<int> kCores{1, 2, 4, 6, 8, 12, 16, 20, 24};
 
-// Set from --faults=<seed> in main before any scenario job runs; 0 = off.
-uint64_t g_fault_seed = 0;
-
 // Every (fs, core-count) sweep point is an independent simulation; the
 // panel's four sweeps fan out together across the scenario runner (the
 // per-sweep results stay in core_counts order, so the table is byte-
 // identical for any jobs value).
-void RunPanel(Workload workload, uint64_t io_size, int jobs) {
+void RunPanel(Workload workload, uint64_t io_size,
+              const bench::Flags& flags) {
   std::printf("\n-- %s throughput vs latency, %s I/O --\n",
               fxmark::WorkloadName(workload), bench::SizeName(io_size).c_str());
   std::printf("%-9s %5s %10s %10s %10s %10s\n", "fs", "cores", "Kops/s",
@@ -65,18 +63,16 @@ void RunPanel(Workload workload, uint64_t io_size, int jobs) {
     }
   }
   const std::vector<fxmark::CoreSweepPoint> points =
-      harness::RunIndexed(jobs, grid.size(), [&](size_t i) {
+      harness::RunIndexed(flags.jobs, grid.size(), [&](size_t i) {
         RunConfig cfg;
         cfg.testbed.fs = grid[i].fs;
         cfg.workload = workload;
         cfg.io_size = io_size;
         cfg.uthreads_per_core = 2;  // §6.2: uthreads = 2x cores for EasyIO
         cfg.cores = grid[i].cores;
-        if (g_fault_seed != 0) {
-          cfg.testbed.faults = bench::MakeBenchFaultPlan(
-              g_fault_seed,
-              static_cast<int>(cfg.testbed.fs_options.comp_channels));
-        }
+        cfg.testbed.faults = bench::MakeBenchFaultPlan(
+            flags.faults,
+            static_cast<int>(cfg.testbed.fs_options.comp_channels));
         return fxmark::CoreSweepPoint{grid[i].cores, fxmark::Run(cfg)};
       });
   size_t next_point = 0;
@@ -115,16 +111,14 @@ int main(int argc, char** argv) {
   using namespace easyio;
   const bench::Flags flags = bench::ParseFlags(
       argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
-  const int jobs = flags.jobs;
   // --faults=<seed> injects a seeded DMA fault plan into every sweep
   // point's testbed; seed 0 (the default) is byte-identical to no flag.
-  g_fault_seed = flags.faults;
   bench::PrintHeader(
       "Figure 9: throughput vs latency, core sweep (FxMark DWAL/DRBL)");
-  RunPanel(fxmark::Workload::kDWAL, 16_KB, jobs);
-  RunPanel(fxmark::Workload::kDWAL, 64_KB, jobs);
-  RunPanel(fxmark::Workload::kDRBL, 16_KB, jobs);
-  RunPanel(fxmark::Workload::kDRBL, 64_KB, jobs);
+  RunPanel(fxmark::Workload::kDWAL, 16_KB, flags);
+  RunPanel(fxmark::Workload::kDWAL, 64_KB, flags);
+  RunPanel(fxmark::Workload::kDRBL, 16_KB, flags);
+  RunPanel(fxmark::Workload::kDRBL, 64_KB, flags);
   std::printf(
       "\nExpected shape (paper): writes — EasyIO peaks with few cores (6 at\n"
       "16K, 2 at 64K) vs NOVA's 16; NOVA/NOVA-DMA throughput collapses at\n"

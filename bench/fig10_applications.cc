@@ -22,9 +22,6 @@ using apps::AppRunConfig;
 
 const std::vector<int> kCores{1, 2, 4, 8, 12, 16};
 
-// Set from --faults=<seed> in main before any scenario job runs; 0 = off.
-uint64_t g_fault_seed = 0;
-
 const std::vector<harness::FsKind> kKinds{
     harness::FsKind::kNova, harness::FsKind::kNovaDma, harness::FsKind::kOdin,
     harness::FsKind::kEasy};
@@ -32,7 +29,7 @@ const std::vector<harness::FsKind> kKinds{
 // One independent simulation per (fs, cores) cell; the app's whole grid fans
 // out across the scenario runner, then prints from the ordered results
 // (skipped OdinFS cells carry a negative sentinel).
-void RunApp(AppKind app, int jobs) {
+void RunApp(AppKind app, const bench::Flags& flags) {
   std::printf("\n-- %s (ops/s) --\n", apps::AppName(app));
   std::printf("%-9s", "fs\\cores");
   for (int c : kCores) {
@@ -41,7 +38,7 @@ void RunApp(AppKind app, int jobs) {
   std::printf("\n");
   const size_t cols = kCores.size();
   const std::vector<double> grid =
-      harness::RunIndexed(jobs, kKinds.size() * cols, [&](size_t i) {
+      harness::RunIndexed(flags.jobs, kKinds.size() * cols, [&](size_t i) {
         const harness::FsKind kind = kKinds[i / cols];
         const int cores = kCores[i % cols];
         if (kind == harness::FsKind::kOdin && cores > 12) {
@@ -51,11 +48,9 @@ void RunApp(AppKind app, int jobs) {
         cfg.app = app;
         cfg.testbed.fs = kind;
         cfg.cores = cores;
-        if (g_fault_seed != 0) {
-          cfg.testbed.faults = bench::MakeBenchFaultPlan(
-              g_fault_seed,
-              static_cast<int>(cfg.testbed.fs_options.comp_channels));
-        }
+        cfg.testbed.faults = bench::MakeBenchFaultPlan(
+            flags.faults,
+            static_cast<int>(cfg.testbed.fs_options.comp_channels));
         return apps::RunApp(cfg).ops_per_sec;
       });
   double nova_best = 0;
@@ -90,10 +85,8 @@ int main(int argc, char** argv) {
   using namespace easyio;
   const bench::Flags flags = bench::ParseFlags(
       argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
-  const int jobs = flags.jobs;
   // --faults=<seed> injects a seeded DMA fault plan into every cell's
   // testbed; seed 0 (the default) is byte-identical to no flag.
-  g_fault_seed = flags.faults;
   bench::PrintHeader(
       "Figure 10: real-world application throughput vs worker cores");
   std::printf(
@@ -104,7 +97,7 @@ int main(int argc, char** argv) {
        {AppKind::kSnappy, AppKind::kJpgDecoder, AppKind::kAes, AppKind::kGrep,
         AppKind::kKnn, AppKind::kBfs, AppKind::kFileserver,
         AppKind::kWebserver}) {
-    RunApp(app, jobs);
+    RunApp(app, flags);
   }
   std::printf(
       "\nExpected shape (paper): ~2x speedups for Snappy/Grep/BFS, ~1.5x\n"

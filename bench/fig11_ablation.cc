@@ -20,67 +20,48 @@
 #include "src/fxmark/fxmark.h"
 #include "src/harness/scenario_runner.h"
 #include "src/harness/testbed.h"
+#include "src/harness/window.h"
 #include "src/sim/obs_session.h"
 
 namespace easyio {
 namespace {
 
-// Set from --faults=<seed> in main before any scenario job runs; 0 = off.
-uint64_t g_fault_seed = 0;
-
-void MaybeInjectFaults(harness::TestbedConfig* cfg) {
-  if (g_fault_seed != 0) {
-    cfg->faults = bench::MakeBenchFaultPlan(
-        g_fault_seed, static_cast<int>(cfg->fs_options.comp_channels));
-  }
-}
-
-double WriteLatencyUs(harness::FsKind kind, uint64_t io_size,
-                      const bench::Flags* flags = nullptr) {
+harness::TestbedConfig Config(harness::FsKind kind, int machine_cores,
+                              size_t device_bytes, uint64_t fault_seed) {
   harness::TestbedConfig cfg;
   cfg.fs = kind;
-  cfg.machine_cores = 4;
-  cfg.device_bytes = 256_MB;
-  MaybeInjectFaults(&cfg);
-  harness::Testbed tb(cfg);
+  cfg.machine_cores = machine_cores;
+  cfg.device_bytes = device_bytes;
+  cfg.faults = bench::MakeBenchFaultPlan(
+      fault_seed, static_cast<int>(cfg.fs_options.comp_channels));
+  return cfg;
+}
+
+// `traced` records this run under --trace and prints its counters.
+double WriteLatencyUs(harness::FsKind kind, uint64_t io_size,
+                      const bench::Flags& flags, bool traced) {
+  harness::Testbed tb(Config(kind, 4, 256_MB, flags.faults));
   std::unique_ptr<sim::TraceSession> session;
-  if (flags != nullptr) {
-    session = std::make_unique<sim::TraceSession>(flags->trace,
-                                                  flags->trace_sample);
+  if (traced) {
+    session = std::make_unique<sim::TraceSession>(flags.trace,
+                                                  flags.trace_sample);
   }
   double total = 0;
-  constexpr int kOps = 200;
-  tb.sim().Spawn(0, [&] {
-    Rng rng(1);
-    int fd = *tb.fs().Create("/f");
-    std::vector<std::byte> buf(io_size, std::byte{0x33});
-    for (uint64_t off = 0; off < 4_MB; off += io_size) {
-      EASYIO_CHECK_OK(tb.fs().Write(fd, off, buf).status());
-    }
-    for (int i = 0; i < kOps; ++i) {
-      fs::OpStats st;
-      EASYIO_CHECK_OK(
-          tb.fs().Write(fd, rng.Below(4_MB / io_size) * io_size, buf, &st)
-              .status());
-      total += st.total_ns / 1e3;
-    }
-  });
-  tb.sim().Run();
+  for (const fs::OpStats& st : fxmark::Probe(tb, /*is_write=*/true, io_size)) {
+    total += st.total_ns / 1e3;
+  }
   if (session != nullptr) {
     tb.CollectStats().Print(stderr);
   }
-  return total / kOps;
+  return total / fxmark::kProbeOps;
 }
 
 // DWOM with a colocated compute uthread per core (work stealing disabled,
 // §6.4.2) — measures shared-file write throughput under lock contention.
-double DwomThroughputKops(harness::FsKind kind, int cores) {
-  harness::TestbedConfig tb_cfg;
-  tb_cfg.fs = kind;
-  tb_cfg.machine_cores = 16;
-  tb_cfg.device_bytes = 1_GB;
-  MaybeInjectFaults(&tb_cfg);
-  harness::Testbed tb(tb_cfg);
+// Workers 0..cores-1 are the writers, cores..2*cores-1 the compute uthreads.
+double DwomThroughputKops(harness::FsKind kind, int cores,
+                          uint64_t fault_seed) {
+  harness::Testbed tb(Config(kind, 16, 1_GB, fault_seed));
 
   // Shared file.
   int shared_fd = -1;
@@ -93,39 +74,31 @@ double DwomThroughputKops(harness::FsKind kind, int cores) {
   });
   tb.sim().Run();
 
-  auto* sched = tb.MakeScheduler(cores, /*work_stealing=*/false);
-  bool stop = false;
-  bool measuring = false;
   uint64_t ops = 0;
-  constexpr uint64_t kWarmup = 5_ms;
   constexpr uint64_t kMeasure = 40_ms;
-  tb.sim().ScheduleAfter(kWarmup, [&] { measuring = true; });
-  tb.sim().ScheduleAfter(kWarmup + kMeasure, [&] { stop = true; });
-
-  for (int c = 0; c < cores; ++c) {
-    // One DWOM writer per core...
-    sched->SpawnOn(c, [&, c] {
-      Rng rng(100 + static_cast<uint64_t>(c));
-      std::vector<std::byte> buf(16_KB, std::byte{0x77});
-      while (!stop) {
-        EASYIO_CHECK_OK(
-            tb.fs()
-                .Write(shared_fd, rng.Below(16_MB / 16_KB) * 16_KB, buf)
-                .status());
-        if (measuring && !stop) {
-          ops++;
+  harness::RunWindow(
+      tb, cores, /*work_stealing=*/false, 2 * cores, /*warmup_ns=*/5_ms,
+      kMeasure, [&](int w, const harness::WindowFlags& window) {
+        if (w >= cores) {
+          // A compute-only uthread that never issues I/O (§6.4.2).
+          while (!window.stop) {
+            tb.sim().Advance(2_us);  // scientific computation slice
+            tb.scheduler()->Yield();
+          }
+          return;
         }
-      }
-    });
-    // ...plus one compute-only uthread that never issues I/O (§6.4.2).
-    sched->SpawnOn(c, [&] {
-      while (!stop) {
-        tb.sim().Advance(2_us);  // scientific computation slice
-        sched->Yield();
-      }
-    });
-  }
-  tb.sim().Run();
+        Rng rng(100 + static_cast<uint64_t>(w));
+        std::vector<std::byte> buf(16_KB, std::byte{0x77});
+        while (!window.stop) {
+          EASYIO_CHECK_OK(
+              tb.fs()
+                  .Write(shared_fd, rng.Below(16_MB / 16_KB) * 16_KB, buf)
+                  .status());
+          if (window.counting()) {
+            ops++;
+          }
+        }
+      });
   return static_cast<double>(ops) /
          (static_cast<double>(kMeasure) / 1e9) / 1e3;
 }
@@ -145,7 +118,6 @@ int main(int argc, char** argv) {
       argc, argv,
       bench::Flags::kJobs | bench::Flags::kFaults | bench::Flags::kTrace,
       /*default_trace_sample=*/1);
-  g_fault_seed = flags.faults;
   const int jobs = flags.jobs;
   bench::PrintHeader("Figure 11 (left): orderless file operation — "
                      "single-thread write latency (us)");
@@ -159,7 +131,7 @@ int main(int argc, char** argv) {
         const bool traced = !naive && io == 64_KB && flags.tracing();
         return WriteLatencyUs(
             naive ? harness::FsKind::kEasyNaive : harness::FsKind::kEasy, io,
-            traced ? &flags : nullptr);
+            flags, traced);
       });
   double gain_sum = 0;
   int gain_n = 0;
@@ -184,7 +156,7 @@ int main(int argc, char** argv) {
         const bool naive = i >= core_counts.size();
         return DwomThroughputKops(
             naive ? harness::FsKind::kEasyNaive : harness::FsKind::kEasy,
-            core_counts[i % core_counts.size()]);
+            core_counts[i % core_counts.size()], flags.faults);
       });
   for (size_t i = 0; i < core_counts.size(); ++i) {
     const double easy = kops[i];

@@ -12,6 +12,7 @@
 #include "src/apps/kdtree.h"
 #include "src/apps/lz.h"
 #include "src/common/rng.h"
+#include "src/harness/window.h"
 
 namespace easyio::apps {
 
@@ -50,9 +51,7 @@ struct WorkerEnv {
   harness::Testbed* tb;
   int worker;
   Rng rng;
-  const bool* stop;
-  const bool* measuring;
-  uint64_t ops = 0;
+  uint64_t ops = 0;  // iterations so far, warm-up included
   uint64_t checksum = 0;
 };
 
@@ -415,42 +414,22 @@ AppResult RunApp(const AppRunConfig& config) {
   tb.sim().Spawn(0, [&] { setup(tb, workers, config.seed, &state); });
   tb.sim().Run();
 
-  auto* sched = tb.MakeScheduler(config.cores, /*work_stealing=*/is_easy);
-  bool stop = false;
-  bool measuring = false;
-  tb.sim().ScheduleAfter(config.warmup_ns, [&] { measuring = true; });
-  tb.sim().ScheduleAfter(config.warmup_ns + config.measure_ns,
-                         [&] { stop = true; });
-
-  std::vector<WorkerEnv> envs;
-  envs.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    envs.push_back(WorkerEnv{&tb, w,
-                             Rng(config.seed * 131 + static_cast<uint64_t>(w)),
-                             &stop, &measuring});
-  }
-  for (int w = 0; w < workers; ++w) {
-    WorkerEnv& env = envs[static_cast<size_t>(w)];
-    sched->SpawnOn(w % config.cores, [&env, iter, &state, &stop,
-                                      &measuring] {
-      uint64_t measured = 0;
-      while (!stop) {
-        iter(env, state);
-        env.ops++;
-        if (measuring && !stop) {
-          measured++;
-        }
-      }
-      env.ops = measured;  // keep only the measured-window count
-    });
-  }
-  tb.sim().Run();
-
+  // Workers share one host thread, so they tally straight into the result.
   AppResult result;
-  for (const auto& env : envs) {
-    result.ops += env.ops;
-    result.checksum += env.checksum;
-  }
+  harness::RunWindow(
+      tb, config.cores, /*work_stealing=*/is_easy, workers, config.warmup_ns,
+      config.measure_ns, [&](int w, const harness::WindowFlags& window) {
+        WorkerEnv env{&tb, w,
+                      Rng(config.seed * 131 + static_cast<uint64_t>(w))};
+        while (!window.stop) {
+          iter(env, state);
+          env.ops++;
+          if (window.counting()) {
+            result.ops++;
+          }
+        }
+        result.checksum += env.checksum;
+      });
   result.ops_per_sec = static_cast<double>(result.ops) /
                        (static_cast<double>(config.measure_ns) / 1e9);
   return result;

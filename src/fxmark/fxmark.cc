@@ -4,18 +4,9 @@
 #include <cassert>
 
 #include "src/common/rng.h"
-#include "src/harness/scenario_runner.h"
+#include "src/harness/window.h"
 
 namespace easyio::fxmark {
-
-namespace {
-
-struct SharedState {
-  bool measuring = false;
-  bool stop = false;
-};
-
-}  // namespace
 
 RunResult Run(const RunConfig& config) {
   harness::Testbed tb(config.testbed);
@@ -53,72 +44,45 @@ RunResult Run(const RunConfig& config) {
   sim.Run();
 
   // ---- measured phase ----
-  auto* sched = tb.MakeScheduler(config.cores, /*work_stealing=*/is_easy);
-  SharedState state;
-  std::vector<Histogram> lat(static_cast<size_t>(workers));
-  std::vector<uint64_t> cpu_sum(static_cast<size_t>(workers), 0);
-  std::vector<uint64_t> ops(static_cast<size_t>(workers), 0);
-  std::vector<uint64_t> bytes(static_cast<size_t>(workers), 0);
-
-  const sim::SimTime t_start = sim.now();
-  sim.ScheduleAt(t_start + config.warmup_ns,
-                 [&state] { state.measuring = true; });
-  sim.ScheduleAt(t_start + config.warmup_ns + config.measure_ns,
-                 [&state] { state.stop = true; });
-
+  // Workers share one host thread, so they tally straight into the result.
+  RunResult result;
+  uint64_t total_cpu = 0;
   const uint64_t blocks_per_file =
       std::max<uint64_t>(1, config.file_bytes / config.io_size);
 
-  for (int w = 0; w < workers; ++w) {
-    const int core = w % config.cores;
-    sched->SpawnOn(core, [&, w] {
-      Rng rng(config.seed * 7919 + static_cast<uint64_t>(w));
-      std::vector<std::byte> buf(config.io_size);
-      for (auto& b : buf) {
-        b = static_cast<std::byte>(rng.Next());
-      }
-      const int fd = fds[static_cast<size_t>(w)];
-      uint64_t seq_block = 0;
-      while (!state.stop) {
-        uint64_t off = 0;
-        switch (config.workload) {
-          case Workload::kDWAL:
-            off = (seq_block++ % blocks_per_file) * config.io_size;
-            break;
-          case Workload::kDRBL:
-          case Workload::kDWOM:
-            off = rng.Below(blocks_per_file) * config.io_size;
-            break;
+  harness::RunWindow(
+      tb, config.cores, /*work_stealing=*/is_easy, workers, config.warmup_ns,
+      config.measure_ns, [&](int w, const harness::WindowFlags& window) {
+        Rng rng(config.seed * 7919 + static_cast<uint64_t>(w));
+        std::vector<std::byte> buf(config.io_size);
+        for (auto& b : buf) {
+          b = static_cast<std::byte>(rng.Next());
         }
-        fs::OpStats st;
-        if (config.workload == Workload::kDRBL) {
-          EASYIO_CHECK_OK(tb.fs().Read(fd, off, buf, &st).status());
-        } else {
-          EASYIO_CHECK_OK(tb.fs().Write(fd, off, buf, &st).status());
+        const int fd = fds[static_cast<size_t>(w)];
+        uint64_t seq_block = 0;
+        while (!window.stop) {
+          const uint64_t block = config.workload == Workload::kDWAL
+                                     ? seq_block++ % blocks_per_file
+                                     : rng.Below(blocks_per_file);
+          const uint64_t off = block * config.io_size;
+          fs::OpStats st;
+          if (config.workload == Workload::kDRBL) {
+            EASYIO_CHECK_OK(tb.fs().Read(fd, off, buf, &st).status());
+          } else {
+            EASYIO_CHECK_OK(tb.fs().Write(fd, off, buf, &st).status());
+          }
+          if (window.counting()) {
+            result.latency.Record(st.total_ns);
+            total_cpu += st.cpu_ns;
+            result.ops++;
+          }
         }
-        if (state.measuring && !state.stop) {
-          lat[static_cast<size_t>(w)].Record(st.total_ns);
-          cpu_sum[static_cast<size_t>(w)] += st.cpu_ns;
-          ops[static_cast<size_t>(w)]++;
-          bytes[static_cast<size_t>(w)] += config.io_size;
-        }
-      }
-    });
-  }
-  sim.Run();
+      });
 
-  RunResult result;
-  uint64_t total_cpu = 0;
-  uint64_t total_bytes = 0;
-  for (int w = 0; w < workers; ++w) {
-    result.ops += ops[static_cast<size_t>(w)];
-    total_cpu += cpu_sum[static_cast<size_t>(w)];
-    total_bytes += bytes[static_cast<size_t>(w)];
-    result.latency.Merge(lat[static_cast<size_t>(w)]);
-  }
   result.mops = static_cast<double>(result.ops) /
                 (static_cast<double>(config.measure_ns) / 1e9) / 1e6;
-  result.gib_per_sec = GibPerSec(total_bytes, config.measure_ns);
+  result.gib_per_sec =
+      GibPerSec(result.ops * config.io_size, config.measure_ns);
   result.avg_cpu_ns =
       result.ops == 0 ? 0
                       : static_cast<double>(total_cpu) /
@@ -129,14 +93,29 @@ RunResult Run(const RunConfig& config) {
   return result;
 }
 
-std::vector<CoreSweepPoint> SweepCores(RunConfig config,
-                                       const std::vector<int>& core_counts,
-                                       int jobs) {
-  return harness::RunIndexed(jobs, core_counts.size(), [&](size_t i) {
-    RunConfig point_cfg = config;
-    point_cfg.cores = core_counts[i];
-    return CoreSweepPoint{core_counts[i], Run(point_cfg)};
+std::vector<fs::OpStats> Probe(harness::Testbed& tb, bool is_write,
+                               uint64_t io_size) {
+  constexpr uint64_t kFileBytes = 4_MB;
+  std::vector<fs::OpStats> out(kProbeOps);
+  tb.sim().Spawn(0, [&] {
+    Rng rng(1);
+    int fd = *tb.fs().Create("/f");
+    std::vector<std::byte> buf(io_size, std::byte{0x33});
+    for (uint64_t off = 0; off < kFileBytes; off += io_size) {
+      EASYIO_CHECK_OK(tb.fs().Write(fd, off, buf).status());
+    }
+    const uint64_t blocks = kFileBytes / io_size;
+    for (fs::OpStats& st : out) {
+      const uint64_t off = rng.Below(blocks) * io_size;
+      if (is_write) {
+        EASYIO_CHECK_OK(tb.fs().Write(fd, off, buf, &st).status());
+      } else {
+        EASYIO_CHECK_OK(tb.fs().Read(fd, off, buf, &st).status());
+      }
+    }
   });
+  tb.sim().Run();
+  return out;
 }
 
 int CoresAtPeak(const std::vector<CoreSweepPoint>& sweep, double fraction) {

@@ -14,13 +14,18 @@
 // core; EasyIO gets `uthreads_per_core` (2 in the paper) multiplexed by the
 // Caladan-style scheduler. Results aggregate throughput, latency
 // distribution, and per-op CPU time over a warmup + measurement window of
-// virtual time.
+// virtual time; the window itself is harness::RunWindow
+// (src/harness/window.h), which the applications and Fig 11 share.
+//
+// Probe is the other measurement shape: one thread timing kProbeOps ops
+// (Figs 1, 8 and 11's left panel).
 
 #ifndef EASYIO_FXMARK_FXMARK_H_
 #define EASYIO_FXMARK_FXMARK_H_
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/units.h"
@@ -69,21 +74,23 @@ struct RunResult {
 // Runs one configuration to completion (builds its own Testbed).
 RunResult Run(const RunConfig& config);
 
-// Sweeps worker core counts and returns the minimum that reaches
-// `fraction` (e.g. 0.95) of the peak throughput seen across the sweep —
-// the paper's "cores at peak" tables in Fig 9.
-//
-// Each sweep point is an independent Simulation, so the sweep fans out
-// across `jobs` host threads (harness::RunIndexed); results come back
-// in core_counts order and are byte-identical for any jobs value.
+// One point of a core-count sweep, and the minimum core count that reaches
+// `fraction` (e.g. 0.95) of the sweep's peak throughput — the paper's
+// "cores at peak" tables in Fig 9.
 struct CoreSweepPoint {
   int cores;
   RunResult result;
 };
-std::vector<CoreSweepPoint> SweepCores(RunConfig config,
-                                       const std::vector<int>& core_counts,
-                                       int jobs = 1);
 int CoresAtPeak(const std::vector<CoreSweepPoint>& sweep, double fraction);
+
+// Single-thread latency probe on an already-built testbed (so a caller can
+// open a TraceSession first). On core 0 it creates /f, prefills 4 MiB with
+// io_size writes of 0x33, then times kProbeOps reads or writes at
+// Rng(1)-drawn, io_size-aligned offsets. Returns each timed op's OpStats in
+// issue order.
+inline constexpr int kProbeOps = 200;
+std::vector<fs::OpStats> Probe(harness::Testbed& tb, bool is_write,
+                               uint64_t io_size);
 
 }  // namespace easyio::fxmark
 

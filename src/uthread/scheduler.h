@@ -11,8 +11,10 @@
 //     their home core was stuck in a long task still get to run (§5),
 //   * context-switch cost charged in virtual time per switch.
 //
-// Multiple Scheduler instances over disjoint core ranges model colocated
-// applications (the Caladan deployment of Figs 4 and 12).
+// Scheduler instances over disjoint core ranges can model colocated
+// applications (uthread_test covers two side by side). The benches build at
+// most one: Fig 12's web server runs on a 4-core Scheduler, and its
+// colocated GC is a plain task on a core outside that range.
 
 #ifndef EASYIO_UTHREAD_SCHEDULER_H_
 #define EASYIO_UTHREAD_SCHEDULER_H_

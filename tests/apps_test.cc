@@ -1,9 +1,11 @@
 // Tests for the application kernels (LZ, AES, IDCT, k-d tree, BFS, grep)
-// and an end-to-end smoke of each app workload on EasyIO.
+// and end-to-end runs of each app workload on EasyIO and NOVA, pinned to
+// exact op counts and checksums.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "src/apps/aes.h"
 #include "src/apps/apps.h"
@@ -223,19 +225,72 @@ TEST(GrepTest, SyntheticTextHasExpectedFrequency) {
 
 // ---- end-to-end smokes: every app runs on EasyIO and makes progress ----
 
-class AppSmoke : public ::testing::TestWithParam<AppKind> {};
+// Exact {ops, checksum} of a short run of every app on EasyIO (2 uthreads
+// per core, work stealing) and on NOVA (1 uthread per core, no stealing).
+// Any change to the measurement window, an app's set-up or per-op body, or
+// the filesystems moves them. After a deliberate model change, paste the
+// printed values into the table and say why in CHANGES.md.
+struct AppCounts {
+  uint64_t ops;
+  uint64_t checksum;
+};
 
-TEST_P(AppSmoke, RunsOnEasyIo) {
-  AppRunConfig cfg;
-  cfg.app = GetParam();
-  cfg.testbed.fs = harness::FsKind::kEasy;
-  cfg.cores = 2;
-  cfg.warmup_ns = 1_ms;
-  cfg.measure_ns = 30_ms;  // heavy apps (JPG/KNN) need several ms per op
-  const AppResult r = RunApp(cfg);
-  EXPECT_GT(r.ops, 0u) << AppName(GetParam());
-  EXPECT_GT(r.checksum, 0u) << AppName(GetParam());
+struct PinnedApp {
+  AppKind app;
+  AppCounts easy;
+  AppCounts nova;
+};
+
+constexpr PinnedApp kPinnedApps[] = {
+    {AppKind::kSnappy, {48, 101171200}, {34, 70041600}},
+    {AppKind::kJpgDecoder, {15, 14942208}, {14, 12582912}},
+    {AppKind::kAes, {88, 10408}, {86, 10904}},
+    {AppKind::kGrep, {84, 48532}, {54, 30072}},
+    {AppKind::kKnn, {122, 614400}, {86, 432000}},
+    {AppKind::kBfs, {190, 5940000}, {116, 3600000}},
+    {AppKind::kFileserver, {124, 147062784}, {98, 113639424}},
+    {AppKind::kWebserver, {940, 58080}, {1034, 64200}},
+};
+
+std::string Format(const AppCounts& c) {
+  return "{" + std::to_string(c.ops) + ", " + std::to_string(c.checksum) +
+         "}";
 }
+
+class AppSmoke : public ::testing::TestWithParam<AppKind> {
+ protected:
+  void ExpectPinned(harness::FsKind fs) {
+    const AppKind app = GetParam();
+    AppRunConfig cfg;
+    cfg.app = app;
+    cfg.testbed.fs = fs;
+    cfg.cores = 2;
+    cfg.warmup_ns = 1_ms;
+    cfg.measure_ns = 30_ms;  // heavy apps (JPG/KNN) need several ms per op
+    const AppResult r = RunApp(cfg);
+    EXPECT_GT(r.ops, 0u);
+    EXPECT_GT(r.checksum, 0u);
+    const PinnedApp* pin = nullptr;
+    for (const PinnedApp& p : kPinnedApps) {
+      if (p.app == app) {
+        pin = &p;
+      }
+    }
+    ASSERT_NE(pin, nullptr) << AppName(app) << " has no pinned row";
+    const AppCounts& want = fs == harness::FsKind::kEasy ? pin->easy
+                                                          : pin->nova;
+    const std::string got = Format({r.ops, r.checksum});
+    EXPECT_EQ(got, Format(want));
+    if (HasFailure()) {
+      ADD_FAILURE() << "actual " << AppName(app) << " on "
+                    << harness::FsKindName(fs) << ": " << got;
+    }
+  }
+};
+
+TEST_P(AppSmoke, RunsOnEasyIo) { ExpectPinned(harness::FsKind::kEasy); }
+
+TEST_P(AppSmoke, RunsOnNova) { ExpectPinned(harness::FsKind::kNova); }
 
 INSTANTIATE_TEST_SUITE_P(
     AllApps, AppSmoke,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/fxmark/fxmark.h"
 
@@ -45,13 +46,21 @@ TEST(FxmarkTest, DwomSharedFileContends) {
   EXPECT_LT(r8.mops, r1.mops * 4.0);
 }
 
+// Runs `cfg` at each core count of a small Fig 9-style sweep, in order.
+std::vector<CoreSweepPoint> Sweep(RunConfig cfg) {
+  std::vector<CoreSweepPoint> sweep;
+  for (int cores : {1, 2, 4, 8, 12}) {
+    cfg.cores = cores;
+    sweep.push_back({cores, fxmark::Run(cfg)});
+  }
+  return sweep;
+}
+
 TEST(FxmarkTest, EasyIoUsesFewerCoresForPeakWrites) {
-  auto sweep_easy = SweepCores(Quick(harness::FsKind::kEasy, Workload::kDWAL,
-                                     0),
-                               {1, 2, 4, 8, 12});
-  auto sweep_nova = SweepCores(Quick(harness::FsKind::kNova, Workload::kDWAL,
-                                     0),
-                               {1, 2, 4, 8, 12});
+  const auto sweep_easy =
+      Sweep(Quick(harness::FsKind::kEasy, Workload::kDWAL, 0));
+  const auto sweep_nova =
+      Sweep(Quick(harness::FsKind::kNova, Workload::kDWAL, 0));
   const int easy_cores = CoresAtPeak(sweep_easy, 0.95);
   const int nova_cores = CoresAtPeak(sweep_nova, 0.95);
   EXPECT_LT(easy_cores, nova_cores);  // the paper's headline claim
