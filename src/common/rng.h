@@ -58,8 +58,6 @@ class Rng {
     return -mean * std::log(u);
   }
 
-  bool NextBool(double p_true) { return NextDouble() < p_true; }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 

@@ -140,7 +140,6 @@ class Testbed {
   nova::NovaFs& nova() { return *nova_view_; }
   core::EasyIoFs* easy() { return easy_view_; }  // null unless kEasy*
   dma::DmaEngine* engine() { return engine_.get(); }
-  dma::FaultInjector* fault_injector() { return injector_.get(); }
   core::ChannelManager* channel_manager() { return cm_.get(); }
   baselines::DelegationPool* delegation() { return pool_.get(); }
   uthread::Scheduler* scheduler() { return scheduler_.get(); }

@@ -19,6 +19,45 @@ constexpr int kFirstFd = 3;
 // scales, and EasyIO inherits them (paper §5 builds EasyIO on NOVA).
 constexpr int kAllocShards = 16;
 
+// The one encoder per log entry type: the op paths and log compaction
+// write entries only through these.
+WriteEntry EncodeWrite(uint64_t pgoff, uint64_t num_pages, uint64_t block_off,
+                       uint64_t new_size, uint64_t mtime_ns,
+                       uint64_t sn_packed) {
+  WriteEntry e{};
+  e.type = static_cast<uint8_t>(EntryType::kWrite);
+  e.pgoff = pgoff;
+  e.num_pages = num_pages;
+  e.block_off = block_off;
+  e.new_size = new_size;
+  e.mtime_ns = mtime_ns;
+  e.sn_packed = sn_packed;
+  e.csum = e.ComputeCsum();
+  return e;
+}
+
+DentryEntry EncodeDentry(EntryType type, const std::string& name,
+                         uint64_t child_ino, uint64_t mtime_ns) {
+  DentryEntry e{};
+  e.type = static_cast<uint8_t>(type);
+  e.name_len = static_cast<uint8_t>(name.size());
+  e.child_ino = child_ino;
+  e.mtime_ns = mtime_ns;
+  std::memcpy(e.name, name.data(), name.size());
+  e.csum = e.ComputeCsum();
+  return e;
+}
+
+// True when `inner` names a path strictly below `outer`. Directories have
+// exactly one name (hard links to them are refused), so comparing the
+// components is exact.
+bool IsBelow(const std::string& outer, const std::string& inner) {
+  const auto o = fs::SplitPath(outer);
+  const auto i = fs::SplitPath(inner);
+  return o.ok() && i.ok() && i->size() > o->size() &&
+         std::equal(o->begin(), o->end(), i->begin());
+}
+
 }  // namespace
 
 NovaFs::NovaFs(pmem::SlowMemory* mem, const Options& options)
@@ -228,25 +267,19 @@ Status NovaFs::RecoverInode(uint64_t slot) {
           in->mtime_ns = std::max(in->mtime_ns, e->mtime_ns);
           break;
         }
-        case EntryType::kDentryAdd: {
-          const auto* e = mem_->As<DentryEntry>(off);
-          if (e->csum != e->ComputeCsum()) {
-            return Corruption("dentry entry checksum");
-          }
-          in->dentries[std::string(e->name,
-                                   std::min<size_t>(e->name_len,
-                                                    kMaxNameLen))] =
-              e->child_ino;
-          in->mtime_ns = std::max(in->mtime_ns, e->mtime_ns);
-          break;
-        }
+        case EntryType::kDentryAdd:
         case EntryType::kDentryRemove: {
           const auto* e = mem_->As<DentryEntry>(off);
           if (e->csum != e->ComputeCsum()) {
             return Corruption("dentry entry checksum");
           }
-          in->dentries.erase(std::string(
-              e->name, std::min<size_t>(e->name_len, kMaxNameLen)));
+          std::string name(e->name,
+                           std::min<size_t>(e->name_len, kMaxNameLen));
+          if (type == EntryType::kDentryAdd) {
+            in->dentries[std::move(name)] = e->child_ino;
+          } else {
+            in->dentries.erase(name);
+          }
           in->mtime_ns = std::max(in->mtime_ns, e->mtime_ns);
           break;
         }
@@ -314,9 +347,7 @@ Status NovaFs::AppendLogEntry(Inode& in, const void* entry) {
   const bool page_full =
       in.log_next != 0 && in.log_next % kBlockSize == 0;
   if (in.log_next == 0 || page_full) {
-    auto page = allocator_->Alloc(1, sim_->current() != nullptr
-                                         ? sim_->current()->core()
-                                         : 0);
+    auto page = allocator_->Alloc(1, CoreHint());
     if (!page.ok()) {
       return page.status();
     }
@@ -349,6 +380,10 @@ void NovaFs::CommitLogTail(Inode& in) {
   in.log_tail = in.log_next;
 }
 
+void NovaFs::CommitJournal(std::span<const JournalRecord::JWrite> writes) {
+  journal_->CommitAndApply(writes, CoreHint());
+}
+
 void NovaFs::RewindLog(Inode& in, uint64_t log_pages) {
   // Pages chained since the tail follow its page, or start the log. Nothing
   // follows the tail page's dangling next_page; the next chain rewrites it.
@@ -374,8 +409,8 @@ Status NovaFs::PrepareWrite(Inode& in, uint64_t off, size_t n,
   const uint64_t pages = (off + n - 1) / kBlockSize - off / kBlockSize + 1;
   Charge(stats, &fs::OpStats::index_ns,
          params().index_base_ns + params().index_per_page_ns * pages);
-  const int hint = sim_->current() != nullptr ? sim_->current()->core() : 0;
-  const Status st = allocator_->AllocMultiInto(pages, hint, &scratch.extents);
+  const Status st =
+      allocator_->AllocMultiInto(pages, CoreHint(), &scratch.extents);
   if (!st.ok()) {
     in.lock.WriteUnlock();
     Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
@@ -498,15 +533,9 @@ Status NovaFs::CommitWrite(Inode& in, uint64_t off, size_t n,
   const uint64_t log_pages = in.log_pages;
   uint64_t pg = off / kBlockSize;
   for (size_t i = 0; i < extents.size(); ++i) {
-    WriteEntry e{};
-    e.type = static_cast<uint8_t>(EntryType::kWrite);
-    e.pgoff = pg;
-    e.num_pages = extents[i].pages;
-    e.block_off = extents[i].block_off;
-    e.new_size = new_size;
-    e.mtime_ns = mtime;
-    e.sn_packed = sns.empty() ? dma::Sn::None().Pack() : sns[i].Pack();
-    e.csum = e.ComputeCsum();
+    const WriteEntry e = EncodeWrite(
+        pg, extents[i].pages, extents[i].block_off, new_size, mtime,
+        sns.empty() ? dma::Sn::None().Pack() : sns[i].Pack());
     if (const Status st = AppendLogEntry(in, &e); !st.ok()) {
       RewindLog(in, log_pages);
       return st;
@@ -610,27 +639,16 @@ void NovaFs::MaybeCompactLog(Inode& in, fs::OpStats* stats) {
   };
   if (in.is_dir) {
     for (const auto& [name, child] : in.dentries) {
-      DentryEntry e{};
-      e.type = static_cast<uint8_t>(EntryType::kDentryAdd);
-      e.name_len = static_cast<uint8_t>(name.size());
-      e.child_ino = child;
-      e.mtime_ns = in.mtime_ns;
-      std::memcpy(e.name, name.data(), name.size());
-      e.csum = e.ComputeCsum();
+      const DentryEntry e =
+          EncodeDentry(EntryType::kDentryAdd, name, child, in.mtime_ns);
       emit(&e);
     }
   } else {
     in.pages.ForEachExtent([&](uint64_t pgoff, uint64_t n_pages,
                                uint64_t block_off) {
-      WriteEntry e{};
-      e.type = static_cast<uint8_t>(EntryType::kWrite);
-      e.pgoff = pgoff;
-      e.num_pages = n_pages;
-      e.block_off = block_off;
-      e.new_size = in.size;
-      e.mtime_ns = in.mtime_ns;
-      e.sn_packed = dma::Sn::None().Pack();  // all data already durable
-      e.csum = e.ComputeCsum();
+      // All data is already durable: no SN to check at recovery.
+      const WriteEntry e = EncodeWrite(pgoff, n_pages, block_off, in.size,
+                                       in.mtime_ns, dma::Sn::None().Pack());
       emit(&e);
     });
   }
@@ -642,30 +660,30 @@ void NovaFs::MaybeCompactLog(Inode& in, fs::OpStats* stats) {
       {PInodeOff(in.slot) + offsetof(PInode, log_head), pages[0]},
       {PInodeOff(in.slot) + offsetof(PInode, log_tail), write_off},
   };
-  journal_->CommitAndApply(writes,
-                           sim_->current() ? sim_->current()->core() : 0);
+  CommitJournal(writes);
   in.log_head = pages[0];
   in.log_tail = write_off;
   in.log_next = write_off;
   in.log_pages = pages.size();
   log_compactions_++;
-
-  // Release the superseded chain.
-  uint64_t page = old_head;
-  while (page != 0) {
-    const uint64_t next = mem_->As<LogPageHeader>(page)->next_page;
-    allocator_->Free(Extent{page, 1});
-    if (old_tail > page && old_tail <= page + kBlockSize) {
-      break;
-    }
-    page = next;
-  }
+  FreeLogChain(old_head, old_tail);  // the superseded chain
 
   // GC is rare, control-plane activity: always recorded when tracing is
   // on, as a span of its own rather than a phase of the triggering op.
   if (auto* t = obs::Get()) {
     t->AsyncSpan(t->NextOpId(), "log_gc", gc_t0, sim_->now(),
                  {{"old_pages", gc_old_pages}, {"new_pages", pages.size()}});
+  }
+}
+
+void NovaFs::FreeLogChain(uint64_t head, uint64_t tail) {
+  for (uint64_t page = head; page != 0;) {
+    const uint64_t next = mem_->As<LogPageHeader>(page)->next_page;
+    allocator_->Free(Extent{page, 1});
+    if (tail > page && tail <= page + kBlockSize) {
+      break;  // reached the tail page
+    }
+    page = next;
   }
 }
 
@@ -911,8 +929,18 @@ Status NovaFs::Fsync(int fd) {
 
 // -------------------------------------------------------- namespace ops -----
 
-StatusOr<NovaFs::Inode*> NovaFs::ResolvePath(
-    const std::vector<std::string>& parts) {
+template <typename Body>
+auto NovaFs::RunNamespaceOp(Body&& body) {
+  sim_->Advance(params().syscall_enter_ns);
+  uthread::MutexLock ns(&namespace_lock_);
+  auto r = body();
+  if (r.ok()) {
+    sim_->Advance(params().syscall_exit_ns);
+  }
+  return r;
+}
+
+StatusOr<NovaFs::Inode*> NovaFs::Walk(const std::vector<std::string>& parts) {
   Inode* cur = inodes_.at(kRootIno).get();
   for (const auto& part : parts) {
     if (!cur->is_dir) {
@@ -928,6 +956,11 @@ StatusOr<NovaFs::Inode*> NovaFs::ResolvePath(
   return cur;
 }
 
+StatusOr<NovaFs::Inode*> NovaFs::ResolvePath(const std::string& path) {
+  EASYIO_ASSIGN_OR_RETURN(auto parts, fs::SplitPath(path));
+  return Walk(parts);
+}
+
 StatusOr<NovaFs::Inode*> NovaFs::ResolveParent(const std::string& path,
                                                std::string* leaf) {
   std::vector<std::string> parent;
@@ -935,7 +968,7 @@ StatusOr<NovaFs::Inode*> NovaFs::ResolveParent(const std::string& path,
   if (leaf->size() > kMaxNameLen) {
     return Status(ErrorCode::kNameTooLong, *leaf);
   }
-  EASYIO_ASSIGN_OR_RETURN(Inode * dir, ResolvePath(parent));
+  EASYIO_ASSIGN_OR_RETURN(Inode * dir, Walk(parent));
   if (!dir->is_dir) {
     return Status(ErrorCode::kNotDir);
   }
@@ -969,86 +1002,74 @@ StatusOr<NovaFs::Inode*> NovaFs::AllocInode(bool is_dir) {
 
 Status NovaFs::AppendDentry(Inode& dir, EntryType type,
                             const std::string& name, uint64_t child_ino) {
-  DentryEntry e{};
-  e.type = static_cast<uint8_t>(type);
-  e.name_len = static_cast<uint8_t>(name.size());
-  e.child_ino = child_ino;
-  e.mtime_ns = sim_->now();
-  std::memcpy(e.name, name.data(), name.size());
-  e.csum = e.ComputeCsum();
+  const DentryEntry e = EncodeDentry(type, name, child_ino, sim_->now());
   return AppendLogEntry(dir, &e);
 }
 
-StatusOr<int> NovaFs::Create(const std::string& path) {
-  sim_->Advance(params().syscall_enter_ns);
-  uthread::MutexLock ns(&namespace_lock_);
+void NovaFs::ApplyDentry(Inode& dir, EntryType type, const std::string& name,
+                         uint64_t child_ino) {
+  dir.log_tail = dir.log_next;
+  if (type == EntryType::kDentryAdd) {
+    dir.dentries[name] = child_ino;
+  } else {
+    dir.dentries.erase(name);
+  }
+  dir.mtime_ns = sim_->now();
+}
+
+void NovaFs::DropLink(Inode* in) {
+  if (--in->nlink > 0) {
+    return;
+  }
+  if (in->open_count > 0) {
+    in->unlinked = true;  // freed on last close
+  } else {
+    DestroyInode(in);
+  }
+}
+
+StatusOr<NovaFs::Inode*> NovaFs::CreateNode(const std::string& path,
+                                            bool is_dir) {
   std::string leaf;
   EASYIO_ASSIGN_OR_RETURN(Inode * dir, ResolveParent(path, &leaf));
   if (dir->dentries.contains(leaf)) {
     return AlreadyExists(path);
   }
   MaybeCompactLog(*dir, nullptr);
-  EASYIO_ASSIGN_OR_RETURN(Inode * child, AllocInode(/*is_dir=*/false));
+  EASYIO_ASSIGN_OR_RETURN(Inode * child, AllocInode(is_dir));
   if (const Status st =
           AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino);
       !st.ok()) {
     DestroyInode(child);  // its persistent body is not valid yet
     return st;
   }
-
   const JournalRecord::JWrite writes[] = {
-      {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
-      {PInodeOff(child->slot) + offsetof(PInode, flags), PInode::kFlagValid},
+      TailWrite(*dir),
+      {PInodeOff(child->slot) + offsetof(PInode, flags),
+       PInode::kFlagValid | (is_dir ? PInode::kFlagDir : 0)},
   };
-  journal_->CommitAndApply(writes,
-                           sim_->current() ? sim_->current()->core() : 0);
-  dir->log_tail = dir->log_next;
-  dir->dentries[leaf] = child->ino;
-  dir->mtime_ns = sim_->now();
+  CommitJournal(writes);
+  ApplyDentry(*dir, EntryType::kDentryAdd, leaf, child->ino);
+  return child;
+}
 
-  auto fd = AllocFd(child);
-  sim_->Advance(params().syscall_exit_ns);
-  return fd;
+StatusOr<int> NovaFs::Create(const std::string& path) {
+  return RunNamespaceOp([&]() -> StatusOr<int> {
+    EASYIO_ASSIGN_OR_RETURN(Inode * child, CreateNode(path, /*is_dir=*/false));
+    return AllocFd(child);
+  });
 }
 
 Status NovaFs::Mkdir(const std::string& path) {
-  sim_->Advance(params().syscall_enter_ns);
-  uthread::MutexLock ns(&namespace_lock_);
-  std::string leaf;
-  EASYIO_ASSIGN_OR_RETURN(Inode * dir, ResolveParent(path, &leaf));
-  if (dir->dentries.contains(leaf)) {
-    return AlreadyExists(path);
-  }
-  MaybeCompactLog(*dir, nullptr);
-  EASYIO_ASSIGN_OR_RETURN(Inode * child, AllocInode(/*is_dir=*/true));
-  if (const Status st =
-          AppendDentry(*dir, EntryType::kDentryAdd, leaf, child->ino);
-      !st.ok()) {
-    DestroyInode(child);
-    return st;
-  }
-  const JournalRecord::JWrite writes[] = {
-      {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
-      {PInodeOff(child->slot) + offsetof(PInode, flags),
-       PInode::kFlagValid | PInode::kFlagDir},
-  };
-  journal_->CommitAndApply(writes,
-                           sim_->current() ? sim_->current()->core() : 0);
-  dir->log_tail = dir->log_next;
-  dir->dentries[leaf] = child->ino;
-  dir->mtime_ns = sim_->now();
-  sim_->Advance(params().syscall_exit_ns);
-  return OkStatus();
+  return RunNamespaceOp(
+      [&] { return CreateNode(path, /*is_dir=*/true).status(); });
 }
 
 StatusOr<int> NovaFs::Open(const std::string& path) {
-  sim_->Advance(params().syscall_enter_ns);
-  uthread::MutexLock ns(&namespace_lock_);
-  EASYIO_ASSIGN_OR_RETURN(auto parts, fs::SplitPath(path));
-  EASYIO_ASSIGN_OR_RETURN(Inode * in, ResolvePath(parts));
-  auto fd = AllocFd(in);
-  sim_->Advance(params().syscall_exit_ns);
-  return fd;
+  return RunNamespaceOp([&]() -> StatusOr<int> {
+    EASYIO_ASSIGN_OR_RETURN(Inode * in, ResolvePath(path));
+    return AllocFd(in);
+  });
 }
 
 Status NovaFs::Close(int fd) {
@@ -1076,15 +1097,7 @@ void NovaFs::FreeInodeResources(Inode& in) {
   for (const Extent& e : extents) {
     allocator_->Free(e);
   }
-  uint64_t page = in.log_head;
-  while (page != 0) {
-    const uint64_t next = mem_->As<LogPageHeader>(page)->next_page;
-    allocator_->Free(Extent{page, 1});
-    if (in.log_tail > page && in.log_tail <= page + kBlockSize) {
-      break;  // reached the tail page
-    }
-    page = next;
-  }
+  FreeLogChain(in.log_head, in.log_tail);
   in.log_head = 0;
   in.log_tail = 0;
   in.log_next = 0;
@@ -1098,156 +1111,135 @@ void NovaFs::DestroyInode(Inode* in) {
 }
 
 Status NovaFs::Unlink(const std::string& path) {
-  sim_->Advance(params().syscall_enter_ns);
-  uthread::MutexLock ns(&namespace_lock_);
-  std::string leaf;
-  EASYIO_ASSIGN_OR_RETURN(Inode * dir, ResolveParent(path, &leaf));
-  auto it = dir->dentries.find(leaf);
-  if (it == dir->dentries.end()) {
-    return NotFound(path);
-  }
-  Inode* child = inodes_.at(it->second).get();
-  if (child->is_dir && !child->dentries.empty()) {
-    return Status(ErrorCode::kNotEmpty, path);
-  }
-  MaybeCompactLog(*dir, nullptr);
-  EASYIO_RETURN_IF_ERROR(
-      AppendDentry(*dir, EntryType::kDentryRemove, leaf, child->ino));
-
-  const uint64_t new_nlink = child->nlink - 1;
-  const uint64_t new_flags = new_nlink == 0 ? 0 : PInode::kFlagValid;
-  const JournalRecord::JWrite writes[] = {
-      {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
-      {PInodeOff(child->slot) + offsetof(PInode, nlink), new_nlink},
-      {PInodeOff(child->slot) + offsetof(PInode, flags), new_flags},
-  };
-  journal_->CommitAndApply(writes,
-                           sim_->current() ? sim_->current()->core() : 0);
-  dir->log_tail = dir->log_next;
-  dir->dentries.erase(it);
-  dir->mtime_ns = sim_->now();
-  child->nlink = new_nlink;
-  if (new_nlink == 0) {
-    if (child->open_count > 0) {
-      child->unlinked = true;
-    } else {
-      DestroyInode(child);
+  return RunNamespaceOp([&]() -> Status {
+    std::string leaf;
+    EASYIO_ASSIGN_OR_RETURN(Inode * dir, ResolveParent(path, &leaf));
+    auto it = dir->dentries.find(leaf);
+    if (it == dir->dentries.end()) {
+      return NotFound(path);
     }
-  }
-  sim_->Advance(params().syscall_exit_ns);
-  return OkStatus();
+    Inode* child = inodes_.at(it->second).get();
+    if (child->is_dir && !child->dentries.empty()) {
+      return Status(ErrorCode::kNotEmpty, path);
+    }
+    MaybeCompactLog(*dir, nullptr);
+    EASYIO_RETURN_IF_ERROR(
+        AppendDentry(*dir, EntryType::kDentryRemove, leaf, child->ino));
+    const uint64_t nlink = child->nlink - 1;
+    const JournalRecord::JWrite writes[] = {
+        TailWrite(*dir),
+        {PInodeOff(child->slot) + offsetof(PInode, nlink), nlink},
+        {PInodeOff(child->slot) + offsetof(PInode, flags),
+         nlink == 0 ? 0 : PInode::kFlagValid},
+    };
+    CommitJournal(writes);
+    ApplyDentry(*dir, EntryType::kDentryRemove, leaf, child->ino);
+    DropLink(child);
+    return OkStatus();
+  });
 }
 
 Status NovaFs::Link(const std::string& existing,
                     const std::string& link_path) {
-  sim_->Advance(params().syscall_enter_ns);
-  uthread::MutexLock ns(&namespace_lock_);
-  EASYIO_ASSIGN_OR_RETURN(auto parts, fs::SplitPath(existing));
-  EASYIO_ASSIGN_OR_RETURN(Inode * target, ResolvePath(parts));
-  if (target->is_dir) {
-    return Status(ErrorCode::kIsDir, existing);
-  }
-  std::string leaf;
-  EASYIO_ASSIGN_OR_RETURN(Inode * dir, ResolveParent(link_path, &leaf));
-  if (dir->dentries.contains(leaf)) {
-    return AlreadyExists(link_path);
-  }
-  EASYIO_RETURN_IF_ERROR(
-      AppendDentry(*dir, EntryType::kDentryAdd, leaf, target->ino));
-  const JournalRecord::JWrite writes[] = {
-      {PInodeOff(dir->slot) + offsetof(PInode, log_tail), dir->log_next},
-      {PInodeOff(target->slot) + offsetof(PInode, nlink), target->nlink + 1},
-  };
-  journal_->CommitAndApply(writes,
-                           sim_->current() ? sim_->current()->core() : 0);
-  dir->log_tail = dir->log_next;
-  dir->dentries[leaf] = target->ino;
-  dir->mtime_ns = sim_->now();
-  target->nlink++;
-  sim_->Advance(params().syscall_exit_ns);
-  return OkStatus();
+  return RunNamespaceOp([&]() -> Status {
+    EASYIO_ASSIGN_OR_RETURN(Inode * target, ResolvePath(existing));
+    if (target->is_dir) {
+      return Status(ErrorCode::kIsDir, existing);
+    }
+    std::string leaf;
+    EASYIO_ASSIGN_OR_RETURN(Inode * dir, ResolveParent(link_path, &leaf));
+    if (dir->dentries.contains(leaf)) {
+      return AlreadyExists(link_path);
+    }
+    MaybeCompactLog(*dir, nullptr);
+    EASYIO_RETURN_IF_ERROR(
+        AppendDentry(*dir, EntryType::kDentryAdd, leaf, target->ino));
+    const JournalRecord::JWrite writes[] = {
+        TailWrite(*dir),
+        {PInodeOff(target->slot) + offsetof(PInode, nlink), target->nlink + 1},
+    };
+    CommitJournal(writes);
+    ApplyDentry(*dir, EntryType::kDentryAdd, leaf, target->ino);
+    target->nlink++;
+    return OkStatus();
+  });
 }
 
 Status NovaFs::Rename(const std::string& from, const std::string& to) {
-  sim_->Advance(params().syscall_enter_ns);
-  uthread::MutexLock ns(&namespace_lock_);
-  std::string from_leaf;
-  EASYIO_ASSIGN_OR_RETURN(Inode * from_dir, ResolveParent(from, &from_leaf));
-  auto from_it = from_dir->dentries.find(from_leaf);
-  if (from_it == from_dir->dentries.end()) {
-    return NotFound(from);
-  }
-  Inode* moving = inodes_.at(from_it->second).get();
-
-  std::string to_leaf;
-  EASYIO_ASSIGN_OR_RETURN(Inode * to_dir, ResolveParent(to, &to_leaf));
-
-  Inode* displaced = nullptr;
-  auto to_it = to_dir->dentries.find(to_leaf);
-  if (to_it != to_dir->dentries.end()) {
-    displaced = inodes_.at(to_it->second).get();
-    if (displaced == moving) {
-      sim_->Advance(params().syscall_exit_ns);
-      return OkStatus();
+  return RunNamespaceOp([&]() -> Status {
+    std::string from_leaf;
+    EASYIO_ASSIGN_OR_RETURN(Inode * from_dir, ResolveParent(from, &from_leaf));
+    auto from_it = from_dir->dentries.find(from_leaf);
+    if (from_it == from_dir->dentries.end()) {
+      return NotFound(from);
     }
-    if (displaced->is_dir && !displaced->dentries.empty()) {
-      return Status(ErrorCode::kNotEmpty, to);
+    Inode* moving = inodes_.at(from_it->second).get();
+    std::string to_leaf;
+    EASYIO_ASSIGN_OR_RETURN(Inode * to_dir, ResolveParent(to, &to_leaf));
+    // A directory moved below itself would leave its subtree a cycle that
+    // no path reaches.
+    if (moving->is_dir && IsBelow(from, to)) {
+      return Status(ErrorCode::kInvalidArgument, to);
     }
-  }
-
-  // A failed append leaves nothing behind, but the first one may have
-  // succeeded: rewind both logs to their tails.
-  const uint64_t from_pages = from_dir->log_pages;
-  const uint64_t to_pages = to_dir->log_pages;
-  Status st = AppendDentry(*from_dir, EntryType::kDentryRemove, from_leaf,
-                           moving->ino);
-  if (st.ok()) {
-    st = AppendDentry(*to_dir, EntryType::kDentryAdd, to_leaf, moving->ino);
-  }
-  if (!st.ok()) {
-    RewindLog(*from_dir, from_pages);
-    RewindLog(*to_dir, to_pages);
-    return st;
-  }
-
-  std::vector<JournalRecord::JWrite> writes;
-  writes.push_back(
-      {PInodeOff(from_dir->slot) + offsetof(PInode, log_tail),
-       from_dir->log_next});
-  if (to_dir != from_dir) {
-    writes.push_back({PInodeOff(to_dir->slot) + offsetof(PInode, log_tail),
-                      to_dir->log_next});
-  }
-  uint64_t displaced_nlink = 0;
-  if (displaced != nullptr) {
-    displaced_nlink = displaced->nlink - 1;
-    writes.push_back({PInodeOff(displaced->slot) + offsetof(PInode, nlink),
-                      displaced_nlink});
-    if (displaced_nlink == 0) {
-      writes.push_back(
-          {PInodeOff(displaced->slot) + offsetof(PInode, flags), 0});
-    }
-  }
-  journal_->CommitAndApply(writes,
-                           sim_->current() ? sim_->current()->core() : 0);
-
-  from_dir->log_tail = from_dir->log_next;
-  to_dir->log_tail = to_dir->log_next;
-  from_dir->dentries.erase(from_it);
-  to_dir->dentries[to_leaf] = moving->ino;
-  from_dir->mtime_ns = to_dir->mtime_ns = sim_->now();
-  if (displaced != nullptr) {
-    displaced->nlink = displaced_nlink;
-    if (displaced_nlink == 0) {
-      if (displaced->open_count > 0) {
-        displaced->unlinked = true;
-      } else {
-        DestroyInode(displaced);
+    Inode* displaced = nullptr;
+    if (auto to_it = to_dir->dentries.find(to_leaf);
+        to_it != to_dir->dentries.end()) {
+      displaced = inodes_.at(to_it->second).get();
+      if (displaced == moving) {
+        return OkStatus();
+      }
+      if (displaced->is_dir != moving->is_dir) {
+        return Status(displaced->is_dir ? ErrorCode::kIsDir
+                                        : ErrorCode::kNotDir,
+                      to);
+      }
+      if (displaced->is_dir && !displaced->dentries.empty()) {
+        return Status(ErrorCode::kNotEmpty, to);
       }
     }
-  }
-  sim_->Advance(params().syscall_exit_ns);
-  return OkStatus();
+    MaybeCompactLog(*from_dir, nullptr);
+    if (to_dir != from_dir) {
+      MaybeCompactLog(*to_dir, nullptr);
+    }
+
+    // A failed append leaves nothing behind, but the first one may have
+    // succeeded: rewind both logs to their tails.
+    const uint64_t from_pages = from_dir->log_pages;
+    const uint64_t to_pages = to_dir->log_pages;
+    Status st = AppendDentry(*from_dir, EntryType::kDentryRemove, from_leaf,
+                             moving->ino);
+    if (st.ok()) {
+      st = AppendDentry(*to_dir, EntryType::kDentryAdd, to_leaf, moving->ino);
+    }
+    if (!st.ok()) {
+      RewindLog(*from_dir, from_pages);
+      RewindLog(*to_dir, to_pages);
+      return st;
+    }
+
+    JournalRecord::JWrite writes[JournalRecord::kMaxWrites];
+    size_t n = 0;
+    writes[n++] = TailWrite(*from_dir);
+    if (to_dir != from_dir) {
+      writes[n++] = TailWrite(*to_dir);
+    }
+    if (displaced != nullptr) {
+      const uint64_t nlink = displaced->nlink - 1;
+      writes[n++] = {PInodeOff(displaced->slot) + offsetof(PInode, nlink),
+                     nlink};
+      if (nlink == 0) {
+        writes[n++] = {PInodeOff(displaced->slot) + offsetof(PInode, flags),
+                       0};
+      }
+    }
+    CommitJournal({writes, n});
+    ApplyDentry(*from_dir, EntryType::kDentryRemove, from_leaf, moving->ino);
+    ApplyDentry(*to_dir, EntryType::kDentryAdd, to_leaf, moving->ino);
+    if (displaced != nullptr) {
+      DropLink(displaced);
+    }
+    return OkStatus();
+  });
 }
 
 fs::FileStat NovaFs::StatOf(const Inode& in) const {
@@ -1261,11 +1253,9 @@ fs::FileStat NovaFs::StatOf(const Inode& in) const {
 }
 
 StatusOr<fs::FileStat> NovaFs::StatPath(const std::string& path) {
-  sim_->Advance(params().syscall_enter_ns);
-  uthread::MutexLock ns(&namespace_lock_);
-  EASYIO_ASSIGN_OR_RETURN(auto parts, fs::SplitPath(path));
-  EASYIO_ASSIGN_OR_RETURN(Inode * in, ResolvePath(parts));
-  sim_->Advance(params().syscall_exit_ns);
+  // Stat after the exit charge: a write may grow the file meanwhile.
+  EASYIO_ASSIGN_OR_RETURN(Inode * in,
+                          RunNamespaceOp([&] { return ResolvePath(path); }));
   return StatOf(*in);
 }
 

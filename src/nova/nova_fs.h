@@ -17,6 +17,7 @@
 #define EASYIO_NOVA_NOVA_FS_H_
 
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <initializer_list>
 #include <iterator>
@@ -371,12 +372,45 @@ class NovaFs : public fs::FileSystem {
   void FillWriteEdges(Inode& in, uint64_t off, size_t n,
                       const std::vector<Extent>& extents, fs::OpStats* stats);
 
+  // Entry and exit shared by the path ops (Create, Mkdir, Open, StatPath,
+  // Unlink, Link, Rename): charges the syscall entry, takes
+  // namespace_lock_ and runs `body()`, a Status or StatusOr. Only an OK
+  // result pays the syscall exit, still under the lock; an error returns
+  // at once.
+  template <typename Body>
+  auto RunNamespaceOp(Body&& body);
+
   // Namespace helpers (all under namespace_lock_).
-  StatusOr<Inode*> ResolvePath(const std::vector<std::string>& parts);
+  StatusOr<Inode*> Walk(const std::vector<std::string>& parts);
+  StatusOr<Inode*> ResolvePath(const std::string& path);
   StatusOr<Inode*> ResolveParent(const std::string& path, std::string* leaf);
   StatusOr<Inode*> AllocInode(bool is_dir);
+  // Create and Mkdir: a new file or directory named `path`, its dentry and
+  // valid bit committed in one journal record.
+  StatusOr<Inode*> CreateNode(const std::string& path, bool is_dir);
   Status AppendDentry(Inode& dir, EntryType type, const std::string& name,
                       uint64_t child_ino);
+  // DRAM side of a dentry entry the journal has committed: moves dir's
+  // tail, adds or removes the name and stamps mtime.
+  void ApplyDentry(Inode& dir, EntryType type, const std::string& name,
+                   uint64_t child_ino);
+  // DRAM side of a name dropped by a committed journal record: one link
+  // fewer; at zero the inode is freed now, or on its last close.
+  void DropLink(Inode* in);
+  // The journal write that commits dir's appended entries.
+  JournalRecord::JWrite TailWrite(const Inode& dir) const {
+    return {PInodeOff(dir.slot) + offsetof(PInode, log_tail), dir.log_next};
+  }
+  // Every journaled metadata update goes through here, on the calling
+  // core's journal slot.
+  void CommitJournal(std::span<const JournalRecord::JWrite> writes);
+  // The calling task's core (0 outside a task): the allocator shard and
+  // journal slot an op uses.
+  int CoreHint() const {
+    return sim_->current() != nullptr ? sim_->current()->core() : 0;
+  }
+  // Frees the log pages from `head` through the page holding `tail`.
+  void FreeLogChain(uint64_t head, uint64_t tail);
   void FreeInodeResources(Inode& in);  // blocks + log pages
   void DestroyInode(Inode* in);
   StatusOr<int> AllocFd(Inode* in);

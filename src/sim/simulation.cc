@@ -271,14 +271,17 @@ SimTime Simulation::core_busy_ns(int core) const {
 
 void Simulation::KickCore(int core) {
   Core& c = cores_[core];
-  if (c.running != nullptr || c.kick.armed()) {
+  if (c.running != nullptr || c.kick_pending) {
     return;
   }
-  Rearm(c.kick, now_, &Simulation::RunKick, this, static_cast<uint64_t>(core));
+  c.kick_pending = true;
+  ScheduleCall(now_, &Simulation::RunKick, this, static_cast<uint64_t>(core));
 }
 
 void Simulation::RunKick(void* sim, uint64_t core) {
-  static_cast<Simulation*>(sim)->DispatchKick(static_cast<int>(core));
+  auto* self = static_cast<Simulation*>(sim);
+  self->cores_[core].kick_pending = false;
+  self->DispatchKick(static_cast<int>(core));
 }
 
 void Simulation::DispatchKick(int core) {

@@ -20,9 +20,10 @@
 //                  which is exactly the CPU waste the paper measures.
 //
 // Every pending event is one slot-free record {time, seq, fn, arg, tag},
-// and every one is live. Task resumes push records directly; an owner that
-// supersedes its record (a core kick, a flow completion, a model's tick)
-// holds a Timer, which moves or removes it. Plain callbacks
+// and every one is live. Task resumes and core kicks push records
+// directly (a core keeps at most one kick pending, by a flag); an owner
+// that supersedes or withdraws its record (a flow completion, a model's
+// tick) holds a Timer, which moves or removes it. Plain callbacks
 // (ScheduleAt/ScheduleAfter) park their SmallFn in a slab slot whose Timer
 // holds the record, so Cancel removes it.
 //
@@ -311,7 +312,7 @@ class Simulation {
   struct Core {
     RingQueue<Task*> run_queue;
     Task* running = nullptr;
-    Timer kick;  // armed while a dispatch attempt is pending
+    bool kick_pending = false;  // a RunKick record is in the heap
     SimTime busy_ns = 0;
     SimTime busy_since = 0;
   };

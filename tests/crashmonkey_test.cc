@@ -186,6 +186,30 @@ TEST(CrashDuringGcTest, CompactionSwitchIsCrashAtomic) {
   }
 }
 
+TEST(CrashDuringGcTest, DirectoryCompactionUnderRenameChurnIsCrashAtomic) {
+  // Rename churn on root with the GC threshold lowered to 4 pages: the
+  // root log compacts twice (at about rename 95 and 190), and every
+  // persist barrier of the run is a crash point, those inside each
+  // compaction's new-chain build and journaled switch included.
+  WorkloadBuilder b;
+  b.Create("/r0");
+  b.Write("/r0", 0, std::vector<std::byte>(4096, std::byte{0x5a}));
+  for (int i = 0; i < 200; ++i) {
+    b.Rename(i % 2 == 0 ? "/r0" : "/r1", i % 2 == 0 ? "/r1" : "/r0");
+  }
+  CrashWorkload w{"dir_log_gc", "rename churn across root-log compactions",
+                  b.Build()};
+
+  auto opts = DefaultCrashFsOptions();
+  opts.gc_min_pages = 4;
+  const auto result = RunCrashTest(w, /*max_points=*/100000, opts);
+  EXPECT_GT(result.total_points, 1000);
+  EXPECT_EQ(result.passed, result.total_points);
+  for (const auto& f : result.failures) {
+    ADD_FAILURE() << f;
+  }
+}
+
 // Contents of every path in `paths` that exists on the mounted `fs`.
 std::map<std::string, std::vector<std::byte>> ReadFiles(
     fs::FileSystem& fs, sim::Simulation& sim,

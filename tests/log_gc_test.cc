@@ -130,5 +130,57 @@ TEST(LogGcTest, CompactionPreservesHardLinks) {
   EXPECT_GT(tb.nova().log_compactions(), 0u);
 }
 
+TEST(LogGcTest, RenameChurnCompactsDirectoryLog) {
+  TestbedConfig cfg = Config(FsKind::kNova);
+  cfg.fs_options.gc_min_pages = 4;
+  Testbed tb(cfg);
+  tb.sim().Spawn(0, [&] {
+    ASSERT_TRUE(tb.fs().Close(*tb.fs().Create("/a")).ok());
+    // Each rename appends two root entries and keeps one name live, so
+    // 300 of them would chain ten log pages for one live entry.
+    for (int i = 0; i < 300; ++i) {
+      const char* from = i % 2 == 0 ? "/a" : "/b";
+      const char* to = i % 2 == 0 ? "/b" : "/a";
+      ASSERT_TRUE(tb.fs().Rename(from, to).ok()) << i;
+    }
+  });
+  tb.sim().Run();
+  EXPECT_GT(tb.nova().log_compactions(), 0u);
+  NovaFs fs2(&tb.mem(), cfg.fs_options);
+  ASSERT_TRUE(fs2.Mount().ok());
+  tb.sim().Spawn(0, [&] {
+    EXPECT_TRUE(fs2.StatPath("/a").ok());
+    EXPECT_EQ(fs2.StatPath("/b").status().code(), ErrorCode::kNotFound);
+  });
+  tb.sim().Run();
+}
+
+TEST(LogGcTest, LinkCompactsItsParentLog) {
+  // Grow the root log with compaction off, then remount with it on: the
+  // first op on root, a link, must compact it.
+  TestbedConfig cfg = Config(FsKind::kNova);
+  cfg.fs_options.gc_min_pages = UINT64_MAX;
+  Testbed tb(cfg);
+  tb.sim().Spawn(0, [&] {
+    ASSERT_TRUE(tb.fs().Close(*tb.fs().Create("/a")).ok());
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE(tb.fs().Link("/a", "/l").ok()) << i;
+      ASSERT_TRUE(tb.fs().Unlink("/l").ok()) << i;
+    }
+  });
+  tb.sim().Run();
+  EXPECT_EQ(tb.nova().log_compactions(), 0u);
+  NovaFs::Options gc_on = cfg.fs_options;
+  gc_on.gc_min_pages = 4;
+  NovaFs fs2(&tb.mem(), gc_on);
+  ASSERT_TRUE(fs2.Mount().ok());
+  tb.sim().Spawn(0, [&] {
+    ASSERT_TRUE(fs2.Link("/a", "/l").ok());
+    EXPECT_EQ(fs2.StatPath("/l")->nlink, 2u);
+  });
+  tb.sim().Run();
+  EXPECT_EQ(fs2.log_compactions(), 1u);
+}
+
 }  // namespace
 }  // namespace easyio::nova

@@ -9,6 +9,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "src/harness/testbed.h"
 #include "src/nova/nova_fs.h"
 #include "src/pmem/slow_memory.h"
 #include "src/sim/simulation.h"
@@ -383,6 +384,65 @@ TEST(NovaFsTest, RenameMovesAndReplacesAtomically) {
   });
 }
 
+// Every path in `paths` as "path: ino dir nlink" (or its error), then the
+// free pages and inodes: what a refused namespace op must leave unchanged.
+std::string Describe(NovaFs& fs, const std::vector<std::string>& paths) {
+  std::string out;
+  for (const std::string& path : paths) {
+    const auto st = fs.StatPath(path);
+    out += path + ": ";
+    out += st.ok() ? std::to_string(st->ino) + (st->is_dir ? " dir " : " file ") +
+                         std::to_string(st->nlink)
+                   : std::string(ErrorCodeName(st.status().code()));
+    out += "\n";
+  }
+  return out + std::to_string(fs.free_pages()) + "p " +
+         std::to_string(fs.free_inodes()) + "i\n";
+}
+
+TEST(NovaFsTest, RenameIntoOwnSubtreeIsRefused) {
+  Fx fx;
+  const std::vector<std::string> paths = {"/d", "/d/x", "/d/x/f", "/d/e",
+                                          "/d/x/e"};
+  std::string before;
+  fx.Run([&] {
+    ASSERT_TRUE(fx.fs.Mkdir("/d").ok());
+    ASSERT_TRUE(fx.fs.Mkdir("/d/x").ok());
+    ASSERT_TRUE(fx.fs.Close(*fx.fs.Create("/d/x/f")).ok());
+    before = Describe(fx.fs, paths);
+    EXPECT_EQ(fx.fs.Rename("/d", "/d/e").code(), ErrorCode::kInvalidArgument);
+    EXPECT_EQ(fx.fs.Rename("/d", "/d/x/e").code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(fx.fs.Rename("/d/x", "/d/x/e").code(),
+              ErrorCode::kInvalidArgument);
+    EXPECT_EQ(Describe(fx.fs, paths), before);
+  });
+  NovaFs mounted(&fx.mem, {});
+  ASSERT_TRUE(mounted.Mount().ok());
+  fx.Run([&] { EXPECT_EQ(Describe(mounted, paths), before); });
+}
+
+TEST(NovaFsTest, RenameRefusesTypeMismatch) {
+  Fx fx;
+  const std::vector<std::string> paths = {"/f", "/e", "/d", "/d/g"};
+  std::string before;
+  fx.Run([&] {
+    ASSERT_TRUE(fx.fs.Close(*fx.fs.Create("/f")).ok());
+    ASSERT_TRUE(fx.fs.Mkdir("/e").ok());  // empty: only its type protects it
+    ASSERT_TRUE(fx.fs.Mkdir("/d").ok());
+    ASSERT_TRUE(fx.fs.Close(*fx.fs.Create("/d/g")).ok());
+    before = Describe(fx.fs, paths);
+    EXPECT_EQ(fx.fs.Rename("/f", "/e").code(), ErrorCode::kIsDir);
+    EXPECT_EQ(fx.fs.Rename("/d/g", "/e").code(), ErrorCode::kIsDir);
+    EXPECT_EQ(fx.fs.Rename("/e", "/f").code(), ErrorCode::kNotDir);
+    EXPECT_EQ(fx.fs.Rename("/e", "/d/g").code(), ErrorCode::kNotDir);
+    EXPECT_EQ(Describe(fx.fs, paths), before);
+  });
+  NovaFs mounted(&fx.mem, {});
+  ASSERT_TRUE(mounted.Mount().ok());
+  fx.Run([&] { EXPECT_EQ(Describe(mounted, paths), before); });
+}
+
 TEST(NovaFsTest, HardLinksShareData) {
   Fx fx;
   fx.Run([&] {
@@ -603,6 +663,134 @@ TEST(NovaFsTest, NameTooLongRejected) {
     EXPECT_EQ(fx.fs.Create("/" + long_name).status().code(),
               ErrorCode::kNameTooLong);
   });
+}
+
+// A fixed namespace script, one row per op: status, virtual ns, persist
+// barriers, then the free pages and free inodes after it. The script makes
+// a directory and a file, links the file and renames the link into the
+// directory, renames over an existing file (once keeping the displaced
+// inode alive, once dropping its last link) and onto itself, unlinks an
+// open file and closes it, and hits four error returns. Each op's cost
+// comes from the namespace layer alone, so a change to the syscall
+// entry/exit charges, the journal commits or the log appends shows here.
+std::string RunNamespaceScript(harness::FsKind kind) {
+  harness::TestbedConfig cfg;
+  cfg.fs = kind;
+  cfg.machine_cores = 2;
+  cfg.device_bytes = 64_MB;
+  harness::Testbed tb(cfg);
+  fs::FileSystem& fs = tb.fs();
+  std::string table;
+  tb.sim().Spawn(0, [&] {
+    auto row = [&](const std::string& what, auto&& op) {
+      const uint64_t t0 = tb.sim().now();
+      const uint64_t b0 = tb.mem().barrier_count();
+      const Status st = op();
+      table += what + ": " + std::string(ErrorCodeName(st.code())) +
+               " " + std::to_string(tb.sim().now() - t0) + "ns " +
+               std::to_string(tb.mem().barrier_count() - b0) + "b " +
+               std::to_string(tb.nova().free_pages()) + "p " +
+               std::to_string(tb.nova().free_inodes()) + "i\n";
+    };
+    int a = -1;
+    int c = -1;
+    int e = -1;
+    const std::vector<std::byte> data = Pattern(8_KB, 30);
+    row("mkdir /d", [&] { return fs.Mkdir("/d"); });
+    row("create /a", [&] {
+      auto fd = fs.Create("/a");
+      a = fd.ok() ? *fd : -1;
+      return fd.status();
+    });
+    row("write /a", [&] { return fs.Write(a, 0, data).status(); });
+    row("link /a /b", [&] { return fs.Link("/a", "/b"); });
+    row("rename /b /d/b", [&] { return fs.Rename("/b", "/d/b"); });
+    row("create /c", [&] {
+      auto fd = fs.Create("/c");
+      c = fd.ok() ? *fd : -1;
+      return fd.status();
+    });
+    row("write /c", [&] { return fs.Write(c, 0, data).status(); });
+    row("close /c", [&] { return fs.Close(c); });
+    row("rename /c /d/b", [&] { return fs.Rename("/c", "/d/b"); });
+    row("create /e", [&] {
+      auto fd = fs.Create("/e");
+      e = fd.ok() ? *fd : -1;
+      return fd.status();
+    });
+    row("close /e", [&] { return fs.Close(e); });
+    row("rename /e /d/b", [&] { return fs.Rename("/e", "/d/b"); });
+    row("rename /d/b /d/b", [&] { return fs.Rename("/d/b", "/d/b"); });
+    row("open /d/b", [&] {
+      auto fd = fs.Open("/d/b");
+      return fd.ok() ? fs.Close(*fd) : fd.status();
+    });
+    row("stat /d/b", [&] { return fs.StatPath("/d/b").status(); });
+    row("unlink /a", [&] { return fs.Unlink("/a"); });
+    row("close /a", [&] { return fs.Close(a); });
+    row("create /d", [&] { return fs.Create("/d").status(); });
+    row("unlink /missing", [&] { return fs.Unlink("/missing"); });
+    row("link /d /l", [&] { return fs.Link("/d", "/l"); });
+    row("rename /missing /z", [&] { return fs.Rename("/missing", "/z"); });
+  });
+  tb.sim().Run();
+  return table;
+}
+
+TEST(NovaFsTest, NamespaceOpsMatchPinnedCosts) {
+  // EasyIO differs from NOVA only in its data writes.
+  const std::string nova_want =
+      "mkdir /d: OK 3560ns 9b 16061p 16382i\n"
+      "create /a: OK 2940ns 7b 16061p 16381i\n"
+      "write /a: OK 6004ns 5b 16058p 16381i\n"
+      "link /a /b: OK 3000ns 6b 16058p 16381i\n"
+      "rename /b /d/b: OK 3860ns 9b 16057p 16381i\n"
+      "create /c: OK 2940ns 7b 16057p 16380i\n"
+      "write /c: OK 6004ns 5b 16054p 16380i\n"
+      "close /c: OK 0ns 0b 16054p 16380i\n"
+      "rename /c /d/b: OK 3480ns 8b 16054p 16380i\n"
+      "create /e: OK 2940ns 7b 16054p 16379i\n"
+      "close /e: OK 0ns 0b 16054p 16379i\n"
+      "rename /e /d/b: OK 3720ns 9b 16057p 16380i\n"
+      "rename /d/b /d/b: OK 1800ns 0b 16057p 16380i\n"
+      "open /d/b: OK 1800ns 0b 16057p 16380i\n"
+      "stat /d/b: OK 1800ns 0b 16057p 16380i\n"
+      "unlink /a: OK 2940ns 7b 16057p 16380i\n"
+      "close /a: OK 0ns 0b 16060p 16381i\n"
+      "create /d: EXISTS 700ns 0b 16060p 16381i\n"
+      "unlink /missing: NOT_FOUND 700ns 0b 16060p 16381i\n"
+      "link /d /l: IS_DIR 1000ns 0b 16060p 16381i\n"
+      "rename /missing /z: NOT_FOUND 700ns 0b 16060p 16381i\n";
+  const std::string easy_want =
+      "mkdir /d: OK 3560ns 9b 16061p 16382i\n"
+      "create /a: OK 2940ns 7b 16061p 16381i\n"
+      "write /a: OK 5217ns 5b 16058p 16381i\n"
+      "link /a /b: OK 3000ns 6b 16058p 16381i\n"
+      "rename /b /d/b: OK 3860ns 9b 16057p 16381i\n"
+      "create /c: OK 2940ns 7b 16057p 16380i\n"
+      "write /c: OK 5217ns 5b 16054p 16380i\n"
+      "close /c: OK 0ns 0b 16054p 16380i\n"
+      "rename /c /d/b: OK 3480ns 8b 16054p 16380i\n"
+      "create /e: OK 2940ns 7b 16054p 16379i\n"
+      "close /e: OK 0ns 0b 16054p 16379i\n"
+      "rename /e /d/b: OK 3720ns 9b 16057p 16380i\n"
+      "rename /d/b /d/b: OK 1800ns 0b 16057p 16380i\n"
+      "open /d/b: OK 1800ns 0b 16057p 16380i\n"
+      "stat /d/b: OK 1800ns 0b 16057p 16380i\n"
+      "unlink /a: OK 2940ns 7b 16057p 16380i\n"
+      "close /a: OK 0ns 0b 16060p 16381i\n"
+      "create /d: EXISTS 700ns 0b 16060p 16381i\n"
+      "unlink /missing: NOT_FOUND 700ns 0b 16060p 16381i\n"
+      "link /d /l: IS_DIR 1000ns 0b 16060p 16381i\n"
+      "rename /missing /z: NOT_FOUND 700ns 0b 16060p 16381i\n";
+  const std::string nova = RunNamespaceScript(harness::FsKind::kNova);
+  const std::string easy = RunNamespaceScript(harness::FsKind::kEasy);
+  EXPECT_EQ(nova, nova_want);
+  EXPECT_EQ(easy, easy_want);
+  if (HasFailure()) {
+    ADD_FAILURE() << "actual namespace costs:\nNOVA\n" << nova << "EasyIO\n"
+                  << easy;
+  }
 }
 
 }  // namespace
