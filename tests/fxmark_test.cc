@@ -138,8 +138,9 @@ WorkCounts CountWork(const PinnedCase& c) {
 }
 
 // Pins {ops, context switches, tasks spawned, barriers, DMA descriptors,
-// events scheduled} of small EasyIO and NOVA runs. After a deliberate model
-// change, paste the printed counts into the table and say why in CHANGES.md.
+// events scheduled} of small EasyIO, NOVA, NOVA-DMA and Naive runs. After a
+// deliberate model change, paste the printed counts into the table and say
+// why in CHANGES.md.
 TEST(FxmarkTest, WorkCountsMatchPinnedTable) {
   using harness::FsKind;
   const PinnedCase kCases[] = {
@@ -155,6 +156,14 @@ TEST(FxmarkTest, WorkCountsMatchPinnedTable) {
        {1684, 14874, 6, 6476, 0, 18091}},
       {"nova_drbl_64k", FsKind::kNova, Workload::kDRBL, 64_KB,
        {520, 2630, 6, 88, 0, 3663}},
+      {"novadma_dwal_64k", FsKind::kNovaDma, Workload::kDWAL, 64_KB,
+       {308, 3138, 6, 1276, 404, 4179}},
+      {"novadma_drbl_64k", FsKind::kNovaDma, Workload::kDRBL, 64_KB,
+       {336, 2142, 6, 528, 440, 3697}},
+      {"naive_dwal_64k", FsKind::kEasyNaive, Workload::kDWAL, 64_KB,
+       {417, 3438, 10, 1779, 557, 5726}},
+      {"naive_drbl_64k", FsKind::kEasyNaive, Workload::kDRBL, 64_KB,
+       {196, 1650, 10, 440, 284, 2951}},
   };
   std::string table;
   for (const PinnedCase& c : kCases) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/harness/testbed.h"
@@ -790,6 +791,304 @@ TEST(NovaFsTest, NamespaceOpsMatchPinnedCosts) {
   if (HasFailure()) {
     ADD_FAILURE() << "actual namespace costs:\nNOVA\n" << nova << "EasyIO\n"
                   << easy;
+  }
+}
+
+// A fixed data script, one row per op: the returned byte count (or error),
+// the op's OpStats, the clock after it and the persist barriers it issued.
+// Reads also print a CRC of the bytes they returned. The script writes 64K
+// and fsyncs at once (on EasyIO the orderless write's SN is then complete),
+// writes an unaligned range past a hole, overwrites the partly written page
+// below it, reads across the hole, inside the hole (8K, so EasyIO offloads
+// an all-hole read), across the hole's edge with 4K, at EOF and past it
+// (a short read), appends 64K, reads and writes while a second task writes
+// and reads the same file, and finally quarantines every L channel of
+// EasyIO's manager before a 64K write and read (the other kinds run the two
+// ops plainly). OdinFS's 24 reserved cores sit above the two worker cores.
+std::string RunDataScript(harness::FsKind kind) {
+  harness::TestbedConfig cfg;
+  cfg.fs = kind;
+  cfg.machine_cores = 2 + harness::kOdinReservedCores;
+  cfg.device_bytes = 64_MB;
+  harness::Testbed tb(cfg);
+  fs::FileSystem& fs = tb.fs();
+  std::string table;
+  tb.sim().Spawn(0, [&] {
+    auto stats_row = [&](const std::string& what, const StatusOr<size_t>& r,
+                         const fs::OpStats& st, uint64_t b0,
+                         const std::string& extra) {
+      table += what + ": " +
+               (r.ok() ? std::to_string(*r)
+                       : std::string(ErrorCodeName(r.status().code()))) +
+               " total=" + std::to_string(st.total_ns) +
+               " cpu=" + std::to_string(st.cpu_ns) +
+               " blk=" + std::to_string(st.blocked_ns) +
+               " sys=" + std::to_string(st.syscall_ns) +
+               " idx=" + std::to_string(st.index_ns) +
+               " meta=" + std::to_string(st.meta_ns) +
+               " data=" + std::to_string(st.data_ns) +
+               " now=" + std::to_string(tb.sim().now()) + " " +
+               std::to_string(tb.mem().barrier_count() - b0) + "b " +
+               std::to_string(tb.nova().free_pages()) + "p" + extra + "\n";
+    };
+    const int fd = *fs.Create("/f");
+    auto write = [&](const std::string& what, uint64_t off,
+                     const std::vector<std::byte>& data) {
+      fs::OpStats st;
+      const uint64_t b0 = tb.mem().barrier_count();
+      stats_row(what, fs.Write(fd, off, data, &st), st, b0, "");
+    };
+    auto read = [&](const std::string& what, uint64_t off, size_t n) {
+      std::vector<std::byte> buf(n, std::byte{0x5a});
+      fs::OpStats st;
+      const uint64_t b0 = tb.mem().barrier_count();
+      const StatusOr<size_t> r = fs.Read(fd, off, buf, &st);
+      const size_t got = r.ok() ? *r : 0;
+      stats_row(what, r, st, b0,
+                " crc=" + std::to_string(Crc32c(buf.data(), got)));
+    };
+    auto fsync = [&](const std::string& what) {
+      const uint64_t t0 = tb.sim().now();
+      const uint64_t b0 = tb.mem().barrier_count();
+      const Status st = fs.Fsync(fd);
+      table += what + ": " + std::string(ErrorCodeName(st.code())) + " " +
+               std::to_string(tb.sim().now() - t0) + "ns now=" +
+               std::to_string(tb.sim().now()) + " " +
+               std::to_string(tb.mem().barrier_count() - b0) + "b\n";
+    };
+    write("write 64K@0", 0, Pattern(64_KB, 40));
+    fsync("fsync");
+    write("write 10000@90000", 90000, Pattern(10000, 41));
+    write("write 1000@89500", 89500, Pattern(1000, 42));
+    read("read 16K@60000", 60000, 16_KB);
+    read("read 8K@70000", 70000, 8_KB);
+    read("read 4K@85000", 85000, 4_KB);
+    read("read 4K@100000", 100000, 4_KB);
+    read("read 8K@96000", 96000, 8_KB);
+    {
+      fs::OpStats st;
+      const uint64_t b0 = tb.mem().barrier_count();
+      stats_row("append 64K", fs.Append(fd, Pattern(64_KB, 43), &st), st, b0,
+                "");
+    }
+    fsync("fsync");
+    // A second task on core 1 writes and then reads the file while this
+    // one reads, writes and reads it, so ops meet each other's level-1 lock
+    // (the first write arrives while the 64K read holds it) and, on EasyIO,
+    // an orderless write still in flight.
+    bool other_done = false;
+    tb.sim().Spawn(1, [&] {
+      tb.sim().Advance(1000);
+      write("other: write 4K@4096", 4096, Pattern(4_KB, 46));
+      read("other: read 64K@0", 0, 64_KB);
+      other_done = true;
+    });
+    read("read 64K@0 shared", 0, 64_KB);
+    write("write 64K@0 shared", 0, Pattern(64_KB, 45));
+    read("read 16K@0 shared", 0, 16_KB);
+    while (!other_done) {
+      tb.sim().Advance(1000);
+    }
+    if (core::ChannelManager* cm = tb.channel_manager(); cm != nullptr) {
+      for (int c = 0; c < cfg.cm_options.num_l_channels; ++c) {
+        cm->ReportChannelFault(tb.engine()->channel(c));
+        cm->ReportChannelFault(tb.engine()->channel(c));
+      }
+    }
+    write("write 64K@0 quarantined", 0, Pattern(64_KB, 44));
+    read("read 64K@0 quarantined", 0, 64_KB);
+    EASYIO_CHECK_OK(fs.Close(fd));
+  });
+  tb.sim().Run();
+  return table;
+}
+
+TEST(NovaFsTest, DataOpsMatchPinnedCosts) {
+  const std::pair<harness::FsKind, std::string> kWant[] = {
+      {harness::FsKind::kNova,
+       "write 64K@0: 65536 total=20799 cpu=20799 blk=0 sys=1200 idx=940 "
+       "meta=4140 data=14519 now=24359 5b 16044p\n"
+       "fsync: OK 1200ns now=25559 0b\n"
+       "write 10000@90000: 10000 total=6066 cpu=6066 blk=0 sys=1200 idx=460 "
+       "meta=1840 data=2566 now=31625 3b 16040p\n"
+       "write 1000@89500: 1000 total=6074 cpu=6074 blk=0 sys=1200 idx=380 "
+       "meta=1560 data=2934 now=37699 3b 16040p\n"
+       "read 16K@60000: 16384 total=4372 cpu=4372 blk=0 sys=1200 idx=500 "
+       "meta=0 data=2672 now=42071 0b 16040p crc=1951993788\n"
+       "read 8K@70000: 8192 total=2255 cpu=2255 blk=0 sys=1200 idx=420 meta=0 "
+       "data=635 now=44326 0b 16040p crc=2420393507\n"
+       "read 4K@85000: 4096 total=2762 cpu=2762 blk=0 sys=1200 idx=380 meta=0 "
+       "data=1182 now=47088 0b 16040p crc=2566472073\n"
+       "read 4K@100000: 0 total=1200 cpu=1200 blk=0 sys=1200 idx=0 meta=0 "
+       "data=0 now=48288 0b 16040p crc=0\n"
+       "read 8K@96000: 4000 total=3013 cpu=3013 blk=0 sys=1200 idx=380 meta=0 "
+       "data=1433 now=51301 0b 16040p crc=2427643239\n"
+       "append 64K: 65536 total=20966 cpu=20966 blk=0 sys=1200 idx=980 "
+       "meta=3660 data=15126 now=72267 3b 16024p\n"
+       "fsync: OK 1200ns now=73467 0b\n"
+       "read 64K@0 shared: 65536 total=15409 cpu=15409 blk=0 sys=1200 idx=940 "
+       "meta=0 data=13269 now=88876 0b 16023p crc=3457630749\n"
+       "other: write 4K@4096: 4096 total=17637 cpu=17637 blk=0 sys=1200 "
+       "idx=340 meta=1420 data=1468 now=92104 3b 16024p\n"
+       "write 64K@0 shared: 65536 total=22207 cpu=22207 blk=0 sys=1200 idx=940 "
+       "meta=3520 data=14519 now=111083 6b 16024p\n"
+       "read 16K@0 shared: 16384 total=5899 cpu=5899 blk=0 sys=1200 idx=460 "
+       "meta=0 data=4239 now=116982 0b 16024p crc=82764166\n"
+       "other: read 64K@0: 65536 total=33188 cpu=33188 blk=0 sys=1200 idx=940 "
+       "meta=0 data=13269 now=125292 3b 16024p crc=1491798395\n"
+       "write 64K@0 quarantined: 65536 total=20179 cpu=20179 blk=0 sys=1200 "
+       "idx=940 meta=3520 data=14519 now=146161 3b 16024p\n"
+       "read 64K@0 quarantined: 65536 total=15409 cpu=15409 blk=0 sys=1200 "
+       "idx=940 meta=0 data=13269 now=161570 0b 16024p crc=1070026358\n"},
+      {harness::FsKind::kNovaDma,
+       "write 64K@0: 65536 total=16356 cpu=16356 blk=0 sys=1200 idx=940 "
+       "meta=4140 data=10076 now=19916 5b 16044p\n"
+       "fsync: OK 1200ns now=21116 0b\n"
+       "write 10000@90000: 10000 total=6668 cpu=6668 blk=0 sys=1200 idx=460 "
+       "meta=1840 data=3168 now=27784 3b 16040p\n"
+       "write 1000@89500: 1000 total=7204 cpu=7204 blk=0 sys=1200 idx=380 "
+       "meta=1560 data=4064 now=34988 3b 16040p\n"
+       "read 16K@60000: 16384 total=5536 cpu=5536 blk=0 sys=1200 idx=500 "
+       "meta=0 data=3836 now=40524 1b 16040p crc=1951993788\n"
+       "read 8K@70000: 8192 total=2255 cpu=2255 blk=0 sys=1200 idx=420 meta=0 "
+       "data=635 now=42779 0b 16040p crc=2420393507\n"
+       "read 4K@85000: 4096 total=4062 cpu=4062 blk=0 sys=1200 idx=380 meta=0 "
+       "data=2482 now=46841 1b 16040p crc=2566472073\n"
+       "read 4K@100000: 0 total=1200 cpu=1200 blk=0 sys=1200 idx=0 meta=0 "
+       "data=0 now=48041 0b 16040p crc=0\n"
+       "read 8K@96000: 4000 total=4374 cpu=4374 blk=0 sys=1200 idx=380 meta=0 "
+       "data=2794 now=52415 1b 16040p crc=2427643239\n"
+       "append 64K: 65536 total=16523 cpu=16523 blk=0 sys=1200 idx=980 "
+       "meta=3660 data=10683 now=68938 3b 16024p\n"
+       "fsync: OK 1200ns now=70138 0b\n"
+       "read 64K@0 shared: 65536 total=13413 cpu=13413 blk=0 sys=1200 idx=940 "
+       "meta=0 data=11273 now=83551 1b 16023p crc=3457630749\n"
+       "other: write 4K@4096: 4096 total=16863 cpu=16863 blk=0 sys=1200 "
+       "idx=340 meta=1420 data=2690 now=88001 4b 16024p\n"
+       "write 64K@0 shared: 65536 total=18986 cpu=18986 blk=0 sys=1200 idx=940 "
+       "meta=3520 data=10076 now=102537 6b 16024p\n"
+       "read 16K@0 shared: 16384 total=6078 cpu=6078 blk=0 sys=1200 idx=460 "
+       "meta=0 data=4418 now=108615 1b 16024p crc=82764166\n"
+       "other: read 64K@0: 65536 total=26473 cpu=26473 blk=0 sys=1200 idx=940 "
+       "meta=0 data=10997 now=114474 5b 16024p crc=1491798395\n"
+       "write 64K@0 quarantined: 65536 total=15736 cpu=15736 blk=0 sys=1200 "
+       "idx=940 meta=3520 data=10076 now=130351 3b 16024p\n"
+       "read 64K@0 quarantined: 65536 total=13413 cpu=13413 blk=0 sys=1200 "
+       "idx=940 meta=0 data=11273 now=143764 1b 16024p crc=1070026358\n"},
+      {harness::FsKind::kOdin,
+       "write 64K@0: 65536 total=16329 cpu=16329 blk=0 sys=1200 idx=940 "
+       "meta=4140 data=10049 now=19889 6b 16044p\n"
+       "fsync: OK 1200ns now=21089 0b\n"
+       "write 10000@90000: 10000 total=6066 cpu=6066 blk=0 sys=1200 idx=460 "
+       "meta=1840 data=2566 now=27155 3b 16040p\n"
+       "write 1000@89500: 1000 total=6074 cpu=6074 blk=0 sys=1200 idx=380 "
+       "meta=1560 data=2934 now=33229 3b 16040p\n"
+       "read 16K@60000: 16384 total=4372 cpu=4372 blk=0 sys=1200 idx=500 "
+       "meta=0 data=2672 now=37601 0b 16040p crc=1951993788\n"
+       "read 8K@70000: 8192 total=2255 cpu=2255 blk=0 sys=1200 idx=420 meta=0 "
+       "data=635 now=39856 0b 16040p crc=2420393507\n"
+       "read 4K@85000: 4096 total=2762 cpu=2762 blk=0 sys=1200 idx=380 meta=0 "
+       "data=1182 now=42618 0b 16040p crc=2566472073\n"
+       "read 4K@100000: 0 total=1200 cpu=1200 blk=0 sys=1200 idx=0 meta=0 "
+       "data=0 now=43818 0b 16040p crc=0\n"
+       "read 8K@96000: 4000 total=3013 cpu=3013 blk=0 sys=1200 idx=380 meta=0 "
+       "data=1433 now=46831 0b 16040p crc=2427643239\n"
+       "append 64K: 65536 total=16496 cpu=16496 blk=0 sys=1200 idx=980 "
+       "meta=3660 data=10656 now=63327 4b 16024p\n"
+       "fsync: OK 1200ns now=64527 0b\n"
+       "read 64K@0 shared: 65536 total=10284 cpu=10284 blk=0 sys=1200 idx=940 "
+       "meta=0 data=8144 now=74811 0b 16023p crc=3457630749\n"
+       "other: write 4K@4096: 4096 total=12512 cpu=12512 blk=0 sys=1200 "
+       "idx=340 meta=1420 data=1468 now=78039 3b 16024p\n"
+       "write 64K@0 shared: 65536 total=17737 cpu=17737 blk=0 sys=1200 idx=940 "
+       "meta=3520 data=10049 now=92548 7b 16024p\n"
+       "read 16K@0 shared: 16384 total=5899 cpu=5899 blk=0 sys=1200 idx=460 "
+       "meta=0 data=4239 now=98447 0b 16024p crc=82764166\n"
+       "other: read 64K@0: 65536 total=23593 cpu=23593 blk=0 sys=1200 idx=940 "
+       "meta=0 data=8144 now=101632 4b 16024p crc=1491798395\n"
+       "write 64K@0 quarantined: 65536 total=15709 cpu=15709 blk=0 sys=1200 "
+       "idx=940 meta=3520 data=10049 now=118156 4b 16024p\n"
+       "read 64K@0 quarantined: 65536 total=10284 cpu=10284 blk=0 sys=1200 "
+       "idx=940 meta=0 data=8144 now=128440 0b 16024p crc=1070026358\n"},
+      {harness::FsKind::kEasy,
+       "write 64K@0: 65536 total=14756 cpu=7000 blk=7756 sys=1200 idx=940 "
+       "meta=4140 data=8476 now=18316 5b 16044p\n"
+       "fsync: OK 1200ns now=19516 0b\n"
+       "write 10000@90000: 10000 total=5688 cpu=4220 blk=1468 sys=1200 idx=460 "
+       "meta=1840 data=2188 now=25204 3b 16040p\n"
+       "write 1000@89500: 1000 total=6074 cpu=6074 blk=0 sys=1200 idx=380 "
+       "meta=1560 data=2934 now=31278 3b 16040p\n"
+       "read 16K@60000: 16384 total=5036 cpu=3261 blk=1775 sys=1200 idx=500 "
+       "meta=0 data=3336 now=36314 1b 16040p crc=1951993788\n"
+       "read 8K@70000: 8192 total=2255 cpu=2255 blk=0 sys=1200 idx=420 meta=0 "
+       "data=635 now=38569 0b 16040p crc=2420393507\n"
+       "read 4K@85000: 4096 total=2762 cpu=2762 blk=0 sys=1200 idx=380 meta=0 "
+       "data=1182 now=41331 0b 16040p crc=2566472073\n"
+       "read 4K@100000: 0 total=1200 cpu=1200 blk=0 sys=1200 idx=0 meta=0 "
+       "data=0 now=42531 0b 16040p crc=0\n"
+       "read 8K@96000: 4000 total=3013 cpu=3013 blk=0 sys=1200 idx=380 meta=0 "
+       "data=1433 now=45544 0b 16040p crc=2427643239\n"
+       "append 64K: 65536 total=15543 cpu=7167 blk=8376 sys=1200 idx=980 "
+       "meta=3660 data=9703 now=61087 3b 16024p\n"
+       "fsync: OK 1200ns now=62287 0b\n"
+       "other: write 4K@4096: 4096 total=4968 cpu=4968 blk=0 sys=1200 idx=340 "
+       "meta=1420 data=1468 now=68255 3b 16023p\n"
+       "read 64K@0 shared: 65536 total=12928 cpu=2860 blk=10068 sys=1200 "
+       "idx=940 meta=0 data=10788 now=75215 5b 16023p crc=3457630749\n"
+       "write 64K@0 shared: 65536 total=14914 cpu=6380 blk=8534 sys=1200 "
+       "idx=940 meta=3520 data=9254 now=90129 4b 16007p\n"
+       "other: read 64K@0: 65536 total=22403 cpu=3160 blk=19243 sys=1200 "
+       "idx=940 meta=0 data=20263 now=90658 7b 16024p crc=2174589369\n"
+       "read 16K@0 shared: 16384 total=5578 cpu=2380 blk=3198 sys=1200 idx=460 "
+       "meta=0 data=3918 now=95707 2b 16024p crc=82764166\n"
+       "write 64K@0 quarantined: 65536 total=20179 cpu=20179 blk=0 sys=1200 "
+       "idx=940 meta=3520 data=14519 now=116478 3b 16024p\n"
+       "read 64K@0 quarantined: 65536 total=15409 cpu=15409 blk=0 sys=1200 "
+       "idx=940 meta=0 data=13269 now=131887 0b 16024p crc=1070026358\n"},
+      {harness::FsKind::kEasyNaive,
+       "write 64K@0: 65536 total=17056 cpu=8200 blk=8856 sys=2400 idx=940 "
+       "meta=4140 data=9576 now=20616 5b 16044p\n"
+       "fsync: OK 1200ns now=21816 0b\n"
+       "write 10000@90000: 10000 total=7368 cpu=5420 blk=1948 sys=2400 idx=460 "
+       "meta=1840 data=2668 now=29184 3b 16040p\n"
+       "write 1000@89500: 1000 total=6074 cpu=6074 blk=0 sys=1200 idx=380 "
+       "meta=1560 data=2934 now=35258 3b 16040p\n"
+       "read 16K@60000: 16384 total=5036 cpu=3261 blk=1775 sys=1200 idx=500 "
+       "meta=0 data=3336 now=40294 1b 16040p crc=1951993788\n"
+       "read 8K@70000: 8192 total=2255 cpu=2255 blk=0 sys=1200 idx=420 meta=0 "
+       "data=635 now=42549 0b 16040p crc=2420393507\n"
+       "read 4K@85000: 4096 total=2762 cpu=2762 blk=0 sys=1200 idx=380 meta=0 "
+       "data=1182 now=45311 0b 16040p crc=2566472073\n"
+       "read 4K@100000: 0 total=1200 cpu=1200 blk=0 sys=1200 idx=0 meta=0 "
+       "data=0 now=46511 0b 16040p crc=0\n"
+       "read 8K@96000: 4000 total=3013 cpu=3013 blk=0 sys=1200 idx=380 meta=0 "
+       "data=1433 now=49524 0b 16040p crc=2427643239\n"
+       "append 64K: 65536 total=17223 cpu=8367 blk=8856 sys=2400 idx=980 "
+       "meta=3660 data=10183 now=66747 3b 16024p\n"
+       "fsync: OK 1200ns now=67947 0b\n"
+       "other: write 4K@4096: 4096 total=4968 cpu=4968 blk=0 sys=1200 idx=340 "
+       "meta=1420 data=1468 now=73915 3b 16023p\n"
+       "read 64K@0 shared: 65536 total=12928 cpu=2860 blk=10068 sys=1200 "
+       "idx=940 meta=0 data=10788 now=80875 5b 16023p crc=3457630749\n"
+       "other: read 64K@0: 65536 total=22403 cpu=3160 blk=19243 sys=1200 "
+       "idx=940 meta=0 data=20263 now=96318 5b 16008p crc=2174589369\n"
+       "write 64K@0 shared: 65536 total=16594 cpu=7580 blk=9014 sys=2400 "
+       "idx=940 meta=3520 data=9734 now=97469 5b 16024p\n"
+       "read 16K@0 shared: 16384 total=5578 cpu=2380 blk=3198 sys=1200 idx=460 "
+       "meta=0 data=3918 now=103047 1b 16024p crc=82764166\n"
+       "write 64K@0 quarantined: 65536 total=20179 cpu=20179 blk=0 sys=1200 "
+       "idx=940 meta=3520 data=14519 now=123818 3b 16024p\n"
+       "read 64K@0 quarantined: 65536 total=15409 cpu=15409 blk=0 sys=1200 "
+       "idx=940 meta=0 data=13269 now=139227 0b 16024p crc=1070026358\n"},
+  };
+  std::string actual;
+  for (const auto& [kind, want] : kWant) {
+    const std::string got = RunDataScript(kind);
+    EXPECT_EQ(got, want) << harness::FsKindName(kind);
+    actual += std::string(harness::FsKindName(kind)) + "\n" + got;
+  }
+  if (HasFailure()) {
+    ADD_FAILURE() << "actual data-op costs:\n" << actual;
   }
 }
 
