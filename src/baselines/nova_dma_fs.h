@@ -30,13 +30,15 @@ class NovaDmaFs : public nova::NovaFs {
   std::string_view name() const override { return "NOVA-DMA"; }
 
  protected:
-  void MoveToPmem(uint64_t pmem_off, const std::byte* src, size_t bytes,
-                  fs::OpStats* stats) override;
+  dma::Channel* MoveToPmem(std::span<const std::byte> buf, OpScratch& scratch,
+                           fs::OpStats* stats) override;
   void MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
                     fs::OpStats* stats) override;
 
  private:
-  dma::Channel* NextChannel();
+  // One descriptor on the next channel, busy-polled to completion.
+  void Transfer(dma::Descriptor::Dir dir, uint64_t pmem_off, std::byte* dram,
+                size_t bytes, fs::OpStats* stats);
 
   dma::DmaEngine* engine_ = nullptr;
   uint64_t round_robin_ = 0;

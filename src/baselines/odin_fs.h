@@ -23,28 +23,36 @@ class OdinFs : public nova::NovaFs {
   std::string_view name() const override { return "ODINFS"; }
 
  protected:
-  void MoveToPmem(uint64_t pmem_off, const std::byte* src, size_t bytes,
-                  fs::OpStats* stats) override {
-    Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
-    if (bytes < kInlineCopyBytes) {
-      memory()->CpuWrite(pmem_off, src, bytes);
-    } else {
-      pool_->Move(/*to_pmem=*/true, pmem_off, const_cast<std::byte*>(src),
-                  bytes);
+  dma::Channel* MoveToPmem(std::span<const std::byte> buf, OpScratch& scratch,
+                           fs::OpStats* stats) override {
+    for (const ByteRange& r : scratch.ranges) {
+      Move(/*to_pmem=*/true, r.pmem_off,
+           const_cast<std::byte*>(buf.data() + r.buf_off), r.bytes, stats);
     }
+    return nullptr;
   }
 
   void MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
                     fs::OpStats* stats) override {
-    Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
-    if (bytes < kInlineCopyBytes) {
-      memory()->CpuRead(dst, pmem_off, bytes);
-    } else {
-      pool_->Move(/*to_pmem=*/false, pmem_off, dst, bytes);
-    }
+    Move(/*to_pmem=*/false, pmem_off, dst, bytes, stats);
   }
 
  private:
+  // Copies inline on the application core or delegates; either way the
+  // bytes cross the bus by CPU copy.
+  void Move(bool to_pmem, uint64_t pmem_off, std::byte* dram, size_t bytes,
+            fs::OpStats* stats) {
+    Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
+    if (bytes >= kInlineCopyBytes) {
+      pool_->Move(to_pmem, pmem_off, dram, bytes);
+    } else if (to_pmem) {
+      memory()->CpuWrite(pmem_off, dram, bytes);
+    } else {
+      memory()->CpuRead(dram, pmem_off, bytes);
+    }
+    AddCpuBytes(bytes);
+  }
+
   // I/Os below this copy inline on the application core. From here up to
   // the pool's kChunkBytes (32 KiB, delegation.cc), an I/O goes to one
   // delegation thread as a single chunk; larger ones fan out in 32 KiB

@@ -1,6 +1,8 @@
 // EasyIoFs: NOVA with EasyIO's asynchronous I/O (the paper's contribution).
 //
-// Differences from the synchronous base class, all from §4:
+// NovaFs's one write and one read routine run every EasyIO op; this class
+// supplies only how the bytes move (the byte-movement hooks), which is
+// where the differences from §4 live:
 //
 //  * Orderless write (§4.2): the data DMA is submitted and the metadata
 //    (write log entry carrying the descriptor's SN) committed in parallel,
@@ -10,11 +12,12 @@
 //    after the metadata commit; any later read or write that finds an
 //    incomplete outstanding write SN on the inode blocks first (level 2).
 //    Reads never leave an SN behind (CoW protects later writers), so
-//    write-after-read proceeds immediately.
+//    write-after-read proceeds immediately, and a read drops the lock
+//    before its bytes move.
 //  * Selective offloading (§4.4, Listing 2): I/O <= 4KB uses memcpy; reads
 //    use a DMA channel only when one has queue depth < 2, else memcpy.
 //  * Channel placement via the ChannelManager: writes and admitted reads go
-//    to the L channels.
+//    to the L channels; SN waits are quarantine-aware.
 //
 // The `ordered_naive` option builds the paper's Fig 11 "Naive" comparison:
 // data and metadata strictly ordered in two kernel interactions, with the
@@ -40,7 +43,8 @@ class EasyIoFs : public nova::NovaFs {
 
   EasyIoFs(pmem::SlowMemory* mem, const nova::NovaFs::Options& options,
            const EasyOptions& easy_options)
-      : NovaFs(mem, options), easy_(easy_options) {}
+      : NovaFs(mem, options, /*read_unlocks_first=*/true),
+        easy_(easy_options) {}
 
   // The ChannelManager (and its DmaEngine) must be attached after Format()
   // or Mount(): engine construction starts a fresh completion-record era,
@@ -59,63 +63,24 @@ class EasyIoFs : public nova::NovaFs {
   uint64_t writes_memcpy() const { return writes_memcpy_; }
 
  protected:
-  StatusOr<size_t> WriteInternal(Inode& in, uint64_t off,
-                                 std::span<const std::byte> buf, bool append,
-                                 fs::OpStats* stats) override;
-  StatusOr<size_t> ReadInternal(Inode& in, uint64_t off,
-                                std::span<std::byte> buf,
-                                fs::OpStats* stats) override;
-  Status FsyncInternal(Inode& in) override;
+  // Listing 2 picks memcpy or an L channel. An orderless write returns the
+  // channel its commit's SNs are on; Naive waits for the data between two
+  // kernel interactions and returns nullptr. A write that finds every L
+  // channel quarantined degrades to the CPU copy.
+  dma::Channel* MoveToPmem(std::span<const std::byte> buf, OpScratch& scratch,
+                           fs::OpStats* stats) override;
+  // An offloaded read zero-fills its holes and submits one batch of read
+  // descriptors, leaving nothing for the CPU; a memcpy read leaves every
+  // range.
+  dma::Channel* SubmitRead(std::span<std::byte> buf, OpScratch& scratch,
+                           fs::OpStats* stats) override;
+  // Quarantine-aware: a quarantined channel gets no retry, and transfer
+  // errors seen across the wait count toward quarantine.
+  void RecoverSn(dma::Channel& ch, dma::Sn sn) override;
 
  private:
-  // All write paths enter with the level-1 lock held; `l1_start` is its
-  // acquisition time, so the path can attribute the full lock-hold window to
-  // the traced op when it releases the lock.
-  StatusOr<size_t> WriteOrderless(Inode& in, uint64_t off,
-                                  std::span<const std::byte> buf,
-                                  fs::OpStats* stats, sim::SimTime l1_start);
-  StatusOr<size_t> WriteNaive(Inode& in, uint64_t off,
-                              std::span<const std::byte> buf,
-                              fs::OpStats* stats, sim::SimTime l1_start);
-  // Finishes a write on the CPU: small I/O (§4.4), and any write that finds
-  // every L channel quarantined. Enters after PrepareWrite and ChunkifyInto.
-  StatusOr<size_t> CpuWriteTail(Inode& in, uint64_t off,
-                                std::span<const std::byte> buf,
-                                fs::OpStats* stats, sim::SimTime l1_start,
-                                OpScratch& scratch);
-  // Maps `buf` onto scratch.extents and submits one write descriptor per
-  // range, as one timed batch (dma_submit), on a picked L channel; the SNs
-  // land in scratch.sns. Returns that channel, or nullptr with nothing
-  // submitted when every L channel is quarantined.
-  dma::Channel* SubmitWrite(uint64_t off, std::span<const std::byte> buf,
-                            OpScratch& scratch, fs::OpStats* stats);
   // Doorbells scratch.batch on `ch` as one timed batch (dma_submit).
   void SubmitBatch(dma::Channel* ch, OpScratch& scratch, fs::OpStats* stats);
-  // Back in the runtime, the uthread yields and parks until `ch`'s
-  // completion record covers `sn` (§4.1), through retry/fallback and
-  // quarantine reporting. The wait is blocked data time (sn_wait).
-  void WaitSn(dma::Channel* ch, dma::Sn sn, fs::OpStats* stats);
-  // Ends the level-1 hold taken at `l1_start` (its l1_hold span), drops
-  // the write lock and leaves the kernel.
-  void ExitWriteLocked(Inode& in, sim::SimTime l1_start, fs::OpStats* stats);
-
-  // Per-wait retry policy: RetryPolicy's defaults, but a quarantined channel
-  // gets zero retry attempts (straight to the CPU-copy fallback — no point
-  // re-feeding a channel the manager already pulled from rotation).
-  dma::RetryPolicy RecoverPolicyFor(const dma::Channel& ch) const {
-    dma::RetryPolicy p = recover_policy_;
-    if (cm_ != nullptr && cm_->quarantined(ch)) {
-      p.max_attempts = 0;
-    }
-    return p;
-  }
-  // Report transfer errors observed across a wait to the channel manager's
-  // quarantine scorekeeping.
-  void NoteChannelFaults(dma::Channel& ch, uint64_t errors_before) {
-    if (ch.transfer_errors() != errors_before && cm_ != nullptr) {
-      cm_->ReportChannelFault(ch);
-    }
-  }
 
   EasyOptions easy_;
   ChannelManager* cm_ = nullptr;

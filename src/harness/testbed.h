@@ -64,24 +64,17 @@ class Testbed {
       : config_(config),
         sim_(sim::Simulation::Options{.num_cores = config.machine_cores}),
         mem_(&sim_, config.media, config.device_bytes) {
-    fs::FileSystem* fsi = nullptr;
     switch (config.fs) {
-      case FsKind::kNova: {
-        auto fs = std::make_unique<nova::NovaFs>(&mem_, config.fs_options);
-        EASYIO_CHECK_OK(fs->Format());
-        nova_view_ = fs.get();
-        fsi = fs.get();
-        nova_ = std::move(fs);
+      case FsKind::kNova:
+        nova_ = std::make_unique<nova::NovaFs>(&mem_, config.fs_options);
+        EASYIO_CHECK_OK(nova_->Format());
         break;
-      }
       case FsKind::kNovaDma: {
         auto fs = std::make_unique<baselines::NovaDmaFs>(&mem_,
                                                          config.fs_options);
         EASYIO_CHECK_OK(fs->Format());
         MakeEngine(fs->layout().comp_region_off);
         fs->AttachEngine(engine_.get());
-        nova_view_ = fs.get();
-        fsi = fs.get();
         nova_ = std::move(fs);
         break;
       }
@@ -92,13 +85,9 @@ class Testbed {
                 .first_core = config.machine_cores - kOdinReservedCores,
                 .num_threads = kOdinReservedCores});
         pool_->Start();
-        auto fs = std::make_unique<baselines::OdinFs>(&mem_,
-                                                      config.fs_options,
-                                                      pool_.get());
-        EASYIO_CHECK_OK(fs->Format());
-        nova_view_ = fs.get();
-        fsi = fs.get();
-        nova_ = std::move(fs);
+        nova_ = std::make_unique<baselines::OdinFs>(&mem_, config.fs_options,
+                                                    pool_.get());
+        EASYIO_CHECK_OK(nova_->Format());
         break;
       }
       case FsKind::kEasy:
@@ -112,14 +101,11 @@ class Testbed {
         cm_ = std::make_unique<core::ChannelManager>(&sim_, engine_.get(),
                                                      config.cm_options);
         fs->AttachChannelManager(cm_.get());
-        nova_view_ = fs.get();
         easy_view_ = fs.get();
-        fsi = fs.get();
         nova_ = std::move(fs);
         break;
       }
     }
-    fs_ = fsi;
   }
 
   // Creates a Caladan-style runtime over the first `cores` worker cores.
@@ -136,8 +122,8 @@ class Testbed {
   const TestbedConfig& config() const { return config_; }
   sim::Simulation& sim() { return sim_; }
   pmem::SlowMemory& mem() { return mem_; }
-  fs::FileSystem& fs() { return *fs_; }
-  nova::NovaFs& nova() { return *nova_view_; }
+  fs::FileSystem& fs() { return *nova_; }
+  nova::NovaFs& nova() { return *nova_; }
   core::EasyIoFs* easy() { return easy_view_; }  // null unless kEasy*
   dma::DmaEngine* engine() { return engine_.get(); }
   core::ChannelManager* channel_manager() { return cm_.get(); }
@@ -190,19 +176,17 @@ class Testbed {
         s.channels.push_back(xs);
       }
     }
-    if (nova_view_ != nullptr) {
-      const nova::NovaFs::Counters& c = nova_view_->counters();
-      obs::FsStats fsv;
-      fsv.name = std::string(nova_view_->name());
-      fsv.ops_read = c.ops_read;
-      fsv.ops_write = c.ops_write;
-      fsv.bytes_read = c.bytes_read;
-      fsv.bytes_written = c.bytes_written;
-      fsv.bytes_cpu = c.bytes_cpu;
-      fsv.bytes_dma = c.bytes_dma;
-      fsv.log_compactions = nova_view_->log_compactions();
-      s.fs.push_back(std::move(fsv));
-    }
+    const nova::NovaFs::Counters& c = nova_->counters();
+    obs::FsStats fsv;
+    fsv.name = std::string(nova_->name());
+    fsv.ops_read = c.ops_read;
+    fsv.ops_write = c.ops_write;
+    fsv.bytes_read = c.bytes_read;
+    fsv.bytes_written = c.bytes_written;
+    fsv.bytes_cpu = c.bytes_cpu;
+    fsv.bytes_dma = c.bytes_dma;
+    fsv.log_compactions = nova_->log_compactions();
+    s.fs.push_back(std::move(fsv));
     return s;
   }
 
@@ -224,10 +208,8 @@ class Testbed {
   std::unique_ptr<dma::DmaEngine> engine_;
   std::unique_ptr<core::ChannelManager> cm_;
   std::unique_ptr<baselines::DelegationPool> pool_;
-  std::unique_ptr<nova::NovaFs> nova_;
-  nova::NovaFs* nova_view_ = nullptr;
+  std::unique_ptr<nova::NovaFs> nova_;  // every FsKind is a NovaFs
   core::EasyIoFs* easy_view_ = nullptr;
-  fs::FileSystem* fs_ = nullptr;
   std::unique_ptr<uthread::Scheduler> scheduler_;
 };
 

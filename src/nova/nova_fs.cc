@@ -61,9 +61,14 @@ bool IsBelow(const std::string& outer, const std::string& inner) {
 }  // namespace
 
 NovaFs::NovaFs(pmem::SlowMemory* mem, const Options& options)
+    : NovaFs(mem, options, /*read_unlocks_first=*/false) {}
+
+NovaFs::NovaFs(pmem::SlowMemory* mem, const Options& options,
+               bool read_unlocks_first)
     : mem_(mem),
       sim_(mem->simulation()),
       options_(options),
+      read_unlocks_first_(read_unlocks_first),
       namespace_lock_(mem->simulation()) {
   layout_ = Layout::Compute(mem->size(), options.inode_count,
                             options.journal_slots, options.comp_channels);
@@ -409,13 +414,8 @@ Status NovaFs::PrepareWrite(Inode& in, uint64_t off, size_t n,
   const uint64_t pages = (off + n - 1) / kBlockSize - off / kBlockSize + 1;
   Charge(stats, &fs::OpStats::index_ns,
          params().index_base_ns + params().index_per_page_ns * pages);
-  const Status st =
-      allocator_->AllocMultiInto(pages, CoreHint(), &scratch.extents);
-  if (!st.ok()) {
-    in.lock.WriteUnlock();
-    Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-    return st;
-  }
+  EASYIO_RETURN_IF_ERROR(
+      allocator_->AllocMultiInto(pages, CoreHint(), &scratch.extents));
   // Per-write fixed bookkeeping (inode update, VFS write path) plus the
   // per-page allocator cost.
   Charge(stats, &fs::OpStats::meta_ns,
@@ -522,8 +522,7 @@ void NovaFs::FillWriteEdges(Inode& in, uint64_t off, size_t n,
 
 Status NovaFs::CommitWrite(Inode& in, uint64_t off, size_t n,
                            const std::vector<Extent>& extents,
-                           const std::vector<dma::Sn>& sns,
-                           fs::OpStats* stats) {
+                           std::span<const dma::Sn> sns, fs::OpStats* stats) {
   assert(sns.empty() || extents.size() == sns.size());
   // Log appends and the tail commit are the op's metadata time.
   Phase commit(this, stats, "commit", {&fs::OpStats::meta_ns},
@@ -756,43 +755,70 @@ void NovaFs::ReleaseScratch(OpScratch* s) {
 
 // ------------------------------------------------------------- data paths ---
 
-void NovaFs::MoveToPmem(uint64_t pmem_off, const std::byte* src, size_t bytes,
-                        fs::OpStats* stats) {
-  AddCpuBytes(bytes);
+dma::Channel* NovaFs::MoveToPmem(std::span<const std::byte> buf,
+                                 OpScratch& scratch, fs::OpStats* stats) {
   Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
-  mem_->CpuWrite(pmem_off, src, bytes);
+  for (const ByteRange& r : scratch.ranges) {
+    mem_->CpuWrite(r.pmem_off, buf.data() + r.buf_off, r.bytes);
+  }
+  AddCpuBytes(buf.size());
+  return nullptr;
 }
 
 void NovaFs::MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
                           fs::OpStats* stats) {
-  AddCpuBytes(bytes);
   Phase copy(this, stats, nullptr, {&fs::OpStats::data_ns});
   mem_->CpuRead(dst, pmem_off, bytes);
+  AddCpuBytes(bytes);
+}
+
+void NovaFs::WaitSn(dma::Channel* ch, dma::Sn sn, fs::OpStats* stats) {
+  Charge(stats, &fs::OpStats::data_ns, params().uthread_switch_ns);
+  Phase wait(this, stats, "sn_wait",
+             {&fs::OpStats::blocked_ns, &fs::OpStats::data_ns},
+             {{"chan", ch->id()}});
+  RecoverSn(*ch, sn);
 }
 
 StatusOr<size_t> NovaFs::WriteInternal(Inode& in, uint64_t off,
                                        std::span<const std::byte> buf,
                                        bool append, fs::OpStats* stats) {
   in.lock.WriteLock();
-  MaybeCompactLog(in, stats);
+  const sim::SimTime l1_start = sim_->now();
   if (append) {
     off = in.size;
   }
+  // Level 2: a write-write conflict waits for the outstanding orderless
+  // write to actually finish (§4.3, Fig 7b).
+  WaitPendingWrite(in, stats);
+  MaybeCompactLog(in, stats);
   const size_t n = buf.size();
   ScratchLease scratch(this);
-  EASYIO_RETURN_IF_ERROR(PrepareWrite(in, off, n, *scratch, stats));
-
-  // NOVA order: data first (synchronously, via the mover hook)...
-  ChunkifyInto(scratch->extents, off, n, &scratch->ranges);
-  for (const ByteRange& r : scratch->ranges) {
-    MoveToPmem(r.pmem_off, buf.data() + r.buf_off, r.bytes, stats);
+  dma::Channel* ch = nullptr;  // still moving the data at the commit
+  Status st = PrepareWrite(in, off, n, *scratch, stats);
+  if (st.ok()) {
+    ChunkifyInto(scratch->extents, off, n, &scratch->ranges);
+    ch = MoveToPmem(buf, *scratch, stats);
+    // NOVA commits once the data is durable. An orderless write commits
+    // while the DMA engine still copies: the log entries embed the SNs,
+    // and the channel's last SN covers the whole write (§4.2).
+    const std::span<const dma::Sn> sns =
+        ch != nullptr ? std::span<const dma::Sn>(scratch->sns)
+                      : std::span<const dma::Sn>();
+    st = CommitWrite(in, off, n, scratch->extents, sns, stats);
+    if (ch != nullptr) {
+      in.pending_channel = ch;
+      in.pending_sn = sns.back();
+    }
   }
-  // ...then strictly ordered metadata commit.
-  const Status st = CommitWrite(in, off, n, scratch->extents, {}, stats);
+  Phase(this, stats, "l1_hold", {}, {}, l1_start);
   in.lock.WriteUnlock();
   Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
+  if (ch != nullptr) {
+    WaitSn(ch, scratch->sns.back(), stats);
+  }
   if (!st.ok()) {
-    ReleaseBlocks(in, scratch->extents);
+    ReleaseBlocks(in, scratch->extents);  // no transfer writes them now
     return st;
   }
   return n;
@@ -802,15 +828,40 @@ StatusOr<size_t> NovaFs::ReadInternal(Inode& in, uint64_t off,
                                       std::span<std::byte> buf,
                                       fs::OpStats* stats) {
   in.lock.ReadLock();
-  if (off >= in.size) {
-    in.lock.ReadUnlock();
-    Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-    return size_t{0};
-  }
-  const size_t n = std::min<uint64_t>(buf.size(), in.size - off);
+  const sim::SimTime l1_start = sim_->now();
+  // Level 2: wait out a conflicting unfinished write (§4.3, Fig 7b).
+  WaitPendingWrite(in, stats);
+  const size_t n =
+      off < in.size ? std::min<uint64_t>(buf.size(), in.size - off) : 0;
+  buf = buf.first(n);
   ScratchLease scratch(this);
-  PrepareRead(in, off, n, *scratch, stats);
-  for (const ByteRange& r : scratch->ranges) {
+  dma::Channel* ch = nullptr;  // still moving the data at the release
+  if (n > 0) {
+    PrepareRead(in, off, n, *scratch, stats);
+    ch = SubmitRead(buf, *scratch, stats);
+  }
+  // A read leaves no SN behind, and CoW plus the pending-read count
+  // protect its blocks, so EasyIO drops the lock before copying (§4.3).
+  const bool copy = n > 0 && ch == nullptr;
+  if (copy && !read_unlocks_first_) {
+    CopyOut(in, buf, *scratch, stats);
+  }
+  Phase(this, stats, "l1_hold", {}, {}, l1_start);
+  in.lock.ReadUnlock();
+  if (copy && read_unlocks_first_) {
+    CopyOut(in, buf, *scratch, stats);
+  }
+  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
+  if (ch != nullptr) {
+    WaitSn(ch, scratch->sns.back(), stats);
+    OnReadDone(in);
+  }
+  return n;
+}
+
+void NovaFs::CopyOut(Inode& in, std::span<std::byte> buf,
+                     const OpScratch& scratch, fs::OpStats* stats) {
+  for (const ByteRange& r : scratch.ranges) {
     if (r.hole) {
       FillZero(buf.data() + r.buf_off, r.bytes, stats);
     } else {
@@ -818,14 +869,6 @@ StatusOr<size_t> NovaFs::ReadInternal(Inode& in, uint64_t off,
     }
   }
   OnReadDone(in);
-  in.lock.ReadUnlock();
-  Charge(stats, &fs::OpStats::syscall_ns, params().syscall_exit_ns);
-  return n;
-}
-
-Status NovaFs::FsyncInternal(Inode& in) {
-  // Synchronous modes are durable at return; nothing to do.
-  return OkStatus();
 }
 
 // ----------------------------------------------------------- fd plumbing ----
@@ -924,7 +967,9 @@ Status NovaFs::Fsync(int fd) {
     return BadFd();
   }
   sim_->Advance(params().syscall_enter_ns + params().syscall_exit_ns);
-  return FsyncInternal(*in);
+  // The (single possible) outstanding orderless write must land.
+  WaitPendingWrite(*in, nullptr);
+  return OkStatus();
 }
 
 // -------------------------------------------------------- namespace ops -----

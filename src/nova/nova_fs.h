@@ -3,12 +3,14 @@
 // This class is the complete synchronous baseline ("NOVA" in the paper's
 // evaluation): per-inode metadata logs with a persistent tail as the commit
 // point, CoW data blocks, journaled multi-inode namespace operations, and a
-// mount-time recovery scan. Data movement goes through two virtual hooks
-// (MoveToPmem / MoveFromPmem) that the NOVA-DMA and OdinFS baselines
-// override, while EasyIO overrides the whole read/write structure
-// (WriteInternal / ReadInternal) to implement orderless commit and two-level
-// locking on top of the same layout, allocator, log and recovery machinery —
-// mirroring how the real EasyIO patches NOVA with <50 lines.
+// mount-time recovery scan. It owns the one write routine and the one read
+// routine (WriteInternal / ReadInternal) of every filesystem kind: locking,
+// level-2 waits, allocation, the log commit and the level-1 release. A kind
+// supplies only how bytes move, through the byte-movement hooks: NOVA-DMA
+// and OdinFS replace the CPU copies, and EasyIO adds selective offloading,
+// the orderless commit and its quarantine-aware SN wait on top of the same
+// layout, allocator, log and recovery machinery — mirroring how the real
+// EasyIO patches NOVA with <50 lines.
 //
 // All operations must be called from inside a sim::Task; they charge modeled
 // syscall/index/metadata/data time per MediaParams.
@@ -116,64 +118,14 @@ class NovaFs : public fs::FileSystem {
   const Counters& counters() const { return counters_; }
 
  protected:
-  // In-DRAM inode state, rebuilt from the log at mount.
-  struct Inode {
-    Inode(sim::Simulation* sim, uint64_t ino, uint64_t slot)
-        : ino(ino), slot(slot), lock(sim) {}
-
-    uint64_t ino;
-    uint64_t slot;
-    bool is_dir = false;
-    uint64_t nlink = 1;
-    uint64_t size = 0;
-    uint64_t mtime_ns = 0;
-    uint64_t log_head = 0;   // mirrors PInode
-    uint64_t log_tail = 0;   // committed tail (mirrors PInode)
-    uint64_t log_next = 0;   // next free slot (>= log_tail; uncommitted)
-    uint64_t log_pages = 0;  // pages in the chain (GC trigger)
-    PageMap pages;
-    std::map<std::string, uint64_t> dentries;  // directories only
-    uthread::RwLock lock;  // level-1 file lock
-
-    // EasyIO state: the (single) outstanding orderless write (§4.3 ensures
-    // at most one per file) and in-flight-read accounting for deferred free.
-    // An orderless write puts all its descriptors on one channel, so that
-    // channel's last SN alone says when the write is durable.
-    dma::Channel* pending_channel = nullptr;
-    dma::Sn pending_sn = dma::Sn::None();
-    int pending_reads = 0;
-    std::vector<Extent> deferred_free;
-
-    int open_count = 0;
-    bool unlinked = false;  // free resources on last close
-  };
-
-  // ---- mode hooks ----
-  // Synchronous data movement, overridden by NOVA-DMA (sync DMA wait) and
-  // OdinFS (delegation). Both charge into stats->data_ns.
-  virtual void MoveToPmem(uint64_t pmem_off, const std::byte* src,
-                          size_t bytes, fs::OpStats* stats);
-  virtual void MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
-                            fs::OpStats* stats);
-  // Whole-path hooks; the base implementations are NOVA's strictly ordered
-  // synchronous paths. They are entered after fd resolution with the syscall
-  // entry cost already charged, and must charge the exit cost themselves.
-  virtual StatusOr<size_t> WriteInternal(Inode& in, uint64_t off,
-                                         std::span<const std::byte> buf,
-                                         bool append, fs::OpStats* stats);
-  virtual StatusOr<size_t> ReadInternal(Inode& in, uint64_t off,
-                                        std::span<std::byte> buf,
-                                        fs::OpStats* stats);
-  virtual Status FsyncInternal(Inode& in);
+  // For a kind whose reads drop the level-1 lock before their bytes move
+  // on the CPU (EasyIO, §4.3); the public constructor's kinds copy under
+  // the lock.
+  NovaFs(pmem::SlowMemory* mem, const Options& options,
+         bool read_unlocks_first);
 
   // ---- shared machinery for subclasses ----
-  sim::Simulation* sim() const { return sim_; }
   const pmem::MediaParams& params() const { return mem_->params(); }
-
-  Inode* ResolveFd(int fd);
-  uint64_t PInodeOff(uint64_t slot) const {
-    return layout_.inode_table_off + slot * kPInodeSize;
-  }
 
   // Charges `ns` of CPU time and attributes it to a breakdown category.
   void Charge(fs::OpStats* stats, uint64_t fs::OpStats::*cat, uint64_t ns);
@@ -240,63 +192,22 @@ class NovaFs : public fs::FileSystem {
     uint8_t num_args_ = 0;
   };
 
-  // Appends a 64-byte entry to the inode's log (allocating/chaining pages as
-  // needed); does not commit. Returns OK or allocation failure.
-  Status AppendLogEntry(Inode& in, const void* entry);
-  // Commits in.log_next as the new persistent tail.
-  void CommitLogTail(Inode& in);
-  // Drops the entries appended since the committed tail, freeing the log
-  // pages they chained; `log_pages` is in.log_pages as of that tail.
-  void RewindLog(Inode& in, uint64_t log_pages);
-
-  // Builds and appends the write entries for `extents` (one per extent) and
-  // commits; updates DRAM size/mtime/page map and releases displaced blocks.
-  // `sns` gives the DMA SN for each extent; empty means all memcpy
-  // (Sn::None). On failure the log is as it was; the caller releases
-  // `extents` once no transfer still writes them.
-  Status CommitWrite(Inode& in, uint64_t off, size_t n,
-                     const std::vector<Extent>& extents,
-                     const std::vector<dma::Sn>& sns, fs::OpStats* stats);
-
-  // Level-2 wait (§4.3): blocks until the inode's outstanding orderless
-  // write completes, attributing the wait to stats->blocked_ns (traced as
-  // l2_wait). Recovery-aware: a channel halted on a transfer error is
-  // driven through retry/fallback per recover_policy_, so the wait always
-  // ends with the data durable.
-  void WaitPendingWrite(Inode& in, fs::OpStats* stats);
-
   // Retry/fallback policy for every SN wait issued on behalf of this
-  // filesystem (level-2 waits and subclass write paths). Subclasses may
+  // filesystem (level-2 waits and the byte-movement hooks). Subclasses may
   // override the defaults at construction.
   dma::RetryPolicy recover_policy_{};
-
-  // NOVA-style log garbage collection (NOVA §3.6): when an inode's log has
-  // grown well past what its live entries need, rewrite the live state into
-  // a fresh log chain and atomically switch head+tail via the journal.
-  // Must be called at an operation boundary (no uncommitted appends) with
-  // the file lock / namespace lock held and no pending orderless write.
-  void MaybeCompactLog(Inode& in, fs::OpStats* stats);
-
-  // Deferred free: displaced blocks are freed immediately when no reads are
-  // in flight, else parked until the last one drains.
-  void ReleaseBlocks(Inode& in, const std::vector<Extent>& displaced);
-  void OnReadDone(Inode& in);
 
   // Zero-fill for holes (DRAM-side memset, charged at DRAM speed).
   void FillZero(std::byte* dst, size_t n, fs::OpStats* stats);
 
-  // Byte range of `seg` intersected with [off, off+n), as (dst_offset within
-  // the user buffer, pmem_off, bytes).
+  // One contiguous piece of an op: its offset within the user buffer, its
+  // device offset (unless it is a hole) and its length.
   struct ByteRange {
     size_t buf_off;
     uint64_t pmem_off;  // valid when !hole
     size_t bytes;
     bool hole;
   };
-  // Appends the intersected ranges to *out (which is not cleared).
-  static void SegmentsToByteRanges(const std::vector<PageMap::Segment>& segs,
-                                   uint64_t off, size_t n,
-                                   std::vector<ByteRange>* out);
 
   // ---- per-operation scratch buffers ----
   // The read/write hot paths materialize small vectors (segments, byte
@@ -314,6 +225,127 @@ class NovaFs : public fs::FileSystem {
     std::vector<dma::Sn> sns;
     std::vector<dma::Descriptor> batch;
   };
+
+  // ---- byte-movement hooks ----
+  // WriteInternal and ReadInternal call these with the inode lock held,
+  // except MoveFromPmem in a kind whose reads drop the lock first, and the
+  // hooks charge what they move into stats->data_ns. A hook that leaves a
+  // transfer in flight returns its DMA channel; the last SN it put in
+  // scratch.sns covers the whole transfer.
+  //
+  // Moves a write's bytes into scratch.ranges (one per fresh extent).
+  // Returns nullptr once they are durable, so the commit carries no SNs;
+  // a returned channel's SNs go into the log entries and the write waits
+  // for them after the lock drops (orderless commit, §4.2). The base
+  // copies with the CPU.
+  virtual dma::Channel* MoveToPmem(std::span<const std::byte> buf,
+                                   OpScratch& scratch, fs::OpStats* stats);
+  // Offloads a read of scratch.ranges into `buf`, with the lock held.
+  // Returns the channel the read waits on once the lock drops, or nullptr
+  // with what is left in scratch.ranges for the CPU. The base offloads
+  // nothing.
+  virtual dma::Channel* SubmitRead(std::span<std::byte> buf,
+                                   OpScratch& scratch, fs::OpStats* stats) {
+    return nullptr;
+  }
+  // Moves one mapped range of a read; the base copies with the CPU.
+  virtual void MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
+                            fs::OpStats* stats);
+  // Drives `ch` until its completion record covers `sn`, through
+  // retry/fallback per recover_policy_.
+  virtual void RecoverSn(dma::Channel& ch, dma::Sn sn) {
+    ch.WaitSnRecover(sn, recover_policy_);
+  }
+
+  // Back in the runtime, the uthread yields and parks until `ch`'s
+  // completion record covers `sn` (§4.1, RecoverSn). The wait is blocked
+  // data time (sn_wait).
+  void WaitSn(dma::Channel* ch, dma::Sn sn, fs::OpStats* stats);
+
+  void AddCpuBytes(uint64_t n) { counters_.bytes_cpu += n; }
+  void AddDmaBytes(uint64_t n) { counters_.bytes_dma += n; }
+
+ private:
+  // In-DRAM inode state, rebuilt from the log at mount.
+  struct Inode {
+    Inode(sim::Simulation* sim, uint64_t ino, uint64_t slot)
+        : ino(ino), slot(slot), lock(sim) {}
+
+    uint64_t ino;
+    uint64_t slot;
+    bool is_dir = false;
+    uint64_t nlink = 1;
+    uint64_t size = 0;
+    uint64_t mtime_ns = 0;
+    uint64_t log_head = 0;   // mirrors PInode
+    uint64_t log_tail = 0;   // committed tail (mirrors PInode)
+    uint64_t log_next = 0;   // next free slot (>= log_tail; uncommitted)
+    uint64_t log_pages = 0;  // pages in the chain (GC trigger)
+    PageMap pages;
+    std::map<std::string, uint64_t> dentries;  // directories only
+    uthread::RwLock lock;  // level-1 file lock
+
+    // The (single) outstanding orderless write (§4.3 ensures at most one
+    // per file) and in-flight-read accounting for deferred free.
+    // An orderless write puts all its descriptors on one channel, so that
+    // channel's last SN alone says when the write is durable.
+    dma::Channel* pending_channel = nullptr;
+    dma::Sn pending_sn = dma::Sn::None();
+    int pending_reads = 0;
+    std::vector<Extent> deferred_free;
+
+    int open_count = 0;
+    bool unlinked = false;  // free resources on last close
+  };
+
+  Inode* ResolveFd(int fd);
+  uint64_t PInodeOff(uint64_t slot) const {
+    return layout_.inode_table_off + slot * kPInodeSize;
+  }
+
+  // Appends a 64-byte entry to the inode's log (allocating/chaining pages as
+  // needed); does not commit. Returns OK or allocation failure.
+  Status AppendLogEntry(Inode& in, const void* entry);
+  // Commits in.log_next as the new persistent tail.
+  void CommitLogTail(Inode& in);
+  // Drops the entries appended since the committed tail, freeing the log
+  // pages they chained; `log_pages` is in.log_pages as of that tail.
+  void RewindLog(Inode& in, uint64_t log_pages);
+
+  // Builds and appends the write entries for `extents` (one per extent) and
+  // commits; updates DRAM size/mtime/page map and releases displaced blocks.
+  // `sns` gives the DMA SN for each extent; empty means the data is
+  // already durable (Sn::None). On failure the log is as it was; the caller
+  // releases `extents` once no transfer still writes them.
+  Status CommitWrite(Inode& in, uint64_t off, size_t n,
+                     const std::vector<Extent>& extents,
+                     std::span<const dma::Sn> sns, fs::OpStats* stats);
+
+  // Level-2 wait (§4.3): blocks until the inode's outstanding orderless
+  // write completes, attributing the wait to stats->blocked_ns (traced as
+  // l2_wait). Recovery-aware: a channel halted on a transfer error is
+  // driven through retry/fallback per recover_policy_, so the wait always
+  // ends with the data durable.
+  void WaitPendingWrite(Inode& in, fs::OpStats* stats);
+
+  // NOVA-style log garbage collection (NOVA §3.6): when an inode's log has
+  // grown well past what its live entries need, rewrite the live state into
+  // a fresh log chain and atomically switch head+tail via the journal.
+  // Must be called at an operation boundary (no uncommitted appends) with
+  // the file lock / namespace lock held and no pending orderless write.
+  void MaybeCompactLog(Inode& in, fs::OpStats* stats);
+
+  // Deferred free: displaced blocks are freed immediately when no reads are
+  // in flight, else parked until the last one drains.
+  void ReleaseBlocks(Inode& in, const std::vector<Extent>& displaced);
+  void OnReadDone(Inode& in);
+
+  // Appends the byte ranges of `segs` intersected with [off, off+n) to
+  // *out (which is not cleared).
+  static void SegmentsToByteRanges(const std::vector<PageMap::Segment>& segs,
+                                   uint64_t off, size_t n,
+                                   std::vector<ByteRange>* out);
+
   class ScratchLease {
    public:
     explicit ScratchLease(NovaFs* fs) : fs_(fs), s_(fs->AcquireScratch()) {}
@@ -330,11 +362,18 @@ class NovaFs : public fs::FileSystem {
   OpScratch* AcquireScratch();
   void ReleaseScratch(OpScratch* s);
 
-  // Write prologue shared by every write path, entered with the write lock
-  // held: charges the index walk over [off, off+n), allocates CoW blocks
-  // into scratch.extents and preserves the partially overwritten edge
-  // bytes. On allocation failure it drops the lock and charges the syscall
-  // exit before returning the error.
+  // The one write routine and the one read routine, entered after fd
+  // resolution with the syscall entry charged. Each takes the level-1
+  // lock, runs the level-2 wait and drops the lock at one site (the
+  // l1_hold span, then the unlock, then the syscall exit charge).
+  StatusOr<size_t> WriteInternal(Inode& in, uint64_t off,
+                                 std::span<const std::byte> buf, bool append,
+                                 fs::OpStats* stats);
+  StatusOr<size_t> ReadInternal(Inode& in, uint64_t off,
+                                std::span<std::byte> buf, fs::OpStats* stats);
+  // Write prologue, entered with the write lock held: charges the index
+  // walk over [off, off+n), allocates CoW blocks into scratch.extents and
+  // preserves the partially overwritten edge bytes.
   Status PrepareWrite(Inode& in, uint64_t off, size_t n, OpScratch& scratch,
                       fs::OpStats* stats);
   // Read counterpart, entered with the read lock held and n > 0: charges
@@ -342,23 +381,16 @@ class NovaFs : public fs::FileSystem {
   // the read for deferred free (pair with OnReadDone).
   void PrepareRead(Inode& in, uint64_t off, size_t n, OpScratch& scratch,
                    fs::OpStats* stats);
+  // Moves the ranges SubmitRead left into `buf` (holes zero-filled, the
+  // rest through MoveFromPmem) and ends the read (OnReadDone).
+  void CopyOut(Inode& in, std::span<std::byte> buf, const OpScratch& scratch,
+               fs::OpStats* stats);
   // Maps the user buffer onto freshly allocated extents: one range per
   // contiguous extent (never a hole), honoring the unaligned head offset.
   // Appends to *out (not cleared).
   static void ChunkifyInto(const std::vector<Extent>& extents, uint64_t off,
                            size_t n, std::vector<ByteRange>* out);
 
-  void AddCpuBytes(uint64_t n) { counters_.bytes_cpu += n; }
-  void AddDmaBytes(uint64_t n) { counters_.bytes_dma += n; }
-
-  pmem::SlowMemory* mem_;
-  sim::Simulation* sim_;
-  Options options_;
-  Layout layout_{};
-  std::unique_ptr<BlockAllocator> allocator_;
-  std::unique_ptr<Journal> journal_;
-
- private:
   enum class DataOp { kRead, kWrite, kAppend };
   // Entry and exit shared by Read/Write/Append: charges the syscall entry,
   // rejects a bad fd, a directory or an empty buffer, picks the op's trace
@@ -418,6 +450,14 @@ class NovaFs : public fs::FileSystem {
   uint64_t CompletedSeqOf(uint8_t channel) const;  // from completion records
   Status RecoverInode(uint64_t slot);
 
+  pmem::SlowMemory* mem_;
+  sim::Simulation* sim_;
+  Options options_;
+  Layout layout_{};
+  std::unique_ptr<BlockAllocator> allocator_;
+  std::unique_ptr<Journal> journal_;
+
+  const bool read_unlocks_first_;
   uthread::Mutex namespace_lock_;
   std::vector<std::unique_ptr<OpScratch>> scratch_pool_;  // free list
   std::unordered_map<uint64_t, std::unique_ptr<Inode>> inodes_;

@@ -566,12 +566,8 @@ TEST(StatsTest, SummarizeSingleSample) {
   EXPECT_GE(s.p999_ns, s.p50_ns);
 }
 
-TEST(StatsTest, CollectStatsCountsFsWork) {
-  harness::TestbedConfig cfg;
-  cfg.fs = harness::FsKind::kEasy;
-  cfg.machine_cores = 2;
-  cfg.device_bytes = 256_MB;
-  harness::Testbed tb(cfg);
+// Eight 64K writes and a 64K read of one file, which has no holes.
+void WriteEightReadOne(harness::Testbed& tb) {
   tb.sim().Spawn(0, [&] {
     int fd = *tb.fs().Create("/s");
     std::vector<std::byte> buf(64_KB, std::byte{0x11});
@@ -581,6 +577,15 @@ TEST(StatsTest, CollectStatsCountsFsWork) {
     EASYIO_CHECK_OK(tb.fs().Read(fd, 0, buf).status());
   });
   tb.sim().Run();
+}
+
+TEST(StatsTest, CollectStatsCountsFsWork) {
+  harness::TestbedConfig cfg;
+  cfg.fs = harness::FsKind::kEasy;
+  cfg.machine_cores = 2;
+  cfg.device_bytes = 256_MB;
+  harness::Testbed tb(cfg);
+  WriteEightReadOne(tb);
 
   obs::StatsSnapshot snap = tb.CollectStats();
   EXPECT_EQ(snap.now_ns, tb.sim().now());
@@ -600,8 +605,6 @@ TEST(StatsTest, CollectStatsCountsFsWork) {
   EXPECT_EQ(f.ops_read, 1u);
   EXPECT_EQ(f.bytes_written, 8u * 64_KB);
   EXPECT_EQ(f.bytes_read, 64_KB);
-  // Every written/read byte moved either over DMA or through the CPU.
-  EXPECT_EQ(f.bytes_cpu + f.bytes_dma, f.bytes_written + f.bytes_read);
 
   Histogram lat;
   lat.Record(123);
@@ -619,6 +622,26 @@ TEST(StatsTest, CollectStatsCountsFsWork) {
   EXPECT_NE(dump.find("core[0].busy_ns="), std::string::npos);
   EXPECT_NE(dump.find("chan[0].bytes="), std::string::npos);
   EXPECT_NE(dump.find("lat[op_ns].count=1"), std::string::npos);
+
+  // On every kind, each written or read byte moved either over DMA or
+  // through the CPU.
+  for (const harness::FsKind kind :
+       {harness::FsKind::kNova, harness::FsKind::kNovaDma,
+        harness::FsKind::kOdin, harness::FsKind::kEasy,
+        harness::FsKind::kEasyNaive}) {
+    harness::TestbedConfig kind_cfg;
+    kind_cfg.fs = kind;
+    kind_cfg.machine_cores = 2 + harness::kOdinReservedCores;
+    kind_cfg.device_bytes = 256_MB;
+    harness::Testbed kind_tb(kind_cfg);
+    WriteEightReadOne(kind_tb);
+    const obs::FsStats moved = kind_tb.CollectStats().fs.at(0);
+    EXPECT_EQ(moved.bytes_written + moved.bytes_read, 9 * 64_KB)
+        << harness::FsKindName(kind);
+    EXPECT_EQ(moved.bytes_cpu + moved.bytes_dma,
+              moved.bytes_written + moved.bytes_read)
+        << harness::FsKindName(kind);
+  }
 }
 
 }  // namespace
