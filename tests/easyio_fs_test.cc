@@ -66,6 +66,27 @@ TEST(EasyIoFsTest, SmallIoUsesMemcpy) {
   EXPECT_EQ(tb.easy()->reads_memcpy(), 1u);
 }
 
+// A read admitted to an L channel that finds only holes submits no
+// descriptor: the CPU zero-fills every byte, so it counts as a memcpy read.
+TEST(EasyIoFsTest, AllHoleReadCountsAsMemcpy) {
+  Testbed tb(EasyConfig());
+  tb.sim().Spawn(0, [&] {
+    int fd = *tb.fs().Create("/a");
+    ASSERT_TRUE(tb.fs().Write(fd, 64_KB, Pattern(8_KB, 3)).ok());
+    std::vector<std::byte> back(32_KB, std::byte{0x11});
+    ASSERT_TRUE(tb.fs().Read(fd, 0, back).ok());
+    EXPECT_EQ(back, std::vector<std::byte>(32_KB));
+  });
+  tb.sim().Run();
+  EXPECT_EQ(tb.easy()->reads_offloaded(), 0u);
+  EXPECT_EQ(tb.easy()->reads_memcpy(), 1u);
+  uint64_t read_descs = 0;
+  for (int c = 0; c < tb.engine()->num_channels(); ++c) {
+    read_descs += tb.engine()->channel(c).descriptors_completed();
+  }
+  EXPECT_EQ(read_descs, 1u);  // the write's only
+}
+
 TEST(EasyIoFsTest, WriteReleasesCoreWhileDmaRuns) {
   // The heart of the paper: during the DMA, the core runs another uthread.
   Testbed tb(EasyConfig());

@@ -237,6 +237,72 @@ TEST(RecoveryFaultTest, DanglingDentryDetected) {
   EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
 }
 
+// Appends a checksummed DentryRemove of `name` -> `ino` to the root's log
+// and moves the committed tail past it, as a commit would.
+void RemoveFromRoot(Fx& fx, const Layout& layout, const std::string& name,
+                    uint64_t ino) {
+  const uint64_t tail = fx.mem.As<PInode>(layout.inode_table_off)->log_tail;
+  ASSERT_NE(tail % kBlockSize, 0u);  // room left on the tail's page
+  DentryEntry e{};
+  e.type = static_cast<uint8_t>(EntryType::kDentryRemove);
+  e.name_len = static_cast<uint8_t>(name.size());
+  std::memcpy(e.name, name.data(), name.size());
+  e.child_ino = ino;
+  e.csum = e.ComputeCsum();
+  fx.mem.Write(tail, &e, sizeof(e));
+  fx.Poke<PInode>(layout.inode_table_off,
+                  [&](PInode& p) { p.log_tail = tail + kLogEntrySize; });
+}
+
+uint64_t SlotOff(const Layout& layout, uint64_t ino) {
+  return layout.inode_table_off + (ino - 1) * kPInodeSize;
+}
+
+// Every valid inode must be reachable from the root: a directory cycle that
+// no path reaches (what renaming a directory into its own subtree would
+// leave) is corruption, not a tree that mounts with leaked slots.
+TEST(RecoveryFaultTest, DirectoryCycleCutOffFromRootIsCorruption) {
+  Fx fx;
+  NovaFs fs(&fx.mem, {});
+  EASYIO_CHECK_OK(fs.Format());
+  uint64_t d = 0;
+  uint64_t e = 0;
+  uint64_t f = 0;
+  fx.sim.Spawn(0, [&] {
+    EASYIO_CHECK_OK(fs.Mkdir("/d"));
+    EASYIO_CHECK_OK(fs.Mkdir("/d/e"));
+    EASYIO_CHECK_OK(fs.Close(*fs.Create("/d/e/f")));
+    d = fs.StatPath("/d")->ino;
+    e = fs.StatPath("/d/e")->ino;
+    f = fs.StatPath("/d/e/f")->ino;
+  });
+  fx.sim.Run();
+  const Layout layout = fs.layout();
+  ASSERT_TRUE(fx.Mount().ok());
+  // /d/e's one dentry now names /d (f's slot freed), and the root forgets
+  // /d: d and e reach each other and nothing else reaches them.
+  const uint64_t e_head = fx.mem.As<PInode>(SlotOff(layout, e))->log_head;
+  fx.Poke<DentryEntry>(e_head + kLogEntrySize, [&](DentryEntry& entry) {
+    ASSERT_EQ(entry.child_ino, f);
+    entry.child_ino = d;
+    entry.csum = entry.ComputeCsum();
+  });
+  fx.Poke<PInode>(SlotOff(layout, f), [](PInode& p) { p.flags = 0; });
+  RemoveFromRoot(fx, layout, "d", d);
+  EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
+}
+
+// A valid file whose only dentry is gone, though its slot still claims a
+// link, is an orphan: corruption, not a file that mounts unreachable.
+TEST(RecoveryFaultTest, ValidFileWithoutDentryIsCorruption) {
+  Fx fx;
+  const Layout layout = fx.Populate();
+  // Slot 1 holds the first allocated inode (/a, ino 2).
+  ASSERT_TRUE(fx.mem.As<PInode>(SlotOff(layout, 2))->valid());
+  RemoveFromRoot(fx, layout, "a", 2);
+  EXPECT_EQ(fx.Mount().code(), ErrorCode::kCorruption);
+}
+
 TEST(RecoveryFaultTest, MountIsRepeatable) {
   // Mounting twice in a row (e.g. after a crash during recovery's
   // normalization writes) must converge to the same state.
