@@ -80,8 +80,7 @@ double RunDma(bool is_write, uint64_t io_size, int cores, int batch) {
         }
         std::vector<dma::Sn> sns;
         engine.channel(0).SubmitBatch(std::span<dma::Descriptor>(descs), &sns);
-        engine.channel(0).WaitSnRecover(sns.back(),
-                                        dma::RetryPolicy{.busy = true});
+        engine.channel(0).WaitSn(sns.back(), dma::Wait::kSpin);
         bytes_done += io_size * static_cast<uint64_t>(batch);
       }
     });

@@ -50,10 +50,9 @@ double RunDma(bool is_write, uint64_t io_size, int channels,
         d.dram = buf.data();
         d.size = static_cast<uint32_t>(io_size);
         const dma::Sn sn = ch.Submit(std::move(d));
-        // busy=true holds the core while waiting; under --faults the wait
-        // also retries errors and falls back to a CPU copy when retries run
-        // out.
-        ch.WaitSnRecover(sn, dma::RetryPolicy{.busy = true});
+        // kSpin holds the core while waiting; under --faults the wait also
+        // retries errors and falls back to a CPU copy when retries run out.
+        ch.WaitSn(sn, dma::Wait::kSpin);
         bytes_done += io_size;
         off = (off + io_size) % 4_MB;
       }

@@ -54,7 +54,7 @@ std::vector<double> RunTimeline(BgMode mode, const bench::Flags* flags) {
       dma::Descriptor d{dma::Descriptor::Dir::kRead, 64_MB, buf.data(), 64_KB};
       dma::Channel& ch = engine.channel(0);
       const dma::Sn sn = ch.Submit(std::move(d));
-      ch.WaitSnRecover(sn, dma::RetryPolicy{.busy = true});
+      ch.WaitSn(sn, dma::Wait::kSpin);
       const uint64_t lat = sim.now() - t0;
       // Per-op async span so the interference spike is visible as a band of
       // widening fg_read spans in Perfetto (the JSON the issue's acceptance

@@ -30,10 +30,9 @@ void NovaDmaFs::Transfer(dma::Descriptor::Dir dir, uint64_t pmem_off,
   d.dram = dram;
   d.size = static_cast<uint32_t>(bytes);
   const dma::Sn sn = ch.Submit(std::move(d));
-  // Synchronous interface: poll, core stays busy. Recovery-aware so an
-  // injected transfer error is retried (and finally CPU-copied) instead
-  // of spinning forever on a halted channel.
-  ch.WaitSnRecover(sn, recover_policy_);
+  // Synchronous interface: poll, core stays busy (an injected transfer
+  // error is retried, and finally CPU-copied, on the spot).
+  ch.WaitSn(sn, dma::Wait::kSpin);
   AddDmaBytes(bytes);
 }
 

@@ -18,11 +18,7 @@ namespace easyio::baselines {
 class NovaDmaFs : public nova::NovaFs {
  public:
   NovaDmaFs(pmem::SlowMemory* mem, const nova::NovaFs::Options& options)
-      : NovaFs(mem, options) {
-    // Synchronous interface: recovery waits (like the completion polls) hold
-    // the core.
-    recover_policy_.busy = true;
-  }
+      : NovaFs(mem, options) {}
 
   // Attach after Format()/Mount(); see EasyIoFs::AttachChannelManager.
   void AttachEngine(dma::DmaEngine* engine) { engine_ = engine; }

@@ -9,6 +9,17 @@
 
 namespace easyio::dma {
 
+namespace {
+
+// Recovery of a halted channel (fault handling, DESIGN.md §8; not a paper
+// parameter): a waiter re-submits the failed descriptor up to kMaxRetries
+// times, backing off kRetryBackoffNs doubled per attempt, before it moves
+// the bytes with the CPU.
+constexpr int kMaxRetries = 3;
+constexpr uint64_t kRetryBackoffNs = 2'000;
+
+}  // namespace
+
 Channel::Channel(pmem::SlowMemory* mem, uint8_t id, uint64_t record_off)
     : mem_(mem), sim_(mem->simulation()), id_(id), record_off_(record_off) {
   // Start a fresh CNT era above anything a previous incarnation issued, so
@@ -92,12 +103,8 @@ void Channel::SubmitBatch(std::span<Descriptor> descs, std::vector<Sn>* sns) {
 }
 
 bool Channel::IsComplete(Sn sn) const {
-  return StateOf(sn) == SnState::kComplete;
-}
-
-SnState Channel::StateOf(Sn sn) const {
   if (sn.none()) {
-    return SnState::kComplete;
+    return true;
   }
   if (sn.channel != id_) {
     // Comparing a foreign SN against this channel's record would return a
@@ -109,64 +116,36 @@ SnState Channel::StateOf(Sn sn) const {
                  sn.channel, static_cast<unsigned long long>(sn.seq), id_);
     std::abort();
   }
-  if (record().CompletedSeq() >= sn.seq) {
-    return SnState::kComplete;
-  }
-  // A halted channel makes no progress without software recovery, so every
-  // uncovered SN behind the failed head is in the error state.
-  return halted_ ? SnState::kError : SnState::kPending;
+  return record().CompletedSeq() >= sn.seq;
 }
 
-DmaResult Channel::WaitSn(Sn sn) {
-  while (true) {
-    const SnState s = StateOf(sn);
-    if (s == SnState::kComplete) {
-      return DmaResult::kOk;
-    }
-    if (s == SnState::kError) {
-      return DmaResult::kError;
-    }
-    waiters_.emplace(sn.seq, sim_->current());
-    sim_->Block();
-  }
-}
-
-DmaResult Channel::WaitSnRecover(Sn sn, const RetryPolicy& policy) {
-  while (true) {
-    const SnState s = StateOf(sn);
-    if (s == SnState::kComplete) {
-      return DmaResult::kOk;
-    }
-    if (s == SnState::kError) {
-      // This task drives recovery of the failed head (which may not be the
-      // descriptor `sn` names — FIFO order means nothing behind the head
-      // completes until the head is dealt with). Several waiters can race
-      // here; the backoff re-checks halted_ so only one retry is issued.
-      const int attempts = queue_.front().attempts;
-      if (attempts >= policy.max_attempts) {
-        CompleteHeadBySoftware();
-        continue;
-      }
-      const uint64_t backoff = policy.backoff_ns << attempts;
-      if (backoff > 0) {
-        if (policy.busy) {
-          sim_->Advance(backoff);
-        } else {
-          sim_->SleepFor(backoff);
-        }
-      }
-      if (halted_) {
-        RetryHead();
-      }
+DmaResult Channel::WaitSn(Sn sn, Wait how) {
+  const uint64_t errors_before = transfer_errors_;
+  const int max_attempts = quarantined_ ? 0 : kMaxRetries;
+  while (!IsComplete(sn)) {
+    if (!halted_) {
+      waiters_.emplace(sn.seq, sim_->current());
+      how == Wait::kSpin ? sim_->BlockHoldingCore() : sim_->Block();
       continue;
     }
-    waiters_.emplace(sn.seq, sim_->current());
-    if (policy.busy) {
-      sim_->BlockHoldingCore();
-    } else {
-      sim_->Block();
+    // A halted channel makes no progress without software, so this task
+    // drives recovery of the failed head (which may not be the descriptor
+    // `sn` names — FIFO order means nothing behind the head completes
+    // until the head is dealt with). Several waiters can race here; the
+    // backoff re-checks halted_ so only one retry is issued.
+    const int attempts = queue_.front().attempts;
+    if (attempts >= max_attempts) {
+      CompleteHeadBySoftware();
+      continue;
+    }
+    const uint64_t backoff = kRetryBackoffNs << attempts;
+    how == Wait::kSpin ? sim_->Advance(backoff) : sim_->SleepFor(backoff);
+    if (halted_) {
+      RetryHead();
     }
   }
+  return transfer_errors_ != errors_before ? DmaResult::kRecovered
+                                           : DmaResult::kOk;
 }
 
 void Channel::MaybeStart() {
@@ -308,7 +287,7 @@ void Channel::FailHead() {
   const CompletionRecord cur = record();
   PersistRecord(cur.addr | CompletionRecord::kErrorBit, cur.cnt);
   // Every waiter is queued behind the failed head; wake them all so one can
-  // drive recovery (WaitSnRecover) or observe the error (plain waits).
+  // drive recovery (WaitSn).
   while (!waiters_.empty()) {
     sim::Task* t = waiters_.begin()->second;
     waiters_.erase(waiters_.begin());

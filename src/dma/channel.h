@@ -17,11 +17,13 @@
 // this channel's completion order; IsComplete(sn) becomes true exactly when
 // the persistent CompletionRecord covers sn and never reverts (even across
 // a crash, because a new incarnation opens a fresh CNT era above every
-// pre-crash SN). WaitSn parks the calling uthread (asynchronous consumption,
-// EasyIO); WaitSnRecover with RetryPolicy::busy spins holding the core
-// instead (synchronous consumption, NOVA-DMA/Fastmove). Suspend/Resume
-// model CHANCMD (74ns each, §4.4): while suspended no new descriptor
-// starts, and an in-flight one either drains or restarts per
+// pre-crash SN). WaitSn is the one way to consume a completion: it parks
+// the calling uthread (Wait::kPark: asynchronous consumption, EasyIO) or
+// spins holding the core (Wait::kSpin: synchronous consumption,
+// NOVA-DMA/Fastmove), and on a halted channel the waiter itself drives
+// recovery, so every wait ends with `sn` durable. Suspend/Resume model
+// CHANCMD (74ns each, §4.4): while suspended no new descriptor starts, and
+// an in-flight one either drains or restarts per
 // MediaParams::suspend_restart_threshold.
 
 #ifndef EASYIO_DMA_CHANNEL_H_
@@ -40,18 +42,9 @@
 
 namespace easyio::dma {
 
-// How WaitSnRecover reacts to a halted channel: re-submit the failed
-// descriptor up to `max_attempts` times, sleeping backoff_ns before the
-// first retry and doubling it per attempt; once attempts are exhausted (or
-// immediately, with max_attempts = 0 — the quarantined-channel case) the
-// waiting task moves the data itself with a synchronous CPU copy.
-struct RetryPolicy {
-  int max_attempts = 3;
-  uint64_t backoff_ns = 2'000;
-  // Spin holding the core while waiting/backing off (synchronous consumers:
-  // NOVA-DMA/Fastmove) instead of parking the uthread (EasyIO).
-  bool busy = false;
-};
+// How a task waits for an SN: park the uthread (EasyIO) or spin holding
+// the core (synchronous consumers: NOVA-DMA/Fastmove and the raw benches).
+enum class Wait { kPark, kSpin };
 
 struct Descriptor {
   enum class Dir { kWrite, kRead };  // write: DRAM -> pmem; read: pmem -> DRAM
@@ -90,23 +83,16 @@ class Channel {
   // foreign SN against this channel's record would silently return a wrong
   // durability answer. Route cross-channel SNs through DmaEngine::ChannelFor.
   bool IsComplete(Sn sn) const;
-  // Tri-state variant: kError while the channel is halted on a failed
-  // descriptor and `sn` is not yet covered.
-  SnState StateOf(Sn sn) const;
   uint64_t CompletedSeq() const { return record().CompletedSeq(); }
 
-  // Parks the calling task until `sn` completes. Returns immediately if it
-  // already has. Returns kError (instead of blocking forever) if the channel
-  // halts on a transfer error while the caller waits.
-  DmaResult WaitSn(Sn sn);
-  // Recovery-driving wait: like WaitSn, but when the channel halts on a
-  // failed descriptor the calling task re-submits it (bounded attempts,
-  // exponential backoff) and finally falls back to a synchronous CPU copy,
-  // so this call always returns kOk with `sn` durable. With no fault
-  // injector attached it behaves exactly like WaitSn, or with policy.busy
-  // like a busy-polling wait that keeps the core occupied (how a
-  // synchronous filesystem like Fastmove/NOVA-DMA consumes completions).
-  DmaResult WaitSnRecover(Sn sn, const RetryPolicy& policy = {});
+  // Waits until the completion record covers `sn`; returns at once if it
+  // already does. When the channel halts on a failed descriptor the waiter
+  // re-submits it (3 attempts, 2 µs backoff doubling per attempt; none if
+  // the channel was quarantined when the wait began) and then moves the
+  // bytes itself with a synchronous CPU copy. Returns kRecovered if a
+  // transfer error was raised on the channel during the wait, else kOk;
+  // either way `sn` is durable.
+  DmaResult WaitSn(Sn sn, Wait how = Wait::kPark);
 
   // Outstanding descriptors (queued + in flight). Listing 2's admission
   // control reads this as `q_deps`.
@@ -129,6 +115,10 @@ class Channel {
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
   // True while the channel sits halted on a failed head descriptor.
   bool halted() const { return halted_; }
+  // Quarantine (set and cleared by the channel manager): a wait that
+  // begins while it is set skips the retries and falls back at once.
+  bool quarantined() const { return quarantined_; }
+  void set_quarantined(bool quarantined) { quarantined_ = quarantined; }
   // Fault/recovery counters (all zero with no injector attached).
   uint64_t transfer_errors() const { return transfer_errors_; }
   uint64_t retries() const { return retries_; }
@@ -189,6 +179,7 @@ class Channel {
   FaultInjector* injector_ = nullptr;
   uint64_t next_ordinal_ = 0;  // per-channel descriptor ordinal (plan key)
   bool halted_ = false;        // head failed; awaiting software recovery
+  bool quarantined_ = false;
   // Torn-record shadow: the true completion value the hardware reached while
   // the persistent record stayed stale. Durability queries and waiter wakes
   // use only the persistent record (the shadow must never be trusted for

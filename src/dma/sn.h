@@ -86,15 +86,11 @@ struct CompletionRecord {
 };
 static_assert(sizeof(CompletionRecord) == 16);
 
-// Tri-state completion status of an SN on its channel. kError means the
-// channel has halted on a failed descriptor and `sn` is queued at or behind
-// it: no forward progress will happen without software recovery (retry or
-// fallback — see Channel::WaitSnRecover).
-enum class SnState { kPending, kComplete, kError };
-
-// Outcome of a wait on an SN. kError is only possible when a fault injector
-// is attached (hardware never fails otherwise).
-enum class DmaResult { kOk, kError };
+// Outcome of Channel::WaitSn: the SN is durable either way; kRecovered says
+// a transfer error was raised on the channel during the wait (only possible
+// with a fault injector attached), which a consumer may count against the
+// channel.
+enum class DmaResult { kOk, kRecovered };
 
 }  // namespace easyio::dma
 

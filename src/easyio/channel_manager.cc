@@ -51,7 +51,7 @@ dma::Channel* ChannelManager::PickWriteChannel() {
   dma::Channel* best = nullptr;
   for (int i = 0; i < options_.num_l_channels; ++i) {
     dma::Channel& c = engine_->channel(i);
-    if (health_[c.id()].quarantined) {
+    if (c.quarantined()) {
       continue;
     }
     if (best == nullptr || c.queue_depth() < best->queue_depth()) {
@@ -69,7 +69,7 @@ dma::Channel* ChannelManager::PickReadChannel() {
   const int start = static_cast<int>(read_rotor_++ % static_cast<uint64_t>(n));
   for (int k = 0; k < n; ++k) {
     dma::Channel& c = engine_->channel((start + k) % n);
-    if (health_[c.id()].quarantined) {
+    if (c.quarantined()) {
       continue;
     }
     if (c.queue_depth() < options_.read_admission_qdepth) {
@@ -85,10 +85,9 @@ dma::Sn ChannelManager::SubmitBulkWrite(uint64_t pmem_off, const void* src,
   // Rebalance: a quarantined B channel sheds bulk traffic onto the
   // least-loaded healthy L channel (the L-apps pay some interference, but
   // the transfer makes progress). With everything quarantined the B channel
-  // is used regardless — WaitSnRecover's fallback still guarantees
-  // completion.
+  // is used regardless — WaitSn's fallback still guarantees completion.
   dma::Channel* target = b_channel();
-  if (health_[target->id()].quarantined) {
+  if (target->quarantined()) {
     if (dma::Channel* l = PickWriteChannel(); l != nullptr) {
       target = l;
     }
@@ -114,7 +113,10 @@ dma::Sn ChannelManager::SubmitBulkWrite(uint64_t pmem_off, const void* src,
 void ChannelManager::BulkWriteAndWait(uint64_t pmem_off, const void* src,
                                       size_t n) {
   const dma::Sn last = SubmitBulkWrite(pmem_off, src, n);
-  engine_->ChannelFor(last).WaitSnRecover(last);
+  dma::Channel& ch = engine_->ChannelFor(last);
+  if (ch.WaitSn(last) == dma::DmaResult::kRecovered) {
+    ReportChannelFault(ch);
+  }
 }
 
 ChannelManager::LApp* ChannelManager::RegisterLApp(uint64_t target_ns) {
@@ -173,17 +175,17 @@ void ChannelManager::ReportChannelFault(dma::Channel& ch) {
   h.fault_score++;
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "channel_fault",
             {"chan", ch.id()}, {"score", static_cast<uint64_t>(h.fault_score)});
-  if (!h.quarantined && h.fault_score >= kQuarantineFaultThreshold) {
+  if (!ch.quarantined() && h.fault_score >= kQuarantineFaultThreshold) {
     Quarantine(ch);
   }
 }
 
 void ChannelManager::Quarantine(dma::Channel& ch) {
-  ChannelHealth& h = health_[ch.id()];
-  if (h.quarantined) {
+  if (ch.quarantined()) {
     return;
   }
-  h.quarantined = true;
+  ChannelHealth& h = health_[ch.id()];
+  ch.set_quarantined(true);
   h.quarantined_until = sim_->now() + kQuarantineNs;
   quarantines_++;
   OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "quarantine", {"chan", ch.id()},
@@ -199,14 +201,13 @@ void ChannelManager::Quarantine(dma::Channel& ch) {
   // Probation: the channel returns to rotation after kQuarantineNs with a
   // clean slate. The event checks quarantined_until so overlapping
   // quarantines (re-reported faults) keep the latest deadline.
-  const uint8_t id = ch.id();
-  sim_->ScheduleAfter(kQuarantineNs, [this, id] {
-    ChannelHealth& hh = health_[id];
-    if (hh.quarantined && sim_->now() >= hh.quarantined_until) {
-      hh.quarantined = false;
+  sim_->ScheduleAfter(kQuarantineNs, [this, &ch] {
+    ChannelHealth& hh = health_[ch.id()];
+    if (ch.quarantined() && sim_->now() >= hh.quarantined_until) {
+      ch.set_quarantined(false);
       hh.fault_score = 0;
       OBS_EVENT(obs::Track(obs::kProcChanMgr, 0), "quarantine_end",
-                {"chan", id});
+                {"chan", ch.id()});
     }
   });
 }

@@ -8,9 +8,9 @@
 // level-2 waits, allocation, the log commit and the level-1 release. A kind
 // supplies only how bytes move, through the byte-movement hooks: NOVA-DMA
 // and OdinFS replace the CPU copies, and EasyIO adds selective offloading,
-// the orderless commit and its quarantine-aware SN wait on top of the same
-// layout, allocator, log and recovery machinery — mirroring how the real
-// EasyIO patches NOVA with <50 lines.
+// the orderless commit and fault strikes against its channels on top of the
+// same layout, allocator, log and recovery machinery — mirroring how the
+// real EasyIO patches NOVA with <50 lines.
 //
 // All operations must be called from inside a sim::Task; they charge modeled
 // syscall/index/metadata/data time per MediaParams.
@@ -192,11 +192,6 @@ class NovaFs : public fs::FileSystem {
     uint8_t num_args_ = 0;
   };
 
-  // Retry/fallback policy for every SN wait issued on behalf of this
-  // filesystem (level-2 waits and the byte-movement hooks). Subclasses may
-  // override the defaults at construction.
-  dma::RetryPolicy recover_policy_{};
-
   // Zero-fill for holes (DRAM-side memset, charged at DRAM speed).
   void FillZero(std::byte* dst, size_t n, fs::OpStats* stats);
 
@@ -251,14 +246,12 @@ class NovaFs : public fs::FileSystem {
   // Moves one mapped range of a read; the base copies with the CPU.
   virtual void MoveFromPmem(std::byte* dst, uint64_t pmem_off, size_t bytes,
                             fs::OpStats* stats);
-  // Drives `ch` until its completion record covers `sn`, through
-  // retry/fallback per recover_policy_.
-  virtual void RecoverSn(dma::Channel& ch, dma::Sn sn) {
-    ch.WaitSnRecover(sn, recover_policy_);
-  }
+  // Notification that a wait of this filesystem on `ch` saw a transfer
+  // error (the wait has recovered it); EasyIO counts it as a strike.
+  virtual void OnChannelFault(dma::Channel& ch) {}
 
   // Back in the runtime, the uthread yields and parks until `ch`'s
-  // completion record covers `sn` (§4.1, RecoverSn). The wait is blocked
+  // completion record covers `sn` (§4.1, AwaitSn). The wait is blocked
   // data time (sn_wait).
   void WaitSn(dma::Channel* ch, dma::Sn sn, fs::OpStats* stats);
 
@@ -323,10 +316,12 @@ class NovaFs : public fs::FileSystem {
 
   // Level-2 wait (§4.3): blocks until the inode's outstanding orderless
   // write completes, attributing the wait to stats->blocked_ns (traced as
-  // l2_wait). Recovery-aware: a channel halted on a transfer error is
-  // driven through retry/fallback per recover_policy_, so the wait always
-  // ends with the data durable.
+  // l2_wait). Through AwaitSn, like every SN wait of this filesystem.
   void WaitPendingWrite(Inode& in, fs::OpStats* stats);
+  // The one SN wait of both wait sites: parks until `ch` covers `sn`
+  // (Channel::WaitSn recovers a halted channel) and passes a transfer
+  // error seen on the way to OnChannelFault.
+  void AwaitSn(dma::Channel& ch, dma::Sn sn);
 
   // NOVA-style log garbage collection (NOVA §3.6): when an inode's log has
   // grown well past what its live entries need, rewrite the live state into
