@@ -1,11 +1,13 @@
 // DmaEngine: the machine's set of on-chip DMA channels.
 //
-// Channels 0..channels_per_engine-1 belong to socket 0's engine, the next
-// group to socket 1, and so on; the per-engine aggregate bandwidth caps are
-// applied by the SlowMemory flow model. Completion records for all channels
-// live in one contiguous persistent region whose offset the filesystem
-// layout reserves (§4.2: "we place these completion buffers in a persistent
-// region with their starting addresses recorded in advance").
+// The channel count is the filesystem's (NovaFs::Options::comp_channels
+// sizes the completion-record region). No channel is tied to an engine:
+// the SlowMemory flow model caps the aggregate bandwidth of the active
+// channels as if they were spread over MediaParams::dma_engines engines.
+// Completion records for all channels live in one contiguous persistent
+// region whose offset the filesystem layout reserves (§4.2: "we place these
+// completion buffers in a persistent region with their starting addresses
+// recorded in advance").
 
 #ifndef EASYIO_DMA_DMA_ENGINE_H_
 #define EASYIO_DMA_DMA_ENGINE_H_

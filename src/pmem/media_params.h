@@ -65,8 +65,7 @@ struct MediaParams {
   double cpu_write_degrade_floor = 0.45;
 
   // ---- DMA engine ----
-  int dma_engines = 2;            // one per socket
-  int channels_per_engine = 8;    // I/OAT channels per socket
+  int dma_engines = 2;  // one per socket
   // Per-channel caps by I/O size (GiB/s). Reads are the weak side of I/OAT
   // (§2.2 takeaway 2): a single channel reads at ~3 GiB/s max.
   SizeCurve dma_write_chan_cap{2.4, 3.9, 6.0, 6.5, 6.8};
@@ -157,8 +156,6 @@ struct MediaParams {
     }
     return dma_read_agg * std::min(dma_engines, n_channels);
   }
-
-  int total_channels() const { return dma_engines * channels_per_engine; }
 
   // The testbed of §2.2: a single NUMA node with 3 of the 6 DCPMMs.
   static MediaParams OneNode() {

@@ -59,7 +59,6 @@ TEST(MediaParamsTest, DmaReadAggregateNeverDeclines) {
 TEST(MediaParamsTest, TwoNodeDoublesEngines) {
   MediaParams p = MediaParams::TwoNode();
   EXPECT_EQ(p.dma_engines, 2);
-  EXPECT_EQ(p.total_channels(), 16);
   // Two engines with one channel each give 2x the single-engine base.
   EXPECT_NEAR(p.DmaWriteAggregate(2), 2 * p.dma_write_agg_base, 1e-9);
 }
