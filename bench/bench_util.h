@@ -23,10 +23,10 @@ inline void PrintHeader(const std::string& title) {
   std::printf("================================================================\n");
 }
 
-// The command-line flags the benches share. Each bench names the flags it
-// honors and parses argv once with ParseFlags; any other argument (a typo,
-// or a flag this bench does not take) prints a usage line to stderr and
-// exits 2, so a run never silently drops an option.
+// The command-line flags the benches share. Every bench takes --jobs and
+// names the other flags it honors; it parses argv once with ParseFlags, and
+// any other argument (a typo, or a flag this bench does not take) prints a
+// usage line to stderr and exits 2, so a run never silently drops an option.
 //   --jobs=<N>          worker threads for independent cells
 //                       (harness::RunIndexed), N >= 1; the only way to set
 //                       them (default: the host's hardware threads)
@@ -38,7 +38,7 @@ inline void PrintHeader(const std::string& title) {
 //   --trace-sample=<N>  keep one in N sampled trace events, N >= 1
 //                       (default: the bench's own)
 struct Flags {
-  enum Accepts : unsigned { kJobs = 1, kFaults = 2, kTrace = 4 };
+  enum Accepts : unsigned { kFaults = 1, kTrace = 2 };
 
   int jobs = 1;
   uint64_t faults = 0;
@@ -47,8 +47,8 @@ struct Flags {
   bool tracing() const { return !trace.empty(); }
 };
 
-// `accepts` is a mask of Flags::Accepts.
-inline Flags ParseFlags(int argc, char** argv, unsigned accepts,
+// `accepts` is a mask of Flags::Accepts; --jobs is always accepted.
+inline Flags ParseFlags(int argc, char** argv, unsigned accepts = 0,
                         uint32_t default_trace_sample = 1) {
   Flags f;
   f.jobs = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
@@ -61,11 +61,11 @@ inline Flags ParseFlags(int argc, char** argv, unsigned accepts,
   };
   for (int i = 1; i < argc; ++i) {
     const std::string_view a = argv[i];
-    // True when this bench accepts `flag` and `a` is `name` followed by a
-    // value, which is stored in *out.
+    // True when this bench accepts `flag` (0: every bench does) and `a` is
+    // `name` followed by a value, which is stored in *out.
     const auto value = [&](std::string_view name, unsigned flag,
                            std::string_view* out) {
-      if ((accepts & flag) == 0 || !a.starts_with(name)) {
+      if ((accepts & flag) != flag || !a.starts_with(name)) {
         return false;
       }
       *out = a.substr(name.size());
@@ -73,7 +73,7 @@ inline Flags ParseFlags(int argc, char** argv, unsigned accepts,
     };
     std::string_view v;
     bool ok = false;
-    if (value("--jobs=", Flags::kJobs, &v)) {
+    if (value("--jobs=", 0, &v)) {
       ok = number(v, &f.jobs) && f.jobs >= 1;
     } else if (value("--faults=", Flags::kFaults, &v)) {
       ok = number(v, &f.faults);
@@ -84,9 +84,9 @@ inline Flags ParseFlags(int argc, char** argv, unsigned accepts,
       ok = number(v, &f.trace_sample) && f.trace_sample >= 1;
     }
     if (!ok) {
-      std::fprintf(stderr, "%s: unrecognized argument '%s'\nusage: %s%s%s%s\n",
+      std::fprintf(stderr,
+                   "%s: unrecognized argument '%s'\nusage: %s [--jobs=<N>]%s%s\n",
                    argv[0], argv[i], argv[0],
-                   (accepts & Flags::kJobs) != 0 ? " [--jobs=<N>]" : "",
                    (accepts & Flags::kFaults) != 0 ? " [--faults=<seed>]" : "",
                    (accepts & Flags::kTrace) != 0
                        ? " [--trace=<path>] [--trace-sample=<N>]"

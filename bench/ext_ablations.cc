@@ -143,8 +143,7 @@ void LChannelAblation(int jobs) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const int jobs =
-      bench::ParseFlags(argc, argv, bench::Flags::kJobs).jobs;
+  const int jobs = bench::ParseFlags(argc, argv).jobs;
   bench::PrintHeader(
       "Extensions: DSA preview + design-choice ablations (beyond the paper)");
   DsaPreview(jobs);

@@ -11,6 +11,7 @@
 #include "bench/bench_util.h"
 #include "src/common/units.h"
 #include "src/fxmark/fxmark.h"
+#include "src/harness/scenario_runner.h"
 #include "src/harness/testbed.h"
 #include "src/sim/obs_session.h"
 
@@ -63,22 +64,31 @@ Breakdown Measure(bool is_write, uint64_t io_size,
 int main(int argc, char** argv) {
   using namespace easyio;
   // --trace=<path> records the 64K-write run (the paper's headline
-  // breakdown); small op count, so every op is sampled by default.
+  // breakdown); small op count, so every op is sampled by default. The
+  // session is created inside that probe's job, so it traces exactly that
+  // simulation at any --jobs.
   const bench::Flags flags = bench::ParseFlags(
       argc, argv, bench::Flags::kTrace, /*default_trace_sample=*/1);
   bench::PrintHeader(
       "Figure 1: Latency breakdown of NOVA (single thread, us per op)");
   std::printf("%-6s %-5s %9s %9s %9s %9s %9s %8s\n", "op", "io", "total",
               "metadata", "memcpy", "indexing", "syscall", "memcpy%");
-  for (bool is_write : {true, false}) {
-    for (uint64_t io : {4_KB, 8_KB, 16_KB, 32_KB, 64_KB}) {
-      const bool traced = is_write && io == 64_KB && flags.tracing();
-      const auto b = Measure(is_write, io, traced ? &flags : nullptr);
-      std::printf("%-6s %-5s %9.2f %9.2f %9.2f %9.2f %9.2f %7.1f%%\n",
-                  is_write ? "write" : "read", bench::SizeName(io).c_str(), b.total_us,
-                  b.meta_us, b.memcpy_us, b.index_us, b.syscall_us,
-                  100.0 * b.memcpy_us / b.total_us);
-    }
+  // Probe i: writes first, then reads, each over `ios`.
+  const std::vector<uint64_t> ios{4_KB, 8_KB, 16_KB, 32_KB, 64_KB};
+  const auto probes =
+      harness::RunIndexed(flags.jobs, 2 * ios.size(), [&](size_t i) {
+        const bool is_write = i < ios.size();
+        const uint64_t io = ios[i % ios.size()];
+        const bool traced = is_write && io == 64_KB && flags.tracing();
+        return Measure(is_write, io, traced ? &flags : nullptr);
+      });
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const Breakdown& b = probes[i];
+    std::printf("%-6s %-5s %9.2f %9.2f %9.2f %9.2f %9.2f %7.1f%%\n",
+                i < ios.size() ? "write" : "read",
+                bench::SizeName(ios[i % ios.size()]).c_str(), b.total_us,
+                b.meta_us, b.memcpy_us, b.index_us, b.syscall_us,
+                100.0 * b.memcpy_us / b.total_us);
   }
   std::printf(
       "\nExpected shape (paper): memcpy share grows with I/O size, to ~63%%\n"

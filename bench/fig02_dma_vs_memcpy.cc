@@ -10,12 +10,15 @@
 //   4. memcpy write bandwidth *declines* as cores are added.
 
 #include <cstdio>
+#include <iterator>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/common/units.h"
 #include "src/dma/dma_engine.h"
+#include "src/harness/scenario_runner.h"
 #include "src/pmem/slow_memory.h"
 #include "src/sim/simulation.h"
 
@@ -89,39 +92,28 @@ double RunDma(bool is_write, uint64_t io_size, int cores, int batch) {
   return GibPerSec(bytes_done, kDuration);
 }
 
-void RunDirection(bool is_write) {
-  std::printf("\n-- %s bandwidth (GiB/s), one NUMA node --\n",
-              is_write ? "Write" : "Read");
-  std::printf("%-14s", "series\\cores");
-  const std::vector<int> core_counts{1, 2, 4, 8, 16};
-  for (int c : core_counts) {
-    std::printf("%8d", c);
-  }
-  std::printf("\n");
+// One row of a bandwidth table: memcpy (batch 0) or DMA with `batch`
+// descriptors per submission, at one I/O size.
+struct Series {
+  uint64_t io_size;
+  int batch;
+};
 
-  std::printf("%-14s", "memcpy-4K");
-  for (int c : core_counts) {
-    std::printf("%8.2f", RunMemcpy(is_write, 4_KB, c));
-  }
-  std::printf("\n");
-  std::printf("%-14s", "memcpy-64K");
-  for (int c : core_counts) {
-    std::printf("%8.2f", RunMemcpy(is_write, 64_KB, c));
-  }
-  std::printf("\n");
+const Series kSeries[] = {{4_KB, 0},  {64_KB, 0}, {4_KB, 1},  {4_KB, 4},
+                          {16_KB, 1}, {16_KB, 4}, {64_KB, 1}, {64_KB, 4}};
+const int kCores[] = {1, 2, 4, 8, 16};
 
-  for (uint64_t io : {4_KB, 16_KB, 64_KB}) {
-    for (int batch : {1, 4}) {
-      char name[32];
-      std::snprintf(name, sizeof(name), "DMA-%s-%s", bench::SizeName(io).c_str(),
-                    batch == 1 ? "NB" : "B");
-      std::printf("%-14s", name);
-      for (int c : core_counts) {
-        std::printf("%8.2f", RunDma(is_write, io, c, batch));
-      }
-      std::printf("\n");
-    }
+std::string SeriesName(const Series& s) {
+  const std::string io = bench::SizeName(s.io_size);
+  if (s.batch == 0) {
+    return "memcpy-" + io;
   }
+  return "DMA-" + io + (s.batch == 1 ? "-NB" : "-B");
+}
+
+double RunCell(bool is_write, const Series& s, int cores) {
+  return s.batch == 0 ? RunMemcpy(is_write, s.io_size, cores)
+                      : RunDma(is_write, s.io_size, cores, s.batch);
 }
 
 }  // namespace
@@ -129,11 +121,36 @@ void RunDirection(bool is_write) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  bench::ParseFlags(argc, argv, /*accepts=*/0);  // takes no flags
+  const bench::Flags flags = bench::ParseFlags(argc, argv);
   bench::PrintHeader(
       "Figure 2: memcpy vs on-chip DMA bandwidth (1 DMA channel)");
-  RunDirection(/*is_write=*/true);
-  RunDirection(/*is_write=*/false);
+  // Cell i: writes first, then reads; within a direction, row-major over
+  // (series, cores).
+  const size_t per_direction = std::size(kSeries) * std::size(kCores);
+  const auto gib =
+      harness::RunIndexed(flags.jobs, 2 * per_direction, [&](size_t i) {
+        const size_t cell = i % per_direction;
+        return RunCell(/*is_write=*/i < per_direction,
+                       kSeries[cell / std::size(kCores)],
+                       kCores[cell % std::size(kCores)]);
+      });
+  size_t next = 0;
+  for (const bool is_write : {true, false}) {
+    std::printf("\n-- %s bandwidth (GiB/s), one NUMA node --\n",
+                is_write ? "Write" : "Read");
+    std::printf("%-14s", "series\\cores");
+    for (int c : kCores) {
+      std::printf("%8d", c);
+    }
+    std::printf("\n");
+    for (const Series& s : kSeries) {
+      std::printf("%-14s", SeriesName(s).c_str());
+      for (size_t c = 0; c < std::size(kCores); ++c) {
+        std::printf("%8.2f", gib[next++]);
+      }
+      std::printf("\n");
+    }
+  }
   std::printf(
       "\nExpected shape (paper): DMA saturates write BW with 1 core; memcpy\n"
       "write declines beyond ~4 cores; DMA read peak ~37%% of memcpy's;\n"

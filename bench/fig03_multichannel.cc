@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
   using namespace easyio;
   // --faults=<seed> injects a seeded random DMA fault plan into every grid
   // point; seed 0 (the default) is byte-identical to a run without the flag.
-  const bench::Flags flags = bench::ParseFlags(
-      argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
+  const bench::Flags flags = bench::ParseFlags(argc, argv, bench::Flags::kFaults);
   bench::PrintHeader("Figure 3: DMA bandwidth vs number of channels");
   RunDirection(/*is_write=*/true, flags.jobs, flags.faults);
   RunDirection(/*is_write=*/false, flags.jobs, flags.faults);

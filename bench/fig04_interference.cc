@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
   // The tracer is per thread and the session is created inside the
   // scenario job, so it traces exactly that simulation at any --jobs.
   const bench::Flags flags =
-      bench::ParseFlags(argc, argv, bench::Flags::kJobs | bench::Flags::kTrace,
+      bench::ParseFlags(argc, argv, bench::Flags::kTrace,
                         /*default_trace_sample=*/16);
   bench::PrintHeader(
       "Figure 4: foreground 64K DMA-read latency vs background bulk mover\n"

@@ -15,6 +15,7 @@
 #include "src/fxmark/fxmark.h"
 #include "src/harness/scenario_runner.h"
 #include "src/harness/testbed.h"
+#include "src/nova/layout.h"
 
 namespace easyio {
 namespace {
@@ -30,8 +31,7 @@ Point Measure(harness::FsKind kind, bool is_write, uint64_t io_size,
   cfg.fs = kind;
   cfg.machine_cores = 36;
   cfg.device_bytes = 256_MB;
-  cfg.faults = bench::MakeBenchFaultPlan(
-      fault_seed, static_cast<int>(cfg.fs_options.comp_channels));
+  cfg.faults = bench::MakeBenchFaultPlan(fault_seed, nova::kCompChannels);
   harness::Testbed tb(cfg);
   Point out{0, 0};
   for (const fs::OpStats& st : fxmark::Probe(tb, is_write, io_size)) {
@@ -72,8 +72,7 @@ void RunDirection(bool is_write, const bench::Flags& flags) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const bench::Flags flags = bench::ParseFlags(
-      argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
+  const bench::Flags flags = bench::ParseFlags(argc, argv, bench::Flags::kFaults);
   // --faults=<seed> injects a seeded DMA fault plan into every point's
   // testbed; seed 0 (the default) is byte-identical to no flag.
   bench::PrintHeader("Figure 8: operation latency by filesystem (1 thread)");

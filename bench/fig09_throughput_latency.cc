@@ -16,6 +16,7 @@
 #include "src/common/units.h"
 #include "src/fxmark/fxmark.h"
 #include "src/harness/scenario_runner.h"
+#include "src/nova/layout.h"
 
 namespace easyio {
 namespace {
@@ -70,9 +71,8 @@ void RunPanel(Workload workload, uint64_t io_size,
         cfg.io_size = io_size;
         cfg.uthreads_per_core = 2;  // §6.2: uthreads = 2x cores for EasyIO
         cfg.cores = grid[i].cores;
-        cfg.testbed.faults = bench::MakeBenchFaultPlan(
-            flags.faults,
-            static_cast<int>(cfg.testbed.fs_options.comp_channels));
+        cfg.testbed.faults =
+            bench::MakeBenchFaultPlan(flags.faults, nova::kCompChannels);
         return fxmark::CoreSweepPoint{grid[i].cores, fxmark::Run(cfg)};
       });
   size_t next_point = 0;
@@ -109,8 +109,7 @@ void RunPanel(Workload workload, uint64_t io_size,
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const bench::Flags flags = bench::ParseFlags(
-      argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
+  const bench::Flags flags = bench::ParseFlags(argc, argv, bench::Flags::kFaults);
   // --faults=<seed> injects a seeded DMA fault plan into every sweep
   // point's testbed; seed 0 (the default) is byte-identical to no flag.
   bench::PrintHeader(

@@ -13,6 +13,7 @@
 #include "bench/bench_util.h"
 #include "src/apps/apps.h"
 #include "src/harness/scenario_runner.h"
+#include "src/nova/layout.h"
 
 namespace easyio {
 namespace {
@@ -48,9 +49,8 @@ void RunApp(AppKind app, const bench::Flags& flags) {
         cfg.app = app;
         cfg.testbed.fs = kind;
         cfg.cores = cores;
-        cfg.testbed.faults = bench::MakeBenchFaultPlan(
-            flags.faults,
-            static_cast<int>(cfg.testbed.fs_options.comp_channels));
+        cfg.testbed.faults =
+            bench::MakeBenchFaultPlan(flags.faults, nova::kCompChannels);
         return apps::RunApp(cfg).ops_per_sec;
       });
   double nova_best = 0;
@@ -83,8 +83,7 @@ void RunApp(AppKind app, const bench::Flags& flags) {
 
 int main(int argc, char** argv) {
   using namespace easyio;
-  const bench::Flags flags = bench::ParseFlags(
-      argc, argv, bench::Flags::kJobs | bench::Flags::kFaults);
+  const bench::Flags flags = bench::ParseFlags(argc, argv, bench::Flags::kFaults);
   // --faults=<seed> injects a seeded DMA fault plan into every cell's
   // testbed; seed 0 (the default) is byte-identical to no flag.
   bench::PrintHeader(

@@ -21,6 +21,7 @@
 #include "src/harness/scenario_runner.h"
 #include "src/harness/testbed.h"
 #include "src/harness/window.h"
+#include "src/nova/layout.h"
 #include "src/sim/obs_session.h"
 
 namespace easyio {
@@ -32,8 +33,7 @@ harness::TestbedConfig Config(harness::FsKind kind, int machine_cores,
   cfg.fs = kind;
   cfg.machine_cores = machine_cores;
   cfg.device_bytes = device_bytes;
-  cfg.faults = bench::MakeBenchFaultPlan(
-      fault_seed, static_cast<int>(cfg.fs_options.comp_channels));
+  cfg.faults = bench::MakeBenchFaultPlan(fault_seed, nova::kCompChannels);
   return cfg;
 }
 
@@ -114,10 +114,9 @@ int main(int argc, char** argv) {
   // whichever worker thread runs it (see src/sim/obs_session.h).
   // --faults=<seed> injects a seeded DMA fault plan into every run's
   // testbed; seed 0 (the default) is byte-identical to no flag.
-  const bench::Flags flags = bench::ParseFlags(
-      argc, argv,
-      bench::Flags::kJobs | bench::Flags::kFaults | bench::Flags::kTrace,
-      /*default_trace_sample=*/1);
+  const bench::Flags flags =
+      bench::ParseFlags(argc, argv, bench::Flags::kFaults | bench::Flags::kTrace,
+                        /*default_trace_sample=*/1);
   const int jobs = flags.jobs;
   bench::PrintHeader("Figure 11 (left): orderless file operation — "
                      "single-thread write latency (us)");

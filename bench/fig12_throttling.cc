@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
   // The tracer is per thread and the session is created inside the
   // scenario job, so it traces exactly that simulation at any --jobs.
   const bench::Flags flags =
-      bench::ParseFlags(argc, argv, bench::Flags::kJobs | bench::Flags::kTrace,
+      bench::ParseFlags(argc, argv, bench::Flags::kTrace,
                         /*default_trace_sample=*/32);
   bench::PrintHeader(
       "Figure 12: web-server max latency per 0.5s (us) with a colocated GC\n"

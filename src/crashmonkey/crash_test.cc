@@ -284,7 +284,7 @@ CrashEnv::CrashEnv(const nova::NovaFs::Options& fs_options,
                                         core::EasyIoFs::EasyOptions{});
   EASYIO_CHECK_OK(fs->Format());
   engine = std::make_unique<dma::DmaEngine>(
-      &mem, fs->layout().comp_region_off, 16);
+      &mem, fs->layout().comp_region_off, nova::kCompChannels);
   if (faults != nullptr && !faults->empty()) {
     injector = std::make_unique<dma::FaultInjector>(*faults);
     engine->AttachFaultInjector(injector.get());

@@ -1,9 +1,9 @@
 // DmaEngine: the machine's set of on-chip DMA channels.
 //
-// The channel count is the filesystem's (NovaFs::Options::comp_channels
-// sizes the completion-record region). No channel is tied to an engine:
-// the SlowMemory flow model caps the aggregate bandwidth of the active
-// channels as if they were spread over MediaParams::dma_engines engines.
+// The channel count is the filesystem's (nova::kCompChannels sizes the
+// completion-record region). No channel is tied to an engine: the
+// SlowMemory flow model caps the aggregate bandwidth of the active channels
+// as if they were spread over MediaParams::dma_engines engines.
 // Completion records for all channels live in one contiguous persistent
 // region whose offset the filesystem layout reserves (§4.2: "we place these
 // completion buffers in a persistent region with their starting addresses

@@ -192,9 +192,8 @@ class Testbed {
 
  private:
   void MakeEngine(uint64_t comp_region_off) {
-    engine_ = std::make_unique<dma::DmaEngine>(
-        &mem_, comp_region_off,
-        static_cast<int>(config_.fs_options.comp_channels));
+    engine_ = std::make_unique<dma::DmaEngine>(&mem_, comp_region_off,
+                                               nova::kCompChannels);
     if (!config_.faults.empty()) {
       injector_ = std::make_unique<dma::FaultInjector>(config_.faults);
       engine_->AttachFaultInjector(injector_.get());

@@ -27,6 +27,9 @@ inline constexpr uint64_t kBlockSize = 4096;
 inline constexpr uint64_t kPInodeSize = 64;
 inline constexpr uint32_t kMaxNameLen = 39;  // NUL-terminated in 40 bytes
 inline constexpr uint64_t kRootIno = 1;
+// DMA channels with a completion record in the layout (§4.2): the engine a
+// filesystem runs on has exactly this many.
+inline constexpr int kCompChannels = 16;
 
 struct Superblock {
   uint64_t magic;
@@ -155,7 +158,6 @@ static_assert(sizeof(JournalRecord) <= kBlockSize);
 
 struct Layout {
   uint64_t comp_region_off;
-  uint64_t comp_channels;
   uint64_t journal_off;
   uint64_t journal_slots;
   uint64_t inode_table_off;
@@ -164,15 +166,14 @@ struct Layout {
   uint64_t block_count;
 
   static Layout Compute(uint64_t device_size, uint64_t inode_count,
-                        uint64_t journal_slots, uint64_t comp_channels) {
+                        uint64_t journal_slots) {
     auto round_up = [](uint64_t v) {
       return (v + kBlockSize - 1) / kBlockSize * kBlockSize;
     };
     Layout l{};
     uint64_t off = kBlockSize;  // superblock
     l.comp_region_off = off;
-    l.comp_channels = comp_channels;
-    off += round_up(comp_channels * 16);
+    off += round_up(kCompChannels * 16);
     l.journal_off = off;
     l.journal_slots = journal_slots;
     off += journal_slots * kBlockSize;

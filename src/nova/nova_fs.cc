@@ -73,7 +73,7 @@ NovaFs::NovaFs(pmem::SlowMemory* mem, const Options& options,
       read_unlocks_first_(read_unlocks_first),
       namespace_lock_(mem->simulation()) {
   layout_ = Layout::Compute(mem->size(), options.inode_count,
-                            options.journal_slots, options.comp_channels);
+                            options.journal_slots);
   allocator_ = std::make_unique<BlockAllocator>(
       layout_.block_area_off, layout_.block_count, kAllocShards);
   journal_ = std::make_unique<Journal>(mem, layout_.journal_off,
@@ -100,7 +100,7 @@ Status NovaFs::Format() {
   sb.magic = kMagic;
   sb.device_size = mem_->size();
   sb.comp_region_off = layout_.comp_region_off;
-  sb.comp_channels = layout_.comp_channels;
+  sb.comp_channels = kCompChannels;
   sb.journal_off = layout_.journal_off;
   sb.journal_slots = layout_.journal_slots;
   sb.inode_table_off = layout_.inode_table_off;
@@ -139,7 +139,7 @@ uint64_t NovaFs::CompletedSeqOf(uint8_t channel) const {
   // read whatever bytes follow the region as a "completion record". Zero
   // (nothing ever completed) makes recovery discard the entry — the safe
   // direction.
-  if (channel >= layout_.comp_channels) {
+  if (channel >= kCompChannels) {
     return 0;
   }
   return mem_
@@ -159,7 +159,7 @@ Status NovaFs::Mount() {
   if (sb->device_size != mem_->size() ||
       sb->inode_count != layout_.inode_count ||
       sb->journal_slots != layout_.journal_slots ||
-      sb->comp_channels != layout_.comp_channels) {
+      sb->comp_channels != kCompChannels) {
     return Corruption("superblock layout mismatch");
   }
 

@@ -13,7 +13,7 @@
 namespace easyio::bench {
 namespace {
 
-constexpr unsigned kAll = Flags::kJobs | Flags::kFaults | Flags::kTrace;
+constexpr unsigned kAll = Flags::kFaults | Flags::kTrace;
 
 Flags Parse(std::initializer_list<const char*> args, unsigned accepts,
             uint32_t default_trace_sample = 1) {
@@ -51,13 +51,15 @@ TEST(BenchFlagsTest, RejectsUnknownArgument) {
 }
 
 TEST(BenchFlagsTest, RejectsFlagTheBenchDoesNotTake) {
-  // A trace-only bench (fig01) must not accept --jobs or --faults, and a
-  // bench with no flags (fig02) accepts nothing.
+  // A bench without fault injection (fig01 traces, table2 takes only
+  // --jobs) must refuse --faults; every bench takes --jobs.
   EXPECT_EXIT(Parse({"--faults=7"}, Flags::kTrace),
               testing::ExitedWithCode(2),
-              "usage: bench \\[--trace=<path>\\] \\[--trace-sample=<N>\\]\n");
-  EXPECT_EXIT(Parse({"--jobs=4"}, 0), testing::ExitedWithCode(2),
-              "usage: bench\n");
+              "usage: bench \\[--jobs=<N>\\] \\[--trace=<path>\\] "
+              "\\[--trace-sample=<N>\\]\n");
+  EXPECT_EXIT(Parse({"--faults=7"}, 0), testing::ExitedWithCode(2),
+              "usage: bench \\[--jobs=<N>\\]\n");
+  EXPECT_EQ(Parse({"--jobs=4"}, 0).jobs, 4);
 }
 
 TEST(BenchFlagsTest, RejectsMalformedValue) {

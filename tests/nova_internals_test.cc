@@ -233,7 +233,7 @@ TEST(PageMapTest, ClearReturnsEverything) {
 }
 
 TEST(LayoutTest, RegionsAreDisjointAndOrdered) {
-  const Layout l = Layout::Compute(256_MB, 16384, 64, 16);
+  const Layout l = Layout::Compute(256_MB, 16384, 64);
   EXPECT_GE(l.comp_region_off, kBlockSize);
   EXPECT_GT(l.journal_off, l.comp_region_off);
   EXPECT_GT(l.inode_table_off, l.journal_off);
